@@ -30,6 +30,7 @@ from .errors import (
     ConfigError,
     ContractError,
     DataError,
+    DivergenceError,
     FormatError,
     ParseError,
     ShapeError,

@@ -13,8 +13,9 @@ from .classifier_head import HeadParams, PredictionOutput
 from .config import TrainConfig
 from .corpus_io import EmbeddingTable, ParseTree
 from .errors import ConfigError, ContractError
-from .tensor_core import Tape, Tensor, parameter
-from .trainer import TrainReport, evaluate, iter_batches
+from .pooling import PooledVector
+from .tensor_core import Tape, Tensor, parameter, sgd_epoch
+from .trainer import TrainReport, evaluate
 
 
 class BagOfEmbeddings:
@@ -32,7 +33,7 @@ class BagOfEmbeddings:
             out.append(("embeddings", self.embeddings))
         return out
 
-    def _mean_vector(self, tape: Tape, tree: ParseTree) -> Tensor:
+    def _forward(self, tape: Tape, tree: ParseTree) -> PredictionOutput:
         rows = []
         for node in tree.nodes:
             if node.word is None:
@@ -48,17 +49,8 @@ class BagOfEmbeddings:
         total = rows[0]
         for r in rows[1:]:
             total = tape.add(total, r)
-        return tape.scale(total, 1.0 / len(rows))
-
-    def _forward(self, tape: Tape, tree: ParseTree) -> PredictionOutput:
-        mean = self._mean_vector(tape, tree)
-        h = tape.relu(tape.add(tape.matvec(self.head.W_h, mean), self.head.b_h))
-        logits = tape.add(tape.matvec(self.head.W_o, h), self.head.b_o)
-        from .tensor_core import softmax_probs
-        probs = softmax_probs(logits.data)
-        return PredictionOutput(probabilities=probs,
-                                predicted=int(np.argmax(probs)),
-                                logits=logits)
+        mean = tape.scale(total, 1.0 / len(rows))
+        return classifier_head.forward(tape, PooledVector([mean]), self.head)
 
     def predict(self, tree: ParseTree) -> PredictionOutput:
         return self._forward(Tape(), tree)
@@ -79,29 +71,19 @@ def train_bag_baseline(train_trees: Sequence[ParseTree],
     model = BagOfEmbeddings(head, table, embeddings)
     named = model.named()
 
+    def sample_loss(tape, tree):
+        pred = model._forward(tape, tree)
+        value = classifier_head.loss(tape, pred, tree.sentence_label)
+        return value.node, value.cross_entropy, 1
+
     report = TrainReport()
     best_acc = -1.0
     best = {name: p.data.copy() for name, p in named}
     for epoch in range(1, config.max_epochs + 1):
-        epoch_loss = 0.0
-        for batch in iter_batches(len(train_trees), config.batch_size, rng):
-            sums = {name: np.zeros_like(p.data) for name, p in named}
-            for i in batch:
-                tree = train_trees[int(i)]
-                tape = Tape()
-                pred = model._forward(tape, tree)
-                value = classifier_head.loss(
-                    tape, pred, tree.sentence_label,
-                    [model.head.W_h, model.head.W_o], config.l2)
-                epoch_loss += value.total
-                grads = tape.backward(value.node)
-                for name, p in named:
-                    g = grads.get(p)
-                    if g is not None:
-                        sums[name] += g
-            scale = config.learning_rate / len(batch)
-            for name, p in named:
-                p.data -= scale * sums[name]
+        epoch_loss = sgd_epoch(train_trees, sample_loss, named,
+                               config.learning_rate, config.batch_size, rng,
+                               epoch=epoch, decayed=[head.W_h, head.W_o],
+                               lam=config.l2)
         report.train_loss.append(epoch_loss / len(train_trees))
         acc = evaluate(model, val_trees).accuracy
         report.val_accuracy.append(acc)

@@ -1,17 +1,18 @@
 """Fully connected hidden layer plus softmax output over pooled slots,
-with the regularized training loss and the 5-way-to-binary transfer."""
+with the cross-entropy training loss and the 5-way-to-binary transfer.
+The l2 penalty is applied in the update (see tensor_core.sgd_epoch)."""
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
 from .pooling import PooledVector
-from .tensor_core import Tape, Tensor, parameter, softmax_probs
+from .tensor_core import Tape, Tensor, parameter, softmax_probs, uniform_init
 
 log = logging.getLogger(__name__)
 
@@ -41,14 +42,10 @@ class HeadParams:
 
 
 def init_head(n_h: int, in_width: int, classes: int, rng) -> HeadParams:
-    def uniform(shape):
-        bound = np.sqrt(6.0 / (shape[0] + shape[1]))
-        return rng.uniform(-bound, bound, size=shape)
-
     return HeadParams(
-        W_h=parameter(uniform((n_h, in_width)), "head.W_h"),
+        W_h=parameter(uniform_init(rng, (n_h, in_width)), "head.W_h"),
         b_h=parameter(np.zeros(n_h), "head.b_h"),
-        W_o=parameter(uniform((classes, n_h)), "head.W_o"),
+        W_o=parameter(uniform_init(rng, (classes, n_h)), "head.W_o"),
         b_o=parameter(np.zeros(classes), "head.b_o"),
     )
 
@@ -64,8 +61,6 @@ class PredictionOutput:
 @dataclass
 class LossValue:
     cross_entropy: float
-    l2_term: float
-    total: float
     node: Optional[Tensor] = None  # tape scalar for backward
     clamped: bool = False
 
@@ -93,12 +88,10 @@ def forward(tape: Tape, pooled: PooledVector, params: HeadParams,
                             logits=logits)
 
 
-def loss(tape: Tape, pred: PredictionOutput, gold: int,
-         weight_matrices: Sequence[Tensor], lam: float) -> LossValue:
-    """Cross entropy plus lambda * sum of squared weight-matrix entries.
+def loss(tape: Tape, pred: PredictionOutput, gold: int) -> LossValue:
+    """Cross entropy of the gold class, recorded on `tape`.
 
-    Biases and embeddings stay out of the penalty.  The cross entropy is
-    evaluated in log space, so even a fully saturated softmax stays
+    It is evaluated in log space, so even a fully saturated softmax stays
     finite; a gold probability that underflowed to zero is flagged.
     """
     if pred.logits is None:
@@ -109,23 +102,7 @@ def loss(tape: Tape, pred: PredictionOutput, gold: int,
         clamped = True
         log.warning("gold-class probability underflowed to 0; "
                     "cross entropy kept finite via log-space evaluation")
-    terms = [ce]
-    weights = [1.0]
-    if lam > 0.0 and weight_matrices:
-        for W in weight_matrices:
-            terms.append(tape.sumsq(W))
-            weights.append(lam)
-    total = tape.weighted_sum(terms, weights) if len(terms) > 1 else ce
-    ce_val = ce.item()
-    total_val = total.item()
-    return LossValue(cross_entropy=ce_val, l2_term=total_val - ce_val,
-                     total=total_val, node=total, clamped=clamped)
-
-
-def cross_entropy_value(probabilities: np.ndarray, gold: int) -> float:
-    """-log p_gold from a probability vector, clamped at 1e-12."""
-    p = float(probabilities[gold])
-    return -float(np.log(max(p, 1e-12)))
+    return LossValue(cross_entropy=ce.item(), node=ce, clamped=clamped)
 
 
 def transfer_5_to_2(probabilities: np.ndarray) -> PredictionOutput:

@@ -1,8 +1,9 @@
 """Command-line entry point: train, eval, visualize, gradcheck and
 pretrain-rae subcommands over config files and checkpoints.
 
-Exit codes: 0 success, 1 check failure, 2 configuration error,
-3 data/file error.
+Exit codes: 0 success, 1 check failure, 2 configuration error
+(including a diverging training run), 3 data/file error, 4 internal
+error (an unexpected exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import List, Optional
 
 import numpy as np
@@ -46,6 +48,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
+EXIT_INTERNAL = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,10 +133,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(e.code) if e.code else EXIT_OK
     try:
         return _dispatch(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ContractError, ShapeError) as e:
+    except (ConfigError, ContractError, ShapeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as e:
@@ -142,6 +142,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as e:
         print(f"error: cannot read {e.filename}: {e.strerror}", file=sys.stderr)
         return EXIT_DATA
+    except Exception as e:
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _dispatch(args) -> int:

@@ -21,6 +21,10 @@ class ConfigError(TreeConvError):
     """Invalid or inconsistent configuration."""
 
 
+class DivergenceError(ConfigError):
+    """Training turned a loss or parameter non-finite (e.g. too high a rate)."""
+
+
 class DataError(TreeConvError):
     """Problem with an input file."""
 

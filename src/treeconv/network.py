@@ -184,9 +184,7 @@ class SentenceClassifier:
     def loss_on(self, tape: Tape, tree: ParseTree, gold: int,
                 mode: str = "train", rng=None) -> Tuple[LossValue, PredictionOutput]:
         pred, _ = self.forward(tape, tree, mode=mode, rng=rng)
-        value = classifier_head.loss(tape, pred, gold,
-                                     self.params.weight_matrices(),
-                                     self.config.l2)
+        value = classifier_head.loss(tape, pred, gold)
         return value, pred
 
     def predict(self, tree: ParseTree) -> PredictionOutput:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus_io import CONSTITUENCY, EmbeddingTable, ParseTree
 from .errors import ContractError, ShapeError
-from .tensor_core import Tape, Tensor, grad_of, parameter
+from .tensor_core import Tape, Tensor, parameter, sgd_epoch, uniform_init
 
 
 @dataclass
@@ -51,16 +51,11 @@ class PretrainConfig:
     seed: int = 0
 
 
-def _uniform_init(rng, shape):
-    bound = np.sqrt(6.0 / (shape[0] + shape[1]))
-    return rng.uniform(-bound, bound, size=shape)
-
-
 def init_composition(n_e: int, rng) -> CompositionParams:
     return CompositionParams(
-        W_comp=parameter(_uniform_init(rng, (n_e, 2 * n_e)), "rae.W_comp"),
+        W_comp=parameter(uniform_init(rng, (n_e, 2 * n_e)), "rae.W_comp"),
         b_comp=parameter(np.zeros(n_e), "rae.b_comp"),
-        W_rec=parameter(_uniform_init(rng, (2 * n_e, n_e)), "rae.W_rec"),
+        W_rec=parameter(uniform_init(rng, (2 * n_e, n_e)), "rae.W_rec"),
         b_rec=parameter(np.zeros(2 * n_e), "rae.b_rec"),
     )
 
@@ -193,26 +188,16 @@ def pretrain(trees: Sequence[ParseTree], table: EmbeddingTable,
     best_state = {name: p.data.copy() for name, p in named}
     stale = 0
 
-    for _ in range(config.max_epochs):
-        order = rng.permutation(len(train))
-        for start in range(0, len(order), config.batch_size):
-            batch = [train[i] for i in order[start:start + config.batch_size]]
-            sums = {name: np.zeros_like(p.data) for name, p in named}
-            node_count = 0
-            for tree in batch:
-                tape = Tape()
-                losses, n = _tree_recon_loss(tape, tree, params, table)
-                if not losses:
-                    continue
-                total = tape.weighted_sum(losses)
-                grads = tape.backward(total)
-                node_count += n
-                for name, p in named:
-                    sums[name] += grad_of(grads, p)
-            if node_count == 0:
-                continue
-            for name, p in named:
-                p.data -= config.learning_rate * (sums[name] / node_count)
+    def sample_loss(tape, tree):
+        losses, n = _tree_recon_loss(tape, tree, params, table)
+        if not losses:
+            return None, 0.0, 0
+        total = tape.weighted_sum(losses)
+        return total, total.item(), n
+
+    for epoch in range(1, config.max_epochs + 1):
+        sgd_epoch(train, sample_loss, named, config.learning_rate,
+                  config.batch_size, rng, epoch=epoch)
         held = reconstruction_loss(holdout, params, table)
         if held < best_loss:
             best_loss = held

@@ -13,11 +13,12 @@ inputs produce bit-identical outputs.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import math
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError, DivergenceError, ShapeError
 
 GradientMap = Dict["Tensor", np.ndarray]
 
@@ -45,18 +46,6 @@ class Tensor:
         if self.data.ndim != 1:
             raise ShapeError(f"{self._label()} is not a vector")
         return self.data.shape[0]
-
-    @property
-    def rows(self) -> int:
-        if self.data.ndim != 2:
-            raise ShapeError(f"{self._label()} is not a matrix")
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        if self.data.ndim != 2:
-            raise ShapeError(f"{self._label()} is not a matrix")
-        return self.data.shape[1]
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -90,6 +79,12 @@ def matrix(data, requires_grad: bool = False, name: Optional[str] = None) -> Ten
 def parameter(data, name: str) -> Tensor:
     """A named trainable leaf."""
     return Tensor(data, requires_grad=True, name=name)
+
+
+def uniform_init(rng, shape) -> np.ndarray:
+    """Uniform +-sqrt(6/(fan_in+fan_out)) draws for a weight matrix."""
+    bound = np.sqrt(6.0 / (shape[0] + shape[1]))
+    return rng.uniform(-bound, bound, size=shape)
 
 
 def grad_of(grads: GradientMap, param: Tensor) -> np.ndarray:
@@ -387,3 +382,69 @@ class Tape:
             for key, g in grads.items()
             if holders[key].requires_grad
         }
+
+
+def iter_batches(n: int, batch_size: int, rng) -> Iterator[np.ndarray]:
+    """Seeded per-epoch shuffle cut into batches; covers each index once."""
+    order = rng.permutation(n)
+    for start in range(0, n, batch_size):
+        yield order[start:start + batch_size]
+
+
+def l2_penalty(matrices: Sequence[Tensor],
+               lam: float) -> Tuple[float, GradientMap]:
+    """lam * sum of squared entries of `matrices`, and its gradient
+    2 * lam * W per matrix (an empty map when lam is 0)."""
+    if lam == 0.0:
+        return 0.0, {}
+    value = lam * sum(float(np.sum(W.data * W.data)) for W in matrices)
+    return value, {W: 2.0 * lam * W.data for W in matrices}
+
+
+def sgd_epoch(samples: Sequence, sample_loss: Callable,
+              params: Sequence[Tuple[str, Tensor]], lr: float,
+              batch_size: int, rng, epoch: int = 1,
+              decayed: Sequence[Tensor] = (), lam: float = 0.0) -> float:
+    """One seeded pass of minibatch SGD over `samples`; returns the
+    summed loss, with the l2 penalty counted once per sample.
+
+    `sample_loss(tape, sample)` records one sample's loss on a fresh tape
+    and returns (loss node or None, loss value, weight count).  A batch
+    steps each parameter by `lr` times its gradient summed in sample order
+    over the batch's total weight count (a batch counting 0 is skipped),
+    plus 2 * lam * W of the pre-step weights for the matrices in
+    `decayed`.  Raises DivergenceError after the first batch that leaves
+    the loss or a parameter non-finite (the loss is finite until then, so
+    the running sum shows it).
+    """
+    total = 0.0
+    for number, batch in enumerate(iter_batches(len(samples), batch_size,
+                                                rng), start=1):
+        sums = {p: np.zeros_like(p.data) for _, p in params}
+        count = 0
+        for i in batch:
+            tape = Tape()
+            node, value, weight = sample_loss(tape, samples[int(i)])
+            total += value
+            if node is None:
+                continue
+            count += weight
+            for p, g in tape.backward(node).items():
+                if p in sums:
+                    sums[p] += g
+        if count == 0:
+            continue
+        penalty, decay = l2_penalty(decayed, lam)
+        total += len(batch) * penalty
+        for _, p in params:
+            step = sums.pop(p)
+            step *= lr / count
+            if p in decay:
+                step += lr * decay[p]
+            p.data -= step
+        bad = [name for name, p in params if not np.isfinite(p.data).all()]
+        if bad or not math.isfinite(total):
+            raise DivergenceError(
+                f"training diverged in epoch {epoch}, batch {number}: loss "
+                f"{total:g}, non-finite parameters: {', '.join(bad) or 'none'}")
+    return total

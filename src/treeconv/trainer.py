@@ -1,9 +1,9 @@
 """Minibatch SGD training with validation-based model selection, plus the
 finite-difference gradient checker and length-bucketed evaluation.
 
-Per-sentence gradients within a batch are accumulated into one buffer in
-a fixed parameter order, then averaged, so two runs with the same seed
-produce identical checkpoints.  The learning rate halves after two
+Each epoch is one :func:`~treeconv.tensor_core.sgd_epoch` pass, which
+sums per-sentence gradients in sample order, so two runs with the same
+seed produce identical checkpoints.  The learning rate halves after two
 epochs without a validation improvement.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .corpus_io import (
 from .errors import ConfigError, ContractError
 from .network import SentenceClassifier, TrainedModel, init_model
 from .rae_pretrain import CompositionParams
-from .tensor_core import Tape, grad_of
+from .tensor_core import Tape, grad_of, iter_batches, l2_penalty, sgd_epoch
 
 # re-exported for convenience: the config type lives in config.py
 __all__ = [
@@ -46,13 +46,6 @@ class TrainReport:
     val_accuracy: List[float] = field(default_factory=list)
     best_epoch: int = 0
     wall_time: float = 0.0
-
-
-def iter_batches(n: int, batch_size: int, rng) -> Iterator[np.ndarray]:
-    """Seeded per-epoch shuffle cut into batches; covers each index once."""
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
 
 
 def _training_samples(trees: Sequence[ParseTree],
@@ -105,7 +98,6 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
     params = init_model(config, table, inventory, rng)
     classifier = SentenceClassifier(config, params, table,
                                     inventory=inventory, rae=rae)
-    named = params.named()
 
     report = TrainReport()
     best_acc = -1.0
@@ -114,25 +106,15 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
     lr = config.learning_rate
     stale = 0
 
-    for epoch in range(1, config.max_epochs + 1):
-        epoch_loss = 0.0
-        for batch in iter_batches(len(samples), config.batch_size, rng):
-            sums = {name: np.zeros_like(p.data) for name, p in named}
-            for i in batch:
-                tree = samples[int(i)]
-                tape = Tape()
-                value, _ = classifier.loss_on(tape, tree, tree.sentence_label,
-                                              mode="train", rng=rng)
-                epoch_loss += value.total
-                grads = tape.backward(value.node)
-                for name, p in named:
-                    g = grads.get(p)
-                    if g is not None:
-                        sums[name] += g
-            scale = lr / len(batch)
-            for name, p in named:
-                p.data -= scale * sums[name]
+    def sample_loss(tape, tree):
+        value, _ = classifier.loss_on(tape, tree, tree.sentence_label,
+                                      mode="train", rng=rng)
+        return value.node, value.cross_entropy, 1
 
+    for epoch in range(1, config.max_epochs + 1):
+        epoch_loss = sgd_epoch(samples, sample_loss, params.named(), lr,
+                               config.batch_size, rng, epoch=epoch,
+                               decayed=params.weight_matrices(), lam=config.l2)
         train_loss = epoch_loss / len(samples)
         val_acc = evaluate(classifier, val_trees).accuracy
         report.train_loss.append(train_loss)
@@ -291,22 +273,28 @@ def gradient_check(classifier: SentenceClassifier, tree: ParseTree, gold: int,
                    corrupt: bool = False) -> GradCheckReport:
     """Central differences against analytic gradients, dropout off.
 
+    The objective is the trained one: cross entropy plus the l2 penalty,
+    whose gradient 2 * lam * W is what `sgd_epoch` adds in the update.
+
     Every scalar parameter is checked unless the model exceeds 10^4
     scalars, in which case a random 1% sample per parameter is used.
     `corrupt` deliberately damages one analytic gradient (a negative
     control for the CLI exit-code contract).
     """
     named = classifier.params.named()
+    weights = classifier.params.weight_matrices()
+    lam = classifier.config.l2
 
     def loss_value() -> float:
         tape = Tape()
         value, _ = classifier.loss_on(tape, tree, gold, mode="eval")
-        return value.total
+        return value.cross_entropy + l2_penalty(weights, lam)[0]
 
     tape = Tape()
     value, _ = classifier.loss_on(tape, tree, gold, mode="eval")
     grads = tape.backward(value.node)
-    analytic = {name: grad_of(grads, p) for name, p in named}
+    decay = l2_penalty(weights, lam)[1]
+    analytic = {name: grad_of(grads, p) + decay.get(p, 0.0) for name, p in named}
     if corrupt:
         first = named[0][0]
         analytic[first] = analytic[first] + 0.5

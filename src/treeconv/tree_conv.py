@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus_io import CONSTITUENCY, DEPENDENCY, DepTypeInventory, ParseTree
 from .errors import ContractError
-from .tensor_core import Tape, Tensor, parameter
+from .tensor_core import Tape, Tensor, parameter, uniform_init
 
 
 @dataclass
@@ -83,24 +83,19 @@ class FeatureMap:
         return np.stack([v.data for v in self.vectors])
 
 
-def _uniform_init(rng, shape):
-    bound = np.sqrt(6.0 / (shape[0] + shape[1]))
-    return rng.uniform(-bound, bound, size=shape)
-
-
 def init_c_window(n_c: int, n_e: int, rng) -> CWindowParams:
     return CWindowParams(
-        W_p=parameter(_uniform_init(rng, (n_c, n_e)), "conv.W_p"),
-        W_l=parameter(_uniform_init(rng, (n_c, n_e)), "conv.W_l"),
-        W_r=parameter(_uniform_init(rng, (n_c, n_e)), "conv.W_r"),
+        W_p=parameter(uniform_init(rng, (n_c, n_e)), "conv.W_p"),
+        W_l=parameter(uniform_init(rng, (n_c, n_e)), "conv.W_l"),
+        W_r=parameter(uniform_init(rng, (n_c, n_e)), "conv.W_r"),
         b=parameter(np.zeros(n_c), "conv.b"),
     )
 
 
 def init_d_window(n_c: int, n_e: int, n_slots: int, rng) -> DWindowParams:
     return DWindowParams(
-        W_p=parameter(_uniform_init(rng, (n_c, n_e)), "conv.W_p"),
-        W_rel=[parameter(_uniform_init(rng, (n_c, n_e)), f"conv.W_rel{i}")
+        W_p=parameter(uniform_init(rng, (n_c, n_e)), "conv.W_p"),
+        W_rel=[parameter(uniform_init(rng, (n_c, n_e)), f"conv.W_rel{i}")
                for i in range(n_slots)],
         b=parameter(np.zeros(n_c), "conv.b"),
     )

@@ -34,7 +34,7 @@ from treeconv.synthetic import (
     random_constituency_tree,
     random_dependency_tree,
 )
-from treeconv.tensor_core import Tape, Tensor, grad_of
+from treeconv.tensor_core import Tape, Tensor, grad_of, l2_penalty
 from treeconv.trainer import evaluate, train
 from treeconv.viz import fractions
 
@@ -93,16 +93,20 @@ def test_criterion_1_gradient_fidelity():
         for variant, pooling in combos:
             for lam in (0.0, 1e-5):
                 clf, tree = build_classifier(variant, pooling, lam)
+                weights = clf.params.weight_matrices()
 
+                # the training objective: cross entropy on the tape plus
+                # the l2 penalty that the update applies as 2*lam*W
                 def loss_value():
                     tape = Tape()
                     value, _ = clf.loss_on(tape, tree, 1, mode="eval")
-                    return value.total
+                    return value.cross_entropy + l2_penalty(weights, lam)[0]
 
                 tape = Tape()
                 value, _ = clf.loss_on(tape, tree, 1, mode="eval")
                 grads = tape.backward(value.node)
-                pairs = [(p.data, grad_of(grads, p))
+                decay = l2_penalty(weights, lam)[1]
+                pairs = [(p.data, grad_of(grads, p) + decay.get(p, 0.0))
                          for _, p in clf.params.named()]
                 worst = max_grad_error(loss_value, pairs, eps=1e-5)
                 assert worst < GRAD_TOL, (variant, pooling, lam, worst)

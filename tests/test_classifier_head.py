@@ -11,7 +11,13 @@ from treeconv.classifier_head import (
 )
 from treeconv.errors import ConfigError, ShapeError
 from treeconv.pooling import PooledVector
-from treeconv.tensor_core import Tape, Tensor, parameter, softmax_probs
+from treeconv.tensor_core import (
+    Tape,
+    Tensor,
+    l2_penalty,
+    parameter,
+    softmax_probs,
+)
 
 from helpers import naive_matvec
 
@@ -71,10 +77,9 @@ class TestLoss:
         pooled = pooled_from([np.array([1.0, -1.0])])
         tape = Tape()
         pred = forward(tape, pooled, zero_head(2, 2, 4))
-        lv = loss(tape, pred, gold=2, weight_matrices=[], lam=0.0)
+        lv = loss(tape, pred, gold=2)
         assert lv.cross_entropy == pytest.approx(np.log(4))
-        assert lv.l2_term == 0.0
-        assert lv.total == lv.cross_entropy
+        assert lv.node.item() == lv.cross_entropy
 
     def test_near_perfect_prediction_approaches_zero(self):
         tape = Tape()
@@ -82,25 +87,25 @@ class TestLoss:
         from treeconv.classifier_head import PredictionOutput
         pred = PredictionOutput(probabilities=softmax_probs(logits.data),
                                 predicted=0, logits=logits)
-        lv = loss(tape, pred, gold=0, weight_matrices=[], lam=0.0)
+        lv = loss(tape, pred, gold=0)
         assert 0.0 <= lv.cross_entropy < 1e-20
 
     def test_l2_term_matches_hand_summation(self):
         rng = np.random.default_rng(2)
         W1 = parameter(rng.normal(size=(2, 3)), "W1")
         W2 = parameter(rng.normal(size=(3, 2)), "W2")
-        pooled = pooled_from([np.array([0.5, -0.5])])
-        tape = Tape()
-        pred = forward(tape, pooled, zero_head(2, 2, 3))
         lam = 1e-5
-        lv = loss(tape, pred, gold=0, weight_matrices=[W1, W2], lam=lam)
+        value, grads = l2_penalty([W1, W2], lam)
 
         brute = 0.0
         for W in (W1, W2):
-            for value in W.data.flat:
-                brute += value * value
-        assert lv.l2_term == pytest.approx(lam * brute, rel=1e-9)
-        assert lv.total == pytest.approx(lv.cross_entropy + lv.l2_term)
+            for entry in W.data.flat:
+                brute += entry * entry
+        assert value == pytest.approx(lam * brute, rel=1e-9)
+        assert set(grads) == {W1, W2}
+        for W in (W1, W2):
+            assert np.array_equal(grads[W], 2.0 * lam * W.data)
+        assert l2_penalty([W1, W2], 0.0) == (0.0, {})
 
     def test_underflow_flagged_not_infinite(self):
         tape = Tape()
@@ -109,9 +114,9 @@ class TestLoss:
         probs = softmax_probs(logits.data)
         pred = PredictionOutput(probabilities=probs, predicted=1, logits=logits)
         assert probs[0] == 0.0  # underflow forced
-        lv = loss(tape, pred, gold=0, weight_matrices=[], lam=0.0)
+        lv = loss(tape, pred, gold=0)
         assert lv.clamped
-        assert np.isfinite(lv.total)
+        assert np.isfinite(lv.cross_entropy)
 
 
 class TestTransfer:

@@ -328,6 +328,44 @@ class TestTrecPipeline:
         assert "overall accuracy" in capsys.readouterr().out
 
 
+class TestFailureExitCodes:
+    def test_diverging_run_exits_2_without_writing(self, tmp_path, capsys):
+        config = tmp_path / "qc.cfg"
+        config.write_text(
+            "[model]\nvariant = d\nn_e = 48\nn_c = 30\nn_h = 25\nclasses = 6\n"
+            "[training]\nbatch_size = 4\nlearning_rate = 1e300\nl2 = 1e-5\n"
+            "max_epochs = 3\nseed = 0\n"
+            "[pooling]\npooling = kslot\nk = 2\n"
+        )
+        out = tmp_path / "qc.ckpt"
+        code = main([
+            "train", "--config", str(config),
+            "--train", str(DATA / "trec_mini.conll"),
+            "--labels", str(DATA / "trec_mini.lbl"),
+            "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "diverged in epoch 1, batch" in err
+        assert "non-finite parameters: conv.W_p" in err
+        assert not out.exists()
+        assert not (tmp_path / "qc.ckpt.report.json").exists()
+
+    def test_unexpected_exception_exits_4_with_traceback(self, monkeypatch,
+                                                         capsys):
+        import treeconv.cli as cli
+
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_gradcheck", boom)
+        code = main(["gradcheck"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "internal error: RuntimeError: boom" in err
+
+
 class TestPretrainRae:
     def test_standalone_pretrain_then_reuse(self, tmp_path, toy_c_config,
                                             capsys):

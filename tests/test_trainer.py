@@ -3,11 +3,11 @@ import pytest
 
 from treeconv.config import TrainConfig
 from treeconv.corpus_io import build_dep_inventory
-from treeconv.errors import ConfigError
+from treeconv.errors import ConfigError, DivergenceError
 from treeconv.network import SentenceClassifier, init_model
 from treeconv.rae_pretrain import init_composition
 from treeconv.synthetic import fixture_pair, make_overfit_corpus
-from treeconv.tensor_core import Tape, grad_of
+from treeconv.tensor_core import Tape, grad_of, sgd_epoch
 from treeconv.trainer import (
     default_length_buckets,
     evaluate,
@@ -80,26 +80,42 @@ class TestGradientCheck:
         assert report.max_relative_error < 1e-4
 
     def test_l2_gradient_is_2_lambda_w(self):
-        lam = 1e-3
-        clf0, tree = fixture_classifier("d", pooling="global", lam=0.0)
-        clf1, _ = fixture_classifier("d", pooling="global", lam=lam)
-        # identical parameters by construction (same seeds)
+        """One sgd_epoch step with lam differs from the lam=0 step from the
+        same parameters by lr*2*lam*W on the weight matrices, 0 elsewhere."""
+        lam, lr = 1e-3, 0.5
+        clf0, tree = fixture_classifier("d", pooling="global", lam=0.0,
+                                        train_embeddings=True)
+        clf1, _ = fixture_classifier("d", pooling="global", lam=lam,
+                                     train_embeddings=True)
+        # identical parameters by construction (same seeds); dropout is off
         for (_, p0), (_, p1) in zip(clf0.params.named(), clf1.params.named()):
             assert np.array_equal(p0.data, p1.data)
+        before = clf1.params.copy_arrays()
 
-        def grads_of(clf):
-            tape = Tape()
-            value, _ = clf.loss_on(tape, tree, 1, mode="eval")
-            g = tape.backward(value.node)
-            return {name: grad_of(g, p) for name, p in clf.params.named()}
+        def step(clf):
+            def sample_loss(tape, sample):
+                value, _ = clf.loss_on(tape, sample, 1, mode="eval")
+                return value.node, value.cross_entropy, 1
+            return sgd_epoch([tree], sample_loss, clf.params.named(), lr, 1,
+                             np.random.default_rng(0),
+                             decayed=clf.params.weight_matrices(),
+                             lam=clf.config.l2)
 
-        g0, g1 = grads_of(clf0), grads_of(clf1)
-        for name, p in clf1.params.named():
-            extra = g1[name] - g0[name]
-            if p in clf1.params.weight_matrices():
-                assert np.allclose(extra, 2.0 * lam * p.data, atol=1e-12)
+        loss0, loss1 = step(clf0), step(clf1)
+        weights = {name for name, p in clf1.params.named()
+                   if p in clf1.params.weight_matrices()}
+        assert weights and "embeddings" not in weights
+        penalty = 0.0
+        for (name, p0), (_, p1) in zip(clf0.params.named(),
+                                       clf1.params.named()):
+            if name in weights:
+                W = before[name]
+                penalty += lam * float(np.sum(W * W))
+                assert np.allclose(p0.data - p1.data, lr * 2.0 * lam * W,
+                                   rtol=0.0, atol=1e-15), name
             else:
-                assert np.allclose(extra, 0.0, atol=1e-12)
+                assert np.array_equal(p0.data, p1.data), name
+        assert loss1 - loss0 == pytest.approx(penalty, rel=1e-12)
 
 
 class TestTrainLoop:
@@ -183,6 +199,37 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train(corpus.con_trees, corpus.con_trees, corpus.vocab,
                   corpus.table, config)
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("trainer,first_param", [
+        ("train", "conv.W_p"), ("pretrain", "rae.W_comp"),
+        ("train_bag_baseline", "head.W_h"),
+    ])
+    def test_non_finite_step_raises_naming_epoch_batch_parameter(
+            self, trainer, first_param):
+        from treeconv.baseline import train_bag_baseline
+        from treeconv.rae_pretrain import PretrainConfig, pretrain
+
+        # an infinite rate makes the first update non-finite in every
+        # trainer (reconstruction's tanh keeps pretraining finite at 1e300)
+        lr = float("inf")
+        corpus = make_overfit_corpus(n_sentences=8, classes=2, n_e=8, seed=1)
+        config = small_config("d", n_e=8, learning_rate=lr, max_epochs=2)
+        with pytest.raises(DivergenceError) as caught:
+            if trainer == "train":
+                train(corpus.dep_trees, corpus.dep_trees, corpus.vocab,
+                      corpus.table, config)
+            elif trainer == "train_bag_baseline":
+                train_bag_baseline(corpus.dep_trees, corpus.dep_trees,
+                                   corpus.table, config)
+            else:
+                pretrain(corpus.con_trees, corpus.table,
+                         PretrainConfig(learning_rate=lr, batch_size=4))
+        message = str(caught.value)
+        assert "epoch 1, batch 1" in message
+        assert f"non-finite parameters: {first_param}" in message
+        assert isinstance(caught.value, ConfigError)
 
 
 class TestBatches:
