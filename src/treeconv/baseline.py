@@ -61,6 +61,7 @@ def train_bag_baseline(train_trees: Sequence[ParseTree],
                        table: EmbeddingTable, config: TrainConfig,
                        ) -> Tuple[BagOfEmbeddings, TrainReport]:
     """SGD loop for the baseline, mirroring the tree model's regime."""
+    config.validate()
     if not train_trees or not val_trees:
         raise ConfigError("train and validation splits must both be non-empty")
     rng = np.random.default_rng(config.seed)
@@ -70,20 +71,25 @@ def train_bag_baseline(train_trees: Sequence[ParseTree],
         embeddings = parameter(table.vectors.copy(), "embeddings")
     model = BagOfEmbeddings(head, table, embeddings)
     named = model.named()
+    underflows = 0
 
     def sample_loss(tape, tree):
+        nonlocal underflows
         pred = model._forward(tape, tree)
         value = classifier_head.loss(tape, pred, tree.sentence_label)
+        underflows += value.clamped
         return value.node, value.cross_entropy, 1
 
     report = TrainReport()
+    # validation accuracy is >= 0, so epoch 1 always sets best
     best_acc = -1.0
-    best = {name: p.data.copy() for name, p in named}
     for epoch in range(1, config.max_epochs + 1):
+        underflows = 0
         epoch_loss = sgd_epoch(train_trees, sample_loss, named,
                                config.learning_rate, config.batch_size, rng,
                                epoch=epoch, decayed=[head.W_h, head.W_o],
                                lam=config.l2)
+        classifier_head.warn_underflow(epoch, underflows, len(train_trees))
         report.train_loss.append(epoch_loss / len(train_trees))
         acc = evaluate(model, val_trees).accuracy
         report.val_accuracy.append(acc)

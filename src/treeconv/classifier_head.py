@@ -92,17 +92,23 @@ def loss(tape: Tape, pred: PredictionOutput, gold: int) -> LossValue:
     """Cross entropy of the gold class, recorded on `tape`.
 
     It is evaluated in log space, so even a fully saturated softmax stays
-    finite; a gold probability that underflowed to zero is flagged.
+    finite; a gold probability that underflowed to zero is flagged (the
+    trainers count the flags, see :func:`warn_underflow`).
     """
     if pred.logits is None:
         raise ContractError("loss needs a prediction carrying its logits")
     ce = tape.cross_entropy(pred.logits, gold)
-    clamped = False
-    if pred.probabilities[gold] == 0.0:
-        clamped = True
-        log.warning("gold-class probability underflowed to 0; "
-                    "cross entropy kept finite via log-space evaluation")
-    return LossValue(cross_entropy=ce.item(), node=ce, clamped=clamped)
+    return LossValue(cross_entropy=ce.item(), node=ce,
+                     clamped=bool(pred.probabilities[gold] == 0.0))
+
+
+def warn_underflow(epoch: int, clamped: int, total: int) -> None:
+    """One warning for an epoch in which `clamped` of `total` samples had
+    their gold-class probability underflow to 0; silent when none did."""
+    if clamped:
+        log.warning("epoch %d: gold-class probability underflowed to 0 in "
+                    "%d of %d samples; cross entropy kept finite via "
+                    "log-space evaluation", epoch, clamped, total)
 
 
 def transfer_5_to_2(probabilities: np.ndarray) -> PredictionOutput:

@@ -5,7 +5,10 @@ primitive operations on a :class:`Tape` and then calling
 :meth:`Tape.backward` once on the scalar loss.  Gradients come back as a
 map keyed by the leaf tensors that were created with
 ``requires_grad=True``; leaves the loss never touched are simply absent
-from the map (and read as exactly zero through :func:`grad_of`).
+from the map (and read as exactly zero through :func:`grad_of`).  A map
+value is a dense ndarray, or a :class:`RowGradient` for a matrix reached
+only through row lookups (an embedding table), which holds just the rows
+the lookups touched; :func:`grad_of` reads either as a dense array.
 
 All data is float64 and all operations are plain numpy, so identical
 inputs produce bit-identical outputs.
@@ -14,13 +17,13 @@ inputs produce bit-identical outputs.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import ContractError, DivergenceError, ShapeError
 
-GradientMap = Dict["Tensor", np.ndarray]
+GradientMap = Dict["Tensor", Union[np.ndarray, "RowGradient"]]
 
 
 class Tensor:
@@ -87,11 +90,62 @@ def uniform_init(rng, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
+class RowGradient:
+    """Gradient of a matrix that is zero outside a few rows: row
+    `indices[i]` of the dense gradient is `rows[i]` (indices distinct)."""
+
+    __slots__ = ("shape", "indices", "rows")
+
+    def __init__(self, shape: Tuple[int, int], by_row: Dict[int, np.ndarray]):
+        self.shape = shape
+        self.indices = np.fromiter(by_row, dtype=np.intp, count=len(by_row))
+        self.rows = np.stack(list(by_row.values()))
+
+    @property
+    def nbytes(self) -> int:
+        return self.indices.nbytes + self.rows.nbytes
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.indices] = self.rows
+        return out
+
+
+def _add_grad(cur, g, shape, row: Optional[int] = None):
+    """Sum `g` into the running gradient `cur` and return the result.
+
+    `cur` is None, a dense array, or a {row index: row} map of a matrix
+    reached only through row lookups; `g` is dense, a RowGradient, or
+    with `row` the gradient of that one row.  Terms add in call order,
+    and the map turns dense when a dense term arrives.  A first term is
+    stored as `g + 0.0`, which is what adding it to zeros would give.
+    """
+    if isinstance(g, RowGradient):
+        for index, vector in zip(g.indices.tolist(), g.rows):
+            cur = _add_grad(cur, vector, shape, index)
+    elif row is None:
+        if cur is None:
+            return g + 0.0
+        if isinstance(cur, dict):
+            cur = RowGradient(shape, cur).dense()
+        cur += g
+    elif cur is None:
+        cur = {row: g + 0.0}
+    elif isinstance(cur, dict) and row not in cur:
+        cur[row] = g + 0.0
+    else:
+        cur[row] += g
+    return cur
+
+
 def grad_of(grads: GradientMap, param: Tensor) -> np.ndarray:
-    """Gradient of `param` from a backward pass; exact zeros if unused."""
+    """Gradient of `param` from a backward pass as a dense array; exact
+    zeros if unused."""
     g = grads.get(param)
     if g is None:
         return np.zeros_like(param.data)
+    if isinstance(g, RowGradient):
+        return g.dense()
     return g
 
 
@@ -256,9 +310,7 @@ class Tape:
         out = Tensor(M.data[index].copy(), requires_grad=M.requires_grad)
         if out.requires_grad:
             def backward(g, accum, M=M, index=index):
-                full = np.zeros_like(M.data)
-                full[index] = g
-                accum(M, full)
+                accum(M, g, row=index)
             self._push(out, backward)
         return out
 
@@ -354,31 +406,32 @@ class Tape:
         """Accumulate d(loss)/d(leaf) for every trainable leaf reached.
 
         Replays the recorded operations in reverse exactly once.  The map
-        contains ndarray gradients keyed by leaf Tensor; leaves the loss
-        does not depend on are absent (read them via :func:`grad_of`).
+        is keyed by leaf Tensor.  A leaf reached only through `take_row`
+        gets a :class:`RowGradient` (each touched row summed in replay
+        order); any other leaf gets a dense ndarray.  Leaves the loss does
+        not depend on are absent.  Read values through :func:`grad_of`.
         """
         if not isinstance(loss, Tensor) or loss.data.size != 1:
             raise ContractError("backward: loss must be a scalar tensor")
-        grads: Dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        grads: Dict[int, object] = {id(loss): np.ones_like(loss.data)}
         holders: Dict[int, Tensor] = {id(loss): loss}
 
-        def accum(t: Tensor, g: np.ndarray) -> None:
+        def accum(t: Tensor, g: np.ndarray, row: Optional[int] = None) -> None:
             key = id(t)
-            cur = grads.get(key)
-            if cur is None:
-                grads[key] = np.array(g, dtype=np.float64)
-                holders[key] = t
-            else:
-                cur += g
+            holders[key] = t
+            grads[key] = _add_grad(grads.get(key), g, t.data.shape, row)
 
         for out_id, backward_fn in reversed(self._records):
             g = grads.pop(out_id, None)
             if g is None:
                 continue
+            if isinstance(g, dict):
+                g = RowGradient(holders[out_id].data.shape, g).dense()
             backward_fn(g, accum)
 
         return {
-            holders[key]: g
+            holders[key]: RowGradient(holders[key].data.shape, g)
+            if isinstance(g, dict) else g
             for key, g in grads.items()
             if holders[key].requires_grad
         }
@@ -413,14 +466,17 @@ def sgd_epoch(samples: Sequence, sample_loss: Callable,
     steps each parameter by `lr` times its gradient summed in sample order
     over the batch's total weight count (a batch counting 0 is skipped),
     plus 2 * lam * W of the pre-step weights for the matrices in
-    `decayed`.  Raises DivergenceError after the first batch that leaves
-    the loss or a parameter non-finite (the loss is finite until then, so
-    the running sum shows it).
+    `decayed`.  A parameter whose gradients are all row gradients and
+    that is not decayed only has its touched rows written.  Raises
+    DivergenceError after the first batch that leaves the loss or a
+    parameter non-finite (the loss is finite until then, so the running
+    sum shows it).
     """
+    trained = {p for _, p in params}
     total = 0.0
     for number, batch in enumerate(iter_batches(len(samples), batch_size,
                                                 rng), start=1):
-        sums = {p: np.zeros_like(p.data) for _, p in params}
+        sums = {}
         count = 0
         for i in batch:
             tape = Tape()
@@ -430,14 +486,23 @@ def sgd_epoch(samples: Sequence, sample_loss: Callable,
                 continue
             count += weight
             for p, g in tape.backward(node).items():
-                if p in sums:
-                    sums[p] += g
+                if p in trained:
+                    sums[p] = _add_grad(sums.get(p), g, p.data.shape)
         if count == 0:
             continue
         penalty, decay = l2_penalty(decayed, lam)
         total += len(batch) * penalty
         for _, p in params:
-            step = sums.pop(p)
+            step = sums.pop(p, None)
+            if isinstance(step, dict):
+                touched = RowGradient(p.data.shape, step)
+                if p not in decay:
+                    touched.rows *= lr / count
+                    p.data[touched.indices] -= touched.rows
+                    continue
+                step = touched.dense()
+            elif step is None:
+                step = np.zeros_like(p.data)
             step *= lr / count
             if p in decay:
                 step += lr * decay[p]

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .classifier_head import transfer_5_to_2
+from .classifier_head import transfer_5_to_2, warn_underflow
 from .config import VARIANT_C, VARIANT_D, TrainConfig
 from .corpus_io import (
     CONSTITUENCY,
@@ -100,21 +100,26 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
                                     inventory=inventory, rae=rae)
 
     report = TrainReport()
+    # validation accuracy is >= 0, so epoch 1 always sets best_state
     best_acc = -1.0
     best_loss = float("inf")
-    best_state = params.copy_arrays()
     lr = config.learning_rate
     stale = 0
+    underflows = 0
 
     def sample_loss(tape, tree):
+        nonlocal underflows
         value, _ = classifier.loss_on(tape, tree, tree.sentence_label,
                                       mode="train", rng=rng)
+        underflows += value.clamped
         return value.node, value.cross_entropy, 1
 
     for epoch in range(1, config.max_epochs + 1):
+        underflows = 0
         epoch_loss = sgd_epoch(samples, sample_loss, params.named(), lr,
                                config.batch_size, rng, epoch=epoch,
                                decayed=params.weight_matrices(), lam=config.l2)
+        warn_underflow(epoch, underflows, len(samples))
         train_loss = epoch_loss / len(samples)
         val_acc = evaluate(classifier, val_trees).accuracy
         report.train_loss.append(train_loss)
@@ -138,9 +143,10 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
                 lr *= 0.5
                 stale = 0
 
+    # load_arrays copies, so the snapshot's table is not shared with params
     params.load_arrays(best_state)
     if params.embeddings is not None:
-        table_out = EmbeddingTable(params.embeddings.data.copy())
+        table_out = EmbeddingTable(best_state["embeddings"])
     else:
         table_out = table
     report.wall_time = time.perf_counter() - started

@@ -105,6 +105,23 @@ class TestTrain:
         assert code == 3
         assert "no_such_file.conll" in capsys.readouterr().err
 
+    def test_non_finite_embeddings_exit_3_naming_file(self, tmp_path,
+                                                      toy_d_config, capsys):
+        vectors = tmp_path / "bad.vec"
+        vectors.write_text("2 8\ncritics" + " 0.1" * 7 + " nan\n"
+                           "liked" + " 0.2" * 8 + "\n")
+        code = main([
+            "train", "--config", toy_d_config,
+            "--train", str(DATA / "tiny_dep.conll"),
+            "--labels", str(DATA / "tiny_dep.lbl"),
+            "--embeddings", str(vectors),
+            "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "bad.vec" in err and "not finite" in err
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[model]\nvariant = q\n")

@@ -228,6 +228,14 @@ class TestEmbeddings:
         with pytest.raises(FormatError, match="line 3"):
             load_embeddings(src)
 
+    @pytest.mark.parametrize("text,line", [
+        ("2 3\na 0.1 nan 0.2\nb inf 0 1\n", 2),
+        ("2 3\na 0.1 0.3 0.2\nb 1 -inf 1\n", 3),
+    ])
+    def test_non_finite_value_names_line(self, text, line):
+        with pytest.raises(FormatError, match=f"not finite.*line {line}"):
+            load_embeddings(io.StringIO(text))
+
     def test_lowercase_fallback(self):
         vocab, _ = load_embeddings(io.StringIO("2 1\nword 0.5\nCase 0.25\n"))
         assert vocab.lookup("WORD") == vocab.lookup("word")

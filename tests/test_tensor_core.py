@@ -102,6 +102,26 @@ class TestBackward:
         assert np.array_equal(grad_of(grads, unused), [[0.0, 0.0]])
 
 
+class TestGradientMap:
+    def test_every_value_has_nbytes_and_lookups_stay_sparse(self):
+        rng = np.random.default_rng(13)
+        E = parameter(rng.normal(size=(1000, 4)), "E")
+        W = parameter(rng.normal(size=(2, 4)), "W")
+        tape = Tape()
+        rows = [tape.take_row(E, i) for i in (7, 3, 7, 999)]
+        total = tape.add(tape.add(rows[0], rows[1]), tape.add(rows[2], rows[3]))
+        grads = tape.backward(tape.sumsq(tape.matvec(W, total)))
+        assert set(grads) == {E, W}
+        for g in grads.values():
+            assert g.nbytes > 0
+        # three distinct rows: O(touched rows), not the 1000 x 4 table
+        assert grads[E].nbytes <= 3 * (4 + 1) * 8
+        assert grads[W].nbytes == W.data.nbytes
+        dense = grad_of(grads, E)
+        assert dense.shape == E.data.shape
+        assert np.count_nonzero(np.abs(dense).sum(axis=1)) == 3
+
+
 class TestOpGradients:
     """Finite-difference checks for each primitive, composed a level up."""
 
@@ -178,6 +198,35 @@ class TestOpGradients:
             r1_again = tape.take_row(E_, 1)
             r4 = tape.take_row(E_, 4)
             return tape.sumsq(tape.add(tape.add(r1, r4), r1_again))
+
+        self._check(build, [E])
+
+    def test_take_row_and_dense_use_of_one_leaf(self):
+        # in replay order the row gradient of row 4 arrives first, then
+        # the dense matvec gradient, then the rows of row 1 on top of it
+        rng = np.random.default_rng(11)
+        E = rng.normal(size=(5, 3))
+        x = rng.normal(size=3)
+
+        def build(tape, ps):
+            E_, x_ = ps
+            r1 = tape.take_row(E_, 1)
+            v = tape.matvec(E_, x_)
+            r1_again = tape.take_row(E_, 1)
+            r4 = tape.take_row(E_, 4)
+            rows = tape.add(tape.add(r1, r4), tape.tanh(r1_again))
+            return tape.sumsq(tape.concat([rows, v]))
+
+        self._check(build, [E, x])
+
+    def test_take_row_of_a_computed_matrix(self):
+        rng = np.random.default_rng(12)
+        E = rng.normal(size=(4, 3))
+
+        def build(tape, ps):
+            (E_,) = ps
+            M = tape.tanh(tape.scale(E_, 1.5))
+            return tape.sumsq(tape.add(tape.take_row(M, 0), tape.take_row(M, 2)))
 
         self._check(build, [E])
 

@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -118,6 +121,63 @@ class TestGradientCheck:
         assert loss1 - loss0 == pytest.approx(penalty, rel=1e-12)
 
 
+class TestRowGradientStep:
+    """One sgd_epoch step on a d-model whose embedding table is trained."""
+
+    LR, LAM = 0.3, 1e-3
+
+    def _step(self):
+        corpus = make_overfit_corpus(n_sentences=8, classes=2, n_e=8, seed=6)
+        config = small_config("d", n_e=8, l2=self.LAM, dropout_embed=0.3,
+                              dropout_hidden=0.2)
+        rng = np.random.default_rng(3)
+        inventory = build_dep_inventory(corpus.dep_trees)
+        params = init_model(config, corpus.table, inventory, rng)
+        clf = SentenceClassifier(config, params, corpus.table,
+                                 inventory=inventory)
+        named = params.named()
+        before = params.copy_arrays()
+        grads_seen = []  # each sample's dense gradients, before the update
+
+        def sample_loss(tape, tree):
+            value, _ = clf.loss_on(tape, tree, tree.sentence_label,
+                                   mode="train", rng=rng)
+            grads = tape.backward(value.node)
+            grads_seen.append({name: grad_of(grads, p) for name, p in named})
+            return value.node, value.cross_entropy, 1
+
+        batch = corpus.dep_trees[:3]
+        sgd_epoch(batch, sample_loss, named, self.LR, len(batch), rng,
+                  decayed=params.weight_matrices(), lam=config.l2)
+        decayed = {name for name, p in named if p in params.weight_matrices()}
+        return params, before, grads_seen, batch, decayed
+
+    def test_matches_plain_numpy_dense_reference_bytewise(self):
+        params, before, grads, _, decayed = self._step()
+        assert "embeddings" not in decayed
+        for name, p in params.named():
+            step = np.zeros_like(before[name])
+            for g in grads:
+                step += g[name]
+            step *= self.LR / len(grads)
+            if name in decayed:
+                step += self.LR * (2.0 * self.LAM * before[name])
+            expected = before[name] - step
+            assert p.data.tobytes() == expected.tobytes(), name
+
+    def test_rows_no_lookup_touched_are_bitwise_unchanged(self):
+        params, before, _, trees, _ = self._step()
+        touched = {n.embedding_index for t in trees for n in t.nodes
+                   if n.word is not None}
+        table = params.embeddings.data
+        untouched = [r for r in range(table.shape[0]) if r not in touched]
+        assert untouched and touched
+        for r in untouched:
+            assert table[r].tobytes() == before["embeddings"][r].tobytes(), r
+        assert any(not np.array_equal(table[r], before["embeddings"][r])
+                   for r in touched)
+
+
 class TestTrainLoop:
     def test_overfits_small_corpus_both_variants(self):
         corpus = make_overfit_corpus(n_sentences=16, classes=2, n_e=16, seed=1)
@@ -165,6 +225,48 @@ class TestTrainLoop:
                          corpus.table, config)
         assert np.array_equal(corpus.table.vectors, before)
         assert not np.array_equal(model.table.vectors, before)
+
+    def test_returned_table_does_not_alias_trained_embeddings(self):
+        corpus = make_overfit_corpus(n_sentences=6, classes=2, n_e=8, seed=4)
+        config = small_config("d", n_e=8, max_epochs=2, train_embeddings=True)
+        model, _ = train(corpus.dep_trees, corpus.dep_trees, corpus.vocab,
+                         corpus.table, config)
+        assert np.array_equal(model.table.vectors,
+                              model.params.embeddings.data)
+        assert not np.shares_memory(model.table.vectors,
+                                    model.params.embeddings.data)
+
+    @pytest.mark.parametrize("trainer,lr", [("train", 1e5),
+                                            ("train_bag_baseline", 1e3)])
+    def test_underflow_warned_once_per_epoch_with_count(self, caplog,
+                                                        trainer, lr):
+        from treeconv.baseline import train_bag_baseline
+
+        # a huge rate saturates the softmax without going non-finite
+        corpus = make_overfit_corpus(n_sentences=8, classes=2, n_e=8, seed=1)
+        config = small_config("d", n_e=8, learning_rate=lr, batch_size=4,
+                              max_epochs=3)
+        caplog.set_level(logging.WARNING, logger="treeconv.classifier_head")
+        with np.errstate(all="ignore"):
+            if trainer == "train":
+                train(corpus.dep_trees, corpus.dep_trees, corpus.vocab,
+                      corpus.table, config)
+            else:
+                train_bag_baseline(corpus.dep_trees, corpus.dep_trees,
+                                   corpus.table, config)
+        pattern = re.compile(r"epoch (\d+): gold-class probability "
+                             r"underflowed to 0 in (\d+) of 8 samples")
+        records = [r.getMessage() for r in caplog.records
+                   if "underflowed" in r.getMessage()]
+        assert records
+        epochs = []
+        for message in records:
+            match = pattern.search(message)
+            assert match, message
+            epochs.append(int(match.group(1)))
+            assert 1 <= int(match.group(2)) <= 8
+        assert len(epochs) == len(set(epochs))
+        assert set(epochs) <= {1, 2, 3}
 
     def test_progress_log_format(self):
         corpus = make_overfit_corpus(n_sentences=6, classes=2, n_e=8, seed=5)
