@@ -40,12 +40,13 @@ inventory = build_dep_inventory([dep])
 print("relation slots:", {r: inventory.slot_of(r) for r in ("nsubj", "dobj", "???")})
 
 d_params = init_d_window(n_c, n_e, inventory.n_slots, rng)
-vectors = [Tensor(table.row(node.embedding_index)) for node in dep.nodes]
+# one row per node: the convolution runs over the whole tree as arrays
+vectors = Tensor(table.vectors[[node.embedding_index for node in dep.nodes]])
 features = convolve(Tape(), dep, vectors, d_params, inventory)
 for v, node in enumerate(dep.nodes):
     kids = [dep.nodes[c].word for c in node.children]
     print(f"  window at {node.word!r} (children {kids}): "
-          f"{np.round(features.vectors[v].data, 3)}")
+          f"{np.round(features.data[v], 3)}")
 
 # --- the constituency reading -----------------------------------------------
 print("\n=== constituency variant ===")
@@ -58,10 +59,10 @@ print("leaves:", con.words(), "| nodes:", len(con.nodes))
 rae = init_composition(n_e, rng)
 node_vectors = annotate(con, rae, table)
 c_params = init_c_window(n_c, n_e, rng)
-features = convolve(Tape(), con, [Tensor(v) for v in node_vectors], c_params)
+features = convolve(Tape(), con, Tensor(node_vectors), c_params)
 for v, node in enumerate(con.nodes):
     what = node.word or f"constituent(depth {node.depth_layer})"
-    print(f"  window at {what}: {np.round(features.vectors[v].data, 3)}")
+    print(f"  window at {what}: {np.round(features.data[v], 3)}")
 
 print("\nwindow count equals node count in both variants: cost is linear "
       "in sentence size.")

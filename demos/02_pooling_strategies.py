@@ -17,7 +17,6 @@ from treeconv.pooling import (
     pool,
 )
 from treeconv.tensor_core import Tape, Tensor
-from treeconv.tree_conv import FeatureMap
 
 rng = np.random.default_rng(1)
 
@@ -27,13 +26,13 @@ dep = parse_dependency("\n".join(
     for i, (h, r) in enumerate([(0, "root"), (1, "a"), (1, "b"),
                                 (2, "a"), (2, "b"), (3, "a")], start=1)
 ))
-fm = FeatureMap(vectors=[Tensor(np.round(rng.normal(size=4), 2))
-                         for _ in dep.nodes])
+# the feature map holds one row per tree node
+fm = Tensor(np.round(rng.normal(size=(len(dep.nodes), 4)), 2))
 pooled, prov = pool(Tape(), fm, assign_global(dep))
 print("=== global pooling (6-word dependency tree) ===")
-for v, t in enumerate(fm.vectors):
-    print(f"  features[{v}] = {t.data}")
-print("  pooled       =", pooled.slots[0].data)
+for v, row in enumerate(fm.data):
+    print(f"  features[{v}] = {row}")
+print("  pooled       =", pooled.data[0])
 print("  winner/node  =", prov.winners[0])
 
 # --- k-slot pooling: equal spans of word positions ---------------------------

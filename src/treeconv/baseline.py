@@ -13,7 +13,6 @@ from .classifier_head import HeadParams, PredictionOutput
 from .config import TrainConfig
 from .corpus_io import EmbeddingTable, ParseTree
 from .errors import ConfigError, ContractError
-from .pooling import PooledVector
 from .tensor_core import Tape, Tensor, parameter, sgd_epoch
 from .trainer import TrainReport, evaluate
 
@@ -40,17 +39,15 @@ class BagOfEmbeddings:
                 continue
             if node.embedding_index is None:
                 raise ContractError("bind_vocabulary before using the baseline")
-            if self.embeddings is not None:
-                rows.append(tape.take_row(self.embeddings, node.embedding_index))
-            else:
-                rows.append(Tensor(self.table.row(node.embedding_index)))
+            rows.append(node.embedding_index)
         if not rows:
             raise ContractError("sentence has no words")
-        total = rows[0]
-        for r in rows[1:]:
-            total = tape.add(total, r)
-        mean = tape.scale(total, 1.0 / len(rows))
-        return classifier_head.forward(tape, PooledVector([mean]), self.head)
+        if self.embeddings is not None:
+            words = tape.take_rows(self.embeddings, rows)
+        else:
+            words = Tensor(self.table.vectors[rows])
+        mean = tape.scale(tape.sum_rows(words), 1.0 / len(rows))
+        return classifier_head.forward(tape, mean, self.head)
 
     def predict(self, tree: ParseTree) -> PredictionOutput:
         return self._forward(Tape(), tree)

@@ -11,7 +11,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
-from .pooling import PooledVector
 from .tensor_core import Tape, Tensor, parameter, softmax_probs, uniform_init
 
 log = logging.getLogger(__name__)
@@ -65,20 +64,21 @@ class LossValue:
     clamped: bool = False
 
 
-def forward(tape: Tape, pooled: PooledVector, params: HeadParams,
+def forward(tape: Tape, pooled: Tensor, params: HeadParams,
             hidden_mask: Optional[np.ndarray] = None) -> PredictionOutput:
-    """h = ReLU(W_h.concat(slots) + b_h), probabilities = softmax(W_o.h + b_o).
+    """h = ReLU(W_h.x + b_h), probabilities = softmax(W_o.h + b_o), where
+    x is the (slot_count, n_c) pooled matrix flattened slot by slot.
 
     `hidden_mask` is an inverted-dropout mask for training mode; pass
     None when evaluating.  Softmax is computed with max subtraction.
     """
-    concat = tape.concat(pooled.slots)
-    if params.W_h.data.shape[1] != concat.data.shape[0]:
+    flat = tape.reshape(pooled, -1)
+    if params.W_h.data.shape[1] != flat.data.shape[0]:
         raise ShapeError(
             f"head expects input width {params.W_h.data.shape[1]}, "
-            f"pooled slots concatenate to {concat.data.shape[0]}"
+            f"pooled slots concatenate to {flat.data.shape[0]}"
         )
-    h = tape.relu(tape.add(tape.matvec(params.W_h, concat), params.b_h))
+    h = tape.relu(tape.add(tape.matvec(params.W_h, flat), params.b_h))
     if hidden_mask is not None:
         h = tape.mul(h, Tensor(hidden_mask))
     logits = tape.add(tape.matvec(params.W_o, h), params.b_o)
@@ -136,7 +136,7 @@ def transfer_5_to_2(probabilities: np.ndarray) -> PredictionOutput:
                             note=note)
 
 
-def dropout_mask(dim: int, rate: float, mode: str, rng) -> np.ndarray:
+def dropout_mask(shape, rate: float, mode: str, rng) -> np.ndarray:
     """Inverted-dropout mask: 0 with probability `rate`, else 1/(1-rate).
 
     Evaluation mode returns all ones, so no rescaling is ever needed at
@@ -147,6 +147,6 @@ def dropout_mask(dim: int, rate: float, mode: str, rng) -> np.ndarray:
     if mode not in ("train", "eval"):
         raise ConfigError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
     if mode == "eval" or rate == 0.0:
-        return np.ones(dim)
-    keep = rng.random(dim) >= rate
+        return np.ones(shape)
+    keep = rng.random(shape) >= rate
     return keep.astype(np.float64) / (1.0 - rate)

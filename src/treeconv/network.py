@@ -23,7 +23,6 @@ from .errors import ContractError
 from .pooling import GLOBAL, THREE_SLOT, PoolProvenance, SlotAssignment
 from .rae_pretrain import CompositionParams, annotate
 from .tensor_core import Tape, Tensor, parameter
-from .tree_conv import FeatureMap
 
 
 class ModelParams:
@@ -129,39 +128,37 @@ class SentenceClassifier:
             )
 
     def node_vectors(self, tape: Tape, tree: ParseTree, mode: str = "eval",
-                     rng=None) -> List[Tensor]:
+                     rng=None) -> Tensor:
+        """The (n_nodes, n_e) matrix of node vectors, row v for node v,
+        with one embedding-dropout mask over all of it in training."""
         self._expect_kind(tree)
         rate = self.config.dropout_embed
         if mode == "train" and rate > 0.0 and rng is None:
             raise ContractError("training with embedding dropout needs an rng")
 
         if self.config.variant == VARIANT_C:
-            frozen = annotate(tree, self.rae, self.table)
-            vectors = [Tensor(frozen[v]) for v in range(len(tree.nodes))]
+            vectors = Tensor(annotate(tree, self.rae, self.table))
         else:
-            vectors = []
+            rows = []
             for node in tree.nodes:
                 if node.embedding_index is None:
                     raise ContractError(
                         f"node {node.word!r} has no embedding index; "
                         "bind_vocabulary first"
                     )
-                if self.params.embeddings is not None:
-                    vectors.append(tape.take_row(self.params.embeddings,
-                                                 node.embedding_index))
-                else:
-                    vectors.append(Tensor(self.table.row(node.embedding_index)))
+                rows.append(node.embedding_index)
+            if self.params.embeddings is not None:
+                vectors = tape.take_rows(self.params.embeddings, rows)
+            else:
+                vectors = Tensor(self.table.vectors[rows])
 
         if mode == "train" and rate > 0.0:
-            vectors = [
-                tape.mul(v, Tensor(dropout_mask(self.config.n_e, rate,
-                                                "train", rng)))
-                for v in vectors
-            ]
+            vectors = tape.mul(vectors, Tensor(dropout_mask(
+                vectors.data.shape, rate, "train", rng)))
         return vectors
 
     def forward_features(self, tape: Tape, tree: ParseTree,
-                         mode: str = "eval", rng=None) -> FeatureMap:
+                         mode: str = "eval", rng=None) -> Tensor:
         vectors = self.node_vectors(tape, tree, mode=mode, rng=rng)
         return tree_conv.convolve(tape, tree, vectors, self.params.conv,
                                   self.inventory)

@@ -24,7 +24,6 @@ import numpy as np
 from .corpus_io import CONSTITUENCY, DEPENDENCY, ParseTree
 from .errors import ContractError
 from .tensor_core import Tape, Tensor
-from .tree_conv import FeatureMap
 
 GLOBAL = "global"
 THREE_SLOT = "3slot"
@@ -46,24 +45,6 @@ class SlotAssignment:
 
     def members(self, slot: int) -> List[int]:
         return [v for v, s in enumerate(self.slot_of) if s == slot]
-
-
-@dataclass
-class PooledVector:
-    """Per-slot pooled features; empty slots hold zero vectors."""
-
-    slots: List[Tensor]
-
-    @property
-    def slot_count(self) -> int:
-        return len(self.slots)
-
-    @property
-    def n_c(self) -> int:
-        return self.slots[0].data.shape[0]
-
-    def as_array(self) -> np.ndarray:
-        return np.stack([s.data for s in self.slots])
 
 
 @dataclass
@@ -105,17 +86,13 @@ def assign_three_slot(tree: ParseTree,
         raise ContractError("3-slot pooling is defined for constituency trees")
     threshold = alpha * tree.depth()
     side = {}  # node -> LOWER_LEFT or LOWER_RIGHT
-
-    def paint(v: int, mark: int) -> None:
-        side[v] = mark
-        for c in tree.nodes[v].children:
-            paint(c, mark)
-
-    kids = tree.nodes[tree.root].children
-    if kids:
-        paint(kids[0], LOWER_LEFT)
-    if len(kids) > 1:
-        paint(kids[1], LOWER_RIGHT)
+    for mark, top_child in zip((LOWER_LEFT, LOWER_RIGHT),
+                               tree.nodes[tree.root].children):
+        stack = [top_child]  # explicit stack: deep trees must not recurse
+        while stack:
+            v = stack.pop()
+            side[v] = mark
+            stack.extend(tree.nodes[v].children)
 
     slot_of = []
     for v, node in enumerate(tree.nodes):
@@ -142,28 +119,21 @@ def assign_k_slot(tree: ParseTree, k: int) -> SlotAssignment:
     return SlotAssignment(strategy=K_SLOT, slot_of=slot_of, slot_count=k, k=k)
 
 
-def pool(tape: Tape, features: FeatureMap,
-         assignment: SlotAssignment) -> Tuple[PooledVector, PoolProvenance]:
+def pool(tape: Tape, features: Tensor,
+         assignment: SlotAssignment) -> Tuple[Tensor, PoolProvenance]:
     """Dimension-wise max within each slot, with argmax provenance.
 
-    Ties go to the lowest node index.  Empty slots pool to zero vectors
-    and record no provenance.  Gradient flows only to winning entries.
+    `features` is the (n_nodes, n_c) feature map of one tree; the
+    result is the (slot_count, n_c) pooled matrix, row s for slot s,
+    recorded as one `segment_max` on the tape.  Ties go to the lowest
+    node index.  Empty slots pool to zero rows and record no
+    provenance.  Gradient flows only to winning entries.
     """
-    if len(assignment.slot_of) != len(features):
+    if len(assignment.slot_of) != features.data.shape[0]:
         raise ContractError(
             f"assignment covers {len(assignment.slot_of)} nodes, "
-            f"feature map has {len(features)}"
+            f"feature map has {features.data.shape[0]}"
         )
-    n_c = features.n_c
-    slots: List[Tensor] = []
-    winners: List[Optional[np.ndarray]] = []
-    for slot in range(assignment.slot_count):
-        members = assignment.members(slot)
-        if not members:
-            slots.append(Tensor(np.zeros(n_c)))
-            winners.append(None)
-            continue
-        pooled, arg = tape.dimwise_max([features.vectors[v] for v in members])
-        slots.append(pooled)
-        winners.append(np.asarray(members)[arg])
-    return PooledVector(slots=slots), PoolProvenance(winners=winners, n_c=n_c)
+    pooled, winners = tape.segment_max(features, assignment.slot_of,
+                                       assignment.slot_count)
+    return pooled, PoolProvenance(winners=winners, n_c=features.data.shape[1])

@@ -10,6 +10,14 @@ value is a dense ndarray, or a :class:`RowGradient` for a matrix reached
 only through row lookups (an embedding table), which holds just the rows
 the lookups touched; :func:`grad_of` reads either as a dense array.
 
+Besides vector primitives (matvec, add, relu, ...), the tape records
+whole-tree array operations, so one layer of one sentence is one record
+over an n x d matrix: `take_rows` (embedding lookup), `edge_matmul`
+(weighted row products summed into destination rows, the tree
+convolution), `add_bias` (a vector added to every row), `sum_rows`,
+`segment_max` (per-slot column maximum with winning rows, the pooling)
+and `reshape`.
+
 All data is float64 and all operations are plain numpy, so identical
 inputs produce bit-identical outputs.
 """
@@ -136,6 +144,15 @@ def _add_grad(cur, g, shape, row: Optional[int] = None):
     else:
         cur[row] += g
     return cur
+
+
+def _scatter_add(out: np.ndarray, rows, values: np.ndarray) -> None:
+    """out[rows] += values, where a repeated row sums all its values;
+    `rows` is an index array or a slice."""
+    if isinstance(rows, slice):
+        out[rows] += values
+    else:
+        np.add.at(out, rows, values)
 
 
 def grad_of(grads: GradientMap, param: Tensor) -> np.ndarray:
@@ -299,47 +316,140 @@ class Tape:
             self._push(out, backward)
         return out
 
-    def take_row(self, M: Tensor, index: int) -> Tensor:
-        """Row `index` of a matrix as a vector (embedding lookup)."""
-        if M.data.ndim != 2:
-            raise ShapeError(f"take_row: {M._label()} is not a matrix")
-        if not 0 <= index < M.data.shape[0]:
-            raise ContractError(
-                f"take_row: row {index} out of range for {M._label()}"
-            )
-        out = Tensor(M.data[index].copy(), requires_grad=M.requires_grad)
+    def reshape(self, x: Tensor, shape) -> Tensor:
+        """The same entries in a new shape (flatten with shape -1)."""
+        out = Tensor(x.data.reshape(shape), requires_grad=x.requires_grad)
         if out.requires_grad:
-            def backward(g, accum, M=M, index=index):
-                accum(M, g, row=index)
+            def backward(g, accum, x=x):
+                accum(x, g.reshape(x.data.shape))
             self._push(out, backward)
         return out
 
-    def dimwise_max(self, xs: Sequence[Tensor]) -> Tuple[Tensor, np.ndarray]:
-        """Per-dimension maximum over same-length vectors.
+    def take_rows(self, M: Tensor, indices: Sequence[int]) -> Tensor:
+        """Rows `indices` of a matrix, stacked (embedding lookup).
 
-        Returns the pooled vector and the argmax positions into `xs`
-        (ties resolve to the earliest entry).  Gradient flows only to
-        the winning entry of each dimension.
+        Each row's gradient reaches `M` as a row gradient, so a matrix
+        reached only through lookups gets a :class:`RowGradient`.
         """
-        if not xs:
-            raise ShapeError("dimwise_max: empty input")
-        dim = xs[0].data.shape
-        for x in xs:
-            if x.data.shape != dim:
-                raise ShapeError("dimwise_max: mismatched vector dims")
-        stacked = np.stack([x.data for x in xs])
-        arg = np.argmax(stacked, axis=0)
-        out = Tensor(
-            np.max(stacked, axis=0),
-            requires_grad=any(x.requires_grad for x in xs),
-        )
+        if M.data.ndim != 2:
+            raise ShapeError(f"take_rows: {M._label()} is not a matrix")
+        idx = np.asarray(indices, dtype=np.intp)
+        if idx.ndim != 1:
+            raise ShapeError("take_rows: indices must be 1-D")
+        if idx.size and not (0 <= idx.min() and idx.max() < M.data.shape[0]):
+            raise ContractError(
+                f"take_rows: row out of range for {M._label()}"
+            )
+        out = Tensor(M.data[idx], requires_grad=M.requires_grad)
         if out.requires_grad:
-            def backward(g, accum, xs=tuple(xs), arg=arg):
-                for i, x in enumerate(xs):
-                    if x.requires_grad:
-                        accum(x, g * (arg == i))
+            def backward(g, accum, M=M, idx=idx):
+                for index, row in zip(idx.tolist(), g):
+                    accum(M, row, row=index)
             self._push(out, backward)
-        return out, arg.copy()
+        return out
+
+    def edge_matmul(self, X: Tensor,
+                    terms: Sequence[Tuple[Tensor, object, object]]) -> Tensor:
+        """Sum of weighted row products: out[dst] += X[src] @ W.T for
+        every term (W, src, dst).
+
+        `src` and `dst` are equal-length index arrays, or both
+        ``slice(None)`` for every row; a repeated `dst` row sums its
+        products.  The output has one row per row of `X`.
+        """
+        if X.data.ndim != 2:
+            raise ShapeError(f"edge_matmul: {X._label()} is not a matrix")
+        if not terms:
+            raise ShapeError("edge_matmul: no terms")
+        width = terms[0][0].data.shape[0]
+        for W, _, _ in terms:
+            if W.data.shape != (width, X.data.shape[1]):
+                raise ShapeError(
+                    f"edge_matmul: {W._label()} {W.data.shape} does not map "
+                    f"{X._label()} {X.data.shape} to width {width}"
+                )
+        data = np.zeros((X.data.shape[0], width))
+        for W, src, dst in terms:
+            _scatter_add(data, dst, X.data[src] @ W.data.T)
+        out = Tensor(data, requires_grad=X.requires_grad
+                     or any(W.requires_grad for W, _, _ in terms))
+        if out.requires_grad:
+            def backward(g, accum, X=X, terms=tuple(terms)):
+                dX = np.zeros_like(X.data) if X.requires_grad else None
+                for W, src, dst in terms:
+                    g_dst = g[dst]
+                    if W.requires_grad:
+                        accum(W, g_dst.T @ X.data[src])
+                    if dX is not None:
+                        _scatter_add(dX, src, g_dst @ W.data)
+                if dX is not None:
+                    accum(X, dX)
+            self._push(out, backward)
+        return out
+
+    def add_bias(self, X: Tensor, b: Tensor) -> Tensor:
+        """X + b with the vector `b` added to every row of `X`."""
+        if X.data.ndim != 2 or b.data.shape != X.data.shape[1:]:
+            raise ShapeError(
+                f"add_bias: {X._label()} {X.data.shape} vs "
+                f"{b._label()} {b.data.shape}"
+            )
+        out = Tensor(X.data + b.data,
+                     requires_grad=X.requires_grad or b.requires_grad)
+        if out.requires_grad:
+            def backward(g, accum, X=X, b=b):
+                if X.requires_grad:
+                    accum(X, g)
+                if b.requires_grad:
+                    accum(b, g.sum(axis=0))
+            self._push(out, backward)
+        return out
+
+    def sum_rows(self, X: Tensor) -> Tensor:
+        """Sum of the rows of a matrix, as a vector."""
+        if X.data.ndim != 2:
+            raise ShapeError(f"sum_rows: {X._label()} is not a matrix")
+        out = Tensor(X.data.sum(axis=0), requires_grad=X.requires_grad)
+        if out.requires_grad:
+            def backward(g, accum, X=X):
+                accum(X, np.broadcast_to(g, X.data.shape))
+            self._push(out, backward)
+        return out
+
+    def segment_max(self, X: Tensor, slot_of: Sequence[int],
+                    count: int) -> Tuple[Tensor, List[Optional[np.ndarray]]]:
+        """Per-column maximum over the rows of each slot.
+
+        Row `v` of `X` belongs to slot `slot_of[v]`.  Returns the
+        (count, columns) pooled matrix and, per slot, the winning row of
+        every column (ties resolve to the lowest row).  An empty slot
+        pools to zeros and has winners None.  Gradient flows only to the
+        winning entries.
+        """
+        if X.data.ndim != 2:
+            raise ShapeError(f"segment_max: {X._label()} is not a matrix")
+        slots = np.asarray(slot_of, dtype=np.intp)
+        if slots.shape != X.data.shape[:1]:
+            raise ShapeError("segment_max: slot_of does not cover the rows")
+        cols = np.arange(X.data.shape[1])
+        data = np.zeros((count, X.data.shape[1]))
+        winners: List[Optional[np.ndarray]] = [None] * count
+        for slot in range(count):
+            members = np.flatnonzero(slots == slot)
+            if members.size:
+                rows = members[np.argmax(X.data[members], axis=0)]
+                data[slot] = X.data[rows, cols]
+                winners[slot] = rows
+        out = Tensor(data, requires_grad=X.requires_grad)
+        if out.requires_grad:
+            def backward(g, accum, X=X, winners=tuple(winners)):
+                dX = np.zeros_like(X.data)
+                for slot, rows in enumerate(winners):
+                    if rows is not None:
+                        dX[rows, cols] = g[slot]
+                accum(X, dX)
+            self._push(out, backward)
+        return out, winners
 
     def sumsq(self, x: Tensor) -> Tensor:
         """Sum of squared entries, as a scalar."""
@@ -406,7 +516,7 @@ class Tape:
         """Accumulate d(loss)/d(leaf) for every trainable leaf reached.
 
         Replays the recorded operations in reverse exactly once.  The map
-        is keyed by leaf Tensor.  A leaf reached only through `take_row`
+        is keyed by leaf Tensor.  A leaf reached only through `take_rows`
         gets a :class:`RowGradient` (each touched row summed in replay
         order); any other leaf gets a dense ndarray.  Leaves the loss does
         not depend on are absent.  Read values through :func:`grad_of`.

@@ -100,7 +100,7 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
                                     inventory=inventory, rae=rae)
 
     report = TrainReport()
-    # validation accuracy is >= 0, so epoch 1 always sets best_state
+    # validation accuracy is >= 0, so epoch 1 always sets best_epoch
     best_acc = -1.0
     best_loss = float("inf")
     lr = config.learning_rate
@@ -132,7 +132,8 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
         # too small to move)
         if val_acc > best_acc or (val_acc == best_acc and train_loss < best_loss):
             report.best_epoch = epoch
-            best_state = params.copy_arrays()
+            if epoch < config.max_epochs:  # the last epoch's state is live
+                best_state = params.copy_arrays()
             best_loss = train_loss
         if val_acc > best_acc:
             best_acc = val_acc
@@ -143,12 +144,14 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
                 lr *= 0.5
                 stale = 0
 
-    # load_arrays copies, so the snapshot's table is not shared with params
-    params.load_arrays(best_state)
-    if params.embeddings is not None:
-        table_out = EmbeddingTable(best_state["embeddings"])
-    else:
-        table_out = table
+    table_out = table
+    if report.best_epoch < config.max_epochs:
+        # load_arrays copies, so the snapshot's table is not shared with params
+        params.load_arrays(best_state)
+        if params.embeddings is not None:
+            table_out = EmbeddingTable(best_state["embeddings"])
+    elif params.embeddings is not None:
+        table_out = EmbeddingTable(params.embeddings.data.copy())
     report.wall_time = time.perf_counter() - started
     model = TrainedModel(config=config, params=params, vocab=vocab,
                          table=table_out, inventory=inventory, rae=rae,

@@ -10,13 +10,16 @@ emits an n_c-dimensional feature vector through shared weights:
   matrix).
 
 The window count equals the node count, so convolving a sentence is
-linear in its size.
+linear in its size.  A sentence is convolved as whole-tree arrays: one
+array op per window term per tree, i.e. one product of the n x n_e
+node matrix with each weight matrix, gathered by child and summed into
+parent rows, then one bias add and one ReLU.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -66,23 +69,6 @@ class DWindowParams:
         return out
 
 
-@dataclass
-class FeatureMap:
-    """One convolution output vector per tree node, index-aligned."""
-
-    vectors: List[Tensor]
-
-    @property
-    def n_c(self) -> int:
-        return self.vectors[0].data.shape[0]
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def as_array(self) -> np.ndarray:
-        return np.stack([v.data for v in self.vectors])
-
-
 def init_c_window(n_c: int, n_e: int, rng) -> CWindowParams:
     return CWindowParams(
         W_p=parameter(uniform_init(rng, (n_c, n_e)), "conv.W_p"),
@@ -101,65 +87,53 @@ def init_d_window(n_c: int, n_e: int, n_slots: int, rng) -> DWindowParams:
     )
 
 
-def conv_window_c(tape: Tape, p: Tensor, cl: Optional[Tensor],
-                  cr: Optional[Tensor], params: CWindowParams) -> Tensor:
-    """ReLU(W_p.p + W_l.cl + W_r.cr + b); None children count as zero."""
-    acc = tape.matvec(params.W_p, p)
-    if cl is not None:
-        acc = tape.add(acc, tape.matvec(params.W_l, cl))
-    if cr is not None:
-        acc = tape.add(acc, tape.matvec(params.W_r, cr))
-    return tape.relu(tape.add(acc, params.b))
+ALL_ROWS = slice(None)
 
 
-def conv_window_d(tape: Tape, p: Tensor,
-                  children: Sequence[Tuple[Tensor, Optional[str]]],
-                  params: DWindowParams,
-                  inventory: DepTypeInventory) -> Tensor:
-    """ReLU(W_p.p + sum_i W_rel[slot(r_i)].c_i + b).
-
-    Unknown relations never fail; they resolve to the shared slot.
-    """
-    acc = tape.matvec(params.W_p, p)
-    for child_vec, relation in children:
-        slot = inventory.slot_of(relation)
-        acc = tape.add(acc, tape.matvec(params.W_rel[slot], child_vec))
-    return tape.relu(tape.add(acc, params.b))
-
-
-def convolve(tape: Tape, tree: ParseTree, node_vectors: Sequence[Tensor],
+def convolve(tape: Tape, tree: ParseTree, node_vectors: Tensor,
              params: Union[CWindowParams, DWindowParams],
-             inventory: Optional[DepTypeInventory] = None) -> FeatureMap:
+             inventory: Optional[DepTypeInventory] = None) -> Tensor:
     """Evaluate the depth-2 window at every node of the tree.
 
-    `node_vectors` must cover every node (index-aligned): frozen
-    recursive-autoencoder vectors for constituency trees, embedding rows
-    for dependency trees.
+    `node_vectors` is the (n_nodes, n_e) matrix of node vectors, row v
+    for node v: frozen recursive-autoencoder vectors for constituency
+    trees, embedding rows for dependency trees.  Returns the
+    (n_nodes, n_c) feature map, row v the window rooted at node v.
     """
-    if len(node_vectors) != len(tree.nodes):
+    n = len(tree.nodes)
+    if node_vectors.data.ndim != 2 or node_vectors.data.shape[0] != n:
         raise ContractError(
-            f"node_vectors covers {len(node_vectors)} nodes, "
-            f"tree has {len(tree.nodes)}"
+            f"node_vectors covers {node_vectors.data.shape[0]} nodes, "
+            f"tree has {n}"
         )
-    out: List[Optional[Tensor]] = [None] * len(tree.nodes)
+    # child -> parent edges per weight matrix; W_p reads every node
+    edges: Dict[int, Tuple[List[int], List[int]]] = {}
     if isinstance(params, DWindowParams):
         if tree.kind != DEPENDENCY:
             raise ContractError("dependency window params on a non-dependency tree")
         if inventory is None:
             raise ContractError("dependency convolution needs a relation inventory")
+        weights = params.W_rel
         for v, node in enumerate(tree.nodes):
-            children = [(node_vectors[c], tree.nodes[c].dep_relation)
-                        for c in node.children]
-            out[v] = conv_window_d(tape, node_vectors[v], children,
-                                   params, inventory)
+            for c in node.children:
+                src, dst = edges.setdefault(
+                    inventory.slot_of(tree.nodes[c].dep_relation), ([], []))
+                src.append(c)
+                dst.append(v)
     else:
         if tree.kind != CONSTITUENCY:
             raise ContractError("constituency window params on a non-constituency tree")
+        weights = [params.W_l, params.W_r]
         for v, node in enumerate(tree.nodes):
-            kids = node.children
-            if len(kids) > 2:
-                raise ContractError(f"node {v} has {len(kids)} children; binarize first")
-            cl = node_vectors[kids[0]] if len(kids) >= 1 else None
-            cr = node_vectors[kids[1]] if len(kids) == 2 else None
-            out[v] = conv_window_c(tape, node_vectors[v], cl, cr, params)
-    return FeatureMap(vectors=out)
+            if len(node.children) > 2:
+                raise ContractError(
+                    f"node {v} has {len(node.children)} children; binarize first")
+            for position, c in enumerate(node.children):
+                src, dst = edges.setdefault(position, ([], []))
+                src.append(c)
+                dst.append(v)
+    terms = [(params.W_p, ALL_ROWS, ALL_ROWS)]
+    terms.extend((weights[key], np.array(src), np.array(dst))
+                 for key, (src, dst) in sorted(edges.items()))
+    acc = tape.edge_matmul(node_vectors, terms)
+    return tape.relu(tape.add_bias(acc, params.b))

@@ -137,8 +137,8 @@ def test_criterion_2_convolution_oracle():
                 params = init_c_window(n_c, n_e, rng)
             assert len(tree.nodes) <= 20
             vecs = [rng.normal(size=n_e) for _ in tree.nodes]
-            got = convolve(Tape(), tree, [Tensor(v) for v in vecs],
-                           params, inv).as_array()
+            got = convolve(Tape(), tree, Tensor(np.stack(vecs)),
+                           params, inv).data
             want = naive_convolve(tree, vecs, params, inv)
             assert np.max(np.abs(got - want)) < CONV_TOL
 
@@ -159,10 +159,8 @@ def test_criterion_3_pooling_invariant_suite():
         while trees < 1000:
             n = int(rng.integers(1, 10))
             tree = random_dependency_tree(rng, [f"w{i}" for i in range(n)])
-            fm_vectors = [Tensor(rng.normal(size=4)) for _ in range(n)]
-            from treeconv.tree_conv import FeatureMap
-            _, prov = pool(Tape(), FeatureMap(vectors=fm_vectors),
-                           assign_global(tree))
+            fm = Tensor(np.stack([rng.normal(size=4) for _ in range(n)]))
+            _, prov = pool(Tape(), fm, assign_global(tree))
             assert fractions(prov, tree).total() == 1
             trees += 1
 

@@ -10,7 +10,6 @@ from treeconv.classifier_head import (
     transfer_5_to_2,
 )
 from treeconv.errors import ConfigError, ShapeError
-from treeconv.pooling import PooledVector
 from treeconv.tensor_core import (
     Tape,
     Tensor,
@@ -32,7 +31,7 @@ def zero_head(n_h, in_width, classes):
 
 
 def pooled_from(arrays):
-    return PooledVector(slots=[Tensor(a) for a in arrays])
+    return Tensor(np.stack(arrays))
 
 
 class TestForward:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from treeconv.corpus_io import parse_constituency, parse_dependency
+from treeconv.corpus_io import (
+    CONSTITUENCY,
+    ParseTree,
+    TreeNode,
+    parse_constituency,
+    parse_dependency,
+)
 from treeconv.errors import ContractError
 from treeconv.pooling import (
     LOWER_LEFT,
@@ -14,7 +20,6 @@ from treeconv.pooling import (
 )
 from treeconv.synthetic import random_constituency_tree, random_dependency_tree
 from treeconv.tensor_core import Tape, Tensor, grad_of, parameter
-from treeconv.tree_conv import FeatureMap
 
 from helpers import max_grad_error
 
@@ -28,7 +33,7 @@ def dep_chain(n):
 
 
 def feature_map(arrays):
-    return FeatureMap(vectors=[Tensor(a) for a in arrays])
+    return Tensor(np.stack(arrays))
 
 
 class TestGlobal:
@@ -87,6 +92,53 @@ class TestThreeSlot:
         with pytest.raises(ContractError):
             assign_three_slot(dep_chain(3))
 
+    @staticmethod
+    def recursive_three_slot(tree, alpha):
+        """The depth-first painting written as plain recursion."""
+        side = {}
+
+        def paint(v, mark):
+            side[v] = mark
+            for c in tree.nodes[v].children:
+                paint(c, mark)
+
+        for mark, child in zip((LOWER_LEFT, LOWER_RIGHT),
+                               tree.nodes[tree.root].children):
+            paint(child, mark)
+        threshold = alpha * tree.depth()
+        return [TOP if v == tree.root or n.depth_layer < threshold else side[v]
+                for v, n in enumerate(tree.nodes)]
+
+    def test_matches_recursive_painting_on_small_trees(self):
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            leaves = [f"w{i}" for i in range(int(rng.integers(1, 12)))]
+            tree = random_constituency_tree(rng, leaves)
+            for alpha in (0.3, 0.6, 0.9):
+                assert (assign_three_slot(tree, alpha).slot_of
+                        == self.recursive_three_slot(tree, alpha))
+
+    def test_5000_deep_chain_assigns_every_node(self):
+        # root -> (chain of 5000 unary nodes ending in a word, a word);
+        # built from TreeNodes so no parser recursion is involved
+        depth = 5000
+        nodes = [TreeNode(children=[1, depth], depth_layer=1)]
+        nodes += [TreeNode(children=[v + 1], depth_layer=v + 1)
+                  for v in range(1, depth - 1)]
+        nodes.append(TreeNode(word="last", depth_layer=depth))
+        nodes.append(TreeNode(word="right", depth_layer=2))
+        tree = ParseTree(kind=CONSTITUENCY, nodes=nodes, root=0)
+        a = assign_three_slot(tree, alpha=0.6)
+        assert len(a.slot_of) == len(tree.nodes)
+        threshold = 0.6 * tree.depth()
+        for v, node in enumerate(tree.nodes):
+            if v == tree.root or node.depth_layer < threshold:
+                assert a.slot_of[v] == TOP
+            else:
+                assert a.slot_of[v] == LOWER_LEFT
+        assert a.slot_of[-1] == TOP  # the right word sits at layer 2
+        assert a.slot_of.count(LOWER_LEFT) > 1900
+
 
 class TestKSlot:
     def test_n4_k2(self):
@@ -131,14 +183,14 @@ class TestPool:
         tree = dep_chain(1)
         fm = feature_map([np.array([3.0, -1.0])])
         pooled, prov = pool(Tape(), fm, assign_global(tree))
-        assert np.array_equal(pooled.slots[0].data, [3.0, -1.0])
+        assert np.array_equal(pooled.data[0], [3.0, -1.0])
         assert np.array_equal(prov.winners[0], [0, 0])
 
     def test_two_node_hand_case(self):
         tree = dep_chain(2)
         fm = feature_map([np.array([1.0, 5.0]), np.array([4.0, 2.0])])
         pooled, prov = pool(Tape(), fm, assign_global(tree))
-        assert np.array_equal(pooled.slots[0].data, [4.0, 5.0])
+        assert np.array_equal(pooled.data[0], [4.0, 5.0])
         assert np.array_equal(prov.winners[0], [1, 0])
 
     def test_tie_goes_to_lowest_node_index(self):
@@ -151,9 +203,9 @@ class TestPool:
         tree = parse_constituency("(0 w)")  # single node: LOWER_* both empty
         fm = feature_map([np.array([7.0, 7.0])])
         pooled, prov = pool(Tape(), fm, assign_three_slot(tree))
-        assert np.array_equal(pooled.slots[LOWER_LEFT].data, [0.0, 0.0])
+        assert np.array_equal(pooled.data[LOWER_LEFT], [0.0, 0.0])
         assert prov.winners[LOWER_LEFT] is None
-        assert np.array_equal(pooled.slots[TOP].data, [7.0, 7.0])
+        assert np.array_equal(pooled.data[TOP], [7.0, 7.0])
 
     def test_gradient_flows_only_to_winners(self):
         tree = dep_chain(3)
@@ -164,9 +216,10 @@ class TestPool:
 
         def run():
             tape = Tape()
-            fm = FeatureMap(vectors=list(params))
+            fm = tape.reshape(tape.concat(params), (len(params), -1))
             pooled, _ = pool(tape, fm, assign_global(tree))
-            loss = tape.sumsq(tape.mul(pooled.slots[0], Tensor(weights)))
+            loss = tape.sumsq(tape.mul(tape.reshape(pooled, -1),
+                                       Tensor(weights)))
             return tape, loss
 
         tape, loss = run()
@@ -209,7 +262,7 @@ class TestPoolingProperties:
             self.check_partition(assignment, len(con.nodes))
             pooled, prov = pool(Tape(), cfm, assignment)
             self.check_dominance(
-                assignment, [t.data for t in cfm.vectors], pooled)
+                assignment, cfm.data, pooled)
             self.check_conservation(assignment, prov)
 
     @staticmethod
@@ -223,7 +276,7 @@ class TestPoolingProperties:
             members = assignment.members(slot)
             if not members:
                 continue
-            value = pooled.slots[slot].data
+            value = pooled.data[slot]
             for v in members:
                 assert np.all(value >= feats[v])
             for dim in range(len(value)):
@@ -253,7 +306,7 @@ class TestPoolingProperties:
     def check_k1_reduction(tree, fm):
         p1, _ = pool(Tape(), fm, assign_k_slot(tree, 1))
         pg, _ = pool(Tape(), fm, assign_global(tree))
-        assert np.array_equal(p1.slots[0].data, pg.slots[0].data)
+        assert np.array_equal(p1.data[0], pg.data[0])
 
     def test_invariants_hold(self):
         self.run_suite(iterations=120, seed=4)
@@ -266,4 +319,4 @@ class TestPoolingProperties:
         perm = rng.permutation(6)
         shuffled = [feats[i] for i in perm]
         out, _ = pool(Tape(), feature_map(shuffled), assign_global(tree))
-        assert np.array_equal(base.slots[0].data, out.slots[0].data)
+        assert np.array_equal(base.data[0], out.data[0])

@@ -3,6 +3,7 @@ import pytest
 
 from treeconv.errors import ContractError, ShapeError
 from treeconv.tensor_core import (
+    RowGradient,
     Tape,
     Tensor,
     grad_of,
@@ -13,6 +14,11 @@ from treeconv.tensor_core import (
 )
 
 from helpers import max_grad_error, naive_matvec
+
+
+def take_row(tape, M, index):
+    """Row `index` of `M` as a vector, through a one-row lookup."""
+    return tape.reshape(tape.take_rows(M, [index]), -1)
 
 
 class TestMatvec:
@@ -108,7 +114,7 @@ class TestGradientMap:
         E = parameter(rng.normal(size=(1000, 4)), "E")
         W = parameter(rng.normal(size=(2, 4)), "W")
         tape = Tape()
-        rows = [tape.take_row(E, i) for i in (7, 3, 7, 999)]
+        rows = [take_row(tape, E, i) for i in (7, 3, 7, 999)]
         total = tape.add(tape.add(rows[0], rows[1]), tape.add(rows[2], rows[3]))
         grads = tape.backward(tape.sumsq(tape.matvec(W, total)))
         assert set(grads) == {E, W}
@@ -170,7 +176,9 @@ class TestOpGradients:
         coeffs = rng.normal(size=4)
 
         def build(tape, ps):
-            pooled, _ = tape.dimwise_max(ps)
+            stacked = tape.reshape(tape.concat(ps), (len(ps), -1))
+            pooled = tape.reshape(tape.segment_max(stacked, [0] * len(ps), 1)[0],
+                                  -1)
             return tape.sumsq(tape.mul(pooled, Tensor(coeffs)))
 
         self._check(build, xs)
@@ -194,9 +202,9 @@ class TestOpGradients:
 
         def build(tape, ps):
             (E_,) = ps
-            r1 = tape.take_row(E_, 1)
-            r1_again = tape.take_row(E_, 1)
-            r4 = tape.take_row(E_, 4)
+            r1 = take_row(tape, E_, 1)
+            r1_again = take_row(tape, E_, 1)
+            r4 = take_row(tape, E_, 4)
             return tape.sumsq(tape.add(tape.add(r1, r4), r1_again))
 
         self._check(build, [E])
@@ -210,10 +218,10 @@ class TestOpGradients:
 
         def build(tape, ps):
             E_, x_ = ps
-            r1 = tape.take_row(E_, 1)
+            r1 = take_row(tape, E_, 1)
             v = tape.matvec(E_, x_)
-            r1_again = tape.take_row(E_, 1)
-            r4 = tape.take_row(E_, 4)
+            r1_again = take_row(tape, E_, 1)
+            r4 = take_row(tape, E_, 4)
             rows = tape.add(tape.add(r1, r4), tape.tanh(r1_again))
             return tape.sumsq(tape.concat([rows, v]))
 
@@ -226,7 +234,7 @@ class TestOpGradients:
         def build(tape, ps):
             (E_,) = ps
             M = tape.tanh(tape.scale(E_, 1.5))
-            return tape.sumsq(tape.add(tape.take_row(M, 0), tape.take_row(M, 2)))
+            return tape.sumsq(tape.add(take_row(tape, M, 0), take_row(tape, M, 2)))
 
         self._check(build, [E])
 
@@ -238,6 +246,102 @@ class TestOpGradients:
             return tape.sumsq(tape.scale(ps[0], -2.5))
 
         self._check(build, [x])
+
+    # whole-tree array primitives
+
+    def test_take_rows_with_repeated_indices(self):
+        rng = np.random.default_rng(20)
+        E = rng.normal(size=(6, 3))
+        coeffs = rng.normal(size=(4, 3))
+
+        def build(tape, ps):
+            rows = tape.take_rows(ps[0], [1, 4, 1, 5])
+            return tape.sumsq(tape.mul(tape.tanh(rows), Tensor(coeffs)))
+
+        self._check(build, [E])
+        E_ = parameter(E, "E")
+        tape = Tape()
+        grads = tape.backward(build(tape, [E_]))
+        assert isinstance(grads[E_], RowGradient)
+        assert sorted(grads[E_].indices.tolist()) == [1, 4, 5]
+
+    def test_edge_matmul_repeated_destination_and_all_rows(self):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(4, 3))
+        W_all = rng.normal(size=(2, 3))
+        W_edge = rng.normal(size=(2, 3))
+        coeffs = rng.normal(size=(4, 2))
+        src, dst = np.array([1, 2, 3]), np.array([0, 0, 2])
+
+        def build(tape, ps):
+            X_, Wa, We = ps
+            out = tape.edge_matmul(X_, [(Wa, slice(None), slice(None)),
+                                        (We, src, dst)])
+            return tape.sumsq(tape.mul(tape.tanh(out), Tensor(coeffs)))
+
+        self._check(build, [X, W_all, W_edge])
+        terms = [(matrix(W_all), slice(None), slice(None)),
+                 (matrix(W_edge), src, dst)]
+        out = Tape().edge_matmul(matrix(X), terms)
+        want = X @ W_all.T
+        want[0] += W_edge @ X[1] + W_edge @ X[2]  # node 0 has two children
+        want[2] += W_edge @ X[3]
+        assert np.max(np.abs(out.data - want)) < 1e-12
+
+    def test_add_bias_broadcasts_over_rows(self):
+        rng = np.random.default_rng(22)
+        X = rng.normal(size=(3, 2))
+        b = rng.normal(size=2)
+
+        def build(tape, ps):
+            return tape.sumsq(tape.tanh(tape.add_bias(ps[0], ps[1])))
+
+        self._check(build, [X, b])
+
+    def test_sum_rows_and_reshape(self):
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(3, 4))
+
+        def build(tape, ps):
+            total = tape.tanh(tape.sum_rows(ps[0]))
+            flat = tape.tanh(tape.reshape(ps[0], -1))
+            return tape.sumsq(tape.concat([total, flat]))
+
+        self._check(build, [X])
+
+    def test_segment_max_with_empty_slot_routes_to_winners(self):
+        rng = np.random.default_rng(24)
+        X = rng.normal(size=(5, 3))
+        coeffs = rng.normal(size=(3, 3))
+        slot_of = [0, 2, 0, 2, 2]  # slot 1 is empty
+
+        def build(tape, ps):
+            pooled, _ = tape.segment_max(ps[0], slot_of, 3)
+            return tape.sumsq(tape.mul(pooled, Tensor(coeffs)))
+
+        self._check(build, [X])
+        X_ = parameter(X, "X")
+        tape = Tape()
+        pooled, winners = tape.segment_max(X_, slot_of, 3)
+        assert np.array_equal(pooled.data[1], np.zeros(3))
+        assert winners[1] is None
+        for slot, members in ((0, [0, 2]), (2, [1, 3, 4])):
+            assert np.array_equal(winners[slot],
+                                  np.array(members)[X[members].argmax(axis=0)])
+            assert np.array_equal(pooled.data[slot], X[members].max(axis=0))
+        grads = tape.backward(tape.sumsq(tape.mul(pooled, Tensor(coeffs))))
+        won = np.zeros(X.shape, dtype=bool)
+        for rows in (winners[0], winners[2]):
+            won[rows, np.arange(3)] = True
+        g = grad_of(grads, X_)
+        assert np.all(g[~won] == 0)  # losers receive exactly zero
+        assert np.all(g[won] != 0)
+
+    def test_segment_max_tie_goes_to_lowest_row(self):
+        X = matrix([[1.0, 5.0], [2.0, 5.0], [2.0, 0.0]])
+        pooled, (arg,) = Tape().segment_max(X, [0, 0, 0], 1)
+        assert np.array_equal(arg, [1, 0])
+        assert np.array_equal(pooled.data, [[2.0, 5.0]])
 
 
 class TestTapeProperties:
@@ -255,7 +359,8 @@ class TestTapeProperties:
     def test_dimwise_max_tie_break_is_lowest_index(self):
         a = vector([1.0, 5.0])
         b = vector([1.0, 5.0])
-        _, arg = Tape().dimwise_max([a, b])
+        _, (arg,) = Tape().segment_max(matrix(np.stack([a.data, b.data])),
+                                       [0, 0], 1)
         assert np.array_equal(arg, [0, 0])
 
     def test_stabilized_softmax_handles_huge_logits(self):

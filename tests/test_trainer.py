@@ -1,5 +1,6 @@
 import logging
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -288,6 +289,37 @@ class TestTrainLoop:
                           corpus.table, config)
         best = max(report.val_accuracy)
         assert report.val_accuracy[report.best_epoch - 1] == best
+
+    @pytest.mark.parametrize("accuracies,best", [((0.5, 0.9, 0.7), 2),
+                                                 ((0.5, 0.7, 0.9), 3)])
+    def test_checkpoint_holds_the_best_epochs_parameters(
+            self, monkeypatch, accuracies, best):
+        import treeconv.trainer as trainer_mod
+
+        corpus = make_overfit_corpus(n_sentences=6, classes=2, n_e=8, seed=9)
+        config = small_config("d", n_e=8, max_epochs=3, train_embeddings=True)
+        scripted = iter(accuracies)
+        snapshots = []
+
+        def scripted_evaluate(classifier, trees):
+            snapshots.append(classifier.params.copy_arrays())
+            return SimpleNamespace(accuracy=next(scripted))
+
+        monkeypatch.setattr(trainer_mod, "evaluate", scripted_evaluate)
+        model, report = train(corpus.dep_trees, corpus.dep_trees,
+                              corpus.vocab, corpus.table, config)
+        assert report.best_epoch == best
+        # every epoch moved the weights, so a wrong epoch would show
+        for name in ("conv.W_p", "embeddings"):
+            assert not np.array_equal(snapshots[1][name], snapshots[2][name])
+        got = model.params.copy_arrays()
+        assert got.keys() == snapshots[best - 1].keys()
+        for name, want in snapshots[best - 1].items():
+            assert np.array_equal(got[name], want), name
+        assert np.array_equal(model.table.vectors,
+                              snapshots[best - 1]["embeddings"])
+        assert not np.shares_memory(model.table.vectors,
+                                    model.params.embeddings.data)
 
     def test_empty_split_rejected(self):
         corpus = make_overfit_corpus(n_sentences=6, classes=2, n_e=8, seed=7)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from treeconv.corpus_io import (
+    CONSTITUENCY,
     DEPENDENCY,
     ParseTree,
     TreeNode,
@@ -20,8 +21,6 @@ from treeconv.tensor_core import Tape, Tensor
 from treeconv.tree_conv import (
     CWindowParams,
     DWindowParams,
-    conv_window_c,
-    conv_window_d,
     convolve,
     init_c_window,
     init_d_window,
@@ -44,6 +43,28 @@ def zero_c_params(n_c, n_e):
         W_r=parameter(np.zeros((n_c, n_e)), "conv.W_r"),
         b=parameter(np.zeros(n_c), "conv.b"),
     )
+
+
+def window_c(tape, p, cl, cr, params):
+    """The window at a parent with children (cl, cr), None for absent,
+    read off `convolve` on a one-window tree."""
+    kids = [c for c in (cl, cr) if c is not None]
+    assert cl is not None or cr is None, "a lone child is the left child"
+    nodes = [TreeNode(children=list(range(1, len(kids) + 1)))]
+    nodes += [TreeNode() for _ in kids]
+    tree = ParseTree(kind=CONSTITUENCY, nodes=nodes, root=0)
+    x = Tensor(np.stack([t.data for t in [p] + kids]))
+    return Tensor(convolve(tape, tree, x, params).data[0])
+
+
+def window_d(tape, p, children, params, inventory):
+    """The window at a parent with (vector, relation) children, read
+    off `convolve` on a one-window tree."""
+    nodes = [TreeNode(children=list(range(1, len(children) + 1)))]
+    nodes += [TreeNode(dep_relation=rel) for _, rel in children]
+    tree = ParseTree(kind=DEPENDENCY, nodes=nodes, root=0)
+    x = Tensor(np.stack([p.data] + [vec.data for vec, _ in children]))
+    return Tensor(convolve(tape, tree, x, params, inventory).data[0])
 
 
 # --- independent naive implementations (plain numpy loops) -----------------
@@ -84,20 +105,20 @@ class TestConstituencyWindow:
         rng = np.random.default_rng(0)
         params = init_c_window(3, 4, rng)
         p = rng.normal(size=4)
-        got = conv_window_c(Tape(), Tensor(p), None, None, params).data
+        got = window_c(Tape(), Tensor(p), None, None, params).data
         want = np.maximum(params.W_p.data @ p + params.b.data, 0.0)
         assert np.array_equal(got, want)
 
     def test_all_zero_params_give_zero(self):
-        out = conv_window_c(Tape(), Tensor(np.ones(4)), Tensor(np.ones(4)),
-                            Tensor(np.ones(4)), zero_c_params(3, 4))
+        out = window_c(Tape(), Tensor(np.ones(4)), Tensor(np.ones(4)),
+                       Tensor(np.ones(4)), zero_c_params(3, 4))
         assert np.array_equal(out.data, np.zeros(3))
 
     def test_matches_three_matvec_oracle(self):
         rng = np.random.default_rng(1)
         params = init_c_window(5, 3, rng)
         p, cl, cr = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
-        got = conv_window_c(Tape(), Tensor(p), Tensor(cl), Tensor(cr), params).data
+        got = window_c(Tape(), Tensor(p), Tensor(cl), Tensor(cr), params).data
         assert np.max(np.abs(got - naive_window_c(p, cl, cr, params))) < 1e-12
 
 
@@ -107,7 +128,7 @@ class TestDependencyWindow:
         inv = build_dep_inventory([parse_dependency(I_LOVED_IT_CONLL)])
         params = init_d_window(3, 4, inv.n_slots, rng)
         p = rng.normal(size=4)
-        got = conv_window_d(Tape(), Tensor(p), [], params, inv).data
+        got = window_d(Tape(), Tensor(p), [], params, inv).data
         want = np.maximum(params.W_p.data @ p + params.b.data, 0.0)
         assert np.array_equal(got, want)
 
@@ -117,7 +138,7 @@ class TestDependencyWindow:
         inv = build_dep_inventory([tree])
         params = init_d_window(4, 3, inv.n_slots, rng)
         v_loved, v_i, v_it = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
-        got = conv_window_d(
+        got = window_d(
             Tape(), Tensor(v_loved),
             [(Tensor(v_i), "nsubj"), (Tensor(v_it), "dobj")],
             params, inv,
@@ -138,15 +159,15 @@ class TestDependencyWindow:
         p = rng.normal(size=3)
         c1, c2 = rng.normal(size=3), rng.normal(size=3)
         # both relations unknown: resolve to the shared matrix
-        a = conv_window_d(Tape(), Tensor(p),
-                          [(Tensor(c1), "xcomp"), (Tensor(c2), "expl")],
-                          params, inv).data
+        a = window_d(Tape(), Tensor(p),
+                     [(Tensor(c1), "xcomp"), (Tensor(c2), "expl")],
+                     params, inv).data
         b = naive_window_d(p, [(c1, "xcomp"), (c2, "expl")], params, inv)
         assert np.max(np.abs(a - b)) < 1e-12
         # swapping same-relation children leaves the output unchanged
-        swapped = conv_window_d(Tape(), Tensor(p),
-                                [(Tensor(c2), "expl"), (Tensor(c1), "xcomp")],
-                                params, inv).data
+        swapped = window_d(Tape(), Tensor(p),
+                           [(Tensor(c2), "expl"), (Tensor(c1), "xcomp")],
+                           params, inv).data
         assert np.max(np.abs(a - swapped)) < 1e-12
 
 
@@ -157,9 +178,9 @@ class TestConvolve:
         inv = build_dep_inventory([tree])
         params = init_d_window(3, 2, inv.n_slots, rng)
         vec = rng.normal(size=2)
-        fm = convolve(Tape(), tree, [Tensor(vec)], params, inv)
-        assert len(fm) == 1
-        assert np.array_equal(fm.vectors[0].data,
+        fm = convolve(Tape(), tree, Tensor(vec[None]), params, inv)
+        assert len(fm.data) == 1
+        assert np.array_equal(fm.data[0],
                               naive_window_d(vec, [], params, inv))
 
     def test_i_loved_it_all_positions(self):
@@ -168,10 +189,10 @@ class TestConvolve:
         inv = build_dep_inventory([tree])
         params = init_d_window(4, 3, inv.n_slots, rng)
         vectors = [rng.normal(size=3) for _ in tree.nodes]
-        fm = convolve(Tape(), tree, [Tensor(v) for v in vectors], params, inv)
-        assert len(fm) == len(tree.nodes)
+        fm = convolve(Tape(), tree, Tensor(np.stack(vectors)), params, inv)
+        assert len(fm.data) == len(tree.nodes)
         want = naive_convolve(tree, vectors, params, inv)
-        assert np.max(np.abs(fm.as_array() - want)) < 1e-12
+        assert np.max(np.abs(fm.data - want)) < 1e-12
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_trees_match_naive_loop(self, seed):
@@ -184,16 +205,16 @@ class TestConvolve:
         inv = build_dep_inventory([dep])
         d_params = init_d_window(n_c, n_e, inv.n_slots, rng)
         vecs = [rng.normal(size=n_e) for _ in dep.nodes]
-        fm = convolve(Tape(), dep, [Tensor(v) for v in vecs], d_params, inv)
-        assert np.max(np.abs(fm.as_array()
+        fm = convolve(Tape(), dep, Tensor(np.stack(vecs)), d_params, inv)
+        assert np.max(np.abs(fm.data
                              - naive_convolve(dep, vecs, d_params, inv))) < 1e-12
 
         con = random_constituency_tree(rng, words[:6])
         validate_tree(con)
         c_params = init_c_window(n_c, n_e, rng)
         cvecs = [rng.normal(size=n_e) for _ in con.nodes]
-        fm = convolve(Tape(), con, [Tensor(v) for v in cvecs], c_params)
-        assert np.max(np.abs(fm.as_array()
+        fm = convolve(Tape(), con, Tensor(np.stack(cvecs)), c_params)
+        assert np.max(np.abs(fm.data
                              - naive_convolve(con, cvecs, c_params))) < 1e-12
 
     def test_window_locality(self):
@@ -202,14 +223,14 @@ class TestConvolve:
         inv = build_dep_inventory([tree])
         params = init_d_window(4, 3, inv.n_slots, rng)
         vectors = [rng.normal(size=3) for _ in tree.nodes]
-        base = convolve(Tape(), tree, [Tensor(v) for v in vectors],
-                        params, inv).as_array()
+        base = convolve(Tape(), tree, Tensor(np.stack(vectors)),
+                        params, inv).data
         # "I" (node 0) is a leaf: changing it must not move features of
         # "it" (node 2), whose window holds only itself
         vectors2 = [v.copy() for v in vectors]
         vectors2[0] = rng.normal(size=3)
-        moved = convolve(Tape(), tree, [Tensor(v) for v in vectors2],
-                         params, inv).as_array()
+        moved = convolve(Tape(), tree, Tensor(np.stack(vectors2)),
+                         params, inv).data
         assert np.array_equal(base[2], moved[2])
         assert not np.array_equal(base[1], moved[1])  # parent window moved
 
@@ -219,8 +240,8 @@ class TestConvolve:
         inv = build_dep_inventory([tree])
         params = init_d_window(4, 3, inv.n_slots, rng)
         vectors = [rng.normal(size=3) for _ in tree.nodes]
-        base = convolve(Tape(), tree, [Tensor(v) for v in vectors],
-                        params, inv).as_array()
+        base = convolve(Tape(), tree, Tensor(np.stack(vectors)),
+                        params, inv).data
 
         perm = [2, 0, 1]  # new index of old node i
         nodes = [None] * len(tree.nodes)
@@ -235,8 +256,8 @@ class TestConvolve:
         pvecs = [None] * len(vectors)
         for old, v in enumerate(vectors):
             pvecs[perm[old]] = v
-        out = convolve(Tape(), permuted, [Tensor(v) for v in pvecs],
-                       params, inv).as_array()
+        out = convolve(Tape(), permuted, Tensor(np.stack(pvecs)),
+                       params, inv).data
         # child sums re-associate under permutation, so allow float slack
         for old in range(len(vectors)):
             assert np.max(np.abs(base[old] - out[perm[old]])) < 1e-12
@@ -246,4 +267,4 @@ class TestConvolve:
         inv = build_dep_inventory([tree])
         params = init_d_window(2, 2, inv.n_slots, np.random.default_rng(9))
         with pytest.raises(ContractError):
-            convolve(Tape(), tree, [Tensor(np.zeros(2))], params, inv)
+            convolve(Tape(), tree, Tensor(np.zeros((1, 2))), params, inv)

@@ -8,7 +8,6 @@ from treeconv.corpus_io import parse_constituency, parse_dependency
 from treeconv.pooling import assign_global, assign_three_slot, pool
 from treeconv.synthetic import random_dependency_tree
 from treeconv.tensor_core import Tape, Tensor
-from treeconv.tree_conv import FeatureMap
 from treeconv.viz import NodeFractionMap, emit_dot, emit_json, fractions
 
 I_LOVED_IT_CONLL = (
@@ -19,7 +18,7 @@ I_LOVED_IT_CONLL = (
 
 
 def pool_tree(tree, arrays, assignment=None):
-    fm = FeatureMap(vectors=[Tensor(a) for a in arrays])
+    fm = Tensor(np.stack(arrays))
     if assignment is None:
         assignment = assign_global(tree)
     return pool(Tape(), fm, assignment)
