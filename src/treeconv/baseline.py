@@ -82,6 +82,8 @@ def train_bag_baseline(train_trees: Sequence[ParseTree],
     best_acc = -1.0
     for epoch in range(1, config.max_epochs + 1):
         underflows = 0
+        # no blow-up bound (see trainer.train): the control is left to
+        # run through a saturated softmax
         epoch_loss = sgd_epoch(train_trees, sample_loss, named,
                                config.learning_rate, config.batch_size, rng,
                                epoch=epoch, decayed=[head.W_h, head.W_o],

@@ -2,18 +2,21 @@
 in-memory sentence representation.
 
 Constituency input is one bracketed tree per line (treebank style, with
-optional integer sentiment tags on constituents).  Dependency input is
-CoNLL-X blocks separated by blank lines.  Embeddings use the word2vec
-text format: a "count dim" header followed by "token v1 .. v_dim" rows.
+optional integer sentiment tags on constituents).  The reader is one
+loop over regex tokens with an explicit stack, and it binarizes each
+constituent as it closes, so a line of any depth or width parses in
+linear time.  Dependency input is CoNLL-X blocks separated by blank
+lines.  Embeddings use the word2vec text format: a "count dim" header
+followed by "token v1 .. v_dim" rows.
 """
 
 from __future__ import annotations
 
-import io
 import os
+import re
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,22 +56,33 @@ class ParseTree:
     def depth(self) -> int:
         return max(n.depth_layer for n in self.nodes)
 
+    def walk(self, v: Optional[int] = None) -> Iterator[Tuple[int, bool]]:
+        """Depth-first events over the subtree at v (the root by default):
+        (node, True) on entering a node, (node, False) on leaving it.
+
+        The entering events come in pre-order and the leaving events in
+        left-to-right post-order; entered minus left nodes is the depth
+        below v.  The walk keeps its own stack, so trees of any depth are
+        fine, and it reads the child lists afresh on every call.
+        """
+        stack = [(self.root if v is None else v, True)]
+        while stack:
+            event = stack.pop()
+            yield event
+            u, entering = event
+            if entering:
+                stack.append((u, False))
+                for c in reversed(self.nodes[u].children):
+                    stack.append((c, True))
+
     def leaf_indices(self) -> List[int]:
         """Childless nodes in left-to-right order."""
         if self.kind == DEPENDENCY:
             order = sorted(range(len(self.nodes)),
                            key=lambda v: self.nodes[v].position)
             return [v for v in order if not self.nodes[v].children]
-        out: List[int] = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            kids = self.nodes[v].children
-            if not kids:
-                out.append(v)
-            else:
-                stack.extend(reversed(kids))
-        return out
+        return [v for v, entering in self.walk()
+                if entering and not self.nodes[v].children]
 
     def words(self) -> List[str]:
         """Sentence tokens in surface order."""
@@ -125,80 +139,14 @@ def validate_tree(tree: ParseTree) -> None:
 # constituency trees
 # ---------------------------------------------------------------------------
 
-class _Sexp:
-    __slots__ = ("head", "children", "word")
-
-    def __init__(self, head, children, word):
-        self.head = head
-        self.children = children
-        self.word = word
+_TOKEN = re.compile(r"\(\s*([^\s()]*)|\)|[^\s()]+")  # '(' with its tag, ')', word
 
 
-def _skip_ws(text: str, i: int) -> int:
-    while i < len(text) and text[i].isspace():
-        i += 1
-    return i
-
-
-def _read_token(text: str, i: int) -> Tuple[str, int]:
-    j = i
-    while j < len(text) and not text[j].isspace() and text[j] not in "()":
-        j += 1
-    return text[i:j], j
-
-
-def _read_sexp(text: str, i: int) -> Tuple[_Sexp, int]:
-    # caller guarantees text[i] == '('
-    open_at = i
-    i = _skip_ws(text, i + 1)
-    head = None
-    if i < len(text) and text[i] not in "()":
-        head, i = _read_token(text, i)
-    children: List[_Sexp] = []
-    words: List[str] = []
-    while True:
-        i = _skip_ws(text, i)
-        if i >= len(text):
-            raise ParseError("unbalanced '('", offset=open_at)
-        c = text[i]
-        if c == "(":
-            child, i = _read_sexp(text, i)
-            children.append(child)
-        elif c == ")":
-            i += 1
-            break
-        else:
-            word, i = _read_token(text, i)
-            words.append(word)
-    if children and words:
-        raise ParseError("constituent mixes words and subtrees", offset=open_at)
-    if len(words) > 1:
-        raise ParseError("constituent has more than one terminal", offset=open_at)
-    if not children and not words:
-        raise ParseError("empty constituent", offset=open_at)
-    return _Sexp(head, children, words[0] if words else None), i
-
-
-def _parse_label(head: Optional[str]) -> Optional[int]:
-    if head is None:
-        return None
+def _parse_label(head: str) -> Optional[int]:
     try:
         return int(head)
     except ValueError:
         return None
-
-
-def _binarize(sexp: _Sexp) -> _Sexp:
-    if sexp.word is not None:
-        return sexp
-    kids = [_binarize(k) for k in sexp.children]
-    if len(kids) > 2:
-        def chain(rest: List[_Sexp]) -> _Sexp:
-            if len(rest) == 1:
-                return rest[0]
-            return _Sexp(None, [rest[0], chain(rest[1:])], None)
-        kids = [kids[0], chain(kids[1:])]
-    return _Sexp(sexp.head, kids, sexp.word)
 
 
 def parse_constituency(text: str) -> ParseTree:
@@ -206,31 +154,49 @@ def parse_constituency(text: str) -> ParseTree:
 
     Nodes with three or more children become right-branching chains of
     unlabeled auxiliary nodes; unary constituents are kept as-is.  Leaf
-    order is preserved exactly.
+    order is preserved exactly.  Nodes are numbered in pre-order.
     """
-    i = _skip_ws(text, 0)
-    if i >= len(text):
-        raise ParseError("empty tree", offset=i)
-    if text[i] != "(":
-        raise ParseError(f"expected '(' but found {text[i]!r}", offset=i)
-    sexp, i = _read_sexp(text, i)
-    i = _skip_ws(text, i)
-    if i < len(text):
-        raise ParseError(f"trailing content {text[i]!r}", offset=i)
-
-    sexp = _binarize(sexp)
-    nodes: List[TreeNode] = []
-
-    def build(s: _Sexp, depth: int) -> int:
-        v = len(nodes)
-        nodes.append(TreeNode(word=s.word, depth_layer=depth,
-                              label=_parse_label(s.head)))
-        nodes[v].children = [build(k, depth + 1) for k in s.children]
-        return v
-
-    root = build(sexp, 1)
-    return ParseTree(kind=CONSTITUENCY, nodes=nodes, root=root,
-                     sentence_label=nodes[root].label)
+    nodes: List[TreeNode] = []  # in closing order: children before parents
+    stack = []  # open constituents: (offset of '(', tag, child nodes, words)
+    for m in _TOKEN.finditer(text):
+        at = m.start()
+        if not stack:
+            if nodes:
+                raise ParseError(f"trailing content {text[at]!r}", offset=at)
+            if text[at] != "(":
+                raise ParseError(f"expected '(' but found {text[at]!r}",
+                                 offset=at)
+        if text[at] == "(":
+            stack.append((at, m.group(1), [], []))
+            continue
+        if text[at] != ")":
+            stack[-1][3].append(m.group())
+            continue
+        open_at, head, kids, words = stack.pop()
+        if kids and words:
+            raise ParseError("constituent mixes words and subtrees",
+                             offset=open_at)
+        if len(words) > 1:
+            raise ParseError("constituent has more than one terminal",
+                             offset=open_at)
+        if not kids and not words:
+            raise ParseError("empty constituent", offset=open_at)
+        if len(kids) > 2:  # (a b c d) -> (a (X b (X c d)))
+            tail = kids[-1]
+            for k in reversed(kids[1:-1]):
+                nodes.append(TreeNode(children=[k, tail]))
+                tail = len(nodes) - 1
+            kids = [kids[0], tail]
+        nodes.append(TreeNode(word=words[0] if words else None,
+                              children=kids, label=_parse_label(head)))
+        if stack:
+            stack[-1][2].append(len(nodes) - 1)
+    if stack:
+        raise ParseError("unbalanced '('", offset=stack[-1][0])
+    if not nodes:
+        raise ParseError("empty tree", offset=len(text))
+    return subtree_at(ParseTree(kind=CONSTITUENCY, nodes=nodes,
+                                root=len(nodes) - 1), len(nodes) - 1)
 
 
 def serialize_constituency(tree: ParseTree) -> str:
@@ -241,32 +207,37 @@ def serialize_constituency(tree: ParseTree) -> str:
     """
     if tree.kind != CONSTITUENCY:
         raise ContractError("serialize_constituency needs a constituency tree")
-
-    def render(v: int) -> str:
+    parts: List[str] = []
+    for v, entering in tree.walk():
         node = tree.nodes[v]
-        head = "X" if node.label is None else str(node.label)
-        if not node.children:
-            return f"({head} {node.word})"
-        inner = " ".join(render(c) for c in node.children)
-        return f"({head} {inner})"
-
-    return render(tree.root)
+        if entering:
+            head = "X" if node.label is None else str(node.label)
+            if v != tree.root:
+                parts.append(" ")
+            parts.append(f"({head}" if node.children
+                         else f"({head} {node.word})")
+        elif node.children:
+            parts.append(")")
+    return "".join(parts)
 
 
 def subtree_at(tree: ParseTree, v: int) -> ParseTree:
-    """Copy of the subtree rooted at node v as an independent tree."""
+    """Copy of the subtree rooted at node v as an independent tree, its
+    nodes numbered in pre-order with depth_layer counted from 1."""
     nodes: List[TreeNode] = []
-
-    def build(u: int, depth: int) -> int:
+    path: List[TreeNode] = []  # copies of the nodes entered and not yet left
+    for u, entering in tree.walk(v):
+        if not entering:
+            path.pop()
+            continue
         src = tree.nodes[u]
-        w = len(nodes)
-        nodes.append(TreeNode(word=src.word, embedding_index=src.embedding_index,
-                              depth_layer=depth, label=src.label))
-        nodes[w].children = [build(c, depth + 1) for c in src.children]
-        return w
-
-    root = build(v, 1)
-    return ParseTree(kind=tree.kind, nodes=nodes, root=root,
+        copy = TreeNode(word=src.word, embedding_index=src.embedding_index,
+                        depth_layer=len(path) + 1, label=src.label)
+        if path:
+            path[-1].children.append(len(nodes))
+        path.append(copy)
+        nodes.append(copy)
+    return ParseTree(kind=tree.kind, nodes=nodes, root=0,
                      sentence_label=tree.nodes[v].label)
 
 

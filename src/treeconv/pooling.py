@@ -88,11 +88,9 @@ def assign_three_slot(tree: ParseTree,
     side = {}  # node -> LOWER_LEFT or LOWER_RIGHT
     for mark, top_child in zip((LOWER_LEFT, LOWER_RIGHT),
                                tree.nodes[tree.root].children):
-        stack = [top_child]  # explicit stack: deep trees must not recurse
-        while stack:
-            v = stack.pop()
-            side[v] = mark
-            stack.extend(tree.nodes[v].children)
+        for v, entering in tree.walk(top_child):
+            if entering:
+                side[v] = mark
 
     slot_of = []
     for v, node in enumerate(tree.nodes):

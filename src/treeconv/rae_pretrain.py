@@ -87,54 +87,48 @@ def annotate(tree: ParseTree, params: CompositionParams,
     n_e = params.n_e
     if table.dim != n_e:
         raise ShapeError(f"embedding dim {table.dim} != composition dim {n_e}")
+    zero = np.zeros(n_e)
     out = np.zeros((len(tree.nodes), n_e))
-
-    def visit(v: int) -> np.ndarray:
-        node = tree.nodes[v]
-        if not node.children:
-            if node.embedding_index is None:
-                raise ContractError(
-                    f"leaf {node.word!r} has no embedding index; "
-                    "bind_vocabulary first"
-                )
-            vec = table.row(node.embedding_index)
+    for v, entering in tree.walk():
+        if entering:
+            continue
+        kids = tree.nodes[v].children
+        if not kids:
+            out[v] = _leaf_row(tree.nodes[v], table)
         else:
-            kids = [visit(c) for c in node.children]
-            c2 = kids[1] if len(kids) > 1 else np.zeros(n_e)
-            vec = compose(kids[0], c2, params)
-        out[v] = vec
-        return out[v]
-
-    visit(tree.root)
+            c2 = out[kids[1]] if len(kids) > 1 else zero
+            out[v] = compose(out[kids[0]], c2, params)
     return out
+
+
+def _leaf_row(node, table: EmbeddingTable) -> np.ndarray:
+    if node.embedding_index is None:
+        raise ContractError(
+            f"leaf {node.word!r} has no embedding index; bind_vocabulary first"
+        )
+    return table.row(node.embedding_index)
 
 
 def _tree_recon_loss(tape: Tape, tree: ParseTree, params: CompositionParams,
                      table: EmbeddingTable) -> Tuple[List[Tensor], int]:
-    """Per-non-leaf reconstruction losses, built bottom-up on one tape."""
-    n_e = params.n_e
-    zero = Tensor(np.zeros(n_e))
+    """Per-non-leaf reconstruction losses, built bottom-up on one tape in
+    left-to-right post-order."""
+    zero = Tensor(np.zeros(params.n_e))
+    vectors: List[Optional[Tensor]] = [None] * len(tree.nodes)
     losses: List[Tensor] = []
-
-    def visit(v: int) -> Tensor:
-        node = tree.nodes[v]
-        if not node.children:
-            if node.embedding_index is None:
-                raise ContractError(
-                    f"leaf {node.word!r} has no embedding index; "
-                    "bind_vocabulary first"
-                )
-            return Tensor(table.row(node.embedding_index))
-        kids = [visit(c) for c in node.children]
-        c1 = kids[0]
-        c2 = kids[1] if len(kids) > 1 else zero
-        target = tape.concat([c1, c2])
+    for v, entering in tree.walk():
+        if entering:
+            continue
+        kids = tree.nodes[v].children
+        if not kids:
+            vectors[v] = Tensor(_leaf_row(tree.nodes[v], table))
+            continue
+        c2 = vectors[kids[1]] if len(kids) > 1 else zero
+        target = tape.concat([vectors[kids[0]], c2])
         p = tape.tanh(tape.add(tape.matvec(params.W_comp, target), params.b_comp))
         recon = tape.tanh(tape.add(tape.matvec(params.W_rec, p), params.b_rec))
         losses.append(tape.sumsq(tape.sub(target, recon)))
-        return p
-
-    visit(tree.root)
+        vectors[v] = p
     return losses, len(losses)
 
 

@@ -51,25 +51,14 @@ def random_dependency_tree(rng, words: Sequence[str],
     nodes[root].depth_layer = 1
     for k in range(1, n):
         v = int(attach_order[k])
+        # the parent was attached earlier, so its depth is already final
         parent = int(attach_order[int(rng.integers(0, k))])
         nodes[parent].children.append(v)
         nodes[v].dep_relation = str(rng.choice(relations))
         nodes[v].depth_layer = nodes[parent].depth_layer + 1
     for node in nodes:
         node.children.sort()
-    # children were appended before depths settled; recompute via BFS
-    _refresh_depths(nodes, root)
     return ParseTree(kind=DEPENDENCY, nodes=nodes, root=root)
-
-
-def _refresh_depths(nodes: List[TreeNode], root: int) -> None:
-    nodes[root].depth_layer = 1
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for c in nodes[v].children:
-            nodes[c].depth_layer = nodes[v].depth_layer + 1
-            stack.append(c)
 
 
 def random_constituency_tree(rng, words: Sequence[str],

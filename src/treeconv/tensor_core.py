@@ -567,7 +567,8 @@ def l2_penalty(matrices: Sequence[Tensor],
 def sgd_epoch(samples: Sequence, sample_loss: Callable,
               params: Sequence[Tuple[str, Tensor]], lr: float,
               batch_size: int, rng, epoch: int = 1,
-              decayed: Sequence[Tensor] = (), lam: float = 0.0) -> float:
+              decayed: Sequence[Tensor] = (), lam: float = 0.0,
+              loss_bound: float = math.inf) -> float:
     """One seeded pass of minibatch SGD over `samples`; returns the
     summed loss, with the l2 penalty counted once per sample.
 
@@ -578,9 +579,10 @@ def sgd_epoch(samples: Sequence, sample_loss: Callable,
     plus 2 * lam * W of the pre-step weights for the matrices in
     `decayed`.  A parameter whose gradients are all row gradients and
     that is not decayed only has its touched rows written.  Raises
-    DivergenceError after the first batch that leaves the loss or a
-    parameter non-finite (the loss is finite until then, so the running
-    sum shows it).
+    DivergenceError at the first batch whose mean sample loss exceeds
+    `loss_bound`, before its update, and after the first batch that
+    leaves the loss or a parameter non-finite (the loss is finite until
+    then, so the running sum shows it).
     """
     trained = {p for _, p in params}
     total = 0.0
@@ -588,16 +590,22 @@ def sgd_epoch(samples: Sequence, sample_loss: Callable,
                                                 rng), start=1):
         sums = {}
         count = 0
+        batch_loss = 0.0
         for i in batch:
             tape = Tape()
             node, value, weight = sample_loss(tape, samples[int(i)])
             total += value
+            batch_loss += value
             if node is None:
                 continue
             count += weight
             for p, g in tape.backward(node).items():
                 if p in trained:
                     sums[p] = _add_grad(sums.get(p), g, p.data.shape)
+        if batch_loss > loss_bound * len(batch):
+            raise DivergenceError(
+                f"training diverged in epoch {epoch}, batch {number}: mean "
+                f"loss {batch_loss / len(batch):g} exceeds {loss_bound:g}")
         if count == 0:
             continue
         penalty, decay = l2_penalty(decayed, lam)

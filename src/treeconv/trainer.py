@@ -9,6 +9,7 @@ epochs without a validation improvement.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -38,6 +39,9 @@ __all__ = [
 ]
 
 PLATEAU_EPOCHS = 2
+# a batch whose mean cross entropy exceeds this many times ln(classes)
+# has blown up (see `train`)
+BLOWUP_RATIO = 1e18
 
 
 @dataclass
@@ -75,6 +79,14 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
     bit-identical.  Constituency node vectors are always frozen (they
     belong to the pretrained composition), so train_embeddings only
     applies to the dependency variant.
+
+    A run that blows up stops with DivergenceError, even while its loss
+    stays finite: the rule is a batch whose mean cross entropy exceeds
+    BLOWUP_RATIO * ln(classes) = 1e18 * ln(classes), checked before that
+    batch's update.  ln(classes) is what a uniform guess costs.  A run
+    whose softmax only saturates can spike to ~3e16 times that and
+    recover (the underflow test at rate 1e5 does), so the bound sits
+    well above that.
     """
     config.validate()
     if not train_trees or not val_trees:
@@ -118,7 +130,8 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
         underflows = 0
         epoch_loss = sgd_epoch(samples, sample_loss, params.named(), lr,
                                config.batch_size, rng, epoch=epoch,
-                               decayed=params.weight_matrices(), lam=config.l2)
+                               decayed=params.weight_matrices(), lam=config.l2,
+                               loss_bound=BLOWUP_RATIO * math.log(config.classes))
         warn_underflow(epoch, underflows, len(samples))
         train_loss = epoch_loss / len(samples)
         val_acc = evaluate(classifier, val_trees).accuracy

@@ -368,6 +368,28 @@ class TestFailureExitCodes:
         assert not out.exists()
         assert not (tmp_path / "qc.ckpt.report.json").exists()
 
+    def test_finite_blowup_exits_2_without_writing(self, tmp_path, capsys):
+        # the QC regime at rate 1e8: epoch 1 logs ~1.76, then the loss
+        # jumps to ~5e20 while staying finite
+        text = (Path(__file__).parent.parent / "configs" / "qc_d.cfg").read_text()
+        config = tmp_path / "qc.cfg"
+        config.write_text(text.replace("learning_rate = 0.05",
+                                       "learning_rate = 1e8")
+                          .replace("max_epochs = 30", "max_epochs = 5"))
+        out = tmp_path / "qc.ckpt"
+        code = main([
+            "train", "--config", str(config),
+            "--train", str(DATA / "trec_mini.conll"),
+            "--labels", str(DATA / "trec_mini.lbl"),
+            "--out", str(out),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "epoch 1 train_loss" in captured.out
+        assert "diverged in epoch 2, batch 1: mean loss" in captured.err
+        assert not out.exists()
+        assert not (tmp_path / "qc.ckpt.report.json").exists()
+
     def test_unexpected_exception_exits_4_with_traceback(self, monkeypatch,
                                                          capsys):
         import treeconv.cli as cli
@@ -404,3 +426,36 @@ class TestPretrainRae:
         ])
         assert code == 0
         assert "pretraining the composition" not in capsys.readouterr().out
+
+
+class TestDeepAndWideInput:
+    def test_5000_deep_and_5000_wide_lines_pretrain_and_train(self, tmp_path,
+                                                              capsys):
+        # interior constituents are tagged X, so sub-sentence expansion
+        # adds only the two whole lines
+        n = 5000
+        deep = "(1 " + "(X " * (n - 1) + "(0 deep)" + ")" * (n - 1) + ")"
+        wide = "(1 " + " ".join(f"(X w{i})" for i in range(n)) + ")"
+        corpus = tmp_path / "deep_wide.txt"
+        corpus.write_text((DATA / "tiny_con.txt").read_text().rstrip("\n")
+                          + f"\n{deep}\n{wide}\n")
+        rae_out = tmp_path / "rae.ckpt"
+        code = main([
+            "pretrain-rae", "--train", str(corpus), "--n-e", "4",
+            "--epochs", "1", "--out", str(rae_out),
+        ])
+        assert code == 0
+        assert load_checkpoint(rae_out).rae is not None
+
+        config = tmp_path / "c.cfg"
+        config.write_text(TOY_C_CONFIG.replace("n_e = 8", "n_e = 4")
+                          .replace("max_epochs = 25", "max_epochs = 2"))
+        out = tmp_path / "c.ckpt"
+        code = main([
+            "train", "--config", str(config), "--train", str(corpus),
+            "--val", str(corpus), "--rae", str(rae_out), "--out", str(out),
+        ])
+        assert code == 0
+        assert "epoch 2 train_loss" in capsys.readouterr().out
+        assert load_checkpoint(out).rae is not None
+        assert (tmp_path / "c.ckpt.report.json").exists()

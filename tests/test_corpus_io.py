@@ -77,6 +77,40 @@ class TestParseConstituency:
             parse_constituency("(3 (2 I) (3 (3 loved) (2 it))")
         assert "offset" in str(err.value)
 
+    @pytest.mark.parametrize("text,message,offset", [
+        ("(1 a))", "trailing content ')'", 5),
+        ("(1 (2 a) (3 b", "unbalanced '('", 9),  # the innermost open
+        ("(1 (2 a)) (3 b)", "trailing content '('", 10),
+        ("()", "empty constituent", 0),
+        ("(1)", "empty constituent", 0),
+        ("(1 a b)", "constituent has more than one terminal", 0),
+        ("(1 (2 a) b)", "constituent mixes words and subtrees", 0),
+        ("x", "expected '(' but found 'x'", 0),
+        ("(1 (2 a b) (3", "constituent has more than one terminal", 3),
+        ("   ", "empty tree", 3),
+    ])
+    def test_error_message_and_offset(self, text, message, offset):
+        with pytest.raises(ParseError) as err:
+            parse_constituency(text)
+        assert err.value.offset == offset
+        assert str(err.value) == f"{message} (at character offset {offset})"
+
+    def test_deep_and_wide_lines_parse(self):
+        n = 5000
+        deep = parse_constituency("(1 " + "(X " * n + "w" + ")" * (n + 1))
+        assert len(deep) == n + 1 and deep.depth() == n + 1
+        assert [node.word for node in deep.nodes] == [None] * n + ["w"]
+        wide = parse_constituency(
+            "(1 " + " ".join(f"(2 w{i})" for i in range(n)) + ")")
+        assert leaf_words(wide) == [f"w{i}" for i in range(n)]
+        # n leaves, the root and a right-branching chain of n - 2 nodes
+        assert len(wide) == 2 * n - 1 and wide.depth() == n
+        validate_tree(deep)
+        validate_tree(wide)
+        again = parse_constituency(serialize_constituency(wide))
+        assert [(v.word, v.children, v.label) for v in again.nodes] == \
+            [(v.word, v.children, v.label) for v in wide.nodes]
+
     def test_empty_tree_rejected(self):
         with pytest.raises(ParseError):
             parse_constituency("   ")
@@ -97,6 +131,11 @@ class TestParseConstituency:
             for c in node.children:
                 assert tree.nodes[c].depth_layer == node.depth_layer + 1
         assert tree.depth() == 3
+
+    def test_serialized_form(self):
+        tree = parse_constituency("(4 (2 (1 a) (2 b) (0 c)) (S e))")
+        assert serialize_constituency(tree) == \
+            "(4 (2 (1 a) (X (2 b) (0 c))) (X e))"
 
     def test_round_trip_is_isomorphic(self):
         text = "(4 (2 (1 a) (2 b) (0 c) (3 d)) (2 e))"

@@ -1,0 +1,178 @@
+"""Property tests over random trees of up to ~2k nodes: round trips,
+structural invariants, sub-tree copies, the frozen annotation and the
+convolution oracle.
+
+The tree shapes come from a hypothesis-drawn `random.Random`, so a
+failing example replays from the seed hypothesis prints; the size is a
+separate argument that shrinks on its own.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from treeconv.corpus_io import (
+    bind_vocabulary,
+    build_dep_inventory,
+    parse_constituency,
+    parse_dependency,
+    random_embeddings,
+    serialize_constituency,
+    serialize_dependency,
+    subtree_at,
+    validate_tree,
+    vocabulary_from_corpus,
+)
+from treeconv.rae_pretrain import annotate, compose, init_composition
+from treeconv.synthetic import random_dependency_tree
+from treeconv.tensor_core import Tape, Tensor
+from treeconv.tree_conv import convolve, init_c_window, init_d_window
+
+from test_tree_conv import naive_convolve
+
+TAGS = ["0", "1", "2", "3", "4", "S", "NP", "VP", "X", "-1", "+2", "PP$",
+        "٣"]
+ALPHABET = "abcxyz019éß٣.,:;'$-_!?"
+SPACES = [" ", "  ", "\t", "\u3000"]
+
+PROPERTY = settings(deadline=None, max_examples=30)
+RANDOMS = st.randoms(use_true_random=True)
+LEAVES = st.integers(min_value=1, max_value=900)
+WORDS = st.integers(min_value=1, max_value=2000)
+
+
+def random_bracketed(rng, n_leaves):
+    """A bracketed line over `n_leaves` words, and those words in order.
+
+    Runs of 1-6 neighbouring items are wrapped into one constituent
+    until a single item is left, so constituents are unary, binary or
+    n-ary; tags are integers, symbols or absent on non-leaves.  Wrapping
+    the last new constituent again half the time makes deep trees.
+    """
+    words = ["".join(rng.choice(ALPHABET) for _ in range(rng.randint(1, 3)))
+             for _ in range(n_leaves)]
+    items = [f"({rng.choice(TAGS)} {w})" for w in words]
+    unary = n_leaves  # unary wraps do not shorten the list, so cap them
+    i = 0
+    while len(items) > 1 or (unary and rng.random() < 0.3):
+        k = rng.randint(1 if unary else 2, min(6, len(items)))
+        if k == 1:
+            unary -= 1
+        # half the time wrap the constituent just built again: deep trees
+        if rng.random() < 0.5:
+            i = min(i, len(items) - k)
+        else:
+            i = rng.randrange(len(items) - k + 1)
+        space = rng.choice(SPACES)
+        items[i:i + k] = [f"({rng.choice(TAGS + [''])}{space}"
+                          f"{space.join(items[i:i + k])})"]
+    return items[0], words
+
+
+def node_rows(tree):
+    return [(n.word, n.children, n.depth_layer, n.label, n.position,
+             n.dep_relation) for n in tree.nodes]
+
+
+def preorder(tree, v):
+    out, stack = [], [v]
+    while stack:
+        u = stack.pop()
+        out.append(u)
+        stack.extend(reversed(tree.nodes[u].children))
+    return out
+
+
+def bound_constituency(rng, n_leaves, n_e):
+    text, _ = random_bracketed(rng, n_leaves)
+    tree = parse_constituency(text)
+    vocab = vocabulary_from_corpus([tree])
+    bind_vocabulary(tree, vocab)
+    return tree, random_embeddings(vocab, n_e, seed=rng.randrange(2 ** 32))
+
+
+@PROPERTY
+@given(RANDOMS, LEAVES)
+def test_constituency_round_trip_keeps_leaves_and_invariants(rng, n_leaves):
+    text, words = random_bracketed(rng, n_leaves)
+    tree = parse_constituency(text)
+    validate_tree(tree)  # also: at most two children per node
+    assert tree.words() == words  # binarization keeps the leaf order
+    again = parse_constituency(serialize_constituency(tree))
+    validate_tree(again)
+    assert again.root == tree.root
+    assert again.sentence_label == tree.sentence_label
+    assert node_rows(again) == node_rows(tree)
+    assert serialize_constituency(again) == serialize_constituency(tree)
+
+
+@PROPERTY
+@given(RANDOMS, WORDS)
+def test_dependency_round_trip(rng, n_words):
+    tree = random_dependency_tree(np.random.default_rng(rng.randrange(2 ** 32)),
+                                  [f"w{i}" for i in range(n_words)])
+    validate_tree(tree)
+    again = parse_dependency(serialize_dependency(tree))
+    validate_tree(again)
+    assert again.root == tree.root
+    assert node_rows(again) == node_rows(tree)
+
+
+@PROPERTY
+@given(RANDOMS, LEAVES)
+def test_subtree_at_copies_the_nodes_under_v(rng, n_leaves):
+    tree, _ = bound_constituency(rng, n_leaves, 2)
+    for v in [tree.root] + [rng.randrange(len(tree)) for _ in range(4)]:
+        order = preorder(tree, v)
+        copy = subtree_at(tree, v)
+        validate_tree(copy)
+        assert copy.root == 0
+        assert copy.sentence_label == tree.nodes[v].label
+        assert len(copy) == len(order)
+        new_index = {u: i for i, u in enumerate(order)}
+        base = tree.nodes[v].depth_layer - 1
+        for u, node in zip(order, copy.nodes):
+            src = tree.nodes[u]
+            assert (node.word, node.label, node.embedding_index) == \
+                (src.word, src.label, src.embedding_index)
+            assert node.depth_layer == src.depth_layer - base
+            assert node.children == [new_index[c] for c in src.children]
+
+
+@PROPERTY
+@given(RANDOMS, LEAVES)
+def test_annotate_is_compose_node_by_node(rng, n_leaves):
+    n_e = 3
+    tree, table = bound_constituency(rng, n_leaves, n_e)
+    params = init_composition(n_e, np.random.default_rng(rng.randrange(2 ** 32)))
+    out = annotate(tree, params, table)
+    for v, node in enumerate(tree.nodes):
+        kids = node.children
+        if not kids:
+            want = table.row(node.embedding_index)
+        else:
+            c2 = out[kids[1]] if len(kids) > 1 else np.zeros(n_e)
+            want = compose(out[kids[0]], c2, params)
+        assert np.array_equal(out[v], want), v
+
+
+@PROPERTY
+@given(RANDOMS, LEAVES, WORDS)
+def test_convolve_matches_naive_loop(rng, n_leaves, n_words):
+    n_e, n_c = 3, 4
+    nprng = np.random.default_rng(rng.randrange(2 ** 32))
+
+    con = parse_constituency(random_bracketed(rng, n_leaves)[0])
+    params = init_c_window(n_c, n_e, nprng)
+    vectors = [nprng.normal(size=n_e) for _ in con.nodes]
+    got = convolve(Tape(), con, Tensor(np.stack(vectors)), params).data
+    assert np.max(np.abs(got - naive_convolve(con, vectors, params))) < 1e-12
+
+    dep = random_dependency_tree(nprng, [f"w{i}" for i in range(n_words)])
+    inventory = build_dep_inventory([dep])
+    params = init_d_window(n_c, n_e, inventory.n_slots, nprng)
+    vectors = [nprng.normal(size=n_e) for _ in dep.nodes]
+    got = convolve(Tape(), dep, Tensor(np.stack(vectors)), params,
+                   inventory).data
+    want = naive_convolve(dep, vectors, params, inventory)
+    assert np.max(np.abs(got - want)) < 1e-12
