@@ -3,25 +3,26 @@
 Layout: an ASCII magic line, the byte length of a JSON header, the
 header itself (names, shapes, config, vocabulary, relation inventory),
 then one contiguous little-endian float64 payload per array in header
-order.  Loading validates shapes and the format version and never needs
-external configuration; identical models save to identical bytes.
+order.  Loading needs no external configuration: it builds the model the
+stored config describes through `network.init_model`, so the init
+functions are the only owner of the parameter layout, and checks every
+stored array's name and shape against it.  Identical models save to
+identical bytes.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .classifier_head import HeadParams
 from .config import VARIANT_D, config_from_dict, config_to_dict
 from .corpus_io import DepTypeInventory, EmbeddingTable, Vocabulary
 from .errors import FormatError
-from .network import ModelParams, TrainedModel
-from .rae_pretrain import CompositionParams
-from .tensor_core import assert_finite, parameter
-from .tree_conv import CWindowParams, DWindowParams
+from .network import TrainedModel, init_model
+from .rae_pretrain import init_composition
+from .tensor_core import assert_finite
 
 MAGIC = b"treeconv-checkpoint\n"
 FORMAT_VERSION = 1
@@ -68,6 +69,10 @@ def save_checkpoint(model: TrainedModel, path) -> None:
 
 
 def load_checkpoint(path) -> TrainedModel:
+    """Build the model the stored config describes, then fill its arrays
+    from the payload.  The stored arrays must carry that model's names,
+    in order, and its shapes; any mismatch is a FormatError naming the
+    file and the array."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise FormatError(f"{path} is not a treeconv checkpoint")
@@ -90,19 +95,37 @@ def load_checkpoint(path) -> TrainedModel:
                 f"supported (expected {FORMAT_VERSION})"
             )
 
-        arrays: Dict[str, np.ndarray] = {}
-        order = []
-        for spec in header["arrays"]:
+        model = _model_for_header(header, path)
+        entries = _array_entries(model)
+        stored = [spec["name"] for spec in header["arrays"]]
+        expected = [name for name, _ in entries]
+        if stored != expected:
+            missing = [n for n in expected if n not in stored]
+            unknown = [n for n in stored if n not in expected]
+            raise FormatError(
+                f"{path}: stored arrays do not match the {model.variant}-model "
+                f"layout (missing {missing}, unknown {unknown})"
+            )
+        for spec, (name, target) in zip(header["arrays"], entries):
             shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise FormatError(f"{path}: truncated payload at {spec['name']}")
-            arrays[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            order.append(spec["name"])
+            if shape != target.shape:
+                raise FormatError(f"{path}: array {name} is stored as {shape}, "
+                                  f"the stored config needs {target.shape}")
+            raw = fh.read(target.nbytes)
+            if len(raw) != target.nbytes:
+                raise FormatError(f"{path}: truncated payload at {name}")
+            target[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
         if fh.read(1) != b"":
             raise FormatError(f"{path}: trailing bytes after payload")
 
+    if model.params.embeddings is not None:
+        model.params.embeddings.data[...] = model.table.vectors
+    return model
+
+
+def _model_for_header(header, path) -> TrainedModel:
+    """A freshly initialised model of the stored layout, its arrays to be
+    overwritten by the payload."""
     config = config_from_dict(header["config"])
     if header["variant"] != config.variant:
         raise FormatError(f"{path}: variant tag disagrees with config")
@@ -111,8 +134,6 @@ def load_checkpoint(path) -> TrainedModel:
         index={tok: i for i, tok in enumerate(header["vocabulary"]["tokens"])},
         unk_index=header["vocabulary"]["unk_index"],
     )
-    table = EmbeddingTable(arrays.pop("table"))
-
     inventory = None
     if header["inventory"] is not None:
         dedicated = tuple(header["inventory"]["dedicated"])
@@ -121,78 +142,13 @@ def load_checkpoint(path) -> TrainedModel:
             shared_slot=len(dedicated),
             dedicated=dedicated,
         )
+    elif config.variant == VARIANT_D:
+        raise FormatError(f"{path}: dependency checkpoint lacks inventory")
 
-    rae = None
-    if header["has_rae"]:
-        rae = CompositionParams(
-            W_comp=parameter(arrays.pop("rae.W_comp"), "rae.W_comp"),
-            b_comp=parameter(arrays.pop("rae.b_comp"), "rae.b_comp"),
-            W_rec=parameter(arrays.pop("rae.W_rec"), "rae.W_rec"),
-            b_rec=parameter(arrays.pop("rae.b_rec"), "rae.b_rec"),
-        )
-
-    if config.variant == VARIANT_D:
-        if inventory is None:
-            raise FormatError(f"{path}: dependency checkpoint lacks inventory")
-        rel_names = sorted(
-            (name for name in arrays if name.startswith("conv.W_rel")),
-            key=lambda n: int(n.removeprefix("conv.W_rel")),
-        )
-        if len(rel_names) != inventory.n_slots:
-            raise FormatError(
-                f"{path}: {len(rel_names)} relation matrices for "
-                f"{inventory.n_slots} inventory slots"
-            )
-        conv = DWindowParams(
-            W_p=parameter(arrays.pop("conv.W_p"), "conv.W_p"),
-            W_rel=[parameter(arrays.pop(n), n) for n in rel_names],
-            b=parameter(arrays.pop("conv.b"), "conv.b"),
-        )
-    else:
-        conv = CWindowParams(
-            W_p=parameter(arrays.pop("conv.W_p"), "conv.W_p"),
-            W_l=parameter(arrays.pop("conv.W_l"), "conv.W_l"),
-            W_r=parameter(arrays.pop("conv.W_r"), "conv.W_r"),
-            b=parameter(arrays.pop("conv.b"), "conv.b"),
-        )
-
-    head = HeadParams(
-        W_h=parameter(arrays.pop("head.W_h"), "head.W_h"),
-        b_h=parameter(arrays.pop("head.b_h"), "head.b_h"),
-        W_o=parameter(arrays.pop("head.W_o"), "head.W_o"),
-        b_o=parameter(arrays.pop("head.b_o"), "head.b_o"),
-    )
-    embeddings = None
-    if header.get("train_embeddings_stored"):
-        embeddings = parameter(table.vectors.copy(), "embeddings")
-    params = ModelParams(config.variant, conv, head, embeddings)
-
-    _validate_shapes(config, params, table, inventory)
-    model = TrainedModel(config=config, params=params, vocab=vocab,
-                         table=table, inventory=inventory, rae=rae,
-                         label_names=header["label_names"])
-    return model
-
-
-def _validate_shapes(config, params: ModelParams, table: EmbeddingTable,
-                     inventory) -> None:
-    from .network import slot_count
-
-    problems = []
-    n_c, n_e, n_h = config.n_c, config.n_e, config.n_h
-    if params.conv.W_p.data.shape != (n_c, n_e):
-        problems.append(f"conv.W_p {params.conv.W_p.data.shape} != ({n_c}, {n_e})")
-    if params.head.W_h.data.shape != (n_h, slot_count(config) * n_c):
-        problems.append(
-            f"head.W_h {params.head.W_h.data.shape} != "
-            f"({n_h}, {slot_count(config) * n_c})"
-        )
-    if params.head.W_o.data.shape != (config.classes, n_h):
-        problems.append(
-            f"head.W_o {params.head.W_o.data.shape} != ({config.classes}, {n_h})"
-        )
-    if table.dim != n_e:
-        problems.append(f"table dim {table.dim} != n_e {n_e}")
-    if problems:
-        raise FormatError("checkpoint shapes do not validate: "
-                          + "; ".join(problems))
+    rng = np.random.default_rng(0)
+    table = EmbeddingTable(np.zeros((len(vocab), config.n_e)))
+    params = init_model(config, table, inventory, rng)
+    rae = init_composition(config.n_e, rng) if header["has_rae"] else None
+    return TrainedModel(config=config, params=params, vocab=vocab,
+                        table=table, inventory=inventory, rae=rae,
+                        label_names=header["label_names"])

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import traceback
+from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
@@ -39,8 +40,9 @@ from .corpus_io import (
     vocabulary_from_corpus,
 )
 from .errors import ConfigError, ContractError, DataError, ShapeError
-from .pooling import GLOBAL, K_SLOT, THREE_SLOT, assign_global, assign_k_slot, assign_three_slot, pool
-from .rae_pretrain import PretrainConfig, pretrain
+from .network import SentenceClassifier, TrainedModel, assign_slots, init_model
+from .pooling import DEFAULT_ALPHA, GLOBAL, K_SLOT, THREE_SLOT, pool
+from .rae_pretrain import PretrainConfig, init_composition, pretrain
 from .synthetic import fixture_pair
 from .tensor_core import Tape
 
@@ -58,14 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the run seed")
-        p.add_argument("--variant", choices=[VARIANT_C, VARIANT_D], default=None)
+    def pooling_flags(p, pooling=None, k=None, alpha=None):
         p.add_argument("--pooling", choices=[GLOBAL, THREE_SLOT, K_SLOT],
-                       default=None)
-        p.add_argument("--k", type=int, default=None, help="k-slot slot count")
-        p.add_argument("--alpha", type=float, default=None,
+                       default=pooling)
+        p.add_argument("--k", type=int, default=k, help="k-slot slot count")
+        p.add_argument("--alpha", type=float, default=alpha,
                        help="3-slot depth threshold fraction")
 
     p = sub.add_parser("train", help="train a model and write a checkpoint")
@@ -82,7 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rae", default=None,
                    help="pretrained composition checkpoint (variant c)")
     p.add_argument("--out", required=True)
-    common(p)
+    p.add_argument("--seed", type=int, default=None,
+                   help="override the run seed")
+    p.add_argument("--variant", choices=[VARIANT_C, VARIANT_D], default=None)
+    pooling_flags(p)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")
     p.add_argument("--checkpoint", required=True)
@@ -92,14 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="length-bucket granularity (7 groups)")
     p.add_argument("--binary", action="store_true",
                    help="5-to-2 transfer for binary gold labels")
-    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("visualize",
                        help="emit DOT/JSON pooling-provenance traces")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out-prefix", default="viz")
-    common(p)
+    pooling_flags(p, pooling=GLOBAL, k=2, alpha=DEFAULT_ALPHA)
 
     p = sub.add_parser("gradcheck",
                        help="finite-difference check of the gradients")
@@ -304,19 +305,14 @@ def cmd_visualize(args) -> int:
     for tree in trees:
         bind_vocabulary(tree, model.vocab)
 
-    pooling_choice = args.pooling or GLOBAL
+    slots = replace(model.config, pooling=args.pooling, k=args.k,
+                    alpha=args.alpha).validate()
     classifier = model.classifier()
     written = 0
     for i, tree in enumerate(trees):
         tape = Tape()
         features = classifier.forward_features(tape, tree)
-        if pooling_choice == GLOBAL:
-            assignment = assign_global(tree)
-        elif pooling_choice == THREE_SLOT:
-            assignment = assign_three_slot(tree, args.alpha or 0.6)
-        else:
-            assignment = assign_k_slot(tree, args.k or 2)
-        _, provenance = pool(tape, features, assignment)
+        _, provenance = pool(tape, features, assign_slots(tree, slots))
         fracs = viz.fractions(provenance, tree)
         with open(f"{args.out_prefix}_{i}.dot", "w", encoding="utf-8") as fh:
             fh.write(viz.emit_dot(tree, fracs))
@@ -328,9 +324,6 @@ def cmd_visualize(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .network import SentenceClassifier, init_model
-    from .rae_pretrain import init_composition
-
     variants = [VARIANT_C, VARIANT_D] if args.variant == "both" else [args.variant]
     worst = 0.0
     for variant in variants:
@@ -394,16 +387,9 @@ def _save_rae(rae, vocab, table, path) -> None:
     A placeholder dependency-free model wraps them so one format serves
     both full checkpoints and standalone pretraining output.
     """
-    from .classifier_head import init_head
-    from .network import ModelParams, TrainedModel
-    from .tree_conv import init_c_window
-
-    n_e = rae.n_e
-    rng = np.random.default_rng(0)
-    config = TrainConfig(variant=VARIANT_C, n_e=n_e, n_c=1, n_h=1,
-                         classes=2, pooling="global").validate()
-    params = ModelParams(VARIANT_C, init_c_window(1, n_e, rng),
-                         init_head(1, 1, 2, rng))
+    config = TrainConfig(variant=VARIANT_C, n_e=rae.n_e, n_c=1, n_h=1,
+                         classes=2, pooling=GLOBAL).validate()
+    params = init_model(config, table, None, np.random.default_rng(0))
     model = TrainedModel(config=config, params=params, vocab=vocab,
                          table=table, rae=rae, label_names=None)
     ckpt.save_checkpoint(model, path)

@@ -52,7 +52,6 @@ class PoolProvenance:
     """Winning node index per slot and dimension (None for empty slots)."""
 
     winners: List[Optional[np.ndarray]]
-    n_c: int
 
     @property
     def slot_count(self) -> int:
@@ -134,4 +133,4 @@ def pool(tape: Tape, features: Tensor,
         )
     pooled, winners = tape.segment_max(features, assignment.slot_of,
                                        assignment.slot_count)
-    return pooled, PoolProvenance(winners=winners, n_c=features.data.shape[1])
+    return pooled, PoolProvenance(winners=winners)

@@ -52,12 +52,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.name = name
 
-    @property
-    def dim(self) -> int:
-        if self.data.ndim != 1:
-            raise ShapeError(f"{self._label()} is not a vector")
-        return self.data.shape[0]
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"{self._label()} is not a scalar")

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treeconv.checkpoint import load_checkpoint, save_checkpoint
+from treeconv import checkpoint as ckpt
+from treeconv.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from treeconv.cli import main
 from treeconv.corpus_io import (
     read_dependency_file,
@@ -83,6 +84,56 @@ def train_tiny(tmp_path, toy_d_config, out_name="model.ckpt"):
     ])
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def d_checkpoint(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("d_checkpoint")
+    config = tmp / "toy_d.cfg"
+    config.write_text(TOY_D_CONFIG)
+    return train_tiny(tmp, str(config))
+
+
+def _drop(name):
+    return lambda entries: [e for e in entries if e[0] != name]
+
+
+def _reshape(name, shape):
+    return lambda entries: [(n, np.zeros(shape) if n == name else a)
+                            for n, a in entries]
+
+
+def _drop_last_relation(entries):
+    last = [n for n, _ in entries if n.startswith("conv.W_rel")][-1]
+    return _drop(last)(entries)
+
+
+def _break_separator(raw):
+    """Overwrite the newline between the JSON header and the payload."""
+    length_line = raw[len(MAGIC):].split(b"\n", 1)[0]
+    at = len(MAGIC) + len(length_line) + 1 + int(length_line)
+    return raw[:at] + b"x" + raw[at + 1:]
+
+
+# (how, edit, fragment the error must contain): "arrays" edits the
+# (name, array) list a save writes, so header and payload stay
+# consistent; "bytes" edits the saved file
+MALFORMED = {
+    "missing_array": ("arrays", _drop("head.b_o"), "head.b_o"),
+    "unknown_array": ("arrays",
+                      lambda entries: entries + [("conv.W_extra", np.zeros(3))],
+                      "conv.W_extra"),
+    "misshaped_conv_b": ("arrays", _reshape("conv.b", (2,)), "conv.b"),
+    "misshaped_head_b_h": ("arrays", _reshape("head.b_h", (1, 4)), "head.b_h"),
+    "relation_matrix_short": ("arrays", _drop_last_relation, "conv.W_rel"),
+    "truncated_payload": ("bytes", lambda raw: raw[:-8],
+                          "truncated payload at table"),
+    "trailing_bytes": ("bytes", lambda raw: raw + b"\0", "trailing bytes"),
+    "missing_separator": ("bytes", _break_separator, "separator missing"),
+    "malformed_header_length": ("bytes",
+                                lambda raw: raw.replace(MAGIC, MAGIC + b"x", 1),
+                                "malformed header length"),
+}
 
 
 class TestTrain:
@@ -267,6 +318,26 @@ class TestCheckpointRoundTrip:
         with pytest.raises(FormatError, match="version"):
             load_checkpoint(bad)
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_checkpoint_exits_3_naming_file_and_array(
+            self, case, d_checkpoint, tmp_path, monkeypatch, capsys):
+        how, edit, fragment = MALFORMED[case]
+        bad = tmp_path / "bad.ckpt"
+        if how == "arrays":
+            model, entries = load_checkpoint(d_checkpoint), ckpt._array_entries
+            with monkeypatch.context() as m:
+                m.setattr(ckpt, "_array_entries", lambda mdl: edit(entries(mdl)))
+                save_checkpoint(model, bad)
+        else:
+            bad.write_bytes(edit(d_checkpoint.read_bytes()))
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(bad),
+                     "--input", str(DATA / "tiny_dep.conll"),
+                     "--labels", str(DATA / "tiny_dep.lbl")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert str(bad) in err and fragment in err, err
+
 
 class TestVisualize:
     def test_three_sentences_three_pairs(self, tmp_path, toy_d_config, capsys):
@@ -293,6 +364,15 @@ class TestVisualize:
 
             walk(data["root"])
             assert sum(totals) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("command,flag", [("eval", "--seed"),
+                                              ("visualize", "--seed"),
+                                              ("visualize", "--variant")])
+    def test_flags_it_would_not_read_are_rejected(self, command, flag, capsys):
+        code = main([command, "--checkpoint", "m.ckpt", "--input", "x.conll",
+                     flag, "1"])
+        assert code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 class TestGradcheck:

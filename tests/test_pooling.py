@@ -251,7 +251,7 @@ class TestPoolingProperties:
                 self.check_partition(assignment, n)
                 pooled, prov = pool(Tape(), fm, assignment)
                 self.check_dominance(assignment, feats, pooled)
-                self.check_conservation(assignment, prov)
+                self.check_conservation(assignment, prov, n_c)
             self.check_k_monotone(dep, k)
             self.check_k1_reduction(dep, fm)
 
@@ -263,7 +263,7 @@ class TestPoolingProperties:
             pooled, prov = pool(Tape(), cfm, assignment)
             self.check_dominance(
                 assignment, cfm.data, pooled)
-            self.check_conservation(assignment, prov)
+            self.check_conservation(assignment, prov, n_c)
 
     @staticmethod
     def check_partition(assignment, n):
@@ -283,14 +283,14 @@ class TestPoolingProperties:
                 assert any(feats[v][dim] == value[dim] for v in members)
 
     @staticmethod
-    def check_conservation(assignment, prov):
+    def check_conservation(assignment, prov, n_c):
         # each dimension of every non-empty slot credits exactly one node
         for slot, arr in enumerate(prov.winners):
             members = set(assignment.members(slot))
             if arr is None:
                 assert not members
                 continue
-            assert len(arr) == prov.n_c
+            assert len(arr) == n_c
             assert set(arr.tolist()) <= members
 
     @staticmethod
