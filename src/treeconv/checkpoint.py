@@ -19,13 +19,15 @@ import numpy as np
 
 from .config import VARIANT_D, config_from_dict, config_to_dict
 from .corpus_io import DepTypeInventory, EmbeddingTable, Vocabulary
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .network import TrainedModel, init_model
 from .rae_pretrain import init_composition
 from .tensor_core import assert_finite
 
 MAGIC = b"treeconv-checkpoint\n"
 FORMAT_VERSION = 1
+_HEADER_KEYS = ("variant", "config", "label_names", "vocabulary", "inventory",
+                "has_rae", "arrays")
 
 
 def _array_entries(model: TrainedModel) -> List[Tuple[str, np.ndarray]]:
@@ -84,6 +86,8 @@ def load_checkpoint(path) -> TrainedModel:
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
+            header = None
+        if not isinstance(header, dict):
             raise FormatError(f"{path}: malformed checkpoint header")
         if fh.read(1) != b"\n":
             raise FormatError(f"{path}: header/payload separator missing")
@@ -126,7 +130,13 @@ def load_checkpoint(path) -> TrainedModel:
 def _model_for_header(header, path) -> TrainedModel:
     """A freshly initialised model of the stored layout, its arrays to be
     overwritten by the payload."""
-    config = config_from_dict(header["config"])
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise FormatError(f"{path}: checkpoint header lacks {missing}")
+    try:
+        config = config_from_dict(header["config"])
+    except ConfigError as e:
+        raise FormatError(f"{path}: stored config is invalid: {e}")
     if header["variant"] != config.variant:
         raise FormatError(f"{path}: variant tag disagrees with config")
 

@@ -167,8 +167,21 @@ def config_to_dict(config: TrainConfig) -> Dict[str, object]:
 
 
 def config_from_dict(values: Dict[str, object]) -> TrainConfig:
+    """The inverse of `config_to_dict`; every field must have the type
+    that it writes."""
+    if not isinstance(values, dict):
+        raise ConfigError("checkpoint config is not a mapping")
     known = {f.name for f in fields(TrainConfig)}
     unknown = set(values) - known
     if unknown:
         raise ConfigError(f"checkpoint config has unknown fields: {sorted(unknown)}")
+    missing = [name for name in _REQUIRED if name not in values]
+    if missing:
+        raise ConfigError(f"checkpoint config is missing fields: {missing}")
+    for name, value in values.items():
+        types = ((bool,) if name in _BOOL_FIELDS else (int,) if name in _INT_FIELDS
+                 else (int, float) if name in _FLOAT_FIELDS else (str, type(None)))
+        if type(value) not in types:
+            raise ConfigError(f"checkpoint config field {name!r} has a value "
+                              f"of the wrong type: {value!r}")
     return TrainConfig(**values).validate()

@@ -29,9 +29,6 @@ UNK_TOKEN = "<unk>"
 # Fixed seed for the synthetic UNK row so corpora load reproducibly.
 _UNK_SEED = 90210
 
-SHARED_RELATION = "<shared>"
-
-
 @dataclass
 class TreeNode:
     word: Optional[str] = None
@@ -554,11 +551,6 @@ class DepTypeInventory:
         if relation is None:
             return self.shared_slot
         return self.slot_ids.get(relation, self.shared_slot)
-
-    def slot_name(self, slot: int) -> str:
-        if slot == self.shared_slot:
-            return SHARED_RELATION
-        return self.dedicated[slot]
 
 
 def build_dep_inventory(trees: Sequence[ParseTree],

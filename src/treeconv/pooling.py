@@ -37,11 +37,8 @@ DEFAULT_ALPHA = 0.6
 
 @dataclass
 class SlotAssignment:
-    strategy: str
     slot_of: List[int]   # node index -> slot id
     slot_count: int
-    alpha: Optional[float] = None
-    k: Optional[int] = None
 
     def members(self, slot: int) -> List[int]:
         return [v for v, s in enumerate(self.slot_of) if s == slot]
@@ -68,8 +65,7 @@ class PoolProvenance:
 
 def assign_global(tree: ParseTree) -> SlotAssignment:
     """Everything into one slot; applicable to any structure."""
-    return SlotAssignment(strategy=GLOBAL, slot_of=[0] * len(tree.nodes),
-                          slot_count=1)
+    return SlotAssignment(slot_of=[0] * len(tree.nodes), slot_count=1)
 
 
 def assign_three_slot(tree: ParseTree,
@@ -97,8 +93,7 @@ def assign_three_slot(tree: ParseTree,
             slot_of.append(TOP)
         else:
             slot_of.append(side[v])
-    return SlotAssignment(strategy=THREE_SLOT, slot_of=slot_of,
-                          slot_count=3, alpha=alpha)
+    return SlotAssignment(slot_of=slot_of, slot_count=3)
 
 
 def assign_k_slot(tree: ParseTree, k: int) -> SlotAssignment:
@@ -113,7 +108,7 @@ def assign_k_slot(tree: ParseTree, k: int) -> SlotAssignment:
     for node in tree.nodes:
         i = node.position
         slot_of.append((i * k + n - 1) // n - 1)  # ceil(i*k/n), 0-based
-    return SlotAssignment(strategy=K_SLOT, slot_of=slot_of, slot_count=k, k=k)
+    return SlotAssignment(slot_of=slot_of, slot_count=k)
 
 
 def pool(tape: Tape, features: Tensor,

@@ -3,8 +3,10 @@
 Constituency constituents have no word embedding of their own, so each
 non-leaf vector is composed from its children, p = tanh(W.[c1;c2] + b),
 and the composition weights are pretrained to reconstruct the children
-from p.  After pretraining the per-node vectors are frozen: tree
-convolution reads them as constants and no gradient ever reaches them.
+from p.  The pretraining loss batches a tree by height: all non-leaf
+nodes of one height compose and reconstruct as one matrix.  After
+pretraining the per-node vectors are frozen: tree convolution reads them
+as constants and no gradient ever reaches them.
 """
 
 from __future__ import annotations
@@ -110,26 +112,55 @@ def _leaf_row(node, table: EmbeddingTable) -> np.ndarray:
 
 
 def _tree_recon_loss(tape: Tape, tree: ParseTree, params: CompositionParams,
-                     table: EmbeddingTable) -> Tuple[List[Tensor], int]:
-    """Per-non-leaf reconstruction losses, built bottom-up on one tape in
-    left-to-right post-order."""
-    zero = Tensor(np.zeros(params.n_e))
-    vectors: List[Optional[Tensor]] = [None] * len(tree.nodes)
-    losses: List[Tensor] = []
+                     table: EmbeddingTable) -> Tuple[Optional[Tensor], int]:
+    """Reconstruction loss summed over a tree's non-leaf nodes (None if
+    it has none), and their count.
+
+    The non-leaf nodes of one height compose and reconstruct together:
+    their [left; right] child rows, a zero row for a unary node's missing
+    right child, form one (m, 2*n_e) matrix, read from the leaf rows and
+    from just the lower levels those children sit in.
+    """
+    rows = [np.zeros(params.n_e)]  # level 0: a zero row, then the leaves
+    where = [(0, 0)] * len(tree.nodes)  # (level, row) of each node's vector
+    levels: List[List[int]] = []  # non-leaf nodes by height, in post-order
     for v, entering in tree.walk():
         if entering:
             continue
         kids = tree.nodes[v].children
         if not kids:
-            vectors[v] = Tensor(_leaf_row(tree.nodes[v], table))
+            where[v] = (0, len(rows))
+            rows.append(_leaf_row(tree.nodes[v], table))
             continue
-        c2 = vectors[kids[1]] if len(kids) > 1 else zero
-        target = tape.concat([vectors[kids[0]], c2])
-        p = tape.tanh(tape.add(tape.matvec(params.W_comp, target), params.b_comp))
-        recon = tape.tanh(tape.add(tape.matvec(params.W_rec, p), params.b_rec))
-        losses.append(tape.sumsq(tape.sub(target, recon)))
-        vectors[v] = p
-    return losses, len(losses)
+        height = 1 + max(where[c][0] for c in kids)
+        if height > len(levels):
+            levels.append([])
+        where[v] = (height, len(levels[height - 1]))
+        levels[height - 1].append(v)
+    vectors = [Tensor(np.array(rows))]
+    every = slice(None)
+    total = None
+    for members in levels:
+        refs = []
+        for v in members:
+            kids = tree.nodes[v].children
+            refs += [where[kids[0]], where[kids[1]] if len(kids) > 1 else (0, 0)]
+        start, offset = {}, 0
+        for level in sorted({level for level, _ in refs}):
+            start[level], offset = offset, offset + len(vectors[level].data)
+        pairs = tape.reshape(
+            tape.take_rows([vectors[level] for level in start],
+                           [start[level] + row for level, row in refs]),
+            (len(members), 2 * params.n_e))
+        p = tape.tanh(tape.add_bias(
+            tape.edge_matmul(pairs, [(params.W_comp, every, every)]),
+            params.b_comp))
+        recon = tape.tanh(tape.add_bias(
+            tape.edge_matmul(p, [(params.W_rec, every, every)]), params.b_rec))
+        loss = tape.sumsq(tape.sub(pairs, recon))
+        total = loss if total is None else tape.add(total, loss)
+        vectors.append(p)
+    return total, sum(len(members) for members in levels)
 
 
 def reconstruction_loss(trees: Sequence[ParseTree], params: CompositionParams,
@@ -138,9 +169,8 @@ def reconstruction_loss(trees: Sequence[ParseTree], params: CompositionParams,
     total = 0.0
     count = 0
     for tree in trees:
-        tape = Tape()
-        losses, n = _tree_recon_loss(tape, tree, params, table)
-        total += sum(l.item() for l in losses)
+        loss, n = _tree_recon_loss(Tape(), tree, params, table)
+        total += 0.0 if loss is None else loss.item()
         count += n
     if count == 0:
         raise ContractError("corpus has no non-leaf nodes to reconstruct")
@@ -183,11 +213,8 @@ def pretrain(trees: Sequence[ParseTree], table: EmbeddingTable,
     stale = 0
 
     def sample_loss(tape, tree):
-        losses, n = _tree_recon_loss(tape, tree, params, table)
-        if not losses:
-            return None, 0.0, 0
-        total = tape.weighted_sum(losses)
-        return total, total.item(), n
+        loss, n = _tree_recon_loss(tape, tree, params, table)
+        return loss, 0.0 if loss is None else loss.item(), n
 
     for epoch in range(1, config.max_epochs + 1):
         sgd_epoch(train, sample_loss, named, config.learning_rate,

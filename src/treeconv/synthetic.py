@@ -13,7 +13,7 @@ Three generators cover the experiment suite:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -61,23 +61,13 @@ def random_dependency_tree(rng, words: Sequence[str],
     return ParseTree(kind=DEPENDENCY, nodes=nodes, root=root)
 
 
-def random_constituency_tree(rng, words: Sequence[str],
-                             label_range: Optional[int] = None) -> ParseTree:
-    """Random binary bracketing over the given leaves.
-
-    With `label_range`, every constituent gets a random integer tag in
-    [0, label_range); otherwise only structure is generated.
-    """
-    def tag() -> str:
-        if label_range is None:
-            return "X"
-        return str(int(rng.integers(0, label_range)))
-
+def random_constituency_tree(rng, words: Sequence[str]) -> ParseTree:
+    """Random binary bracketing over the given leaves, every tag X."""
     def build(ws: Sequence[str]) -> str:
         if len(ws) == 1:
-            return f"({tag()} {ws[0]})"
+            return f"(X {ws[0]})"
         split = int(rng.integers(1, len(ws)))
-        return f"({tag()} {build(ws[:split])} {build(ws[split:])})"
+        return f"(X {build(ws[:split])} {build(ws[split:])})"
 
     return parse_constituency(build(list(words)))
 

@@ -12,7 +12,8 @@ the lookups touched; :func:`grad_of` reads either as a dense array.
 
 Besides vector primitives (matvec, add, relu, ...), the tape records
 whole-tree array operations, so one layer of one sentence is one record
-over an n x d matrix: `take_rows` (embedding lookup), `edge_matmul`
+over an n x d matrix: `take_rows` (embedding lookup; rows of several
+matrices read as if stacked), `edge_matmul`
 (weighted row products summed into destination rows, the tree
 convolution), `add_bias` (a vector added to every row), `sum_rows`,
 `segment_max` (per-slot column maximum with winning rows, the pooling)
@@ -288,28 +289,6 @@ class Tape:
             self._push(out, backward)
         return out
 
-    def concat(self, parts: Sequence[Tensor]) -> Tensor:
-        """Concatenate vectors into one vector."""
-        if not parts:
-            raise ShapeError("concat: no parts")
-        for p in parts:
-            if p.data.ndim != 1:
-                raise ShapeError(f"concat: {p._label()} is not a vector")
-        out = Tensor(
-            np.concatenate([p.data for p in parts]),
-            requires_grad=any(p.requires_grad for p in parts),
-        )
-        if out.requires_grad:
-            sizes = [p.data.shape[0] for p in parts]
-            def backward(g, accum, parts=tuple(parts), sizes=sizes):
-                off = 0
-                for p, n in zip(parts, sizes):
-                    if p.requires_grad:
-                        accum(p, g[off:off + n])
-                    off += n
-            self._push(out, backward)
-        return out
-
     def reshape(self, x: Tensor, shape) -> Tensor:
         """The same entries in a new shape (flatten with shape -1)."""
         out = Tensor(x.data.reshape(shape), requires_grad=x.requires_grad)
@@ -319,26 +298,44 @@ class Tape:
             self._push(out, backward)
         return out
 
-    def take_rows(self, M: Tensor, indices: Sequence[int]) -> Tensor:
-        """Rows `indices` of a matrix, stacked (embedding lookup).
+    def take_rows(self, M: Union[Tensor, Sequence[Tensor]],
+                  indices: Sequence[int]) -> Tensor:
+        """Rows `indices` of a matrix, stacked (embedding lookup), or of
+        a list of equal-width matrices read as if stacked in order.
 
-        Each row's gradient reaches `M` as a row gradient, so a matrix
-        reached only through lookups gets a :class:`RowGradient`.
+        Each row's gradient reaches its matrix as a row gradient, so a
+        matrix reached only through lookups gets a :class:`RowGradient`.
         """
-        if M.data.ndim != 2:
-            raise ShapeError(f"take_rows: {M._label()} is not a matrix")
+        mats = [M] if isinstance(M, Tensor) else list(M)
+        width = mats[0].data.shape[1:]
+        for m in mats:
+            if m.data.ndim != 2 or m.data.shape[1:] != width:
+                raise ShapeError(f"take_rows: {m._label()} is not a matrix "
+                                 f"of width {width}")
         idx = np.asarray(indices, dtype=np.intp)
         if idx.ndim != 1:
             raise ShapeError("take_rows: indices must be 1-D")
-        if idx.size and not (0 <= idx.min() and idx.max() < M.data.shape[0]):
-            raise ContractError(
-                f"take_rows: row out of range for {M._label()}"
-            )
-        out = Tensor(M.data[idx], requires_grad=M.requires_grad)
+        stacked = sum(len(m.data) for m in mats)
+        if idx.size and not (0 <= idx.min() and idx.max() < stacked):
+            raise ContractError(f"take_rows: row out of range for "
+                                f"{', '.join(m._label() for m in mats)}")
+        data = np.empty((idx.size,) + width)
+        groups = []  # (matrix, the output rows it fills, its rows they read)
+        start = 0
+        for m in mats:
+            at = (np.flatnonzero((idx >= start) & (idx < start + len(m.data)))
+                  if len(mats) > 1 else slice(None))
+            rows = idx[at] - start
+            data[at] = m.data[rows]
+            groups.append((m, at, rows))
+            start += len(m.data)
+        out = Tensor(data, requires_grad=any(m.requires_grad for m in mats))
         if out.requires_grad:
-            def backward(g, accum, M=M, idx=idx):
-                for index, row in zip(idx.tolist(), g):
-                    accum(M, row, row=index)
+            def backward(g, accum, groups=groups):
+                for m, at, rows in groups:
+                    if m.requires_grad:
+                        for index, row in zip(rows.tolist(), g[at]):
+                            accum(m, row, row=index)
             self._push(out, backward)
         return out
 
@@ -451,31 +448,6 @@ class Tape:
         if out.requires_grad:
             def backward(g, accum, x=x):
                 accum(x, 2.0 * float(g) * x.data)
-            self._push(out, backward)
-        return out
-
-    def weighted_sum(self, scalars: Sequence[Tensor],
-                     weights: Optional[Sequence[float]] = None) -> Tensor:
-        """Weighted sum of scalar tensors (loss assembly)."""
-        if not scalars:
-            raise ShapeError("weighted_sum: no terms")
-        if weights is None:
-            weights = [1.0] * len(scalars)
-        if len(weights) != len(scalars):
-            raise ShapeError("weighted_sum: weights do not match terms")
-        for s in scalars:
-            if s.data.size != 1:
-                raise ShapeError(f"weighted_sum: {s._label()} is not a scalar")
-        total = sum(w * float(s.data.reshape(())) for s, w in zip(scalars, weights))
-        out = Tensor(
-            np.float64(total),
-            requires_grad=any(s.requires_grad for s in scalars),
-        )
-        if out.requires_grad:
-            def backward(g, accum, scalars=tuple(scalars), weights=tuple(weights)):
-                for s, w in zip(scalars, weights):
-                    if s.requires_grad:
-                        accum(s, np.asarray(float(g) * w))
             self._push(out, backward)
         return out
 

@@ -32,9 +32,6 @@ class NodeFractionMap:
     def total(self) -> Fraction:
         return sum(self.fractions, Fraction(0))
 
-    def as_floats(self) -> List[float]:
-        return [float(f) for f in self.fractions]
-
     def argmax(self) -> int:
         return max(range(len(self.fractions)), key=lambda v: self.fractions[v])
 

@@ -115,6 +115,23 @@ def _break_separator(raw):
     return raw[:at] + b"x" + raw[at + 1:]
 
 
+def _edit_header(edit):
+    """A file edit that rewrites the JSON header through `edit(header)`."""
+    def rewrite(raw):
+        length_line = raw[len(MAGIC):].split(b"\n", 1)[0]
+        start = len(MAGIC) + len(length_line) + 1
+        end = start + int(length_line)
+        header = json.loads(raw[start:end])
+        edit(header)
+        blob = json.dumps(header).encode("utf-8")
+        return MAGIC + f"{len(blob)}\n".encode("ascii") + blob + raw[end:]
+    return rewrite
+
+
+HEADER_KEYS = ("has_rae", "label_names", "vocabulary", "config", "arrays",
+               "inventory", "variant")
+
+
 # (how, edit, fragment the error must contain): "arrays" edits the
 # (name, array) list a save writes, so header and payload stay
 # consistent; "bytes" edits the saved file
@@ -133,6 +150,18 @@ MALFORMED = {
     "malformed_header_length": ("bytes",
                                 lambda raw: raw.replace(MAGIC, MAGIC + b"x", 1),
                                 "malformed header length"),
+    **{f"header_without_{key}": ("bytes",
+                                 _edit_header(lambda h, key=key: h.pop(key)),
+                                 key)
+       for key in HEADER_KEYS},
+    "config_n_c_zero": ("bytes", _edit_header(lambda h: h["config"].update(n_c=0)),
+                        "n_c must be >= 1"),
+    "config_unknown_key": ("bytes",
+                           _edit_header(lambda h: h["config"].update(bogus=1)),
+                           "bogus"),
+    "config_n_c_string": ("bytes",
+                          _edit_header(lambda h: h["config"].update(n_c="3")),
+                          "'n_c'"),
 }
 
 

@@ -12,6 +12,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 @pytest.mark.parametrize("demo", ["01_tree_convolution.py",
                                   "02_pooling_strategies.py",
                                   "03_gradient_checking.py",
+                                  "04_overfit_training.py",
+                                  "05_structural_signal.py",
+                                  "06_pooling_comparison.py",
+                                  "07_visualize_provenance.py",
                                   "08_question_classification.py"])
 def test_demo_exits_0(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))

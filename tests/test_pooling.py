@@ -216,7 +216,8 @@ class TestPool:
 
         def run():
             tape = Tape()
-            fm = tape.reshape(tape.concat(params), (len(params), -1))
+            fm = tape.take_rows([tape.reshape(p, (1, -1)) for p in params],
+                                range(len(params)))
             pooled, _ = pool(tape, fm, assign_global(tree))
             loss = tape.sumsq(tape.mul(tape.reshape(pooled, -1),
                                        Tensor(weights)))

@@ -1,6 +1,7 @@
 """Property tests over random trees of up to ~2k nodes: round trips,
-structural invariants, sub-tree copies, the frozen annotation and the
-convolution oracle.
+structural invariants, sub-tree copies, the frozen annotation, the RAE
+reconstruction loss and the convolution oracle; and over random matrices
+and slot maps, the pooling primitive `segment_max`.
 
 The tree shapes come from a hypothesis-drawn `random.Random`, so a
 failing example replays from the seed hypothesis prints; the size is a
@@ -23,9 +24,14 @@ from treeconv.corpus_io import (
     validate_tree,
     vocabulary_from_corpus,
 )
-from treeconv.rae_pretrain import annotate, compose, init_composition
+from treeconv.rae_pretrain import (
+    _tree_recon_loss,
+    annotate,
+    compose,
+    init_composition,
+)
 from treeconv.synthetic import random_dependency_tree
-from treeconv.tensor_core import Tape, Tensor
+from treeconv.tensor_core import Tape, Tensor, grad_of, parameter
 from treeconv.tree_conv import convolve, init_c_window, init_d_window
 
 from test_tree_conv import naive_convolve
@@ -154,6 +160,111 @@ def test_annotate_is_compose_node_by_node(rng, n_leaves):
             c2 = out[kids[1]] if len(kids) > 1 else np.zeros(n_e)
             want = compose(out[kids[0]], c2, params)
         assert np.array_equal(out[v], want), v
+
+
+def naive_recon_loss(tree, params, table):
+    """Children-reconstruction loss summed node by node in plain numpy,
+    and the number of non-leaf nodes."""
+    n_e = params.n_e
+    W_comp, b_comp, W_rec, b_rec = (p.data for _, p in params.named())
+    vectors = {}
+    total, count = 0.0, 0
+    for v in reversed(preorder(tree, tree.root)):  # children first
+        node = tree.nodes[v]
+        if not node.children:
+            vectors[v] = table.row(node.embedding_index)
+            continue
+        kids = [vectors[c] for c in node.children] + [np.zeros(n_e)]
+        target = np.concatenate(kids[:2])
+        vectors[v] = np.tanh(W_comp @ target + b_comp)
+        recon = np.tanh(W_rec @ vectors[v] + b_rec)
+        total += float(np.sum((target - recon) ** 2))
+        count += 1
+    return total, count
+
+
+@PROPERTY
+@given(RANDOMS, LEAVES)
+def test_recon_loss_matches_per_node_oracle(rng, n_leaves):
+    n_e = 3
+    tree, table = bound_constituency(rng, n_leaves, n_e)
+    nprng = np.random.default_rng(rng.randrange(2 ** 32))
+    params = init_composition(n_e, nprng)
+    want, count = naive_recon_loss(tree, params, table)
+    tape = Tape()
+    loss, n = _tree_recon_loss(tape, tree, params, table)
+    assert n == count
+    if count == 0:
+        assert loss is None
+        return
+    assert abs(loss.item() - want) <= 1e-12 * want
+
+    # the gradient along a random direction against the oracle's
+    # central difference
+    grads = tape.backward(loss)
+    named = [p for _, p in params.named()]
+    steps = [nprng.normal(size=p.data.shape) for p in named]
+    slope = sum(float(np.sum(grad_of(grads, p) * d))
+                for p, d in zip(named, steps))
+    eps = 1e-6
+    ends = []
+    for sign in (1.0, -1.0):
+        for p, d in zip(named, steps):
+            p.data = p.data + sign * eps * d
+        ends.append(naive_recon_loss(tree, params, table)[0])
+        for p, d in zip(named, steps):
+            p.data = p.data - sign * eps * d
+    fd = (ends[0] - ends[1]) / (2 * eps)
+    assert abs(slope - fd) <= 1e-5 * max(abs(slope), 1.0), (slope, fd)
+
+
+def naive_segment_max(X, slot_of, count):
+    """Per-slot column maxima by a loop over rows: the lowest row that
+    reaches a column's maximum wins it, and an empty slot pools to zeros
+    with winners None."""
+    pooled = np.zeros((count, X.shape[1]))
+    winners = [None] * count
+    for slot in range(count):
+        members = [v for v in range(len(X)) if slot_of[v] == slot]
+        if not members:
+            continue
+        winners[slot] = []
+        for c in range(X.shape[1]):
+            best = members[0]
+            for v in members[1:]:
+                if X[v, c] > X[best, c]:
+                    best = v
+            winners[slot].append(best)
+            pooled[slot, c] = X[best, c]
+    return pooled, winners
+
+
+@PROPERTY
+@given(RANDOMS, st.integers(0, 40), st.integers(1, 6), st.integers(1, 8))
+def test_segment_max_matches_per_slot_loop(rng, rows, cols, count):
+    # small integers, so that ties are common
+    X = np.array([float(rng.randint(-3, 3)) for _ in range(rows * cols)])
+    X = X.reshape(rows, cols)
+    slot_of = [rng.randrange(count) for _ in range(rows)]
+    coeffs = np.array([rng.choice([-2.0, -0.5, 1.0, 3.0])
+                       for _ in range(count * cols)]).reshape(count, cols)
+    want, want_winners = naive_segment_max(X, slot_of, count)
+
+    X_ = parameter(X, "X")
+    tape = Tape()
+    pooled, winners = tape.segment_max(X_, slot_of, count)
+    assert np.array_equal(pooled.data, want)
+    assert [None if w is None else w.tolist() for w in winners] == want_winners
+
+    # d sum(coeffs * pooled) / dX: each slot's coefficients at its
+    # winning entries, exactly zero everywhere else
+    weighted = tape.reshape(tape.mul(pooled, Tensor(coeffs)), (-1, 1))
+    grads = tape.backward(tape.sum_rows(weighted))
+    expected = np.zeros_like(X)
+    for slot, won in enumerate(want_winners):
+        if won is not None:
+            expected[won, range(cols)] = coeffs[slot]
+    assert np.array_equal(grad_of(grads, X_), expected)
 
 
 @PROPERTY
