@@ -26,7 +26,7 @@ clf = result.tree_model.classifier()
 
 for i, tree in enumerate(task.test[:2]):
     tape = Tape()
-    features = clf.forward_features(tape, tree)
+    features = clf.forward_features(tape, [tree])
     _, provenance = pool(tape, features, assign_global(tree))
     fracs = fractions(provenance, tree)
     label = "positive" if tree.sentence_label == 1 else "negative"

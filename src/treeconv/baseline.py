@@ -32,25 +32,35 @@ class BagOfEmbeddings:
             out.append(("embeddings", self.embeddings))
         return out
 
-    def _forward(self, tape: Tape, tree: ParseTree) -> PredictionOutput:
-        rows = []
-        for node in tree.nodes:
-            if node.word is None:
-                continue
-            if node.embedding_index is None:
-                raise ContractError("bind_vocabulary before using the baseline")
-            rows.append(node.embedding_index)
-        if not rows:
-            raise ContractError("sentence has no words")
-        if self.embeddings is not None:
-            words = tape.take_rows(self.embeddings, rows)
-        else:
-            words = Tensor(self.table.vectors[rows])
-        mean = tape.scale(tape.sum_rows(words), 1.0 / len(rows))
-        return classifier_head.forward(tape, mean, self.head)
+    def logits(self, tape: Tape, trees: Sequence[ParseTree]) -> Tensor:
+        """The (len(trees), classes) logits: each tree's mean word vector
+        as one row, through one head pass."""
+        means = []
+        for tree in trees:
+            rows = []
+            for node in tree.nodes:
+                if node.word is None:
+                    continue
+                if node.embedding_index is None:
+                    raise ContractError("bind_vocabulary before using the baseline")
+                rows.append(node.embedding_index)
+            if not rows:
+                raise ContractError("sentence has no words")
+            if self.embeddings is not None:
+                words = tape.take_rows(self.embeddings, rows)
+            else:
+                words = Tensor(self.table.vectors[rows])
+            means.append(tape.reshape(
+                tape.scale(tape.sum_rows(words), 1.0 / len(rows)), (1, -1)))
+        return classifier_head.forward(
+            tape, tape.take_rows(means, range(len(means))), self.head)
+
+    def predict_batch(self, trees: Sequence[ParseTree]) -> List[PredictionOutput]:
+        return classifier_head.predictions(
+            self.logits(Tape(record=False), trees).data)
 
     def predict(self, tree: ParseTree) -> PredictionOutput:
-        return self._forward(Tape(), tree)
+        return self.predict_batch([tree])[0]
 
 
 def train_bag_baseline(train_trees: Sequence[ParseTree],
@@ -70,12 +80,12 @@ def train_bag_baseline(train_trees: Sequence[ParseTree],
     named = model.named()
     underflows = 0
 
-    def sample_loss(tape, tree):
+    def batch_loss(tape, batch):
         nonlocal underflows
-        pred = model._forward(tape, tree)
-        value = classifier_head.loss(tape, pred, tree.sentence_label)
-        underflows += value.clamped
-        return value.node, value.cross_entropy, 1
+        value = classifier_head.loss(tape, model.logits(tape, batch),
+                                     [tree.sentence_label for tree in batch])
+        underflows += int(np.count_nonzero(value.clamped))
+        return value.node, value.per_row, len(batch)
 
     report = TrainReport()
     # validation accuracy is >= 0, so epoch 1 always sets best
@@ -84,7 +94,7 @@ def train_bag_baseline(train_trees: Sequence[ParseTree],
         underflows = 0
         # no blow-up bound (see trainer.train): the control is left to
         # run through a saturated softmax
-        epoch_loss = sgd_epoch(train_trees, sample_loss, named,
+        epoch_loss = sgd_epoch(train_trees, batch_loss, named,
                                config.learning_rate, config.batch_size, rng,
                                epoch=epoch, decayed=[head.W_h, head.W_o],
                                lam=config.l2)

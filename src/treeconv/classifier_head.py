@@ -1,17 +1,25 @@
 """Fully connected hidden layer plus softmax output over pooled slots,
 with the cross-entropy training loss and the 5-way-to-binary transfer.
-The l2 penalty is applied in the update (see tensor_core.sgd_epoch)."""
+A minibatch goes through as one matrix, one row per sample.  The l2
+penalty is applied in the update (see tensor_core.sgd_epoch)."""
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ShapeError
-from .tensor_core import Tape, Tensor, parameter, softmax_probs, uniform_init
+from .errors import ConfigError, ShapeError
+from .tensor_core import (
+    ALL_ROWS,
+    Tape,
+    Tensor,
+    parameter,
+    softmax_probs,
+    uniform_init,
+)
 
 log = logging.getLogger(__name__)
 
@@ -53,53 +61,61 @@ def init_head(n_h: int, in_width: int, classes: int, rng) -> HeadParams:
 class PredictionOutput:
     probabilities: np.ndarray
     predicted: int
-    logits: Optional[Tensor] = None
     note: Optional[str] = None
 
 
 @dataclass
 class LossValue:
+    """Cross entropy of a batch: the sum, and per row the value and
+    whether the gold-class probability underflowed to 0."""
+
     cross_entropy: float
-    node: Optional[Tensor] = None  # tape scalar for backward
-    clamped: bool = False
+    per_row: np.ndarray
+    clamped: np.ndarray
+    node: Optional[Tensor] = None  # tape scalar of the sum, for backward
 
 
-def forward(tape: Tape, pooled: Tensor, params: HeadParams,
-            hidden_mask: Optional[np.ndarray] = None) -> PredictionOutput:
-    """h = ReLU(W_h.x + b_h), probabilities = softmax(W_o.h + b_o), where
-    x is the (slot_count, n_c) pooled matrix flattened slot by slot.
+def forward(tape: Tape, x: Tensor, params: HeadParams,
+            hidden_mask: Optional[np.ndarray] = None) -> Tensor:
+    """Logits of every row of `x`: h = ReLU(x.W_h^T + b_h) and
+    logits = h.W_o^T + b_o, two row GEMMs for the whole batch.
 
-    `hidden_mask` is an inverted-dropout mask for training mode; pass
-    None when evaluating.  Softmax is computed with max subtraction.
+    Row b of the (B, slot_count * n_c) matrix `x` is sample b's pooled
+    slots flattened slot by slot.  `hidden_mask` is a (B, n_h)
+    inverted-dropout mask for training mode; pass None when evaluating.
     """
-    flat = tape.reshape(pooled, -1)
-    if params.W_h.data.shape[1] != flat.data.shape[0]:
+    if x.data.ndim != 2 or params.W_h.data.shape[1] != x.data.shape[1]:
         raise ShapeError(
-            f"head expects input width {params.W_h.data.shape[1]}, "
-            f"pooled slots concatenate to {flat.data.shape[0]}"
+            f"head expects input rows of width {params.W_h.data.shape[1]}, "
+            f"got pooled slots of shape {x.data.shape}"
         )
-    h = tape.relu(tape.add(tape.matvec(params.W_h, flat), params.b_h))
+    h = tape.relu(tape.edge_matmul(x, [(params.W_h, ALL_ROWS, ALL_ROWS)],
+                                   params.b_h))
     if hidden_mask is not None:
         h = tape.mul(h, Tensor(hidden_mask))
-    logits = tape.add(tape.matvec(params.W_o, h), params.b_o)
-    probs = softmax_probs(logits.data)
-    return PredictionOutput(probabilities=probs,
-                            predicted=int(np.argmax(probs)),
-                            logits=logits)
+    return tape.edge_matmul(h, [(params.W_o, ALL_ROWS, ALL_ROWS)], params.b_o)
 
 
-def loss(tape: Tape, pred: PredictionOutput, gold: int) -> LossValue:
-    """Cross entropy of the gold class, recorded on `tape`.
+def predictions(logits: np.ndarray) -> List[PredictionOutput]:
+    """One prediction per logit row; softmax with max subtraction, ties
+    to the lowest class."""
+    probs = softmax_probs(logits)
+    return [PredictionOutput(probabilities=p, predicted=c)
+            for p, c in zip(probs, probs.argmax(axis=1).tolist())]
+
+
+def loss(tape: Tape, logits: Tensor, gold: Sequence[int]) -> LossValue:
+    """Cross entropy of each row's gold class, recorded on `tape` as one
+    summed node.
 
     It is evaluated in log space, so even a fully saturated softmax stays
-    finite; a gold probability that underflowed to zero is flagged (the
-    trainers count the flags, see :func:`warn_underflow`).
+    finite; a gold probability that underflowed to zero is flagged per
+    row (the trainers count the flags, see :func:`warn_underflow`).
     """
-    if pred.logits is None:
-        raise ContractError("loss needs a prediction carrying its logits")
-    ce = tape.cross_entropy(pred.logits, gold)
-    return LossValue(cross_entropy=ce.item(), node=ce,
-                     clamped=bool(pred.probabilities[gold] == 0.0))
+    total, per_row = tape.cross_entropy(logits, gold)
+    gold_probs = softmax_probs(logits.data)[np.arange(len(per_row)), gold]
+    return LossValue(cross_entropy=total.item(), per_row=per_row,
+                     clamped=gold_probs == 0.0, node=total)
 
 
 def warn_underflow(epoch: int, clamped: int, total: int) -> None:

@@ -311,7 +311,7 @@ def cmd_visualize(args) -> int:
     written = 0
     for i, tree in enumerate(trees):
         tape = Tape()
-        features = classifier.forward_features(tape, tree)
+        features = classifier.forward_features(tape, [tree])
         _, provenance = pool(tape, features, assign_slots(tree, slots))
         fracs = viz.fractions(provenance, tree)
         with open(f"{args.out_prefix}_{i}.dot", "w", encoding="utf-8") as fh:

@@ -1,10 +1,12 @@
 """End-to-end sentence network: node vectors, tree convolution, pooling,
-classifier head, assembled on one tape per sentence."""
+classifier head.  A minibatch of sentences is one forest on one tape:
+one node-vector matrix, one convolution, one pooling over every tree's
+slots and one head, with one backward pass per batch."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -12,15 +14,13 @@ from . import classifier_head, pooling, tree_conv
 from .classifier_head import HeadParams, LossValue, PredictionOutput, dropout_mask
 from .config import VARIANT_C, VARIANT_D, TrainConfig
 from .corpus_io import (
-    CONSTITUENCY,
-    DEPENDENCY,
     DepTypeInventory,
     EmbeddingTable,
     ParseTree,
     Vocabulary,
 )
 from .errors import ContractError
-from .pooling import GLOBAL, THREE_SLOT, PoolProvenance, SlotAssignment
+from .pooling import GLOBAL, THREE_SLOT, SlotAssignment
 from .rae_pretrain import CompositionParams, annotate
 from .tensor_core import Tape, Tensor, parameter
 
@@ -97,7 +97,8 @@ def init_model(config: TrainConfig, table: EmbeddingTable,
 
 
 class SentenceClassifier:
-    """Forward evaluation of one trained (or training) variant.
+    """Forward evaluation of one trained (or training) variant, a
+    minibatch of trees at a time.
 
     Constituency node vectors come frozen from the recursive-autoencoder
     annotation; no gradient ever flows into them or its parameters.
@@ -120,73 +121,105 @@ class SentenceClassifier:
         if config.variant == VARIANT_D and inventory is None:
             raise ContractError("dependency classifier needs a relation inventory")
 
-    def _expect_kind(self, tree: ParseTree) -> None:
-        want = CONSTITUENCY if self.config.variant == VARIANT_C else DEPENDENCY
-        if tree.kind != want:
-            raise ContractError(
-                f"variant {self.config.variant!r} cannot read a {tree.kind} tree"
-            )
-
-    def node_vectors(self, tape: Tape, tree: ParseTree, mode: str = "eval",
-                     rng=None) -> Tensor:
-        """The (n_nodes, n_e) matrix of node vectors, row v for node v,
-        with one embedding-dropout mask over all of it in training."""
-        self._expect_kind(tree)
-        rate = self.config.dropout_embed
-        if mode == "train" and rate > 0.0 and rng is None:
-            raise ContractError("training with embedding dropout needs an rng")
-
+    def node_vectors(self, tape: Tape, forest: tree_conv.Forest) -> Tensor:
+        """The (n_nodes, n_e) matrix of node vectors, row v for forest
+        row v: annotations of constituency trees, written tree by tree,
+        or embedding rows."""
         if self.config.variant == VARIANT_C:
-            vectors = Tensor(annotate(tree, self.rae, self.table))
-        else:
-            rows = []
-            for node in tree.nodes:
-                if node.embedding_index is None:
-                    raise ContractError(
-                        f"node {node.word!r} has no embedding index; "
-                        "bind_vocabulary first"
-                    )
-                rows.append(node.embedding_index)
-            if self.params.embeddings is not None:
-                vectors = tape.take_rows(self.params.embeddings, rows)
-            else:
-                vectors = Tensor(self.table.vectors[rows])
+            data = np.empty((len(forest.nodes), self.config.n_e))
+            start = 0
+            for tree in forest.trees:
+                rows = annotate(tree, self.rae, self.table)
+                data[start:start + len(rows)] = rows
+                start += len(rows)
+            return Tensor(data)
+        rows = [node.embedding_index for node in forest.nodes]
+        if None in rows:
+            node = forest.nodes[rows.index(None)]
+            raise ContractError(
+                f"node {node.word!r} has no embedding index; bind_vocabulary first")
+        if self.params.embeddings is not None:
+            return tape.take_rows(self.params.embeddings, rows)
+        return Tensor(self.table.vectors[rows])
 
-        if mode == "train" and rate > 0.0:
-            vectors = tape.mul(vectors, Tensor(dropout_mask(
-                vectors.data.shape, rate, "train", rng)))
-        return vectors
+    def _dropout(self, tape: Tape, forest: tree_conv.Forest, vectors: Tensor,
+                 mode: str, rng) -> Tuple[Tensor, Optional[np.ndarray]]:
+        """Training-mode inverted dropout: the node vectors times their
+        mask, and the (trees, n_h) hidden-unit mask (None when off).
 
-    def forward_features(self, tape: Tape, tree: ParseTree,
-                         mode: str = "eval", rng=None) -> Tensor:
-        vectors = self.node_vectors(tape, tree, mode=mode, rng=rng)
-        return tree_conv.convolve(tape, tree, vectors, self.params.conv,
-                                  self.inventory)
+        The masks are drawn tree by tree, the node rows and then the
+        hidden row, so a tree's masks do not depend on the batch it is
+        in.  Frozen node vectors are a constant: each tree's rows are
+        masked in place, off the tape.
+        """
+        embed_rate, hidden_rate = self.config.dropout_embed, self.config.dropout_hidden
+        if mode != "train" or not (embed_rate or hidden_rate):
+            return vectors, None
+        if rng is None:
+            raise ContractError("training with dropout needs an rng")
+        trained = vectors.requires_grad
+        embed = np.empty(vectors.data.shape) if trained and embed_rate else None
+        hidden = np.empty((len(forest.trees), self.config.n_h)) if hidden_rate else None
+        start = 0
+        for b, tree in enumerate(forest.trees):
+            stop = start + len(tree.nodes)
+            if embed_rate:
+                mask = dropout_mask((stop - start, self.config.n_e), embed_rate,
+                                    mode, rng)
+                if embed is not None:
+                    embed[start:stop] = mask
+                else:
+                    vectors.data[start:stop] *= mask
+            if hidden is not None:
+                hidden[b] = dropout_mask(self.config.n_h, hidden_rate, mode, rng)
+            start = stop
+        if embed is not None:
+            vectors = tape.mul(vectors, Tensor(embed))
+        return vectors, hidden
 
-    def forward(self, tape: Tape, tree: ParseTree, mode: str = "eval",
-                rng=None) -> Tuple[PredictionOutput, PoolProvenance]:
-        features = self.forward_features(tape, tree, mode=mode, rng=rng)
-        pooled, provenance = pooling.pool(tape, features,
-                                          assign_slots(tree, self.config))
-        mask = None
-        if mode == "train" and self.config.dropout_hidden > 0.0:
-            if rng is None:
-                raise ContractError("training with hidden dropout needs an rng")
-            mask = dropout_mask(self.config.n_h, self.config.dropout_hidden,
-                                "train", rng)
-        pred = classifier_head.forward(tape, pooled, self.params.head,
-                                       hidden_mask=mask)
-        return pred, provenance
+    def forward_features(self, tape: Tape, trees: Sequence[ParseTree]) -> Tensor:
+        """The convolution's feature map of `trees` in evaluation mode,
+        stacked tree after tree (see :class:`tree_conv.Forest`)."""
+        forest = tree_conv.forest(trees, self.params.conv, self.inventory)
+        return tree_conv.convolve(tape, forest, self.node_vectors(tape, forest),
+                                  self.params.conv)
 
-    def loss_on(self, tape: Tape, tree: ParseTree, gold: int,
-                mode: str = "train", rng=None) -> Tuple[LossValue, PredictionOutput]:
-        pred, _ = self.forward(tape, tree, mode=mode, rng=rng)
-        value = classifier_head.loss(tape, pred, gold)
-        return value, pred
+    def _slots(self, trees: Sequence[ParseTree]) -> SlotAssignment:
+        """Every tree's slots, tree b's numbered from b * slot_count."""
+        per_tree = slot_count(self.config)
+        slot_of: List[int] = []
+        for b, tree in enumerate(trees):
+            offset = b * per_tree
+            slot_of += [s + offset for s in assign_slots(tree, self.config).slot_of]
+        return SlotAssignment(slot_of=slot_of, slot_count=per_tree * len(trees))
+
+    def logits(self, tape: Tape, trees: Sequence[ParseTree], mode: str = "eval",
+               rng=None) -> Tensor:
+        """The (len(trees), classes) logit matrix: node vectors,
+        convolution, pooling and head, each one array op for the batch."""
+        forest = tree_conv.forest(trees, self.params.conv, self.inventory)
+        vectors, hidden_mask = self._dropout(
+            tape, forest, self.node_vectors(tape, forest), mode, rng)
+        features = tree_conv.convolve(tape, forest, vectors, self.params.conv)
+        pooled, _ = pooling.pool(tape, features, self._slots(trees))
+        return classifier_head.forward(
+            tape, tape.reshape(pooled, (len(trees), -1)), self.params.head,
+            hidden_mask=hidden_mask)
+
+    def loss(self, tape: Tape, trees: Sequence[ParseTree], gold: Sequence[int],
+             mode: str = "train", rng=None) -> LossValue:
+        """Summed cross entropy of `trees` against their `gold` classes."""
+        return classifier_head.loss(
+            tape, self.logits(tape, trees, mode=mode, rng=rng), gold)
+
+    def predict_batch(self, trees: Sequence[ParseTree]) -> List[PredictionOutput]:
+        """Predictions for `trees`, one batched forward that records
+        nothing."""
+        return classifier_head.predictions(
+            self.logits(Tape(record=False), trees).data)
 
     def predict(self, tree: ParseTree) -> PredictionOutput:
-        pred, _ = self.forward(Tape(), tree, mode="eval")
-        return pred
+        return self.predict_batch([tree])[0]
 
 
 @dataclass

@@ -115,8 +115,9 @@ def pool(tape: Tape, features: Tensor,
          assignment: SlotAssignment) -> Tuple[Tensor, PoolProvenance]:
     """Dimension-wise max within each slot, with argmax provenance.
 
-    `features` is the (n_nodes, n_c) feature map of one tree; the
-    result is the (slot_count, n_c) pooled matrix, row s for slot s,
+    `features` is the (n_nodes, n_c) feature map of one tree, or of a
+    minibatch's forest with the trees' slots numbered one after another;
+    the result is the (slot_count, n_c) pooled matrix, row s for slot s,
     recorded as one `segment_max` on the tape.  Ties go to the lowest
     node index.  Empty slots pool to zero rows and record no
     provenance.  Gradient flows only to winning entries.

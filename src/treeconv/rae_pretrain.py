@@ -152,11 +152,10 @@ def _tree_recon_loss(tape: Tape, tree: ParseTree, params: CompositionParams,
             tape.take_rows([vectors[level] for level in start],
                            [start[level] + row for level, row in refs]),
             (len(members), 2 * params.n_e))
-        p = tape.tanh(tape.add_bias(
-            tape.edge_matmul(pairs, [(params.W_comp, every, every)]),
-            params.b_comp))
-        recon = tape.tanh(tape.add_bias(
-            tape.edge_matmul(p, [(params.W_rec, every, every)]), params.b_rec))
+        p = tape.tanh(tape.edge_matmul(pairs, [(params.W_comp, every, every)],
+                                       params.b_comp))
+        recon = tape.tanh(tape.edge_matmul(p, [(params.W_rec, every, every)],
+                                           params.b_rec))
         loss = tape.sumsq(tape.sub(pairs, recon))
         total = loss if total is None else tape.add(total, loss)
         vectors.append(p)
@@ -169,7 +168,7 @@ def reconstruction_loss(trees: Sequence[ParseTree], params: CompositionParams,
     total = 0.0
     count = 0
     for tree in trees:
-        loss, n = _tree_recon_loss(Tape(), tree, params, table)
+        loss, n = _tree_recon_loss(Tape(record=False), tree, params, table)
         total += 0.0 if loss is None else loss.item()
         count += n
     if count == 0:
@@ -212,12 +211,19 @@ def pretrain(trees: Sequence[ParseTree], table: EmbeddingTable,
     best_state = {name: p.data.copy() for name, p in named}
     stale = 0
 
-    def sample_loss(tape, tree):
-        loss, n = _tree_recon_loss(tape, tree, params, table)
-        return loss, 0.0 if loss is None else loss.item(), n
+    def batch_loss(tape, batch):
+        """Every tree's loss on the batch's tape, added up."""
+        total, values, count = None, [], 0
+        for tree in batch:
+            loss, n = _tree_recon_loss(tape, tree, params, table)
+            values.append(0.0 if loss is None else loss.item())
+            count += n
+            if loss is not None:
+                total = loss if total is None else tape.add(total, loss)
+        return total, values, count
 
     for epoch in range(1, config.max_epochs + 1):
-        sgd_epoch(train, sample_loss, named, config.learning_rate,
+        sgd_epoch(train, batch_loss, named, config.learning_rate,
                   config.batch_size, rng, epoch=epoch)
         held = reconstruction_loss(holdout, params, table)
         if held < best_loss:

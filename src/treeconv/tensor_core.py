@@ -10,14 +10,17 @@ value is a dense ndarray, or a :class:`RowGradient` for a matrix reached
 only through row lookups (an embedding table), which holds just the rows
 the lookups touched; :func:`grad_of` reads either as a dense array.
 
-Besides vector primitives (matvec, add, relu, ...), the tape records
-whole-tree array operations, so one layer of one sentence is one record
-over an n x d matrix: `take_rows` (embedding lookup; rows of several
-matrices read as if stacked), `edge_matmul`
-(weighted row products summed into destination rows, the tree
-convolution), `add_bias` (a vector added to every row), `sum_rows`,
-`segment_max` (per-slot column maximum with winning rows, the pooling)
-and `reshape`.
+The tape records whole-array operations, so one layer of a minibatch of
+sentences is one record over the stacked n x d matrix of all their
+nodes: `take_rows` (embedding lookup; rows of several matrices read as
+if stacked), `edge_matmul` (weighted row products summed into
+destination rows plus a bias row: the tree convolution, and with one
+all-rows term a plain affine layer), `sum_rows`, `segment_max`
+(per-slot column maximum with winning rows, the pooling), `reshape`
+and the row-wise `cross_entropy`; elementwise `add`, `sub`,
+`mul`, `scale`, `relu`, `tanh` and `sumsq` complete the set.  A tape
+made with ``record=False`` evaluates the same operations and records
+nothing, which is how prediction runs.
 
 All data is float64 and all operations are plain numpy, so identical
 inputs produce bit-identical outputs.
@@ -47,7 +50,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
         arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim > 0 and not arr.flags["C_CONTIGUOUS"]:
+        if not arr.flags.c_contiguous:  # 0-d arrays always are
             arr = np.ascontiguousarray(arr)
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -114,19 +117,16 @@ class RowGradient:
         return out
 
 
-def _add_grad(cur, g, shape, row: Optional[int] = None):
+def _add_grad(cur, g: np.ndarray, shape, row: Optional[int] = None):
     """Sum `g` into the running gradient `cur` and return the result.
 
     `cur` is None, a dense array, or a {row index: row} map of a matrix
-    reached only through row lookups; `g` is dense, a RowGradient, or
-    with `row` the gradient of that one row.  Terms add in call order,
-    and the map turns dense when a dense term arrives.  A first term is
-    stored as `g + 0.0`, which is what adding it to zeros would give.
+    reached only through row lookups; `g` is dense, or with `row` the
+    gradient of that one row.  Terms add in call order, and the map
+    turns dense when a dense term arrives.  A first term is stored as
+    `g + 0.0`, which is what adding it to zeros would give.
     """
-    if isinstance(g, RowGradient):
-        for index, vector in zip(g.indices.tolist(), g.rows):
-            cur = _add_grad(cur, vector, shape, index)
-    elif row is None:
+    if row is None:
         if cur is None:
             return g + 0.0
         if isinstance(cur, dict):
@@ -150,6 +150,32 @@ def _scatter_add(out: np.ndarray, rows, values: np.ndarray) -> None:
         np.add.at(out, rows, values)
 
 
+# rows per GEMM call in `edge_matmul`: OpenBLAS packs the rows of a call
+# into buffers that stay resident, so one call over a 600-row QC-regime
+# batch (n_e 300, n_c 30) left 2.35 MB of them, blocks of 128 rows
+# 0.84 MB, at about the same speed (OpenBLAS 0.3.31, 2 threads, on a
+# 2-core Xeon)
+GEMM_ROWS = 128
+
+
+def _row_blocks(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B, GEMM_ROWS rows of A at a time."""
+    if len(A) <= GEMM_ROWS:
+        return A @ B
+    out = np.empty((len(A), B.shape[1]))
+    for i in range(0, len(A), GEMM_ROWS):
+        np.matmul(A[i:i + GEMM_ROWS], B, out=out[i:i + GEMM_ROWS])
+    return out
+
+
+def _summed_blocks(G: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """G.T @ X, summed over blocks of GEMM_ROWS rows."""
+    out = G[:GEMM_ROWS].T @ X[:GEMM_ROWS]
+    for i in range(GEMM_ROWS, len(G), GEMM_ROWS):
+        out += G[i:i + GEMM_ROWS].T @ X[i:i + GEMM_ROWS]
+    return out
+
+
 def grad_of(grads: GradientMap, param: Tensor) -> np.ndarray:
     """Gradient of `param` from a backward pass as a dense array; exact
     zeros if unused."""
@@ -167,11 +193,20 @@ def assert_finite(arr: np.ndarray, what: str = "array") -> None:
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    """Stabilized softmax of a 1-D logit array (max subtraction)."""
+    """Stabilized softmax over the last axis (max subtraction): of a
+    logit vector, or of every row of a logit matrix."""
     z = np.asarray(logits, dtype=np.float64)
-    shifted = z - z.max()
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+# the index of every row in an `edge_matmul` term
+ALL_ROWS = slice(None)
+
+# entries per slot above which `segment_max` reduces slot by slot (the
+# two forms cost the same near 2000 on a 40-tree batch)
+WIDE_SLOT = 2000
 
 
 class Tape:
@@ -179,14 +214,21 @@ class Tape:
 
     Operations are recorded only when an input requires gradients, so
     constant subgraphs cost nothing on the backward pass and parameters
-    that never reach the loss receive no gradient entry at all.
+    that never reach the loss receive no gradient entry at all.  With
+    ``record=False`` nothing is recorded and no output requires
+    gradients: a forward pass for prediction.
     """
 
-    def __init__(self):
+    def __init__(self, record: bool = True):
+        self.record = record
         self._records: List[Tuple[int, Callable]] = []
 
     def __len__(self) -> int:
         return len(self._records)
+
+    def _tracks(self, *inputs: Tensor) -> bool:
+        """Whether an output of `inputs` requires gradients here."""
+        return self.record and any(t.requires_grad for t in inputs)
 
     def _push(self, out: Tensor, backward: Callable) -> None:
         self._records.append((id(out), backward))
@@ -195,33 +237,12 @@ class Tape:
     # primitive operations
     # ------------------------------------------------------------------
 
-    def matvec(self, W: Tensor, x: Tensor) -> Tensor:
-        """Matrix-vector product W.x."""
-        if W.data.ndim != 2:
-            raise ShapeError(f"matvec: {W._label()} is not a matrix")
-        if x.data.ndim != 1:
-            raise ShapeError(f"matvec: {x._label()} is not a vector")
-        if W.data.shape[1] != x.data.shape[0]:
-            raise ShapeError(
-                f"matvec: {W._label()} has {W.data.shape[1]} columns but "
-                f"{x._label()} has dim {x.data.shape[0]}"
-            )
-        out = Tensor(W.data @ x.data, requires_grad=W.requires_grad or x.requires_grad)
-        if out.requires_grad:
-            def backward(g, accum, W=W, x=x):
-                if W.requires_grad:
-                    accum(W, np.outer(g, x.data))
-                if x.requires_grad:
-                    accum(x, W.data.T @ g)
-            self._push(out, backward)
-        return out
-
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         if a.data.shape != b.data.shape:
             raise ShapeError(
                 f"add: {a._label()} {a.data.shape} vs {b._label()} {b.data.shape}"
             )
-        out = Tensor(a.data + b.data, requires_grad=a.requires_grad or b.requires_grad)
+        out = Tensor(a.data + b.data, requires_grad=self._tracks(a, b))
         if out.requires_grad:
             def backward(g, accum, a=a, b=b):
                 if a.requires_grad:
@@ -236,7 +257,7 @@ class Tape:
             raise ShapeError(
                 f"sub: {a._label()} {a.data.shape} vs {b._label()} {b.data.shape}"
             )
-        out = Tensor(a.data - b.data, requires_grad=a.requires_grad or b.requires_grad)
+        out = Tensor(a.data - b.data, requires_grad=self._tracks(a, b))
         if out.requires_grad:
             def backward(g, accum, a=a, b=b):
                 if a.requires_grad:
@@ -252,7 +273,7 @@ class Tape:
             raise ShapeError(
                 f"mul: {a._label()} {a.data.shape} vs {b._label()} {b.data.shape}"
             )
-        out = Tensor(a.data * b.data, requires_grad=a.requires_grad or b.requires_grad)
+        out = Tensor(a.data * b.data, requires_grad=self._tracks(a, b))
         if out.requires_grad:
             def backward(g, accum, a=a, b=b):
                 if a.requires_grad:
@@ -263,7 +284,7 @@ class Tape:
         return out
 
     def scale(self, x: Tensor, c: float) -> Tensor:
-        out = Tensor(x.data * c, requires_grad=x.requires_grad)
+        out = Tensor(x.data * c, requires_grad=self._tracks(x))
         if out.requires_grad:
             def backward(g, accum, x=x, c=c):
                 accum(x, g * c)
@@ -272,16 +293,15 @@ class Tape:
 
     def relu(self, x: Tensor) -> Tensor:
         """max(0, x); the subgradient at exactly 0 is 0."""
-        out = Tensor(np.maximum(x.data, 0.0), requires_grad=x.requires_grad)
+        out = Tensor(np.maximum(x.data, 0.0), requires_grad=self._tracks(x))
         if out.requires_grad:
-            mask = (x.data > 0.0).astype(np.float64)
-            def backward(g, accum, x=x, mask=mask):
-                accum(x, g * mask)
+            def backward(g, accum, x=x):
+                accum(x, g * (x.data > 0.0))
             self._push(out, backward)
         return out
 
     def tanh(self, x: Tensor) -> Tensor:
-        out = Tensor(np.tanh(x.data), requires_grad=x.requires_grad)
+        out = Tensor(np.tanh(x.data), requires_grad=self._tracks(x))
         if out.requires_grad:
             y = out.data
             def backward(g, accum, x=x, y=y):
@@ -291,7 +311,7 @@ class Tape:
 
     def reshape(self, x: Tensor, shape) -> Tensor:
         """The same entries in a new shape (flatten with shape -1)."""
-        out = Tensor(x.data.reshape(shape), requires_grad=x.requires_grad)
+        out = Tensor(x.data.reshape(shape), requires_grad=self._tracks(x))
         if out.requires_grad:
             def backward(g, accum, x=x):
                 accum(x, g.reshape(x.data.shape))
@@ -329,7 +349,7 @@ class Tape:
             data[at] = m.data[rows]
             groups.append((m, at, rows))
             start += len(m.data)
-        out = Tensor(data, requires_grad=any(m.requires_grad for m in mats))
+        out = Tensor(data, requires_grad=self._tracks(*mats))
         if out.requires_grad:
             def backward(g, accum, groups=groups):
                 for m, at, rows in groups:
@@ -340,59 +360,65 @@ class Tape:
         return out
 
     def edge_matmul(self, X: Tensor,
-                    terms: Sequence[Tuple[Tensor, object, object]]) -> Tensor:
+                    terms: Sequence[Tuple[Tensor, object, object]],
+                    bias: Optional[Tensor] = None) -> Tensor:
         """Sum of weighted row products: out[dst] += X[src] @ W.T for
-        every term (W, src, dst).
+        every term (W, src, dst), plus the vector `bias` on every row.
 
         `src` and `dst` are equal-length index arrays, or both
-        ``slice(None)`` for every row; a repeated `dst` row sums its
-        products.  The output has one row per row of `X`.
+        ALL_ROWS; a repeated `dst` row sums its products.  The output
+        has one row per row of `X`.  A first all-rows term is the
+        product that the other terms and the bias add into.  Products
+        run GEMM_ROWS rows at a time.
         """
         if X.data.ndim != 2:
             raise ShapeError(f"edge_matmul: {X._label()} is not a matrix")
         if not terms:
             raise ShapeError("edge_matmul: no terms")
         width = terms[0][0].data.shape[0]
+        shape = (width, X.data.shape[1])
         for W, _, _ in terms:
-            if W.data.shape != (width, X.data.shape[1]):
+            if W.data.shape != shape:
                 raise ShapeError(
                     f"edge_matmul: {W._label()} {W.data.shape} does not map "
                     f"{X._label()} {X.data.shape} to width {width}"
                 )
-        data = np.zeros((X.data.shape[0], width))
+        if bias is not None and bias.data.shape != (width,):
+            raise ShapeError(f"edge_matmul: bias {bias._label()} "
+                             f"{bias.data.shape} does not fit width {width}")
+        data = None
         for W, src, dst in terms:
-            _scatter_add(data, dst, X.data[src] @ W.data.T)
-        out = Tensor(data, requires_grad=X.requires_grad
-                     or any(W.requires_grad for W, _, _ in terms))
+            product = _row_blocks(X.data[src], W.data.T)
+            if data is None and isinstance(dst, slice):
+                data = product
+                continue
+            if data is None:
+                data = np.zeros((X.data.shape[0], width))
+            _scatter_add(data, dst, product)
+        if bias is not None:
+            data += bias.data
+        out = Tensor(data, requires_grad=self.record and (
+            X.requires_grad or any(W.requires_grad for W, _, _ in terms)
+            or (bias is not None and bias.requires_grad)))
         if out.requires_grad:
-            def backward(g, accum, X=X, terms=tuple(terms)):
-                dX = np.zeros_like(X.data) if X.requires_grad else None
+            def backward(g, accum, X=X, terms=tuple(terms), bias=bias):
+                if bias is not None and bias.requires_grad:
+                    accum(bias, g.sum(axis=0))
+                dX = None
                 for W, src, dst in terms:
                     g_dst = g[dst]
                     if W.requires_grad:
-                        accum(W, g_dst.T @ X.data[src])
-                    if dX is not None:
-                        _scatter_add(dX, src, g_dst @ W.data)
+                        accum(W, _summed_blocks(g_dst, X.data[src]))
+                    if X.requires_grad:
+                        term = _row_blocks(g_dst, W.data)
+                        if dX is None and isinstance(src, slice):
+                            dX = term
+                            continue
+                        if dX is None:
+                            dX = np.zeros_like(X.data)
+                        _scatter_add(dX, src, term)
                 if dX is not None:
                     accum(X, dX)
-            self._push(out, backward)
-        return out
-
-    def add_bias(self, X: Tensor, b: Tensor) -> Tensor:
-        """X + b with the vector `b` added to every row of `X`."""
-        if X.data.ndim != 2 or b.data.shape != X.data.shape[1:]:
-            raise ShapeError(
-                f"add_bias: {X._label()} {X.data.shape} vs "
-                f"{b._label()} {b.data.shape}"
-            )
-        out = Tensor(X.data + b.data,
-                     requires_grad=X.requires_grad or b.requires_grad)
-        if out.requires_grad:
-            def backward(g, accum, X=X, b=b):
-                if X.requires_grad:
-                    accum(X, g)
-                if b.requires_grad:
-                    accum(b, g.sum(axis=0))
             self._push(out, backward)
         return out
 
@@ -400,7 +426,7 @@ class Tape:
         """Sum of the rows of a matrix, as a vector."""
         if X.data.ndim != 2:
             raise ShapeError(f"sum_rows: {X._label()} is not a matrix")
-        out = Tensor(X.data.sum(axis=0), requires_grad=X.requires_grad)
+        out = Tensor(X.data.sum(axis=0), requires_grad=self._tracks(X))
         if out.requires_grad:
             def backward(g, accum, X=X):
                 accum(X, np.broadcast_to(g, X.data.shape))
@@ -416,63 +442,100 @@ class Tape:
         every column (ties resolve to the lowest row).  An empty slot
         pools to zeros and has winners None.  Gradient flows only to the
         winning entries.
+
+        The rows are ordered by slot (a stable sort, skipped when
+        `slot_of` is already non-decreasing), so each slot is one run of
+        rows.  Narrow runs, of at most WIDE_SLOT entries per slot on
+        average, all reduce together: one `reduceat` gives the column
+        maxima and a second the lowest row not below them.  Wider runs
+        take one `argmax` each, which keeps them in cache and costs less.
         """
         if X.data.ndim != 2:
             raise ShapeError(f"segment_max: {X._label()} is not a matrix")
         slots = np.asarray(slot_of, dtype=np.intp)
         if slots.shape != X.data.shape[:1]:
             raise ShapeError("segment_max: slot_of does not cover the rows")
-        cols = np.arange(X.data.shape[1])
-        data = np.zeros((count, X.data.shape[1]))
+        n, columns = X.data.shape
+        cols = np.arange(columns)
+        data = np.zeros((count, columns))
         winners: List[Optional[np.ndarray]] = [None] * count
-        for slot in range(count):
-            members = np.flatnonzero(slots == slot)
-            if members.size:
-                rows = members[np.argmax(X.data[members], axis=0)]
-                data[slot] = X.data[rows, cols]
+        present = slots[:0]  # the non-empty slots, and their winning rows
+        won = np.zeros((0, columns), dtype=np.intp)
+        if n:
+            order, ordered, by_slot = None, slots, X.data
+            if (slots[1:] < slots[:-1]).any():
+                order = slots.argsort(kind="stable")
+                ordered, by_slot = slots[order], X.data[order]
+            change = ordered[1:] != ordered[:-1]
+            starts = np.zeros(change.sum() + 1, dtype=np.intp)
+            starts[1:] = change.nonzero()[0] + 1
+            present = ordered[starts]
+            if X.data.size <= WIDE_SLOT * count:
+                data[present] = np.maximum.reduceat(by_slot, starts, axis=0)
+                # a run's first row not below its peak
+                first = np.minimum.reduceat(
+                    np.where(by_slot < data[ordered], n, np.arange(n)[:, None]),
+                    starts, axis=0)
+            else:
+                ends = starts[1:].tolist() + [n]
+                first = np.array([a + by_slot[a:b].argmax(axis=0)
+                                  for a, b in zip(starts.tolist(), ends)])
+                data[present] = by_slot[first, cols]
+            won = first if order is None else order[first]  # (slots, columns)
+            for slot, rows in zip(present.tolist(), won):
                 winners[slot] = rows
-        out = Tensor(data, requires_grad=X.requires_grad)
+        out = Tensor(data, requires_grad=self._tracks(X))
         if out.requires_grad:
-            def backward(g, accum, X=X, winners=tuple(winners)):
+            def backward(g, accum, X=X, present=present, won=won):
                 dX = np.zeros_like(X.data)
-                for slot, rows in enumerate(winners):
-                    if rows is not None:
-                        dX[rows, cols] = g[slot]
+                dX[won, cols] = g[present]
                 accum(X, dX)
             self._push(out, backward)
         return out, winners
 
     def sumsq(self, x: Tensor) -> Tensor:
         """Sum of squared entries, as a scalar."""
-        out = Tensor(np.sum(x.data * x.data), requires_grad=x.requires_grad)
+        out = Tensor(np.sum(x.data * x.data), requires_grad=self._tracks(x))
         if out.requires_grad:
             def backward(g, accum, x=x):
                 accum(x, 2.0 * float(g) * x.data)
             self._push(out, backward)
         return out
 
-    def cross_entropy(self, logits: Tensor, gold: int) -> Tensor:
-        """-log softmax(logits)[gold], computed in stabilized log space."""
-        if logits.data.ndim != 1:
-            raise ShapeError(f"cross_entropy: {logits._label()} is not a vector")
-        if not 0 <= gold < logits.data.shape[0]:
-            raise ContractError(
-                f"cross_entropy: gold class {gold} out of range "
-                f"[0, {logits.data.shape[0]})"
-            )
+    def cross_entropy(self, logits: Tensor,
+                      gold: Sequence[int]) -> Tuple[Tensor, np.ndarray]:
+        """-log softmax(row)[gold] of every row of a (rows, classes)
+        logit matrix, computed in stabilized log space.
+
+        Returns the summed loss as a scalar tensor and the per-row
+        values.
+        """
+        if logits.data.ndim != 2:
+            raise ShapeError(f"cross_entropy: {logits._label()} is not a matrix")
         z = logits.data
-        m = z.max()
+        rows = np.arange(z.shape[0])
+        gold = np.asarray(gold, dtype=np.intp)
+        if gold.shape != rows.shape:
+            raise ShapeError(f"cross_entropy: {gold.size} gold classes for "
+                             f"{rows.size} rows of {logits._label()}")
+        bad = (gold < 0) | (gold >= z.shape[1])
+        if bad.any():
+            raise ContractError(
+                f"cross_entropy: gold class {gold[bad][0]} out of range "
+                f"[0, {z.shape[1]})"
+            )
+        m = z.max(axis=1, keepdims=True)
         e = np.exp(z - m)
-        lse = np.log(e.sum()) + m
-        out = Tensor(np.float64(lse - z[gold]), requires_grad=logits.requires_grad)
+        total = e.sum(axis=1, keepdims=True)
+        values = (np.log(total) + m)[:, 0] - z[rows, gold]
+        out = Tensor(values.sum(), requires_grad=self._tracks(logits))
         if out.requires_grad:
-            probs = e / e.sum()
-            def backward(g, accum, logits=logits, probs=probs, gold=gold):
+            def backward(g, accum, logits=logits, probs=e / total):
                 d = probs.copy()
-                d[gold] -= 1.0
+                d[rows, gold] -= 1.0
                 accum(logits, float(g) * d)
             self._push(out, backward)
-        return out
+        return out, values
 
     # ------------------------------------------------------------------
     # reverse pass
@@ -530,7 +593,7 @@ def l2_penalty(matrices: Sequence[Tensor],
     return value, {W: 2.0 * lam * W.data for W in matrices}
 
 
-def sgd_epoch(samples: Sequence, sample_loss: Callable,
+def sgd_epoch(samples: Sequence, batch_loss: Callable,
               params: Sequence[Tuple[str, Tensor]], lr: float,
               batch_size: int, rng, epoch: int = 1,
               decayed: Sequence[Tensor] = (), lam: float = 0.0,
@@ -538,53 +601,45 @@ def sgd_epoch(samples: Sequence, sample_loss: Callable,
     """One seeded pass of minibatch SGD over `samples`; returns the
     summed loss, with the l2 penalty counted once per sample.
 
-    `sample_loss(tape, sample)` records one sample's loss on a fresh tape
-    and returns (loss node or None, loss value, weight count).  A batch
-    steps each parameter by `lr` times its gradient summed in sample order
-    over the batch's total weight count (a batch counting 0 is skipped),
-    plus 2 * lam * W of the pre-step weights for the matrices in
-    `decayed`.  A parameter whose gradients are all row gradients and
-    that is not decayed only has its touched rows written.  Raises
-    DivergenceError at the first batch whose mean sample loss exceeds
-    `loss_bound`, before its update, and after the first batch that
-    leaves the loss or a parameter non-finite (the loss is finite until
-    then, so the running sum shows it).
+    `batch_loss(tape, batch)` records the loss of a list of samples on
+    one fresh tape and returns (loss node or None, the per-sample loss
+    values, weight count).  A batch steps each parameter by `lr` times
+    the gradient of that node over the weight count (a batch without a
+    node or counting 0 is skipped), plus 2 * lam * W of the pre-step
+    weights for the matrices in `decayed`.  A parameter whose gradient
+    is a row gradient and that is not decayed only has its touched rows
+    written.  Raises DivergenceError at the first batch whose mean
+    sample loss exceeds `loss_bound`, before its update, and after the
+    first batch that leaves the loss or a parameter non-finite (the loss
+    is finite until then, so the running sum shows it).
     """
-    trained = {p for _, p in params}
     total = 0.0
     for number, batch in enumerate(iter_batches(len(samples), batch_size,
                                                 rng), start=1):
-        sums = {}
-        count = 0
-        batch_loss = 0.0
-        for i in batch:
-            tape = Tape()
-            node, value, weight = sample_loss(tape, samples[int(i)])
+        tape = Tape()
+        node, values, count = batch_loss(tape, [samples[int(i)] for i in batch])
+        batch_sum = 0.0
+        for value in values:
             total += value
-            batch_loss += value
-            if node is None:
-                continue
-            count += weight
-            for p, g in tape.backward(node).items():
-                if p in trained:
-                    sums[p] = _add_grad(sums.get(p), g, p.data.shape)
-        if batch_loss > loss_bound * len(batch):
+            batch_sum += value
+        if batch_sum > loss_bound * len(batch):
             raise DivergenceError(
                 f"training diverged in epoch {epoch}, batch {number}: mean "
-                f"loss {batch_loss / len(batch):g} exceeds {loss_bound:g}")
-        if count == 0:
+                f"loss {batch_sum / len(batch):g} exceeds {loss_bound:g}")
+        if node is None or count == 0:
             continue
+        grads = tape.backward(node)
+        tape = node = None  # free the batch's records before the update
         penalty, decay = l2_penalty(decayed, lam)
         total += len(batch) * penalty
         for _, p in params:
-            step = sums.pop(p, None)
-            if isinstance(step, dict):
-                touched = RowGradient(p.data.shape, step)
+            step = grads.pop(p, None)
+            if isinstance(step, RowGradient):
                 if p not in decay:
-                    touched.rows *= lr / count
-                    p.data[touched.indices] -= touched.rows
+                    step.rows *= lr / count
+                    p.data[step.indices] -= step.rows
                     continue
-                step = touched.dense()
+                step = step.dense()
             elif step is None:
                 step = np.zeros_like(p.data)
             step *= lr / count

@@ -1,10 +1,12 @@
 """Minibatch SGD training with validation-based model selection, plus the
 finite-difference gradient checker and length-bucketed evaluation.
 
-Each epoch is one :func:`~treeconv.tensor_core.sgd_epoch` pass, which
-sums per-sentence gradients in sample order, so two runs with the same
-seed produce identical checkpoints.  The learning rate halves after two
-epochs without a validation improvement.
+Each epoch is one :func:`~treeconv.tensor_core.sgd_epoch` pass.  A
+minibatch is one forward pass over its sentences and one backward pass,
+so a batch's gradient sums over its sentences in the tape's fixed replay
+order, and two runs with the same seed produce identical checkpoints.
+Evaluation runs the same batched forward, recording nothing.  The
+learning rate halves after two epochs without a validation improvement.
 """
 
 from __future__ import annotations
@@ -119,16 +121,17 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
     stale = 0
     underflows = 0
 
-    def sample_loss(tape, tree):
+    def batch_loss(tape, batch):
         nonlocal underflows
-        value, _ = classifier.loss_on(tape, tree, tree.sentence_label,
-                                      mode="train", rng=rng)
-        underflows += value.clamped
-        return value.node, value.cross_entropy, 1
+        value = classifier.loss(tape, batch,
+                                [tree.sentence_label for tree in batch],
+                                mode="train", rng=rng)
+        underflows += int(np.count_nonzero(value.clamped))
+        return value.node, value.per_row, len(batch)
 
     for epoch in range(1, config.max_epochs + 1):
         underflows = 0
-        epoch_loss = sgd_epoch(samples, sample_loss, params.named(), lr,
+        epoch_loss = sgd_epoch(samples, batch_loss, params.named(), lr,
                                config.batch_size, rng, epoch=epoch,
                                decayed=params.weight_matrices(), lam=config.l2,
                                loss_bound=BLOWUP_RATIO * math.log(config.classes))
@@ -217,6 +220,11 @@ def _bucket_labels(boundaries: Sequence[int]) -> List[str]:
     return labels
 
 
+# node rows per batched forward in `evaluate` (a longer sentence goes
+# alone): this bounds its memory, and larger batches run no faster
+EVAL_NODES = 1024
+
+
 def evaluate(classifier, trees: Sequence[ParseTree],
              buckets: Optional[Sequence[int]] = None,
              transfer_binary: bool = False) -> EvalReport:
@@ -225,16 +233,26 @@ def evaluate(classifier, trees: Sequence[ParseTree],
     Only whole sentences participate; `buckets` holds upper boundaries
     (defaults to 7 groups at granularity 5).  With transfer_binary, a
     5-class sentiment model is reinterpreted for binary gold labels.
+    The classifier's `predict_batch` sees consecutive sentences of up
+    to EVAL_NODES nodes in all at a time.
     """
     boundaries = list(buckets) if buckets is not None else default_length_buckets()
     labels = _bucket_labels(boundaries)
     stats = [BucketAccuracy(label=lab, correct=0, total=0) for lab in labels]
     correct = 0
     total = 0
+    if any(tree.sentence_label is None for tree in trees):
+        raise ContractError("evaluation needs root labels on every sentence")
+    preds, batch, nodes = [], [], 0
     for tree in trees:
-        if tree.sentence_label is None:
-            raise ContractError("evaluation needs root labels on every sentence")
-        pred = classifier.predict(tree)
+        if batch and nodes + len(tree.nodes) > EVAL_NODES:
+            preds.extend(classifier.predict_batch(batch))
+            batch, nodes = [], 0
+        batch.append(tree)
+        nodes += len(tree.nodes)
+    if batch:
+        preds.extend(classifier.predict_batch(batch))
+    for tree, pred in zip(trees, preds):
         if transfer_binary:
             pred = transfer_5_to_2(pred.probabilities)
         hit = int(pred.predicted == tree.sentence_label)
@@ -308,12 +326,11 @@ def gradient_check(classifier: SentenceClassifier, tree: ParseTree, gold: int,
     lam = classifier.config.l2
 
     def loss_value() -> float:
-        tape = Tape()
-        value, _ = classifier.loss_on(tape, tree, gold, mode="eval")
+        value = classifier.loss(Tape(), [tree], [gold], mode="eval")
         return value.cross_entropy + l2_penalty(weights, lam)[0]
 
     tape = Tape()
-    value, _ = classifier.loss_on(tape, tree, gold, mode="eval")
+    value = classifier.loss(tape, [tree], [gold], mode="eval")
     grads = tape.backward(value.node)
     decay = l2_penalty(weights, lam)[1]
     analytic = {name: grad_of(grads, p) + decay.get(p, 0.0) for name, p in named}

@@ -99,11 +99,11 @@ def test_criterion_1_gradient_fidelity():
                 # the l2 penalty that the update applies as 2*lam*W
                 def loss_value():
                     tape = Tape()
-                    value, _ = clf.loss_on(tape, tree, 1, mode="eval")
+                    value = clf.loss(tape, [tree], [1], mode="eval")
                     return value.cross_entropy + l2_penalty(weights, lam)[0]
 
                 tape = Tape()
-                value, _ = clf.loss_on(tape, tree, 1, mode="eval")
+                value = clf.loss(tape, [tree], [1], mode="eval")
                 grads = tape.backward(value.node)
                 decay = l2_penalty(weights, lam)[1]
                 pairs = [(p.data, grad_of(grads, p) + decay.get(p, 0.0))
@@ -312,7 +312,7 @@ def test_criterion_9_visualization_conservation(structural):
         clf = SentenceClassifier(config, params, table, inventory=inv)
         for tree in sample_trees:
             tape = Tape()
-            features = clf.forward_features(tape, tree)
+            features = clf.forward_features(tape, [tree])
             _, prov = pool(tape, features, assign_global(tree))
             assert fractions(prov, tree).total() == 1
 
@@ -324,7 +324,7 @@ def test_criterion_9_visualization_conservation(structural):
         trained = result.tree_model.classifier()
         for tree in task.test:
             tape = Tape()
-            features = trained.forward_features(tape, tree)
+            features = trained.forward_features(tape, [tree])
             _, prov = pool(tape, features, assign_global(tree))
             fracs = fractions(prov, tree)
             assert fracs.total() == 1

@@ -1,0 +1,79 @@
+"""The benchmark's span tracer keeps counting what it counted when a
+sentence was its own forward pass: one convolution window per node, one
+pooling slot per sample and slot, one annotation per constituency tree.
+
+`bench/tracing.py` wraps the package's functions from outside and reads
+their arguments and results (`convolve`'s second argument has one
+`.nodes` entry per window, `pool` returns `(pooled, PoolProvenance)`),
+so these tests pin that contract while the package batches its trees.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from treeconv.config import TrainConfig
+from treeconv.corpus_io import (
+    attach_labels,
+    bind_vocabulary,
+    load_embeddings,
+    read_constituency_file,
+    read_dependency_file,
+    read_label_file,
+)
+from treeconv.rae_pretrain import init_composition
+from treeconv.trainer import _training_samples, evaluate, train
+
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data"
+sys.path.append(str(ROOT / "bench"))
+import tracing  # noqa: E402
+
+SLOTS = {"kslot": 2, "global": 1, "3slot": 3}
+
+
+def corpus(variant):
+    vocab, table = load_embeddings(str(DATA / "tiny_embeddings.txt"))
+    if variant == "d":
+        trees = read_dependency_file(str(DATA / "tiny_dep.conll"))
+        attach_labels(trees, read_label_file(str(DATA / "tiny_dep.lbl")))
+    else:
+        trees = read_constituency_file(str(DATA / "tiny_con.txt"))
+    for tree in trees:
+        bind_vocabulary(tree, vocab)
+    return vocab, table, trees
+
+
+@pytest.mark.parametrize("variant,pooling", [("d", "kslot"), ("d", "global"),
+                                             ("c", "3slot"), ("c", "global")])
+def test_counters_match_the_trees_forwarded(variant, pooling):
+    vocab, table, trees = corpus(variant)
+    train_trees, val_trees, test_trees = trees[:5], trees[5:7], trees
+    config = TrainConfig(variant=variant, n_e=table.dim, n_c=4, n_h=4,
+                         classes=2, batch_size=3, max_epochs=2, l2=1e-5,
+                         dropout_embed=0.3, dropout_hidden=0.2,
+                         pooling=pooling, k=2, seed=0,
+                         train_embeddings=(variant == "d")).validate()
+    rae = (init_composition(table.dim, np.random.default_rng(1))
+           if variant == "c" else None)
+    samples = _training_samples(train_trees, config)
+    # each epoch forwards every sample once, then the validation split
+    seen = config.max_epochs * (list(samples) + list(val_trees))
+
+    tracer = tracing.Tracer()
+    tracer.phase = "train"
+    with tracing.installed(tracer):
+        model, _ = train(train_trees, val_trees, vocab, table, config, rae=rae)
+    tracer.phase = "predict"
+    with tracing.installed(tracer):
+        evaluate(model.classifier(), test_trees)
+
+    for phase, forwarded in (("train", seen), ("predict", test_trees)):
+        counts = tracer.counts[phase]
+        assert counts["tree_conv.windows"] == sum(len(t.nodes) for t in forwarded)
+        assert counts["pooling.slots"] == len(forwarded) * SLOTS[pooling]
+        annotated = len(forwarded) if variant == "c" else 0
+        assert counts["rae_pretrain.annotate_calls"] == annotated
+    assert tracer.counts["train"]["tensor_core.backward_calls"] > 0

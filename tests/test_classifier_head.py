@@ -7,6 +7,7 @@ from treeconv.classifier_head import (
     forward,
     init_head,
     loss,
+    predictions,
     transfer_5_to_2,
 )
 from treeconv.errors import ConfigError, ShapeError
@@ -31,13 +32,18 @@ def zero_head(n_h, in_width, classes):
 
 
 def pooled_from(arrays):
-    return Tensor(np.stack(arrays))
+    """One sample's pooled slots, flattened slot by slot into a row."""
+    return Tensor(np.concatenate(arrays)[None])
+
+
+def predict_one(tape, pooled, params):
+    return predictions(forward(tape, pooled, params).data)[0]
 
 
 class TestForward:
     def test_zero_params_give_uniform(self):
         pooled = pooled_from([np.array([1.0, 2.0]), np.array([3.0, 4.0])])
-        pred = forward(Tape(), pooled, zero_head(3, 4, 5))
+        pred = predict_one(Tape(), pooled, zero_head(3, 4, 5))
         assert np.allclose(pred.probabilities, 0.2)
         assert abs(pred.probabilities.sum() - 1.0) < 1e-9
         assert pred.predicted == 0  # tie goes to the lowest index
@@ -51,7 +57,7 @@ class TestForward:
         rng = np.random.default_rng(0)
         params = init_head(4, 6, 3, rng)
         slots = [rng.normal(size=3), rng.normal(size=3)]
-        pred = forward(Tape(), pooled_from(slots), params)
+        pred = predict_one(Tape(), pooled_from(slots), params)
 
         concat = np.concatenate(slots)
         h = np.maximum(naive_matvec(params.W_h.data, concat) + params.b_h.data, 0.0)
@@ -75,18 +81,15 @@ class TestLoss:
     def test_uniform_prediction_costs_ln_c(self):
         pooled = pooled_from([np.array([1.0, -1.0])])
         tape = Tape()
-        pred = forward(tape, pooled, zero_head(2, 2, 4))
-        lv = loss(tape, pred, gold=2)
+        logits = forward(tape, pooled, zero_head(2, 2, 4))
+        lv = loss(tape, logits, gold=[2])
         assert lv.cross_entropy == pytest.approx(np.log(4))
         assert lv.node.item() == lv.cross_entropy
 
     def test_near_perfect_prediction_approaches_zero(self):
         tape = Tape()
-        logits = Tensor(np.array([50.0, 0.0]), requires_grad=True)
-        from treeconv.classifier_head import PredictionOutput
-        pred = PredictionOutput(probabilities=softmax_probs(logits.data),
-                                predicted=0, logits=logits)
-        lv = loss(tape, pred, gold=0)
+        logits = Tensor(np.array([[50.0, 0.0]]), requires_grad=True)
+        lv = loss(tape, logits, gold=[0])
         assert 0.0 <= lv.cross_entropy < 1e-20
 
     def test_l2_term_matches_hand_summation(self):
@@ -108,12 +111,10 @@ class TestLoss:
 
     def test_underflow_flagged_not_infinite(self):
         tape = Tape()
-        logits = Tensor(np.array([0.0, 800.0]), requires_grad=True)
-        from treeconv.classifier_head import PredictionOutput
-        probs = softmax_probs(logits.data)
-        pred = PredictionOutput(probabilities=probs, predicted=1, logits=logits)
+        logits = Tensor(np.array([[0.0, 800.0]]), requires_grad=True)
+        probs = softmax_probs(logits.data[0])
         assert probs[0] == 0.0  # underflow forced
-        lv = loss(tape, pred, gold=0)
+        lv = loss(tape, logits, gold=[0])
         assert lv.clamped
         assert np.isfinite(lv.cross_entropy)
 

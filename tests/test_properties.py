@@ -1,7 +1,9 @@
 """Property tests over random trees of up to ~2k nodes: round trips,
 structural invariants, sub-tree copies, the frozen annotation, the RAE
-reconstruction loss and the convolution oracle; and over random matrices
-and slot maps, the pooling primitive `segment_max`.
+reconstruction loss and the convolution oracle; over random matrices
+and slot maps, single-tree and batch-shaped, the pooling primitive
+`segment_max`; and over random minibatches, the batched loss and
+gradient against the same samples one tape at a time.
 
 The tree shapes come from a hypothesis-drawn `random.Random`, so a
 failing example replays from the seed hypothesis prints; the size is a
@@ -12,6 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeconv.config import TrainConfig
 from treeconv.corpus_io import (
     bind_vocabulary,
     build_dep_inventory,
@@ -24,6 +27,7 @@ from treeconv.corpus_io import (
     validate_tree,
     vocabulary_from_corpus,
 )
+from treeconv.network import SentenceClassifier, init_model
 from treeconv.rae_pretrain import (
     _tree_recon_loss,
     annotate,
@@ -31,7 +35,7 @@ from treeconv.rae_pretrain import (
     init_composition,
 )
 from treeconv.synthetic import random_dependency_tree
-from treeconv.tensor_core import Tape, Tensor, grad_of, parameter
+from treeconv.tensor_core import WIDE_SLOT, Tape, Tensor, grad_of, parameter
 from treeconv.tree_conv import convolve, init_c_window, init_d_window
 
 from test_tree_conv import naive_convolve
@@ -239,15 +243,11 @@ def naive_segment_max(X, slot_of, count):
     return pooled, winners
 
 
-@PROPERTY
-@given(RANDOMS, st.integers(0, 40), st.integers(1, 6), st.integers(1, 8))
-def test_segment_max_matches_per_slot_loop(rng, rows, cols, count):
-    # small integers, so that ties are common
-    X = np.array([float(rng.randint(-3, 3)) for _ in range(rows * cols)])
-    X = X.reshape(rows, cols)
-    slot_of = [rng.randrange(count) for _ in range(rows)]
-    coeffs = np.array([rng.choice([-2.0, -0.5, 1.0, 3.0])
-                       for _ in range(count * cols)]).reshape(count, cols)
+def check_segment_max(X, slot_of, count, coeffs):
+    """`segment_max` against the row loop: pooled values, winners, and
+    the gradient of sum(coeffs * pooled), which each slot's coefficients
+    reach at its winning entries and nowhere else."""
+    cols = X.shape[1]
     want, want_winners = naive_segment_max(X, slot_of, count)
 
     X_ = parameter(X, "X")
@@ -256,8 +256,6 @@ def test_segment_max_matches_per_slot_loop(rng, rows, cols, count):
     assert np.array_equal(pooled.data, want)
     assert [None if w is None else w.tolist() for w in winners] == want_winners
 
-    # d sum(coeffs * pooled) / dX: each slot's coefficients at its
-    # winning entries, exactly zero everywhere else
     weighted = tape.reshape(tape.mul(pooled, Tensor(coeffs)), (-1, 1))
     grads = tape.backward(tape.sum_rows(weighted))
     expected = np.zeros_like(X)
@@ -265,6 +263,112 @@ def test_segment_max_matches_per_slot_loop(rng, rows, cols, count):
         if won is not None:
             expected[won, range(cols)] = coeffs[slot]
     assert np.array_equal(grad_of(grads, X_), expected)
+
+
+def small_integers(rng, rows, cols):
+    """Entries in [-3, 3), so that ties are common."""
+    return np.array([float(rng.randint(-3, 3))
+                     for _ in range(rows * cols)]).reshape(rows, cols)
+
+
+def random_coeffs(rng, count, cols):
+    return np.array([rng.choice([-2.0, -0.5, 1.0, 3.0])
+                     for _ in range(count * cols)]).reshape(count, cols)
+
+
+@PROPERTY
+@given(RANDOMS, st.integers(0, 40), st.integers(1, 6), st.integers(1, 8))
+def test_segment_max_matches_per_slot_loop(rng, rows, cols, count):
+    X = small_integers(rng, rows, cols)
+    slot_of = [rng.randrange(count) for _ in range(rows)]
+    check_segment_max(X, slot_of, count, random_coeffs(rng, count, cols))
+
+
+@PROPERTY
+@given(RANDOMS, st.integers(1, 12), st.integers(1, 4), st.booleans(),
+       st.booleans())
+def test_segment_max_matches_per_slot_loop_on_batches(rng, trees, per_tree,
+                                                      in_order, wide):
+    """Slot maps shaped like a minibatch's: tree b's rows use slots
+    b * per_tree ... b * per_tree + per_tree - 1, in row order (k-slot
+    and global pooling) or shuffled within the tree (3-slot), some slots
+    empty.  Narrow and wide maps reach both reduction forms."""
+    slot_of = []
+    for b in range(trees):
+        own = [b * per_tree + rng.randrange(per_tree)
+               for _ in range(rng.randint(1, 6))]
+        slot_of += sorted(own) if in_order else own
+    count = trees * per_tree
+    rows = len(slot_of)
+    # columns that put the map on either side of WIDE_SLOT entries a slot
+    cols = (WIDE_SLOT * count // rows + 1 if wide
+            else rng.randint(1, max(1, WIDE_SLOT * count // rows)))
+    X = small_integers(rng, rows, cols)
+    assert (X.size > WIDE_SLOT * count) == wide
+    check_segment_max(X, slot_of, count, random_coeffs(rng, count, cols))
+
+
+BATCH_SETUPS = [("d", "kslot"), ("d", "global"), ("c", "3slot"), ("c", "global")]
+
+
+def random_batch(rng, variant, size):
+    """`size` random trees of one kind over a shared vocabulary, bound
+    to it, and a 3-dimensional embedding table."""
+    nprng = np.random.default_rng(rng.randrange(2 ** 32))
+    if variant == "d":
+        trees = [random_dependency_tree(
+            nprng, [f"w{rng.randrange(12)}" for _ in range(rng.randint(2, 12))])
+            for _ in range(size)]
+    else:
+        trees = [parse_constituency(random_bracketed(rng, rng.randint(1, 12))[0])
+                 for _ in range(size)]
+    vocab = vocabulary_from_corpus(trees)
+    for tree in trees:
+        bind_vocabulary(tree, vocab)
+    return trees, random_embeddings(vocab, 3, seed=rng.randrange(2 ** 32))
+
+
+@PROPERTY
+@given(RANDOMS, st.sampled_from(BATCH_SETUPS), st.integers(1, 6))
+def test_batch_gradient_is_the_sum_of_one_sample_gradients(rng, setup, size):
+    """One tape over a minibatch, dropout on and (d) embeddings trained,
+    gives every parameter the gradient of its samples' tapes summed, and
+    each sample its own loss, both within 1e-12 relative; the masks
+    match because both draw them tree by tree from the same seed."""
+    variant, pooling = setup
+    trees, table = random_batch(rng, variant, size)
+    gold = [rng.randrange(3) for _ in trees]
+    config = TrainConfig(variant=variant, n_e=3, n_c=4, n_h=5, classes=3,
+                         pooling=pooling, k=2, dropout_embed=0.3,
+                         dropout_hidden=0.2,
+                         train_embeddings=(variant == "d")).validate()
+    nprng = np.random.default_rng(rng.randrange(2 ** 32))
+    inventory = build_dep_inventory(trees) if variant == "d" else None
+    params = init_model(config, table, inventory, nprng)
+    clf = SentenceClassifier(
+        config, params, table, inventory=inventory,
+        rae=init_composition(3, nprng) if variant == "c" else None)
+    seed = rng.randrange(2 ** 32)
+
+    tape = Tape()
+    batch = clf.loss(tape, trees, gold, rng=np.random.default_rng(seed))
+    batch_grads = tape.backward(batch.node)
+    assert batch.per_row.shape == (size,)
+
+    one_rng = np.random.default_rng(seed)
+    summed = {p: np.zeros_like(p.data) for _, p in params.named()}
+    for b, (tree, g) in enumerate(zip(trees, gold)):
+        tape = Tape()
+        single = clf.loss(tape, [tree], [g], rng=one_rng)
+        # the batch's GEMMs may round differently in the last bit
+        assert abs(single.per_row[0] - batch.per_row[b]) <= 1e-12 * single.per_row[0]
+        grads = tape.backward(single.node)
+        for p in summed:
+            summed[p] += grad_of(grads, p)
+    for name, p in params.named():
+        got, want = grad_of(batch_grads, p), summed[p]
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)),
+                                                         1e-300), name
 
 
 @PROPERTY

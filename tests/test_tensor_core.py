@@ -3,6 +3,7 @@ import pytest
 
 from treeconv.errors import ContractError, ShapeError
 from treeconv.tensor_core import (
+    ALL_ROWS,
     RowGradient,
     Tape,
     Tensor,
@@ -21,6 +22,19 @@ def take_row(tape, M, index):
     return tape.reshape(tape.take_rows(M, [index]), -1)
 
 
+def matvec(tape, W, x):
+    """W.x as a vector, through a one-row `edge_matmul`."""
+    row = tape.reshape(x, (1, -1))
+    row.name = x.name
+    return tape.reshape(tape.edge_matmul(row, [(W, ALL_ROWS, ALL_ROWS)]), -1)
+
+
+def add_bias(tape, X, b):
+    """X + b on every row, through an identity `edge_matmul` term."""
+    eye = matrix(np.eye(X.data.shape[1]))
+    return tape.edge_matmul(X, [(eye, ALL_ROWS, ALL_ROWS)], b)
+
+
 def concat(tape, parts):
     """Vectors joined end to end: the entries of one-column matrices,
     read as if stacked."""
@@ -34,26 +48,26 @@ class TestMatvec:
         tape = Tape()
         W = matrix(np.eye(3))
         x = vector([1.0, 2.0, 3.0])
-        assert np.array_equal(tape.matvec(W, x).data, [1.0, 2.0, 3.0])
+        assert np.array_equal(matvec(tape, W, x).data, [1.0, 2.0, 3.0])
 
     def test_zero_matrix_annihilates(self):
         tape = Tape()
         W = matrix(np.zeros((2, 3)))
         x = vector([4.0, -5.0, 6.0])
-        assert np.array_equal(tape.matvec(W, x).data, [0.0, 0.0])
+        assert np.array_equal(matvec(tape, W, x).data, [0.0, 0.0])
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(7)
         W = rng.normal(size=(4, 5))
         x = rng.normal(size=5)
-        got = Tape().matvec(matrix(W), vector(x)).data
+        got = matvec(Tape(), matrix(W), vector(x)).data
         assert np.max(np.abs(got - naive_matvec(W, x))) < 1e-12
 
     def test_shape_error_names_both_operands(self):
         W = matrix(np.zeros((2, 3)), name="weights")
         x = vector(np.zeros(4), name="input")
         with pytest.raises(ShapeError, match="weights.*input"):
-            Tape().matvec(W, x)
+            matvec(Tape(), W, x)
 
 
 class TestRelu:
@@ -124,7 +138,7 @@ class TestGradientMap:
         tape = Tape()
         rows = [take_row(tape, E, i) for i in (7, 3, 7, 999)]
         total = tape.add(tape.add(rows[0], rows[1]), tape.add(rows[2], rows[3]))
-        grads = tape.backward(tape.sumsq(tape.matvec(W, total)))
+        grads = tape.backward(tape.sumsq(matvec(tape, W, total)))
         assert set(grads) == {E, W}
         for g in grads.values():
             assert g.nbytes > 0
@@ -160,7 +174,7 @@ class TestOpGradients:
 
         def build(tape, ps):
             W_, x_, b_ = ps
-            return tape.sumsq(tape.relu(tape.add(tape.matvec(W_, x_), b_)))
+            return tape.sumsq(tape.relu(tape.add(matvec(tape, W_, x_), b_)))
 
         self._check(build, [W, x, b])
 
@@ -198,7 +212,7 @@ class TestOpGradients:
 
         def build(tape, ps):
             logit_p, W_ = ps
-            ce = tape.cross_entropy(logit_p, 2)
+            ce, _ = tape.cross_entropy(tape.reshape(logit_p, (1, -1)), [2])
             l2 = tape.sumsq(W_)
             return tape.add(ce, tape.scale(l2, 1e-2))
 
@@ -227,7 +241,7 @@ class TestOpGradients:
         def build(tape, ps):
             E_, x_ = ps
             r1 = take_row(tape, E_, 1)
-            v = tape.matvec(E_, x_)
+            v = matvec(tape, E_, x_)
             r1_again = take_row(tape, E_, 1)
             r4 = take_row(tape, E_, 4)
             rows = tape.add(tape.add(r1, r4), tape.tanh(r1_again))
@@ -302,7 +316,7 @@ class TestOpGradients:
         b = rng.normal(size=2)
 
         def build(tape, ps):
-            return tape.sumsq(tape.tanh(tape.add_bias(ps[0], ps[1])))
+            return tape.sumsq(tape.tanh(add_bias(tape, ps[0], ps[1])))
 
         self._check(build, [X, b])
 
@@ -360,7 +374,7 @@ class TestTapeProperties:
 
         def run():
             tape = Tape()
-            return tape.relu(tape.matvec(matrix(W), vector(x))).data
+            return tape.relu(matvec(tape, matrix(W), vector(x))).data
 
         assert np.array_equal(run(), run())
 
@@ -379,5 +393,5 @@ class TestTapeProperties:
 
     def test_cross_entropy_matches_log_softmax(self):
         logits = np.array([0.3, -0.2, 1.4])
-        ce = Tape().cross_entropy(vector(logits), 1).item()
+        ce = Tape().cross_entropy(matrix(logits[None]), [1])[0].item()
         assert ce == pytest.approx(-np.log(softmax_probs(logits)[1]), abs=1e-12)

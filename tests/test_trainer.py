@@ -67,7 +67,7 @@ class TestGradientCheck:
     def test_frozen_composition_gets_exact_zero_gradient(self):
         clf, tree = fixture_classifier("c", pooling="3slot")
         tape = Tape()
-        value, _ = clf.loss_on(tape, tree, 1, mode="eval")
+        value = clf.loss(tape, [tree], [1], mode="eval")
         grads = tape.backward(value.node)
         for _, p in clf.rae.named():
             assert np.array_equal(grad_of(grads, p), np.zeros_like(p.data))
@@ -97,10 +97,10 @@ class TestGradientCheck:
         before = clf1.params.copy_arrays()
 
         def step(clf):
-            def sample_loss(tape, sample):
-                value, _ = clf.loss_on(tape, sample, 1, mode="eval")
-                return value.node, value.cross_entropy, 1
-            return sgd_epoch([tree], sample_loss, clf.params.named(), lr, 1,
+            def batch_loss(tape, batch):
+                value = clf.loss(tape, batch, [1] * len(batch), mode="eval")
+                return value.node, value.per_row, len(batch)
+            return sgd_epoch([tree], batch_loss, clf.params.named(), lr, 1,
                              np.random.default_rng(0),
                              decayed=clf.params.weight_matrices(),
                              lam=clf.config.l2)
@@ -138,29 +138,29 @@ class TestRowGradientStep:
                                  inventory=inventory)
         named = params.named()
         before = params.copy_arrays()
-        grads_seen = []  # each sample's dense gradients, before the update
+        grads_seen = []  # the batch's dense gradients, before the update
 
-        def sample_loss(tape, tree):
-            value, _ = clf.loss_on(tape, tree, tree.sentence_label,
-                                   mode="train", rng=rng)
+        def batch_loss(tape, trees):
+            value = clf.loss(tape, trees, [t.sentence_label for t in trees],
+                             mode="train", rng=rng)
             grads = tape.backward(value.node)
             grads_seen.append({name: grad_of(grads, p) for name, p in named})
-            return value.node, value.cross_entropy, 1
+            return value.node, value.per_row, len(trees)
 
         batch = corpus.dep_trees[:3]
-        sgd_epoch(batch, sample_loss, named, self.LR, len(batch), rng,
+        sgd_epoch(batch, batch_loss, named, self.LR, len(batch), rng,
                   decayed=params.weight_matrices(), lam=config.l2)
         decayed = {name for name, p in named if p in params.weight_matrices()}
         return params, before, grads_seen, batch, decayed
 
     def test_matches_plain_numpy_dense_reference_bytewise(self):
-        params, before, grads, _, decayed = self._step()
+        params, before, grads, batch, decayed = self._step()
         assert "embeddings" not in decayed
         for name, p in params.named():
             step = np.zeros_like(before[name])
             for g in grads:
                 step += g[name]
-            step *= self.LR / len(grads)
+            step *= self.LR / len(batch)
             if name in decayed:
                 step += self.LR * (2.0 * self.LAM * before[name])
             expected = before[name] - step
@@ -406,12 +406,15 @@ class TestEvaluate:
         corpus = make_overfit_corpus(n_sentences=8, classes=2, n_e=8, seed=10)
 
         class Oracle:
-            def predict(self, tree):
+            def predict_batch(self, trees):
                 from treeconv.classifier_head import PredictionOutput
-                onehot = np.zeros(2)
-                onehot[tree.sentence_label] = 1.0
-                return PredictionOutput(probabilities=onehot,
-                                        predicted=tree.sentence_label)
+                preds = []
+                for tree in trees:
+                    onehot = np.zeros(2)
+                    onehot[tree.sentence_label] = 1.0
+                    preds.append(PredictionOutput(
+                        probabilities=onehot, predicted=tree.sentence_label))
+                return preds
 
         report = evaluate(Oracle(), corpus.dep_trees)
         assert report.accuracy == 1.0
@@ -429,10 +432,10 @@ class TestEvaluate:
 
         class FixedWrong:
             """Predicts class 0 always."""
-            def predict(self, tree):
+            def predict_batch(self, trees):
                 from treeconv.classifier_head import PredictionOutput
-                return PredictionOutput(probabilities=np.array([1.0, 0.0]),
-                                        predicted=0)
+                return [PredictionOutput(probabilities=np.array([1.0, 0.0]),
+                                         predicted=0) for _ in trees]
 
         report = evaluate(FixedWrong(), trees)
         want = sum(1 for t in trees if t.sentence_label == 0) / len(trees)
