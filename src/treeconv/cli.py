@@ -317,7 +317,7 @@ def cmd_visualize(args) -> int:
         with open(f"{args.out_prefix}_{i}.dot", "w", encoding="utf-8") as fh:
             fh.write(viz.emit_dot(tree, fracs))
         with open(f"{args.out_prefix}_{i}.json", "w", encoding="utf-8") as fh:
-            fh.write(viz.emit_json(tree, fracs))
+            fh.writelines(viz.json_pieces(tree, fracs))
         written += 1
     print(f"wrote {written} DOT/JSON pairs to {args.out_prefix}_*.{{dot,json}}")
     return EXIT_OK

@@ -3,10 +3,12 @@
 Constituency constituents have no word embedding of their own, so each
 non-leaf vector is composed from its children, p = tanh(W.[c1;c2] + b),
 and the composition weights are pretrained to reconstruct the children
-from p.  The pretraining loss batches a tree by height: all non-leaf
-nodes of one height compose and reconstruct as one matrix.  After
-pretraining the per-node vectors are frozen: tree convolution reads them
-as constants and no gradient ever reaches them.
+from p.  The pretraining loss batches a minibatch by height: the
+non-leaf nodes of one height, across all its trees, compose and
+reconstruct as one matrix, so a batch records a few ops per height of
+its tallest tree whatever its tree count.  After pretraining the
+per-node vectors are frozen: tree convolution reads them as constants
+and no gradient ever reaches them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import numpy as np
 
 from .corpus_io import CONSTITUENCY, EmbeddingTable, ParseTree
 from .errors import ContractError, ShapeError
-from .tensor_core import Tape, Tensor, parameter, sgd_epoch, uniform_init
+from .tensor_core import (Tape, Tensor, node_groups, parameter, sgd_epoch,
+                          uniform_init)
 
 
 @dataclass
@@ -111,47 +114,46 @@ def _leaf_row(node, table: EmbeddingTable) -> np.ndarray:
     return table.row(node.embedding_index)
 
 
-def _tree_recon_loss(tape: Tape, tree: ParseTree, params: CompositionParams,
-                     table: EmbeddingTable) -> Tuple[Optional[Tensor], int]:
-    """Reconstruction loss summed over a tree's non-leaf nodes (None if
-    it has none), and their count.
+def _recon_loss(tape: Tape, trees: Sequence[ParseTree], params: CompositionParams,
+                table: EmbeddingTable) -> Tuple[Optional[Tensor], int]:
+    """Reconstruction loss summed over the non-leaf nodes of `trees`
+    (None if they have none), and their count.
 
-    The non-leaf nodes of one height compose and reconstruct together:
-    their [left; right] child rows, a zero row for a unary node's missing
-    right child, form one (m, 2*n_e) matrix, read from the leaf rows and
-    from just the lower levels those children sit in.
+    The non-leaf nodes of one height, across all the trees, compose and
+    reconstruct together: their [left; right] child rows, a zero row for
+    a unary node's missing right child, form one (m, 2*n_e) matrix, read
+    from the leaf rows and from just the lower levels those children sit
+    in.  One post-order walk per tree finds every node's (level, row).
     """
     rows = [np.zeros(params.n_e)]  # level 0: a zero row, then the leaves
-    where = [(0, 0)] * len(tree.nodes)  # (level, row) of each node's vector
-    levels: List[List[int]] = []  # non-leaf nodes by height, in post-order
-    for v, entering in tree.walk():
-        if entering:
-            continue
-        kids = tree.nodes[v].children
-        if not kids:
-            where[v] = (0, len(rows))
-            rows.append(_leaf_row(tree.nodes[v], table))
-            continue
-        height = 1 + max(where[c][0] for c in kids)
-        if height > len(levels):
-            levels.append([])
-        where[v] = (height, len(levels[height - 1]))
-        levels[height - 1].append(v)
+    levels: List[list] = []  # per height, the [left; right] child refs
+    for tree in trees:
+        where = [(0, 0)] * len(tree)  # (level, row) of each node's vector
+        for v, entering in tree.walk():
+            if entering:
+                continue
+            kids = tree.nodes[v].children
+            if not kids:
+                where[v] = (0, len(rows))
+                rows.append(_leaf_row(tree.nodes[v], table))
+                continue
+            pair = [where[kids[0]], where[kids[1]] if len(kids) > 1 else (0, 0)]
+            height = 1 + max(pair[0][0], pair[1][0])
+            if height > len(levels):
+                levels.append([])
+            where[v] = (height, len(levels[height - 1]) // 2)
+            levels[height - 1] += pair
     vectors = [Tensor(np.array(rows))]
     every = slice(None)
     total = None
-    for members in levels:
-        refs = []
-        for v in members:
-            kids = tree.nodes[v].children
-            refs += [where[kids[0]], where[kids[1]] if len(kids) > 1 else (0, 0)]
+    for refs in levels:
         start, offset = {}, 0
         for level in sorted({level for level, _ in refs}):
             start[level], offset = offset, offset + len(vectors[level].data)
         pairs = tape.reshape(
             tape.take_rows([vectors[level] for level in start],
                            [start[level] + row for level, row in refs]),
-            (len(members), 2 * params.n_e))
+            (len(refs) // 2, 2 * params.n_e))
         p = tape.tanh(tape.edge_matmul(pairs, [(params.W_comp, every, every)],
                                        params.b_comp))
         recon = tape.tanh(tape.edge_matmul(p, [(params.W_rec, every, every)],
@@ -159,21 +161,19 @@ def _tree_recon_loss(tape: Tape, tree: ParseTree, params: CompositionParams,
         loss = tape.sumsq(tape.sub(pairs, recon))
         total = loss if total is None else tape.add(total, loss)
         vectors.append(p)
-    return total, sum(len(members) for members in levels)
+    return total, sum(len(refs) for refs in levels) // 2
 
 
 def reconstruction_loss(trees: Sequence[ParseTree], params: CompositionParams,
                         table: EmbeddingTable) -> float:
-    """Mean reconstruction loss per non-leaf node over a corpus."""
-    total = 0.0
-    count = 0
-    for tree in trees:
-        loss, n = _tree_recon_loss(Tape(record=False), tree, params, table)
-        total += 0.0 if loss is None else loss.item()
-        count += n
+    """Mean reconstruction loss per non-leaf node over a corpus, scored
+    EVAL_NODES nodes at a time."""
+    scored = [_recon_loss(Tape(record=False), group, params, table)
+              for group in node_groups(trees)]
+    count = sum(n for _, n in scored)
     if count == 0:
         raise ContractError("corpus has no non-leaf nodes to reconstruct")
-    return total / count
+    return sum(loss.item() for loss, n in scored if n) / count
 
 
 def pretrain(trees: Sequence[ParseTree], table: EmbeddingTable,
@@ -186,25 +186,24 @@ def pretrain(trees: Sequence[ParseTree], table: EmbeddingTable,
     never exceeds the initial one.  Gradients are averaged per non-leaf
     node in the batch.
     """
-    trees = [t for t in trees]
-    for t in trees:
-        if t.kind != CONSTITUENCY:
-            raise ContractError("pretraining expects constituency trees")
-    if not any(node.children for t in trees for node in t.nodes):
-        raise ContractError("corpus has no non-leaf nodes to reconstruct")
+    trees = list(trees)
+    if any(t.kind != CONSTITUENCY for t in trees):
+        raise ContractError("pretraining expects constituency trees")
 
     rng = np.random.default_rng(config.seed)
     params = init_composition(n_e if n_e is not None else table.dim, rng)
 
+    holdout = train = trees
     if len(trees) >= 2:
         order = rng.permutation(len(trees))
         n_hold = max(1, round(config.holdout_fraction * len(trees)))
-        holdout = [trees[i] for i in order[:n_hold]]
-        train = [trees[i] for i in order[n_hold:]]
-        if not any(node.children for t in train for node in t.nodes):
-            train = trees
-    else:
-        holdout = train = trees
+        # a split without a non-leaf node falls back to the whole corpus,
+        # which reconstruction_loss rejects if it has none either
+        holdout, train = [
+            split if any(node.children for t in split for node in t.nodes)
+            else trees
+            for split in ([trees[i] for i in order[:n_hold]],
+                          [trees[i] for i in order[n_hold:]])]
 
     named = params.named()
     best_loss = reconstruction_loss(holdout, params, table)
@@ -212,15 +211,9 @@ def pretrain(trees: Sequence[ParseTree], table: EmbeddingTable,
     stale = 0
 
     def batch_loss(tape, batch):
-        """Every tree's loss on the batch's tape, added up."""
-        total, values, count = None, [], 0
-        for tree in batch:
-            loss, n = _tree_recon_loss(tape, tree, params, table)
-            values.append(0.0 if loss is None else loss.item())
-            count += n
-            if loss is not None:
-                total = loss if total is None else tape.add(total, loss)
-        return total, values, count
+        """The batch's loss, as its one value."""
+        loss, count = _recon_loss(tape, batch, params, table)
+        return loss, [] if loss is None else [loss.item()], count
 
     for epoch in range(1, config.max_epochs + 1):
         sgd_epoch(train, batch_loss, named, config.learning_rate,

@@ -583,6 +583,24 @@ def iter_batches(n: int, batch_size: int, rng) -> Iterator[np.ndarray]:
         yield order[start:start + batch_size]
 
 
+# nodes per `node_groups` group (a larger item goes alone): this bounds
+# the memory of a scoring pass, and larger groups run no faster
+EVAL_NODES = 1024
+
+
+def node_groups(items: Sequence) -> Iterator[list]:
+    """Consecutive items of up to EVAL_NODES nodes (`len`) in all."""
+    group, nodes = [], 0
+    for item in items:
+        if group and nodes + len(item) > EVAL_NODES:
+            yield group
+            group, nodes = [], 0
+        group.append(item)
+        nodes += len(item)
+    if group:
+        yield group
+
+
 def l2_penalty(matrices: Sequence[Tensor],
                lam: float) -> Tuple[float, GradientMap]:
     """lam * sum of squared entries of `matrices`, and its gradient
@@ -602,16 +620,16 @@ def sgd_epoch(samples: Sequence, batch_loss: Callable,
     summed loss, with the l2 penalty counted once per sample.
 
     `batch_loss(tape, batch)` records the loss of a list of samples on
-    one fresh tape and returns (loss node or None, the per-sample loss
-    values, weight count).  A batch steps each parameter by `lr` times
-    the gradient of that node over the weight count (a batch without a
-    node or counting 0 is skipped), plus 2 * lam * W of the pre-step
-    weights for the matrices in `decayed`.  A parameter whose gradient
-    is a row gradient and that is not decayed only has its touched rows
-    written.  Raises DivergenceError at the first batch whose mean
-    sample loss exceeds `loss_bound`, before its update, and after the
-    first batch that leaves the loss or a parameter non-finite (the loss
-    is finite until then, so the running sum shows it).
+    one fresh tape and returns (loss node or None, loss values that sum
+    to the batch's loss, weight count).  A batch steps each parameter by
+    `lr` times the gradient of that node over the weight count (a batch
+    without a node or counting 0 is skipped), plus 2 * lam * W of the
+    pre-step weights for the matrices in `decayed`.  A parameter whose
+    gradient is a row gradient and that is not decayed only has its
+    touched rows written.  Raises DivergenceError at the first batch
+    whose mean sample loss exceeds `loss_bound`, before its update, and
+    after the first batch that leaves the loss or a parameter non-finite
+    (the loss is finite until then, so the running sum shows it).
     """
     total = 0.0
     for number, batch in enumerate(iter_batches(len(samples), batch_size,

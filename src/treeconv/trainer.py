@@ -32,7 +32,8 @@ from .corpus_io import (
 from .errors import ConfigError, ContractError
 from .network import SentenceClassifier, TrainedModel, init_model
 from .rae_pretrain import CompositionParams
-from .tensor_core import Tape, grad_of, iter_batches, l2_penalty, sgd_epoch
+from .tensor_core import (Tape, grad_of, iter_batches, l2_penalty, node_groups,
+                          sgd_epoch)
 
 # re-exported for convenience: the config type lives in config.py
 __all__ = [
@@ -58,11 +59,10 @@ def _training_samples(trees: Sequence[ParseTree],
                       config: TrainConfig) -> List[ParseTree]:
     """Expand tagged constituents into individual samples (train only)."""
     if config.variant != VARIANT_C or not config.use_subsentences:
-        return [t for t in trees]
+        return list(trees)
     samples: List[ParseTree] = []
     for tree in trees:
-        subs = extract_subsentences(tree)
-        samples.extend(subs)
+        samples.extend(extract_subsentences(tree))
         if tree.nodes[tree.root].label is None and tree.sentence_label is not None:
             samples.append(tree)
     return samples
@@ -100,12 +100,10 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
         inventory = build_dep_inventory(train_trees)
 
     samples = _training_samples(train_trees, config)
-    for tree in samples:
-        if tree.sentence_label is None:
-            raise ConfigError("every training sample needs a label")
-    for tree in val_trees:
-        if tree.sentence_label is None:
-            raise ConfigError("every validation sentence needs a label")
+    if any(tree.sentence_label is None for tree in samples):
+        raise ConfigError("every training sample needs a label")
+    if any(tree.sentence_label is None for tree in val_trees):
+        raise ConfigError("every validation sentence needs a label")
 
     started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
@@ -211,18 +209,8 @@ def default_length_buckets(granularity: int = 5,
 
 
 def _bucket_labels(boundaries: Sequence[int]) -> List[str]:
-    labels = []
-    lo = 1
-    for b in boundaries:
-        labels.append(f"{lo}-{b}")
-        lo = b + 1
-    labels.append(f"{lo}+")
-    return labels
-
-
-# node rows per batched forward in `evaluate` (a longer sentence goes
-# alone): this bounds its memory, and larger batches run no faster
-EVAL_NODES = 1024
+    lows = [1] + [b + 1 for b in boundaries]
+    return [f"{lo}-{b}" for lo, b in zip(lows, boundaries)] + [f"{lows[-1]}+"]
 
 
 def evaluate(classifier, trees: Sequence[ParseTree],
@@ -233,38 +221,26 @@ def evaluate(classifier, trees: Sequence[ParseTree],
     Only whole sentences participate; `buckets` holds upper boundaries
     (defaults to 7 groups at granularity 5).  With transfer_binary, a
     5-class sentiment model is reinterpreted for binary gold labels.
-    The classifier's `predict_batch` sees consecutive sentences of up
-    to EVAL_NODES nodes in all at a time.
+    The classifier's `predict_batch` sees each `node_groups` group.
     """
     boundaries = list(buckets) if buckets is not None else default_length_buckets()
     labels = _bucket_labels(boundaries)
     stats = [BucketAccuracy(label=lab, correct=0, total=0) for lab in labels]
-    correct = 0
-    total = 0
+    if not trees:
+        raise ContractError("evaluation corpus is empty")
     if any(tree.sentence_label is None for tree in trees):
         raise ContractError("evaluation needs root labels on every sentence")
-    preds, batch, nodes = [], [], 0
-    for tree in trees:
-        if batch and nodes + len(tree.nodes) > EVAL_NODES:
-            preds.extend(classifier.predict_batch(batch))
-            batch, nodes = [], 0
-        batch.append(tree)
-        nodes += len(tree.nodes)
-    if batch:
-        preds.extend(classifier.predict_batch(batch))
+    preds = [pred for group in node_groups(trees)
+             for pred in classifier.predict_batch(group)]
     for tree, pred in zip(trees, preds):
         if transfer_binary:
             pred = transfer_5_to_2(pred.probabilities)
-        hit = int(pred.predicted == tree.sentence_label)
-        correct += hit
-        total += 1
         length = tree.word_count()
         slot = sum(1 for b in boundaries if length > b)
-        stats[slot].correct += hit
+        stats[slot].correct += int(pred.predicted == tree.sentence_label)
         stats[slot].total += 1
-    if total == 0:
-        raise ContractError("evaluation corpus is empty")
-    return EvalReport(correct=correct, total=total, buckets=stats)
+    return EvalReport(correct=sum(s.correct for s in stats), total=len(trees),
+                      buckets=stats)
 
 
 def format_eval_report(report: EvalReport) -> str:

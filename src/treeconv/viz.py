@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List
+from typing import Iterator, List
 
 from .corpus_io import DEPENDENCY, ParseTree
 from .errors import ContractError
@@ -44,19 +44,16 @@ def fractions(provenance: PoolProvenance, tree: ParseTree) -> NodeFractionMap:
     in degenerate 3-slot trees) credit nothing and shrink it.
     """
     wins = [0] * len(tree.nodes)
-    credited = 0
     for _slot, _dim, node in provenance.credited():
         if not 0 <= node < len(tree.nodes):
             raise ContractError(
                 f"provenance names node {node}, tree has {len(tree.nodes)}"
             )
         wins[node] += 1
-        credited += 1
+    credited = sum(wins)
     if credited == 0:
         raise ContractError("provenance credits no dimensions")
-    return NodeFractionMap(
-        fractions=[Fraction(w, credited) for w in wins]
-    )
+    return NodeFractionMap([Fraction(w, credited) for w in wins])
 
 
 def _node_text(tree: ParseTree, v: int) -> str:
@@ -102,19 +99,32 @@ def emit_json(tree: ParseTree, fracs: NodeFractionMap) -> str:
     Zero fractions are written as 0.0 rather than omitted, and the
     float values round-trip exactly through a standard JSON parser.
     """
+    return "".join(json_pieces(tree, fracs))
+
+
+def json_pieces(tree: ParseTree, fracs: NodeFractionMap) -> Iterator[str]:
+    """The text of `emit_json` in pieces, a few per walk event: what
+    `json.dumps(..., indent=2)` gives for the nested objects, at any
+    depth and without holding it all."""
     if len(fracs) != len(tree.nodes):
         raise ContractError("fraction map does not cover the tree")
-
-    def build(v: int) -> Dict:
+    yield f'{{\n  "kind": {json.dumps(tree.kind)},\n  "root": '
+    level, left = 1, False  # the open object's indent; the last event a leave
+    for v, entering in tree.walk():
         node = tree.nodes[v]
-        obj = {
-            "word": node.word,
-            "label": node.label,
-            "relation": node.dep_relation,
-            "position": node.position,
-            "fraction": float(fracs.fractions[v]),
-            "children": [build(c) for c in node.children],
-        }
-        return obj
-
-    return json.dumps({"kind": tree.kind, "root": build(tree.root)}, indent=2)
+        if entering and v != tree.root:
+            level += 2
+            yield ("," if left else "") + "\n" + "  " * level
+        pad = "\n" + "  " * (level + 1)  # the object's fields
+        if entering:
+            fields = zip(("word", "label", "relation", "position", "fraction"),
+                         (node.word, node.label, node.dep_relation,
+                          node.position, float(fracs.fractions[v])))
+            yield "{" + "".join(f'{pad}"{key}": {json.dumps(value)},'
+                                for key, value in fields) \
+                + f'{pad}"children": ' + ("[" if node.children else "[]")
+        else:
+            yield (pad + "]" if node.children else "") + pad[:-2] + "}"
+            level -= 2
+        left = not entering
+    yield "\n}"

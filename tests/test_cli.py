@@ -9,6 +9,7 @@ from treeconv import checkpoint as ckpt
 from treeconv.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from treeconv.cli import main
 from treeconv.corpus_io import (
+    parse_constituency,
     read_dependency_file,
     serialize_dependency,
 )
@@ -568,3 +569,37 @@ class TestDeepAndWideInput:
         assert "epoch 2 train_loss" in capsys.readouterr().out
         assert load_checkpoint(out).rae is not None
         assert (tmp_path / "c.ckpt.report.json").exists()
+
+    def test_5000_deep_line_visualizes(self, tmp_path, capsys):
+        n = 5000
+        deep = "(1 " + "(X " * (n - 1) + "(0 deep)" + ")" * (n - 1) + ")"
+        corpus = tmp_path / "deep.txt"
+        corpus.write_text((DATA / "tiny_con.txt").read_text().rstrip("\n")
+                          + f"\n{deep}\n")
+        rae_out = tmp_path / "rae.ckpt"
+        assert main(["pretrain-rae", "--train", str(corpus), "--n-e", "4",
+                     "--epochs", "1", "--out", str(rae_out)]) == 0
+        config = tmp_path / "c.cfg"
+        config.write_text(TOY_C_CONFIG.replace("n_e = 8", "n_e = 4")
+                          .replace("max_epochs = 25", "max_epochs = 1"))
+        out = tmp_path / "c.ckpt"
+        assert main(["train", "--config", str(config), "--train", str(corpus),
+                     "--val", str(corpus), "--rae", str(rae_out),
+                     "--out", str(out)]) == 0
+        prefix = tmp_path / "trace"
+        code = main(["visualize", "--checkpoint", str(out),
+                     "--input", str(corpus), "--out-prefix", str(prefix)])
+        assert code == 0, capsys.readouterr().err
+        # the chain's file is ~450 MB: read it line by line, then drop it
+        trace = tmp_path / f"trace_{len(corpus.read_text().splitlines()) - 1}.json"
+        fractions, leaf_indents = 0, []
+        with open(trace, encoding="utf-8") as fh:
+            for line in fh:
+                field = line.lstrip()
+                fractions += field.startswith('"fraction": ')
+                if field == '"children": []\n':
+                    leaf_indents.append(len(line) - len(field))
+        trace.unlink()
+        assert fractions == len(parse_constituency(deep))
+        # one word, n levels down, its fields indented as json.dumps would
+        assert leaf_indents == [2 * (2 * n + 2)]

@@ -1,6 +1,7 @@
 """Property tests over random trees of up to ~2k nodes: round trips,
 structural invariants, sub-tree copies, the frozen annotation, the RAE
-reconstruction loss and the convolution oracle; over random matrices
+reconstruction loss (one tree against a per-node oracle, a batch against
+its trees one call each) and the convolution oracle; over random matrices
 and slot maps, single-tree and batch-shaped, the pooling primitive
 `segment_max`; and over random minibatches, the batched loss and
 gradient against the same samples one tape at a time.
@@ -9,6 +10,8 @@ The tree shapes come from a hypothesis-drawn `random.Random`, so a
 failing example replays from the seed hypothesis prints; the size is a
 separate argument that shrinks on its own.
 """
+
+import random
 
 import numpy as np
 from hypothesis import given, settings
@@ -29,7 +32,7 @@ from treeconv.corpus_io import (
 )
 from treeconv.network import SentenceClassifier, init_model
 from treeconv.rae_pretrain import (
-    _tree_recon_loss,
+    _recon_loss,
     annotate,
     compose,
     init_composition,
@@ -196,7 +199,7 @@ def test_recon_loss_matches_per_node_oracle(rng, n_leaves):
     params = init_composition(n_e, nprng)
     want, count = naive_recon_loss(tree, params, table)
     tape = Tape()
-    loss, n = _tree_recon_loss(tape, tree, params, table)
+    loss, n = _recon_loss(tape, [tree], params, table)
     assert n == count
     if count == 0:
         assert loss is None
@@ -220,6 +223,70 @@ def test_recon_loss_matches_per_node_oracle(rng, n_leaves):
             p.data = p.data - sign * eps * d
     fd = (ends[0] - ends[1]) / (2 * eps)
     assert abs(slope - fd) <= 1e-5 * max(abs(slope), 1.0), (slope, fd)
+
+
+def unary_chain(depth, word):
+    """A line whose root sits `depth` unary constituents above one word."""
+    return "(1 " + "(X " * (depth - 1) + f"(0 {word})" + ")" * (depth - 1) + ")"
+
+
+@PROPERTY
+@given(RANDOMS, st.integers(1, 6))
+def test_recon_loss_of_a_batch_is_the_sum_of_one_tree_losses(rng, size):
+    """One call over a batch of random trees, a unary chain and a
+    leaf-only line gives the summed loss, count and gradient of one call
+    per tree, within 1e-12 relative."""
+    lines = [random_bracketed(rng, rng.randint(1, 60))[0] for _ in range(size)]
+    lines += [unary_chain(rng.randint(2, 40), "chain"), "(1 alone)"]
+    rng.shuffle(lines)
+    trees = [parse_constituency(line) for line in lines]
+    vocab = vocabulary_from_corpus(trees)
+    for tree in trees:
+        bind_vocabulary(tree, vocab)
+    table = random_embeddings(vocab, 3, seed=rng.randrange(2 ** 32))
+    params = init_composition(3, np.random.default_rng(rng.randrange(2 ** 32)))
+    named = [p for _, p in params.named()]
+
+    tape = Tape()
+    loss, count = _recon_loss(tape, trees, params, table)
+    batch_grads = tape.backward(loss)
+    want, want_count = 0.0, 0
+    summed = {p: np.zeros_like(p.data) for p in named}
+    for tree in trees:
+        tape = Tape()
+        one, n = _recon_loss(tape, [tree], params, table)
+        want_count += n
+        if one is None:
+            assert n == 0
+            continue
+        want += one.item()
+        grads = tape.backward(one)
+        for p in named:
+            summed[p] += grad_of(grads, p)
+    assert count == want_count
+    assert abs(loss.item() - want) <= 1e-12 * want
+    for name, p in params.named():
+        got, ref = grad_of(batch_grads, p), summed[p]
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
+def test_recon_loss_records_as_many_ops_for_k_copies_as_for_one():
+    line = random_bracketed(random.Random(5), 40)[0]
+    tree = parse_constituency(line)
+    vocab = vocabulary_from_corpus([tree])
+    table = random_embeddings(vocab, 3, seed=0)
+    params = init_composition(3, np.random.default_rng(0))
+    non_leaf = sum(1 for node in tree.nodes if node.children)
+    records = []
+    for copies in (1, 2, 7):
+        trees = [parse_constituency(line) for _ in range(copies)]
+        for copy in trees:
+            bind_vocabulary(copy, vocab)
+        tape = Tape()
+        _, n = _recon_loss(tape, trees, params, table)
+        assert n == copies * non_leaf
+        records.append(len(tape))
+    assert records[0] == records[1] == records[2]
 
 
 def naive_segment_max(X, slot_of, count):

@@ -153,8 +153,19 @@ class TestPretrain:
         with pytest.raises(ContractError):
             pretrain([tree], table)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_split_without_non_leaf_falls_back_to_the_corpus(self, seed):
+        # some seeds hold out the leaf-only line, some train on it alone
+        vocab, table = small_table(["alone", "a", "b"], 2)
+        trees = [parse_constituency("(1 alone)"),
+                 parse_constituency("(1 (2 a) (3 b))")]
+        for tree in trees:
+            bind_vocabulary(tree, vocab)
+        params = pretrain(trees, table, PretrainConfig(max_epochs=1, seed=seed))
+        assert all(np.isfinite(p.data).all() for _, p in params.named())
+
     def test_gradient_of_objective_matches_finite_differences(self):
-        from treeconv.rae_pretrain import _tree_recon_loss
+        from treeconv.rae_pretrain import _recon_loss
         from treeconv.tensor_core import Tape, grad_of
         from helpers import max_grad_error
 
@@ -165,10 +176,10 @@ class TestPretrain:
         params = init_composition(2, rng)
 
         def loss_value():
-            return _tree_recon_loss(Tape(), tree, params, table)[0].item()
+            return _recon_loss(Tape(), [tree], params, table)[0].item()
 
         tape = Tape()
-        loss, _ = _tree_recon_loss(tape, tree, params, table)
+        loss, _ = _recon_loss(tape, [tree], params, table)
         grads = tape.backward(loss)
         pairs = [(p.data, grad_of(grads, p)) for _, p in params.named()]
         assert max_grad_error(loss_value, pairs) < 1e-4

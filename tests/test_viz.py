@@ -1,14 +1,27 @@
 import json
+import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treeconv.corpus_io import parse_constituency, parse_dependency
+from treeconv.corpus_io import (
+    parse_constituency,
+    parse_dependency,
+    read_constituency_file,
+    read_dependency_file,
+)
 from treeconv.pooling import assign_global, assign_three_slot, pool
 from treeconv.synthetic import random_dependency_tree
 from treeconv.tensor_core import Tape, Tensor
 from treeconv.viz import NodeFractionMap, emit_dot, emit_json, fractions
+
+from test_properties import random_bracketed
+
+DATA = Path(__file__).parent / "data"
 
 I_LOVED_IT_CONLL = (
     "1\tI\t_\t_\t_\t_\t2\tnsubj\n"
@@ -168,3 +181,52 @@ class TestEmitJson:
 
         walk(data["root"])
         assert sorted(words) == ["I", "it", "loved"]
+
+
+def nested_json(tree, fracs):
+    """The JSON text as nested objects dumped by `json.dumps`: the
+    recursive oracle for `emit_json` (fine for shallow trees)."""
+    def build(v):
+        node = tree.nodes[v]
+        return {
+            "word": node.word,
+            "label": node.label,
+            "relation": node.dep_relation,
+            "position": node.position,
+            "fraction": float(fracs.fractions[v]),
+            "children": [build(c) for c in node.children],
+        }
+
+    return json.dumps({"kind": tree.kind, "root": build(tree.root)}, indent=2)
+
+
+def uneven_fractions(rng, tree):
+    """Fractions of odd denominators, some zero, so the floats need
+    their full repr."""
+    wins = [rng.randrange(4) * rng.randrange(1, 9) for _ in tree.nodes]
+    wins[rng.randrange(len(wins))] += 1
+    return NodeFractionMap([Fraction(w, sum(wins)) for w in wins])
+
+
+class TestEmitJsonText:
+    def test_tiny_corpora_match_nested_dump(self):
+        rng = random.Random(0)
+        trees = (read_constituency_file(DATA / "tiny_con.txt")
+                 + read_dependency_file(DATA / "tiny_dep.conll")
+                 + read_dependency_file(DATA / "trec_mini.conll"))
+        for tree in trees:
+            fracs = uneven_fractions(rng, tree)
+            assert emit_json(tree, fracs) == nested_json(tree, fracs)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.randoms(use_true_random=True), st.integers(1, 100),
+           st.booleans())
+    def test_random_trees_match_nested_dump(self, rng, size, dependency):
+        if dependency:
+            tree = random_dependency_tree(
+                np.random.default_rng(rng.randrange(2 ** 32)),
+                [f"w{i}é" for i in range(size)])
+        else:
+            tree = parse_constituency(random_bracketed(rng, size)[0])
+        fracs = uneven_fractions(rng, tree)
+        assert emit_json(tree, fracs) == nested_json(tree, fracs)
