@@ -35,6 +35,8 @@ class BagOfEmbeddings:
     def logits(self, tape: Tape, trees: Sequence[ParseTree]) -> Tensor:
         """The (len(trees), classes) logits: each tree's mean word vector
         as one row, through one head pass."""
+        table = (Tensor(self.table.vectors) if self.embeddings is None
+                 else self.embeddings)
         means = []
         for tree in trees:
             rows = []
@@ -46,10 +48,7 @@ class BagOfEmbeddings:
                 rows.append(node.embedding_index)
             if not rows:
                 raise ContractError("sentence has no words")
-            if self.embeddings is not None:
-                words = tape.take_rows(self.embeddings, rows)
-            else:
-                words = Tensor(self.table.vectors[rows])
+            words = tape.take_rows(table, rows)
             means.append(tape.reshape(
                 tape.scale(tape.sum_rows(words), 1.0 / len(rows)), (1, -1)))
         return classifier_head.forward(

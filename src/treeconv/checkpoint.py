@@ -127,12 +127,36 @@ def load_checkpoint(path) -> TrainedModel:
     return model
 
 
+def _strings(v) -> bool:
+    return isinstance(v, list) and all(isinstance(s, str) for s in v)
+
+
+# what `save_checkpoint` writes under each header key the loader reads
+_HEADER_VALUES = {
+    "vocabulary": lambda v: (isinstance(v, dict) and _strings(v.get("tokens"))
+                             and len(set(v["tokens"])) == len(v["tokens"])
+                             and type(v.get("unk_index")) is int
+                             and v["unk_index"] == len(v["tokens"])),
+    "inventory": lambda v: v is None or (isinstance(v, dict)
+                                         and _strings(v.get("dedicated"))),
+    "label_names": lambda v: v is None or _strings(v),
+    "has_rae": lambda v: type(v) is bool,
+    "arrays": lambda v: isinstance(v, list) and all(
+        isinstance(a, dict) and isinstance(a.get("name"), str)
+        and isinstance(a.get("shape"), list)
+        and all(type(d) is int and d >= 0 for d in a["shape"]) for a in v),
+}
+
+
 def _model_for_header(header, path) -> TrainedModel:
     """A freshly initialised model of the stored layout, its arrays to be
     overwritten by the payload."""
     missing = [key for key in _HEADER_KEYS if key not in header]
     if missing:
         raise FormatError(f"{path}: checkpoint header lacks {missing}")
+    bad = [key for key, ok in _HEADER_VALUES.items() if not ok(header[key])]
+    if bad:
+        raise FormatError(f"{path}: malformed header value {bad[0]!r}")
     try:
         config = config_from_dict(header["config"])
     except ConfigError as e:

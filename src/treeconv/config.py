@@ -4,7 +4,7 @@ the sectioned key-value config-file reader used by the CLI."""
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Dict, Optional
 
 from .errors import ConfigError
@@ -96,11 +96,12 @@ _SECTION_FIELDS = {
     "pooling": ("pooling", "k", "alpha"),
 }
 
-_INT_FIELDS = {"n_e", "n_c", "n_h", "classes", "batch_size", "max_epochs",
-               "k", "seed"}
-_FLOAT_FIELDS = {"learning_rate", "l2", "dropout_hidden", "dropout_embed",
-                 "alpha"}
-_BOOL_FIELDS = {"train_embeddings", "use_subsentences"}
+# the annotations are strings, as `from __future__ import annotations` keeps them
+_TYPES = {f.name: f.type for f in fields(TrainConfig)}
+_REQUIRED = tuple(f.name for f in fields(TrainConfig) if f.default is MISSING)
+# the value types a checkpoint may store for each annotation; any other
+# field holds text or None (`validate` rejects a None variant)
+_STORED = {"bool": (bool,), "int": (int,), "float": (int, float)}
 
 
 def load_config_file(path) -> Dict[str, object]:
@@ -130,20 +131,14 @@ def load_config_file(path) -> Dict[str, object]:
                 )
             raw = parser[section][key]
             try:
-                if key in _INT_FIELDS:
-                    values[key] = int(raw)
-                elif key in _FLOAT_FIELDS:
-                    values[key] = float(raw)
-                elif key in _BOOL_FIELDS:
+                if _TYPES[key] == "bool":
                     values[key] = parser[section].getboolean(key)
                 else:
-                    values[key] = raw
+                    read = {"int": int, "float": float}.get(_TYPES[key], str)
+                    values[key] = read(raw)
             except ValueError:
                 raise ConfigError(f"bad value for {key!r} in {path}: {raw!r}")
     return values
-
-
-_REQUIRED = ("variant", "n_e", "n_c", "n_h", "classes")
 
 
 def make_train_config(file_values: Dict[str, object],
@@ -155,8 +150,7 @@ def make_train_config(file_values: Dict[str, object],
     missing = [name for name in _REQUIRED if name not in merged]
     if missing:
         raise ConfigError(f"config is missing required fields: {missing}")
-    known = {f.name for f in fields(TrainConfig)}
-    unknown = set(merged) - known
+    unknown = set(merged) - set(_TYPES)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     return TrainConfig(**merged).validate()
@@ -171,17 +165,14 @@ def config_from_dict(values: Dict[str, object]) -> TrainConfig:
     that it writes."""
     if not isinstance(values, dict):
         raise ConfigError("checkpoint config is not a mapping")
-    known = {f.name for f in fields(TrainConfig)}
-    unknown = set(values) - known
+    unknown = set(values) - set(_TYPES)
     if unknown:
         raise ConfigError(f"checkpoint config has unknown fields: {sorted(unknown)}")
     missing = [name for name in _REQUIRED if name not in values]
     if missing:
         raise ConfigError(f"checkpoint config is missing fields: {missing}")
     for name, value in values.items():
-        types = ((bool,) if name in _BOOL_FIELDS else (int,) if name in _INT_FIELDS
-                 else (int, float) if name in _FLOAT_FIELDS else (str, type(None)))
-        if type(value) not in types:
+        if type(value) not in _STORED.get(_TYPES[name], (str, type(None))):
             raise ConfigError(f"checkpoint config field {name!r} has a value "
                               f"of the wrong type: {value!r}")
     return TrainConfig(**values).validate()

@@ -50,14 +50,9 @@ class ModelParams:
         return {name: t.data.copy() for name, t in self.named()}
 
     def load_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
+        """Rebind every parameter to its array in `arrays` (no copy)."""
         for name, t in self.named():
-            src = arrays[name]
-            if src.shape != t.data.shape:
-                raise ContractError(
-                    f"parameter {name} has shape {t.data.shape}, "
-                    f"stored array has {src.shape}"
-                )
-            t.data = src.copy()
+            t.data = arrays[name]
 
 
 def slot_count(config: TrainConfig) -> int:
@@ -123,24 +118,19 @@ class SentenceClassifier:
 
     def node_vectors(self, tape: Tape, forest: tree_conv.Forest) -> Tensor:
         """The (n_nodes, n_e) matrix of node vectors, row v for forest
-        row v: annotations of constituency trees, written tree by tree,
-        or embedding rows."""
+        row v: constituency annotations, or rows of the embedding table
+        (a parameter when it trains, else a constant)."""
         if self.config.variant == VARIANT_C:
-            data = np.empty((len(forest.nodes), self.config.n_e))
-            start = 0
-            for tree in forest.trees:
-                rows = annotate(tree, self.rae, self.table)
-                data[start:start + len(rows)] = rows
-                start += len(rows)
-            return Tensor(data)
+            return Tensor(np.concatenate([annotate(tree, self.rae, self.table)
+                                          for tree in forest.trees]))
         rows = [node.embedding_index for node in forest.nodes]
         if None in rows:
             node = forest.nodes[rows.index(None)]
             raise ContractError(
                 f"node {node.word!r} has no embedding index; bind_vocabulary first")
-        if self.params.embeddings is not None:
-            return tape.take_rows(self.params.embeddings, rows)
-        return Tensor(self.table.vectors[rows])
+        table = self.params.embeddings
+        return tape.take_rows(Tensor(self.table.vectors, name="embedding table")
+                              if table is None else table, rows)
 
     def _dropout(self, tape: Tape, forest: tree_conv.Forest, vectors: Tensor,
                  mode: str, rng) -> Tuple[Tensor, Optional[np.ndarray]]:
@@ -149,33 +139,24 @@ class SentenceClassifier:
 
         The masks are drawn tree by tree, the node rows and then the
         hidden row, so a tree's masks do not depend on the batch it is
-        in.  Frozen node vectors are a constant: each tree's rows are
-        masked in place, off the tape.
+        in.  `tape.mul` applies the node mask; it records nothing when
+        the vectors are frozen, and never writes them.
         """
         embed_rate, hidden_rate = self.config.dropout_embed, self.config.dropout_hidden
         if mode != "train" or not (embed_rate or hidden_rate):
             return vectors, None
         if rng is None:
             raise ContractError("training with dropout needs an rng")
-        trained = vectors.requires_grad
-        embed = np.empty(vectors.data.shape) if trained and embed_rate else None
-        hidden = np.empty((len(forest.trees), self.config.n_h)) if hidden_rate else None
-        start = 0
-        for b, tree in enumerate(forest.trees):
-            stop = start + len(tree.nodes)
+        embed, hidden = [], []
+        for tree in forest.trees:
             if embed_rate:
-                mask = dropout_mask((stop - start, self.config.n_e), embed_rate,
-                                    mode, rng)
-                if embed is not None:
-                    embed[start:stop] = mask
-                else:
-                    vectors.data[start:stop] *= mask
-            if hidden is not None:
-                hidden[b] = dropout_mask(self.config.n_h, hidden_rate, mode, rng)
-            start = stop
-        if embed is not None:
-            vectors = tape.mul(vectors, Tensor(embed))
-        return vectors, hidden
+                embed.append(dropout_mask((len(tree.nodes), self.config.n_e),
+                                          embed_rate, mode, rng))
+            if hidden_rate:
+                hidden.append(dropout_mask(self.config.n_h, hidden_rate, mode, rng))
+        if embed:
+            vectors = tape.mul(vectors, Tensor(np.concatenate(embed)))
+        return vectors, np.array(hidden) if hidden else None
 
     def forward_features(self, tape: Tape, trees: Sequence[ParseTree]) -> Tensor:
         """The convolution's feature map of `trees` in evaluation mode,

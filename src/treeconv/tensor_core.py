@@ -7,8 +7,10 @@ map keyed by the leaf tensors that were created with
 ``requires_grad=True``; leaves the loss never touched are simply absent
 from the map (and read as exactly zero through :func:`grad_of`).  A map
 value is a dense ndarray, or a :class:`RowGradient` for a matrix reached
-only through row lookups (an embedding table), which holds just the rows
-the lookups touched; :func:`grad_of` reads either as a dense array.
+only through row lookups (an embedding table), which holds one row per
+row the lookups touched; :func:`grad_of` reads either as a dense array.
+During the pass each lookup hands every matrix it read one block of
+rows, repeats included, and every sum runs in replay order.
 
 The tape records whole-array operations, so one layer of a minibatch of
 sentences is one record over the stacked n x d matrix of all their
@@ -29,6 +31,7 @@ inputs produce bit-identical outputs.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -96,16 +99,21 @@ def uniform_init(rng, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
+@dataclass(eq=False)
 class RowGradient:
     """Gradient of a matrix that is zero outside a few rows: row
-    `indices[i]` of the dense gradient is `rows[i]` (indices distinct)."""
+    `indices[i]` of the dense gradient sums `rows[i]`, a repeated index
+    its rows in order (:meth:`summed` makes the indices distinct)."""
 
-    __slots__ = ("shape", "indices", "rows")
+    shape: Tuple[int, int]
+    indices: np.ndarray
+    rows: np.ndarray
 
-    def __init__(self, shape: Tuple[int, int], by_row: Dict[int, np.ndarray]):
-        self.shape = shape
-        self.indices = np.fromiter(by_row, dtype=np.intp, count=len(by_row))
-        self.rows = np.stack(list(by_row.values()))
+    @staticmethod
+    def joined(blocks: List["RowGradient"]) -> "RowGradient":
+        """Blocks of one matrix as one block, in order."""
+        return RowGradient(blocks[0].shape, np.concatenate([b.indices for b in blocks]),
+                           np.concatenate([b.rows for b in blocks]))
 
     @property
     def nbytes(self) -> int:
@@ -113,31 +121,36 @@ class RowGradient:
 
     def dense(self) -> np.ndarray:
         out = np.zeros(self.shape)
-        out[self.indices] = self.rows
+        np.add.at(out, self.indices, self.rows)
         return out
 
+    def summed(self) -> "RowGradient":
+        """The same gradient with one row per distinct index."""
+        indices, at = np.unique(self.indices, return_inverse=True)
+        rows = np.zeros((len(indices),) + self.rows.shape[1:])
+        np.add.at(rows, at, self.rows)
+        return RowGradient(self.shape, indices, rows)
 
-def _add_grad(cur, g: np.ndarray, shape, row: Optional[int] = None):
-    """Sum `g` into the running gradient `cur` and return the result.
 
-    `cur` is None, a dense array, or a {row index: row} map of a matrix
-    reached only through row lookups; `g` is dense, or with `row` the
-    gradient of that one row.  Terms add in call order, and the map
-    turns dense when a dense term arrives.  A first term is stored as
-    `g + 0.0`, which is what adding it to zeros would give.
-    """
-    if row is None:
+def _add_grad(cur, g):
+    """Sum `g`, a dense array or a :class:`RowGradient` block, into the
+    running gradient `cur` (None, a dense array, or the blocks so far in a
+    list, joined once when read) and return it.  Terms add in call order:
+    a block joins the list or adds into a dense sum, and a dense term
+    turns the list dense.  A first dense term is stored as `g + 0.0`."""
+    if isinstance(g, RowGradient):
         if cur is None:
-            return g + 0.0
-        if isinstance(cur, dict):
-            cur = RowGradient(shape, cur).dense()
-        cur += g
-    elif cur is None:
-        cur = {row: g + 0.0}
-    elif isinstance(cur, dict) and row not in cur:
-        cur[row] = g + 0.0
-    else:
-        cur[row] += g
+            return [g]
+        if isinstance(cur, list):
+            cur.append(g)
+        else:
+            np.add.at(cur, g.indices, g.rows)
+        return cur
+    if cur is None:
+        return g + 0.0
+    if isinstance(cur, list):
+        cur = RowGradient.joined(cur).dense()
+    cur += g
     return cur
 
 
@@ -221,7 +234,7 @@ class Tape:
 
     def __init__(self, record: bool = True):
         self.record = record
-        self._records: List[Tuple[int, Callable]] = []
+        self._records: List[Tuple[Tensor, Callable]] = []
 
     def __len__(self) -> int:
         return len(self._records)
@@ -231,7 +244,7 @@ class Tape:
         return self.record and any(t.requires_grad for t in inputs)
 
     def _push(self, out: Tensor, backward: Callable) -> None:
-        self._records.append((id(out), backward))
+        self._records.append((out, backward))
 
     # ------------------------------------------------------------------
     # primitive operations
@@ -323,8 +336,9 @@ class Tape:
         """Rows `indices` of a matrix, stacked (embedding lookup), or of
         a list of equal-width matrices read as if stacked in order.
 
-        Each row's gradient reaches its matrix as a row gradient, so a
-        matrix reached only through lookups gets a :class:`RowGradient`.
+        Each matrix read gets its rows' gradient as one
+        :class:`RowGradient` block, so a matrix reached only through
+        lookups keeps a row gradient.
         """
         mats = [M] if isinstance(M, Tensor) else list(M)
         width = mats[0].data.shape[1:]
@@ -339,23 +353,23 @@ class Tape:
         if idx.size and not (0 <= idx.min() and idx.max() < stacked):
             raise ContractError(f"take_rows: row out of range for "
                                 f"{', '.join(m._label() for m in mats)}")
-        data = np.empty((idx.size,) + width)
-        groups = []  # (matrix, the output rows it fills, its rows they read)
-        start = 0
-        for m in mats:
-            at = (np.flatnonzero((idx >= start) & (idx < start + len(m.data)))
-                  if len(mats) > 1 else slice(None))
-            rows = idx[at] - start
-            data[at] = m.data[rows]
-            groups.append((m, at, rows))
-            start += len(m.data)
+        if len(mats) == 1:  # one fancy index
+            data, groups = mats[0].data[idx], [(mats[0], ALL_ROWS, idx)]
+        else:
+            data = np.empty((idx.size,) + width)
+            groups, start = [], 0  # (matrix, the output rows it fills, its rows)
+            for m in mats:
+                at = np.flatnonzero((idx >= start) & (idx < start + len(m.data)))
+                rows = idx[at] - start
+                data[at] = m.data[rows]
+                groups.append((m, at, rows))
+                start += len(m.data)
         out = Tensor(data, requires_grad=self._tracks(*mats))
         if out.requires_grad:
             def backward(g, accum, groups=groups):
                 for m, at, rows in groups:
-                    if m.requires_grad:
-                        for index, row in zip(rows.tolist(), g[at]):
-                            accum(m, row, row=index)
+                    if m.requires_grad and rows.size:
+                        accum(m, RowGradient(m.data.shape, rows, g[at]))
             self._push(out, backward)
         return out
 
@@ -546,34 +560,27 @@ class Tape:
 
         Replays the recorded operations in reverse exactly once.  The map
         is keyed by leaf Tensor.  A leaf reached only through `take_rows`
-        gets a :class:`RowGradient` (each touched row summed in replay
-        order); any other leaf gets a dense ndarray.  Leaves the loss does
-        not depend on are absent.  Read values through :func:`grad_of`.
+        gets a :class:`RowGradient`, one row per touched index summed in
+        replay order; any other leaf gets a dense ndarray.  Leaves the
+        loss does not depend on are absent.  Read through :func:`grad_of`.
         """
         if not isinstance(loss, Tensor) or loss.data.size != 1:
             raise ContractError("backward: loss must be a scalar tensor")
-        grads: Dict[int, object] = {id(loss): np.ones_like(loss.data)}
-        holders: Dict[int, Tensor] = {id(loss): loss}
+        grads: Dict[Tensor, object] = {loss: np.ones_like(loss.data)}
 
-        def accum(t: Tensor, g: np.ndarray, row: Optional[int] = None) -> None:
-            key = id(t)
-            holders[key] = t
-            grads[key] = _add_grad(grads.get(key), g, t.data.shape, row)
+        def accum(t: Tensor, g) -> None:
+            grads[t] = _add_grad(grads.get(t), g)
 
-        for out_id, backward_fn in reversed(self._records):
-            g = grads.pop(out_id, None)
+        for out, backward_fn in reversed(self._records):
+            g = grads.pop(out, None)
             if g is None:
                 continue
-            if isinstance(g, dict):
-                g = RowGradient(holders[out_id].data.shape, g).dense()
+            if isinstance(g, list):
+                g = RowGradient.joined(g).dense()
             backward_fn(g, accum)
 
-        return {
-            holders[key]: RowGradient(holders[key].data.shape, g)
-            if isinstance(g, dict) else g
-            for key, g in grads.items()
-            if holders[key].requires_grad
-        }
+        return {t: RowGradient.joined(g).summed() if isinstance(g, list) else g
+                for t, g in grads.items() if t.requires_grad}
 
 
 def iter_batches(n: int, batch_size: int, rng) -> Iterator[np.ndarray]:

@@ -158,14 +158,11 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
                 lr *= 0.5
                 stale = 0
 
-    table_out = table
     if report.best_epoch < config.max_epochs:
-        # load_arrays copies, so the snapshot's table is not shared with params
-        params.load_arrays(best_state)
-        if params.embeddings is not None:
-            table_out = EmbeddingTable(best_state["embeddings"])
-    elif params.embeddings is not None:
-        table_out = EmbeddingTable(params.embeddings.data.copy())
+        params.load_arrays(best_state)  # nothing else holds the snapshot
+    # the returned table must not alias the trained parameter
+    table_out = (table if params.embeddings is None
+                 else EmbeddingTable(params.embeddings.data.copy()))
     report.wall_time = time.perf_counter() - started
     model = TrainedModel(config=config, params=params, vocab=vocab,
                          table=table_out, inventory=inventory, rae=rae,

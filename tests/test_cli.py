@@ -163,6 +163,29 @@ MALFORMED = {
     "config_n_c_string": ("bytes",
                           _edit_header(lambda h: h["config"].update(n_c="3")),
                           "'n_c'"),
+    **{f"header_{name}": ("bytes", _edit_header(edit), f"'{key}'")
+       for name, (key, edit) in {
+           "vocabulary_list": ("vocabulary", lambda h: h.update(vocabulary=[])),
+           "tokens_number": ("vocabulary",
+                             lambda h: h["vocabulary"].update(tokens=5)),
+           "unk_index_string": ("vocabulary",
+                                lambda h: h["vocabulary"].update(unk_index="x")),
+           "unk_index_out_of_range": (
+               "vocabulary", lambda h: h["vocabulary"].update(unk_index=999)),
+           "tokens_repeated": ("vocabulary", lambda h: h["vocabulary"].update(
+               tokens=h["vocabulary"]["tokens"][:1] * 2, unk_index=2)),
+           "arrays_numbers": ("arrays", lambda h: h.update(arrays=[1, 2])),
+           "array_without_shape": ("arrays",
+                                   lambda h: h["arrays"][0].pop("shape")),
+           "array_negative_shape": ("arrays", lambda h: h["arrays"][0].update(
+               shape=[-1])),
+           "inventory_list": ("inventory", lambda h: h.update(inventory=[])),
+           "dedicated_number": ("inventory",
+                                lambda h: h["inventory"].update(dedicated=7)),
+           "label_names_number": ("label_names",
+                                  lambda h: h.update(label_names=3)),
+           "has_rae_number": ("has_rae", lambda h: h.update(has_rae=1)),
+       }.items()},
 }
 
 

@@ -3,8 +3,9 @@ structural invariants, sub-tree copies, the frozen annotation, the RAE
 reconstruction loss (one tree against a per-node oracle, a batch against
 its trees one call each) and the convolution oracle; over random matrices
 and slot maps, single-tree and batch-shaped, the pooling primitive
-`segment_max`; and over random minibatches, the batched loss and
-gradient against the same samples one tape at a time.
+`segment_max`; over random tapes of row lookups, the row-gradient sums
+against a plain-numpy replay; and over random minibatches, the batched
+loss and gradient against the same samples one tape at a time.
 
 The tree shapes come from a hypothesis-drawn `random.Random`, so a
 failing example replays from the seed hypothesis prints; the size is a
@@ -38,7 +39,14 @@ from treeconv.rae_pretrain import (
     init_composition,
 )
 from treeconv.synthetic import random_dependency_tree
-from treeconv.tensor_core import WIDE_SLOT, Tape, Tensor, grad_of, parameter
+from treeconv.tensor_core import (
+    WIDE_SLOT,
+    RowGradient,
+    Tape,
+    Tensor,
+    grad_of,
+    parameter,
+)
 from treeconv.tree_conv import convolve, init_c_window, init_d_window
 
 from test_tree_conv import naive_convolve
@@ -376,6 +384,95 @@ def test_segment_max_matches_per_slot_loop_on_batches(rng, trees, per_tree,
 
 
 BATCH_SETUPS = [("d", "kslot"), ("d", "global"), ("c", "3slot"), ("c", "global")]
+
+
+def replay_sum(shape, terms):
+    """Zeros plus each (rows or None, gradient) term in order, a row
+    lookup's gradient one row at a time."""
+    out = np.zeros(shape)
+    for rows, g in terms:
+        if rows is None:
+            out += g
+        else:
+            for row, grad in zip(rows, g):
+                out[row] += grad
+    return out
+
+
+@PROPERTY
+@given(RANDOMS)
+def test_row_gradients_sum_each_row_in_replay_order(rng):
+    """Leaf E is read by row lookups only, leaf F by lookups and densely;
+    A = tanh(F) and B = 2 E[rows] are read densely and as one stacked
+    pair.  Each loss term is sumsq(piece * coefficients)."""
+    nprng = np.random.default_rng(rng.randrange(2 ** 32))
+    width = rng.randint(1, 3)
+    E = parameter(nprng.normal(size=(rng.randint(1, 6), width)), "E")
+    F = parameter(nprng.normal(size=(rng.randint(1, 6), width)), "F")
+    b_rows = [rng.randrange(len(E.data)) for _ in range(rng.randint(1, 5))]
+
+    def draw(n):
+        return [rng.randrange(n) for _ in range(rng.randint(1, 6))]
+
+    tape = Tape()
+    A = tape.tanh(F)
+    B = tape.scale(tape.take_rows(E, b_rows), 2.0)
+    kinds = ["E", "F", "F dense", "A dense", "B dense", "A and B"]
+    terms = []  # (kind, rows read or None, piece data, coefficients)
+    total = None
+    for _ in range(rng.randint(1, 8)):
+        kind = rng.choice(kinds)
+        if kind == "E":
+            rows = draw(len(E.data))
+            piece = tape.take_rows(E, rows)
+        elif kind == "F":
+            rows = draw(len(F.data))
+            piece = tape.take_rows(F, rows)
+        elif kind == "A and B":
+            rows = draw(len(A.data) + len(B.data))
+            piece = tape.take_rows([A, B], rows)
+        else:
+            rows = None
+            piece = {"F dense": F, "A dense": A, "B dense": B}[kind]
+        coeffs = nprng.normal(size=piece.data.shape)
+        terms.append((kind, rows, piece.data, coeffs))
+        loss = tape.sumsq(tape.mul(piece, Tensor(coeffs)))
+        total = loss if total is None else tape.add(total, loss)
+    grads = tape.backward(total)
+
+    # the reference replays the terms last first, then B's and A's records
+    to = {"E": [], "F": [], "A": [], "B": []}
+    for kind, rows, data, coeffs in reversed(terms):
+        g = (2.0 * (data * coeffs)) * coeffs
+        if kind == "A and B":
+            split = len(A.data)
+            for name, mine, shift in (("A", [r < split for r in rows], 0),
+                                      ("B", [r >= split for r in rows], split)):
+                if any(mine):
+                    to[name].append(([r - shift for r, m in zip(rows, mine) if m],
+                                     g[mine]))
+        else:
+            to[kind.split()[0]].append((None if kind.endswith("dense") else rows, g))
+    if to["B"]:
+        to["E"].append((b_rows, replay_sum(B.data.shape, to["B"]) * 2.0))
+    if to["A"]:
+        gA = replay_sum(A.data.shape, to["A"])
+        to["F"].append((None, gA * (1.0 - A.data * A.data)))
+
+    for leaf, name in ((E, "E"), (F, "F")):
+        if not to[name]:
+            assert leaf not in grads
+            continue
+        assert np.array_equal(grad_of(grads, leaf),
+                              replay_sum(leaf.data.shape, to[name])), name
+        if all(rows is not None for rows, _ in to[name]):
+            got = grads[leaf]
+            assert isinstance(got, RowGradient)
+            assert len(set(got.indices.tolist())) == len(got.indices)
+            touched = {r for rows, _ in to[name] for r in rows}
+            assert set(got.indices.tolist()) == touched
+        else:
+            assert isinstance(grads[leaf], np.ndarray)
 
 
 def random_batch(rng, variant, size):

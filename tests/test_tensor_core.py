@@ -130,6 +130,34 @@ class TestBackward:
         assert np.array_equal(grad_of(grads, unused), [[0.0, 0.0]])
 
 
+class TestRowLookupGradient:
+    def test_k_row_lookup_adds_once_per_matrix_it_read(self, monkeypatch):
+        from treeconv import tensor_core
+
+        calls = []
+        add_grad = tensor_core._add_grad
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return add_grad(*args, **kwargs)
+
+        monkeypatch.setattr(tensor_core, "_add_grad", counting)
+        rng = np.random.default_rng(30)
+        E = parameter(rng.normal(size=(6, 3)), "E")
+        A = parameter(rng.normal(size=(2, 3)), "A")
+        for mats, rows, read_by in ((E, [1, 4, 1, 5, 0], {E: [0, 1, 4, 5]}),
+                                    ([E, A], [7, 1, 6, 1, 4],
+                                     {E: [1, 4], A: [0, 1]})):
+            tape = Tape()
+            read = tape.take_rows(mats, rows)
+            calls.clear()
+            grads = tape.backward(tape.sumsq(read))
+            # one term for the lookup's output, then one per matrix read
+            assert len(calls) == 1 + len(read_by)
+            for m, indices in read_by.items():
+                assert grads[m].indices.tolist() == indices
+
+
 class TestGradientMap:
     def test_every_value_has_nbytes_and_lookups_stay_sparse(self):
         rng = np.random.default_rng(13)

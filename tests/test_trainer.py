@@ -7,7 +7,7 @@ import pytest
 
 from treeconv.config import TrainConfig
 from treeconv.corpus_io import build_dep_inventory
-from treeconv.errors import ConfigError, DivergenceError
+from treeconv.errors import ConfigError, ContractError, DivergenceError
 from treeconv.network import SentenceClassifier, init_model
 from treeconv.rae_pretrain import init_composition
 from treeconv.synthetic import fixture_pair, make_overfit_corpus
@@ -120,6 +120,15 @@ class TestGradientCheck:
             else:
                 assert np.array_equal(p0.data, p1.data), name
         assert loss1 - loss0 == pytest.approx(penalty, rel=1e-12)
+
+
+class TestNodeVectors:
+    def test_frozen_table_rejects_an_out_of_range_embedding_index(self):
+        clf, tree = fixture_classifier("d", pooling="global")
+        assert clf.params.embeddings is None
+        tree.nodes[0].embedding_index = len(clf.table.vectors)
+        with pytest.raises(ContractError, match="out of range"):
+            clf.predict(tree)
 
 
 class TestRowGradientStep:

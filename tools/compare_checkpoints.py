@@ -1,0 +1,259 @@
+"""Compare the checkpoints that two checkouts write for a fixed set of
+small seeded runs.
+
+    python tools/compare_checkpoints.py OTHER_CHECKOUT
+
+Each run trains on a corpus under tests/data of this checkout, in a
+subprocess with PYTHONPATH=<checkout>/src: once with this checkout's
+package, once with OTHER_CHECKOUT's, and once more with this checkout's
+to check that one seed gives one checkpoint.  The runs are CLI `train`
+on tiny_dep (trained embeddings, dropout, an earlier epoch restored), on
+trec_mini (frozen embeddings, dropout) and on tiny_con (pretraining in
+the run, with and without dropout), `pretrain-rae` on tiny_con, and the
+bag-of-embeddings baseline (trained embeddings), whose parameters a
+short program writes in the checkpoint layout.
+
+For every run it prints the sha256 of both checkouts' files and
+"identical" or "differ"; a difference also gives the largest
+|a - b| / max|a| over the stored arrays, and the array it is in.  Exits
+0 when every run is identical in both comparisons, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
+
+HERE = Path(__file__).resolve().parent.parent
+DATA = HERE / "tests" / "data"
+MAGIC = b"treeconv-checkpoint\n"
+
+_D_TRAINED = """
+[model]
+variant = d
+n_e = 8
+n_c = 8
+n_h = 6
+classes = 2
+[training]
+batch_size = 4
+learning_rate = 1.5
+l2 = 1e-4
+dropout_hidden = 0.2
+dropout_embed = 0.2
+max_epochs = 6
+train_embeddings = true
+seed = 7
+[pooling]
+pooling = kslot
+k = 2
+"""
+
+_D_FROZEN = """
+[model]
+variant = d
+n_e = 8
+n_c = 6
+n_h = 5
+classes = 6
+[training]
+batch_size = 5
+learning_rate = 0.5
+l2 = 1e-4
+dropout_hidden = 0.05
+dropout_embed = 0.3
+max_epochs = 6
+train_embeddings = false
+seed = 3
+[pooling]
+pooling = kslot
+k = 2
+"""
+
+_C = """
+[model]
+variant = c
+n_e = 8
+n_c = 8
+n_h = 6
+classes = 2
+[training]
+batch_size = 4
+learning_rate = 0.3
+l2 = 1e-4
+dropout_hidden = {dropout}
+dropout_embed = {dropout}
+max_epochs = 5
+seed = 7
+[pooling]
+pooling = 3slot
+alpha = 0.6
+"""
+
+# trains the baseline and writes its parameters as MAGIC, the header
+# length, a JSON header with the arrays' names and shapes, a newline and
+# the little-endian float64 payload
+_BAG = """
+import json, sys
+import numpy as np
+from treeconv.baseline import train_bag_baseline
+from treeconv.config import TrainConfig
+from treeconv.corpus_io import (attach_labels, bind_vocabulary,
+    random_embeddings, read_dependency_file, read_label_file,
+    vocabulary_from_corpus)
+data, out = sys.argv[1], sys.argv[2]
+trees = read_dependency_file(data + "/tiny_dep.conll")
+attach_labels(trees, read_label_file(data + "/tiny_dep.lbl"))
+vocab = vocabulary_from_corpus(trees)
+for tree in trees:
+    bind_vocabulary(tree, vocab)
+config = TrainConfig(variant="d", n_e=8, n_c=1, n_h=6, classes=2,
+                     batch_size=3, learning_rate=0.3, l2=1e-4,
+                     max_epochs=6, train_embeddings=True, seed=5)
+model, _ = train_bag_baseline(trees, trees[:4],
+                              random_embeddings(vocab, 8, 5), config)
+named = model.named()
+blob = json.dumps({"arrays": [{"name": n, "shape": list(p.data.shape)}
+                              for n, p in named]}).encode()
+with open(out, "wb") as fh:
+    fh.write(b"treeconv-checkpoint\\n" + b"%d\\n" % len(blob) + blob + b"\\n")
+    for _, p in named:
+        fh.write(p.data.astype("<f8").tobytes())
+"""
+
+
+def _runs(work: Path) -> Dict[str, List[str]]:
+    """Run name -> arguments after `python`; each writes OUT."""
+    configs = {"d_trained.cfg": _D_TRAINED, "d_frozen.cfg": _D_FROZEN,
+               "c_dropout.cfg": _C.format(dropout=0.2),
+               "c_plain.cfg": _C.format(dropout=0.0)}
+    for name, text in configs.items():
+        (work / name).write_text(text)
+    cli = ["-m", "treeconv"]
+    dep = ["--train", str(DATA / "tiny_dep.conll"),
+           "--labels", str(DATA / "tiny_dep.lbl"),
+           "--val", str(DATA / "tiny_dep.conll"),
+           "--val-labels", str(DATA / "tiny_dep.lbl")]
+    con = ["--train", str(DATA / "tiny_con.txt")]
+    return {
+        "train tiny_dep, trained, dropout":
+            cli + ["train", "--config", str(work / "d_trained.cfg")] + dep,
+        "train trec_mini, frozen, dropout":
+            cli + ["train", "--config", str(work / "d_frozen.cfg"),
+                   "--train", str(DATA / "trec_mini.conll"),
+                   "--labels", str(DATA / "trec_mini.lbl")],
+        "train tiny_con, dropout":
+            cli + ["train", "--config", str(work / "c_dropout.cfg")] + con,
+        "train tiny_con, no dropout":
+            cli + ["train", "--config", str(work / "c_plain.cfg")] + con,
+        "pretrain-rae tiny_con":
+            cli + ["pretrain-rae", "--n-e", "8", "--epochs", "5",
+                   "--batch", "3", "--seed", "2"] + con,
+        "bag baseline, trained":
+            ["-c", _BAG, str(DATA)],
+    }
+
+
+def _run(checkout: Path, args: List[str], out: Path) -> Optional[str]:
+    """Write `out` with `checkout`'s package; None, or the error."""
+    if args[0] == "-c":
+        argv = [sys.executable] + args + [str(out)]
+    else:
+        argv = [sys.executable] + args + ["--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    done = subprocess.run(argv, env=env, cwd=out.parent, capture_output=True,
+                          text=True)
+    if done.returncode != 0:
+        return f"exit {done.returncode}: {done.stderr.strip()[-300:]}"
+    return None
+
+
+def read_arrays(path: Path) -> List[Tuple[str, np.ndarray]]:
+    """The stored (name, array) pairs of a file in the checkpoint layout."""
+    with open(path, "rb") as fh:
+        if fh.read(len(MAGIC)) != MAGIC:
+            raise ValueError(f"{path} is not in the checkpoint layout")
+        header = json.loads(fh.read(int(fh.readline())))
+        fh.read(1)
+        out = []
+        for spec in header["arrays"]:
+            shape = tuple(spec["shape"])
+            raw = fh.read(8 * int(np.prod(shape)))
+            out.append((spec["name"],
+                        np.frombuffer(raw, dtype="<f8").reshape(shape)))
+    return out
+
+
+def largest_difference(a: Path, b: Path) -> str:
+    """The largest |a - b| / max|a| over the stored arrays, and where."""
+    ours, theirs = read_arrays(a), read_arrays(b)
+    if [(n, x.shape) for n, x in ours] != [(n, x.shape) for n, x in theirs]:
+        return "the stored arrays' names or shapes differ"
+    worst, where = 0.0, None
+    for (name, x), (_, y) in zip(ours, theirs):
+        scale = float(np.max(np.abs(x), initial=0.0)) or 1.0
+        rel = float(np.max(np.abs(x - y), initial=0.0)) / scale
+        if where is None or rel > worst:
+            worst, where = rel, name
+    return f"largest |d|/max|x| {worst:.3g} in {where}"
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def compare(other: Path) -> bool:
+    """Print one block per run; True when all runs are identical."""
+    same = True
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for number, (name, args) in enumerate(_runs(work).items()):
+            files = {}
+            errors = []
+            for tag, checkout in (("this", HERE), ("other", other),
+                                  ("repeat", HERE)):
+                files[tag] = work / f"{number}_{tag}.ckpt"
+                error = _run(checkout, args, files[tag])
+                if error:
+                    errors.append(f"{tag} checkout failed: {error}")
+            print(name)
+            if errors:
+                same = False
+                print("  " + "\n  ".join(errors))
+                continue
+            digest = {tag: _sha256(path) for tag, path in files.items()}
+            print(f"  this   {digest['this']}")
+            print(f"  other  {digest['other']}")
+            for label, tag in (("other checkout", "other"),
+                               ("second run", "repeat")):
+                if digest[tag] == digest["this"]:
+                    print(f"  {label}: identical")
+                else:
+                    same = False
+                    print(f"  {label}: differ, "
+                          f"{largest_difference(files['this'], files[tag])}")
+    return same
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    other = Path(argv[0]).resolve()
+    if not (other / "src" / "treeconv").is_dir():
+        print(f"error: {other} has no src/treeconv", file=sys.stderr)
+        return 2
+    return 0 if compare(other) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
