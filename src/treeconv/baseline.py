@@ -13,7 +13,7 @@ from .classifier_head import HeadParams, PredictionOutput
 from .config import TrainConfig
 from .corpus_io import EmbeddingTable, ParseTree
 from .errors import ConfigError, ContractError
-from .tensor_core import Tape, Tensor, parameter, sgd_epoch
+from .tensor_core import Tape, Tensor, by_name, parameter, sgd_epoch
 from .trainer import TrainReport, evaluate
 
 
@@ -27,10 +27,7 @@ class BagOfEmbeddings:
         self.embeddings = embeddings
 
     def named(self) -> List[Tuple[str, Tensor]]:
-        out = list(self.head.named())
-        if self.embeddings is not None:
-            out.append(("embeddings", self.embeddings))
-        return out
+        return self.head.named() + by_name(self.embeddings)
 
     def logits(self, tape: Tape, trees: Sequence[ParseTree]) -> Tensor:
         """The (len(trees), classes) logits: each tree's mean word vector

@@ -32,7 +32,7 @@ _HEADER_KEYS = ("variant", "config", "label_names", "vocabulary", "inventory",
 
 def _array_entries(model: TrainedModel) -> List[Tuple[str, np.ndarray]]:
     entries = [(name, t.data) for name, t in model.params.named()
-               if name != "embeddings"]
+               if t is not model.params.embeddings]
     if model.rae is not None:
         entries.extend((name, t.data) for name, t in model.rae.named())
     entries.append(("table", model.table.vectors))

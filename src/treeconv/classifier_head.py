@@ -16,6 +16,7 @@ from .tensor_core import (
     ALL_ROWS,
     Tape,
     Tensor,
+    by_name,
     parameter,
     softmax_probs,
     uniform_init,
@@ -35,17 +36,8 @@ class HeadParams:
     W_o: Tensor  # (classes, n_h)
     b_o: Tensor  # (classes,)
 
-    @property
-    def n_h(self) -> int:
-        return self.W_h.data.shape[0]
-
-    @property
-    def classes(self) -> int:
-        return self.W_o.data.shape[0]
-
     def named(self) -> List[Tuple[str, Tensor]]:
-        return [("head.W_h", self.W_h), ("head.b_h", self.b_h),
-                ("head.W_o", self.W_o), ("head.b_o", self.b_o)]
+        return by_name(self.W_h, self.b_h, self.W_o, self.b_o)
 
 
 def init_head(n_h: int, in_width: int, classes: int, rng) -> HeadParams:

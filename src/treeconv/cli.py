@@ -193,12 +193,13 @@ def _read_corpus_checked(path, variant):
         )
 
 
-def _label_trees(trees, labels_path, what):
-    """Attach labels from a file, or fall back to the trees' own tags."""
-    names = None
+def _label_trees(trees, labels_path, what, names=None):
+    """Attach labels from a file, mapped through the class `names` when
+    given, or fall back to the trees' own tags."""
     if labels_path is not None:
         pairs = _with_path(labels_path, lambda: read_label_file(labels_path))
-        names = _with_path(labels_path, lambda: attach_labels(trees, pairs))
+        names = _with_path(labels_path,
+                           lambda: attach_labels(trees, pairs, names))
     missing = [i for i, t in enumerate(trees) if t.sentence_label is None]
     if missing:
         raise DataError(
@@ -218,8 +219,8 @@ def cmd_train(args) -> int:
 
     if args.val is not None:
         val_trees = _read_corpus_checked(args.val, config.variant)
-        val_names = _label_trees(val_trees, args.val_labels, args.val)
-        label_names = label_names or val_names
+        label_names = _label_trees(val_trees, args.val_labels, args.val,
+                                   label_names)
     else:
         rng = np.random.default_rng(config.seed)
         order = rng.permutation(len(train_trees))
@@ -279,7 +280,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = ckpt.load_checkpoint(args.checkpoint)
     trees = _read_corpus_checked(args.input, model.variant)
-    _label_trees(trees, args.labels, args.input)
+    # --binary gold labels are binary, not the checkpoint's classes
+    _label_trees(trees, args.labels, args.input,
+                 None if args.binary else model.label_names)
     for tree in trees:
         bind_vocabulary(tree, model.vocab)
 

@@ -20,7 +20,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ContractError, FormatError, ParseError, StructureError
+from .errors import (ContractError, DataError, FormatError, ParseError,
+                     StructureError)
 
 CONSTITUENCY = "constituency"
 DEPENDENCY = "dependency"
@@ -580,8 +581,10 @@ def build_dep_inventory(trees: Sequence[ParseTree],
 # ---------------------------------------------------------------------------
 
 def read_label_file(source) -> List[Tuple[str, int]]:
-    """Lines of "LABEL<TAB>sentence-id"; ids are 0-based tree positions."""
+    """Lines of "LABEL<TAB>sentence-id"; ids are 0-based tree positions,
+    each labelled at most once."""
     pairs = []
+    first_line: Dict[int, int] = {}
     for lineno, raw in enumerate(_as_lines(source), start=1):
         line = raw.rstrip("\n")
         if not line.strip():
@@ -594,21 +597,29 @@ def read_label_file(source) -> List[Tuple[str, int]]:
             sid = int(cols[1])
         except ValueError:
             raise FormatError("sentence-id is not an integer", line=lineno)
+        if sid in first_line:
+            raise FormatError(f"sentence {sid} is labelled twice, first at "
+                              f"line {first_line[sid]}", line=lineno)
+        first_line[sid] = lineno
         pairs.append((cols[0], sid))
     if not pairs:
         raise FormatError("empty label file", line=1)
     return pairs
 
 
-def attach_labels(trees: Sequence[ParseTree],
-                  pairs: Sequence[Tuple[str, int]]) -> List[str]:
-    """Assign class indices from label names (sorted) to the named trees.
+def attach_labels(trees: Sequence[ParseTree], pairs: Sequence[Tuple[str, int]],
+                  names: Optional[Sequence[str]] = None) -> List[str]:
+    """Assign class indices to the named trees: label `names[i]` is
+    class i.  Without `names` the pairs' own label names, sorted, are
+    the classes; a label outside `names` is a DataError.
 
     Returns the class-name list defining the index order.
     """
-    names = sorted({label for label, _ in pairs})
+    names = sorted({label for label, _ in pairs}) if names is None else list(names)
     class_of = {name: i for i, name in enumerate(names)}
     for label, sid in pairs:
+        if label not in class_of:
+            raise DataError(f"label {label!r} is not one of the classes {names}")
         if not 0 <= sid < len(trees):
             raise StructureError(
                 f"label refers to sentence {sid} but corpus has {len(trees)}"

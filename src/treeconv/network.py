@@ -1,7 +1,9 @@
 """End-to-end sentence network: node vectors, tree convolution, pooling,
 classifier head.  A minibatch of sentences is one forest on one tape:
 one node-vector matrix, one convolution, one pooling over every tree's
-slots and one head, with one backward pass per batch."""
+slots and one head, with one backward pass per batch.  Both variants
+take this path with one window type (see :mod:`tree_conv`); a variant
+picks the node vectors, the window's child matrices and the pooling."""
 
 from __future__ import annotations
 
@@ -22,29 +24,26 @@ from .corpus_io import (
 from .errors import ContractError
 from .pooling import GLOBAL, THREE_SLOT, SlotAssignment
 from .rae_pretrain import CompositionParams, annotate
-from .tensor_core import Tape, Tensor, parameter
+from .tensor_core import Tape, Tensor, by_name, parameter
 
 
+@dataclass
 class ModelParams:
-    """All trainable weights for one variant, iterable in a fixed order."""
+    """All trainable weights in a fixed order: window, head and, when
+    they train, embeddings, under the names their init functions gave
+    them (the checkpoint layout)."""
 
-    def __init__(self, variant: str, conv, head: HeadParams,
-                 embeddings: Optional[Tensor] = None):
-        self.variant = variant
-        self.conv = conv
-        self.head = head
-        self.embeddings = embeddings
+    conv: tree_conv.WindowParams
+    head: HeadParams
+    embeddings: Optional[Tensor] = None
 
     def named(self) -> List[Tuple[str, Tensor]]:
-        out = list(self.conv.named()) + list(self.head.named())
-        if self.embeddings is not None:
-            out.append(("embeddings", self.embeddings))
-        return out
+        return self.conv.named() + self.head.named() + by_name(self.embeddings)
 
     def weight_matrices(self) -> List[Tensor]:
         """Matrices under the l2 penalty: biases and embeddings excluded."""
-        return [t for name, t in self.named()
-                if t.data.ndim == 2 and name != "embeddings"]
+        return [t for _, t in self.named()
+                if t.data.ndim == 2 and t is not self.embeddings]
 
     def copy_arrays(self) -> Dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.named()}
@@ -88,7 +87,7 @@ def init_model(config: TrainConfig, table: EmbeddingTable,
     embeddings = None
     if config.variant == VARIANT_D and config.train_embeddings:
         embeddings = parameter(table.vectors.copy(), "embeddings")
-    return ModelParams(config.variant, conv, head, embeddings)
+    return ModelParams(conv, head, embeddings)
 
 
 class SentenceClassifier:
@@ -161,7 +160,7 @@ class SentenceClassifier:
     def forward_features(self, tape: Tape, trees: Sequence[ParseTree]) -> Tensor:
         """The convolution's feature map of `trees` in evaluation mode,
         stacked tree after tree (see :class:`tree_conv.Forest`)."""
-        forest = tree_conv.forest(trees, self.params.conv, self.inventory)
+        forest = tree_conv.forest(trees, self.inventory)
         return tree_conv.convolve(tape, forest, self.node_vectors(tape, forest),
                                   self.params.conv)
 
@@ -178,7 +177,7 @@ class SentenceClassifier:
                rng=None) -> Tensor:
         """The (len(trees), classes) logit matrix: node vectors,
         convolution, pooling and head, each one array op for the batch."""
-        forest = tree_conv.forest(trees, self.params.conv, self.inventory)
+        forest = tree_conv.forest(trees, self.inventory)
         vectors, hidden_mask = self._dropout(
             tape, forest, self.node_vectors(tape, forest), mode, rng)
         features = tree_conv.convolve(tape, forest, vectors, self.params.conv)

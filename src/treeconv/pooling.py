@@ -98,12 +98,14 @@ def assign_three_slot(tree: ParseTree,
 
 def assign_k_slot(tree: ParseTree, k: int) -> SlotAssignment:
     """Equal allocation by word position: position i lands in slot
-    ceil(i*k/n); positions on a boundary stay in the lower slot."""
+    ceil(i*k/n); positions on a boundary stay in the lower slot.  With
+    k > n some slots hold no word (they pool to zero rows), so a
+    sentence shorter than k still pools."""
     if tree.kind != DEPENDENCY:
         raise ContractError("k-slot pooling is defined for dependency trees")
+    if k < 1:
+        raise ContractError(f"k-slot pooling needs k >= 1, got k={k}")
     n = len(tree.nodes)
-    if not 1 <= k <= n:
-        raise ContractError(f"k-slot pooling needs 1 <= k <= n, got k={k}, n={n}")
     slot_of = []
     for node in tree.nodes:
         i = node.position

@@ -20,8 +20,10 @@ import numpy as np
 
 from .corpus_io import CONSTITUENCY, EmbeddingTable, ParseTree
 from .errors import ContractError, ShapeError
-from .tensor_core import (Tape, Tensor, node_groups, parameter, sgd_epoch,
-                          uniform_init)
+from .tensor_core import (Tape, Tensor, by_name, node_groups, parameter,
+                          sgd_epoch, uniform_init)
+
+HOLDOUT_FRACTION = 0.1  # the corpus share `pretrain` selects its epoch on
 
 
 @dataclass
@@ -38,12 +40,7 @@ class CompositionParams:
         return self.W_comp.data.shape[0]
 
     def named(self) -> List[Tuple[str, Tensor]]:
-        return [
-            ("rae.W_comp", self.W_comp),
-            ("rae.b_comp", self.b_comp),
-            ("rae.W_rec", self.W_rec),
-            ("rae.b_rec", self.b_rec),
-        ]
+        return by_name(self.W_comp, self.b_comp, self.W_rec, self.b_rec)
 
 
 @dataclass
@@ -51,7 +48,6 @@ class PretrainConfig:
     learning_rate: float = 0.01
     batch_size: int = 100
     max_epochs: int = 30
-    holdout_fraction: float = 0.1
     patience: Optional[int] = 3  # epochs without held-out improvement; None = off
     seed: int = 0
 
@@ -196,7 +192,7 @@ def pretrain(trees: Sequence[ParseTree], table: EmbeddingTable,
     holdout = train = trees
     if len(trees) >= 2:
         order = rng.permutation(len(trees))
-        n_hold = max(1, round(config.holdout_fraction * len(trees)))
+        n_hold = max(1, round(HOLDOUT_FRACTION * len(trees)))
         # a split without a non-leaf node falls back to the whole corpus,
         # which reconstruction_loss rejects if it has none either
         holdout, train = [

@@ -93,6 +93,12 @@ def parameter(data, name: str) -> Tensor:
     return Tensor(data, requires_grad=True, name=name)
 
 
+def by_name(*tensors: Optional[Tensor]) -> List[Tuple[str, Tensor]]:
+    """(name, tensor) pairs in argument order, None skipped: a parameter
+    container lists its tensors under the names `parameter` gave them."""
+    return [(t.name, t) for t in tensors if t is not None]
+
+
 def uniform_init(rng, shape) -> np.ndarray:
     """Uniform +-sqrt(6/(fan_in+fan_out)) draws for a weight matrix."""
     bound = np.sqrt(6.0 / (shape[0] + shape[1]))

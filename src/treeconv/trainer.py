@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 PLATEAU_EPOCHS = 2
+BUCKET_GROUPS = 7  # length groups of the default evaluation buckets
 # a batch whose mean cross entropy exceeds this many times ln(classes)
 # has blown up (see `train`)
 BLOWUP_RATIO = 1e18
@@ -198,11 +199,10 @@ class EvalReport:
         return self.correct / self.total if self.total else 0.0
 
 
-def default_length_buckets(granularity: int = 5,
-                           groups: int = 7) -> List[int]:
-    """Boundaries for `groups` length groups of width `granularity`;
+def default_length_buckets(granularity: int = 5) -> List[int]:
+    """Boundaries for BUCKET_GROUPS length groups of width `granularity`;
     the tails merge into the first and last group."""
-    return [granularity * (i + 1) for i in range(groups - 1)]
+    return [granularity * (i + 1) for i in range(BUCKET_GROUPS - 1)]
 
 
 def _bucket_labels(boundaries: Sequence[int]) -> List[str]:

@@ -6,14 +6,20 @@ import numpy as np
 import pytest
 
 from treeconv import checkpoint as ckpt
+from treeconv import trainer
+from treeconv.baseline import train_bag_baseline
 from treeconv.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from treeconv.cli import main
+from treeconv.config import TrainConfig
 from treeconv.corpus_io import (
+    DepTypeInventory,
     parse_constituency,
     read_dependency_file,
     serialize_dependency,
 )
-from treeconv.synthetic import make_overfit_corpus
+from treeconv.network import TrainedModel, init_model
+from treeconv.rae_pretrain import init_composition
+from treeconv.synthetic import fixture_pair, make_overfit_corpus
 
 DATA = Path(__file__).parent / "data"
 
@@ -392,6 +398,75 @@ class TestCheckpointRoundTrip:
         assert str(bad) in err and fragment in err, err
 
 
+def _stored_names(path):
+    """The array names in a checkpoint's header, in payload order."""
+    raw = path.read_bytes()
+    length_line = raw[len(MAGIC):].split(b"\n", 1)[0]
+    start = len(MAGIC) + len(length_line) + 1
+    header = json.loads(raw[start:start + int(length_line)])
+    return [spec["name"] for spec in header["arrays"]]
+
+
+D_CONV = ["conv.W_p", "conv.W_rel0", "conv.W_rel1", "conv.W_rel2", "conv.b"]
+C_CONV = ["conv.W_p", "conv.W_l", "conv.W_r", "conv.b"]
+HEAD = ["head.W_h", "head.b_h", "head.W_o", "head.b_o"]
+RAE = ["rae.W_comp", "rae.b_comp", "rae.W_rec", "rae.b_rec"]
+
+
+def _layout_case(case, tmp_path):
+    """(named() of the case's parameter containers, its checkpoint or
+    None): a d-model with trained or frozen embeddings, a c-model, a
+    pretrain-rae file, or the bag baseline."""
+    _, dep, vocab, table = fixture_pair(n_e=4, seed=0)
+    rng = np.random.default_rng(0)
+    if case == "bag":
+        config = TrainConfig(variant="d", n_e=4, n_c=1, n_h=3, classes=3,
+                             max_epochs=1, train_embeddings=True)
+        model, _ = train_bag_baseline([dep], [dep], table, config)
+        return model.named(), None
+    path = tmp_path / "model.ckpt"
+    if case == "rae file":
+        assert main(["pretrain-rae", "--train", str(DATA / "tiny_con.txt"),
+                     "--n-e", "4", "--epochs", "1", "--out", str(path)]) == 0
+        model = load_checkpoint(path)
+        return model.params.named() + model.rae.named(), path
+    inventory = rae = None
+    if case == "c":
+        config = TrainConfig(variant="c", n_e=4, n_c=3, n_h=3, classes=3)
+        rae = init_composition(4, rng)
+    else:
+        inventory = DepTypeInventory(slot_ids={"nsubj": 0, "dobj": 1},
+                                     shared_slot=2, dedicated=("nsubj", "dobj"))
+        config = TrainConfig(variant="d", n_e=4, n_c=3, n_h=3, classes=3,
+                             train_embeddings=case == "d trained")
+    params = init_model(config, table, inventory, rng)
+    save_checkpoint(TrainedModel(config=config, params=params, vocab=vocab,
+                                 table=table, inventory=inventory, rae=rae),
+                    path)
+    return params.named() + (rae.named() if rae else []), path
+
+
+class TestParameterNames:
+    # (names that named() lists, names the checkpoint stores)
+    LAYOUTS = {
+        "d trained": (D_CONV + HEAD + ["embeddings"], D_CONV + HEAD + ["table"]),
+        "d frozen": (D_CONV + HEAD, D_CONV + HEAD + ["table"]),
+        "c": (C_CONV + HEAD + RAE, C_CONV + HEAD + RAE + ["table"]),
+        "rae file": (C_CONV + HEAD + RAE, C_CONV + HEAD + RAE + ["table"]),
+        "bag": (HEAD + ["embeddings"], None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LAYOUTS))
+    def test_named_reads_tensor_names_in_checkpoint_order(self, case,
+                                                          tmp_path):
+        named, path = _layout_case(case, tmp_path)
+        want_named, want_stored = self.LAYOUTS[case]
+        assert [name for name, _ in named] == want_named
+        assert all(name == t.name for name, t in named)
+        if path is not None:
+            assert _stored_names(path) == want_stored
+
+
 class TestVisualize:
     def test_three_sentences_three_pairs(self, tmp_path, toy_d_config, capsys):
         out = train_tiny(tmp_path, toy_d_config)
@@ -626,3 +701,88 @@ class TestDeepAndWideInput:
         assert fractions == len(parse_constituency(deep))
         # one word, n levels down, its fields indented as json.dumps would
         assert leaf_indents == [2 * (2 * n + 2)]
+
+
+def _abc_files(tmp_path):
+    """A 3-class run: tiny_dep's sentences labelled A, B, C in turn, and
+    a validation file of its first and third sentences, labelled A and
+    C, so the file's own sorted names would number C as B."""
+    blocks = (DATA / "tiny_dep.conll").read_text().strip().split("\n\n")
+    train_labels = tmp_path / "abc.lbl"
+    train_labels.write_text("".join(f"{'ABC'[i % 3]}\t{i}\n"
+                                    for i in range(len(blocks))))
+    val = tmp_path / "ac.conll"
+    val.write_text(f"{blocks[0]}\n\n{blocks[2]}\n")
+    val_labels = tmp_path / "ac.lbl"
+    val_labels.write_text("A\t0\nC\t1\n")
+    config = tmp_path / "abc.cfg"
+    config.write_text(TOY_D_CONFIG.replace("classes = 2", "classes = 3")
+                      .replace("max_epochs = 25", "max_epochs = 1"))
+    return (["train", "--config", str(config),
+             "--train", str(DATA / "tiny_dep.conll"),
+             "--labels", str(train_labels), "--val", str(val),
+             "--val-labels", str(val_labels)],
+            val, val_labels)
+
+
+class TestLabelFiles:
+    def test_val_labels_map_through_training_names(self, tmp_path,
+                                                   monkeypatch):
+        train_args, _, val_labels = _abc_files(tmp_path)
+        seen = {}
+        real_train = trainer.train
+
+        def spy(train_trees, val_trees, *args, **kwargs):
+            seen["val"] = [t.sentence_label for t in val_trees]
+            return real_train(train_trees, val_trees, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "train", spy)
+        out = tmp_path / "abc.ckpt"
+        assert main(train_args + ["--out", str(out)]) == 0
+        assert seen["val"] == [0, 2]
+        assert load_checkpoint(out).label_names == ["A", "B", "C"]
+
+    def test_eval_labels_map_through_checkpoint_names(self, tmp_path, capsys):
+        train_args, val, val_labels = _abc_files(tmp_path)
+        out = tmp_path / "abc.ckpt"
+        assert main(train_args + ["--out", str(out)]) == 0
+        # a head that predicts C for every sentence
+        model = load_checkpoint(out)
+        model.params.head.W_o.data[...] = 0.0
+        model.params.head.b_o.data[...] = [0.0, 0.0, 50.0]
+        save_checkpoint(model, out)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out), "--input", str(val),
+                     "--labels", str(val_labels)]) == 0
+        assert "overall accuracy 0.5000 (1/2)" in capsys.readouterr().out
+
+    def test_label_outside_training_names_exits_3(self, tmp_path, capsys):
+        train_args, _, val_labels = _abc_files(tmp_path)
+        val_labels.write_text("A\t0\nD\t1\n")
+        out = tmp_path / "abc.ckpt"
+        assert main(train_args + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert str(val_labels) in err and "'D'" in err
+        assert not out.exists()
+
+
+class TestOneWordSentence:
+    def test_train_eval_and_visualize_under_k_slot_pooling(self, tmp_path,
+                                                           toy_d_config,
+                                                           capsys):
+        corpus = tmp_path / "one_word.conll"
+        corpus.write_text((DATA / "tiny_dep.conll").read_text().rstrip("\n")
+                          + "\n\n1\tYes\t_\t_\t_\t_\t0\troot\n")
+        labels = tmp_path / "one_word.lbl"
+        labels.write_text((DATA / "tiny_dep.lbl").read_text() + "POS\t8\n")
+        out = tmp_path / "one_word.ckpt"
+        assert main(["train", "--config", toy_d_config, "--train", str(corpus),
+                     "--labels", str(labels), "--val", str(corpus),
+                     "--val-labels", str(labels), "--out", str(out)]) == 0, \
+            capsys.readouterr().err
+        assert main(["eval", "--checkpoint", str(out), "--input", str(corpus),
+                     "--labels", str(labels)]) == 0
+        assert main(["visualize", "--checkpoint", str(out),
+                     "--input", str(corpus), "--pooling", "kslot",
+                     "--out-prefix", str(tmp_path / "trace")]) == 0
+        assert (tmp_path / "trace_8.json").exists()

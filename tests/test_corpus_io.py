@@ -29,6 +29,7 @@ from treeconv.corpus_io import (
 )
 from treeconv.errors import (
     ContractError,
+    DataError,
     FormatError,
     ParseError,
     StructureError,
@@ -376,6 +377,22 @@ class TestLabels:
         pairs = [("LOC", 5)]
         with pytest.raises(StructureError):
             attach_labels([parse_dependency("1\tx\t_\t_\t_\t_\t0\troot\n")], pairs)
+
+    def test_attach_maps_through_given_names(self):
+        # a file holding only A and C must not renumber C as B's index
+        trees = [parse_dependency("1\tx\t_\t_\t_\t_\t0\troot\n") for _ in range(2)]
+        names = attach_labels(trees, [("A", 0), ("C", 1)], ["A", "B", "C"])
+        assert names == ["A", "B", "C"]
+        assert [t.sentence_label for t in trees] == [0, 2]
+
+    def test_label_outside_given_names_rejected(self):
+        trees = [parse_dependency("1\tx\t_\t_\t_\t_\t0\troot\n")]
+        with pytest.raises(DataError, match="'D'"):
+            attach_labels(trees, [("D", 0)], ["A", "B"])
+
+    def test_sentence_labelled_twice_rejected(self):
+        with pytest.raises(FormatError, match="sentence 0 .*line 1.*line 3"):
+            read_label_file(io.StringIO("A\t0\nB\t1\nB\t0\n"))
 
 
 class TestCorpusVocab:

@@ -168,9 +168,18 @@ class TestKSlot:
                 assert feasible, (n, k, i)
                 assert a.slot_of[i - 1] == feasible[0] - 1
 
-    def test_k_larger_than_n_rejected(self):
+    def test_k_larger_than_n_leaves_empty_slots(self):
+        a = assign_k_slot(dep_chain(3), 4)
+        assert a.slot_of == [1, 2, 3]
+        fm = feature_map([np.array([1.0, 2.0]), np.array([3.0, -4.0]),
+                          np.array([5.0, 6.0])])
+        pooled, prov = pool(Tape(), fm, a)
+        assert np.array_equal(pooled.data[0], [0.0, 0.0])
+        assert prov.winners[0] is None
+
+    def test_k_below_one_rejected(self):
         with pytest.raises(ContractError):
-            assign_k_slot(dep_chain(3), 4)
+            assign_k_slot(dep_chain(3), 0)
 
     def test_constituency_tree_rejected(self):
         tree = parse_constituency("(0 (0 a) (0 b))")

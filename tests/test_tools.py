@@ -16,3 +16,9 @@ def test_compare_checkpoints_finds_this_checkout_identical():
                 if line.strip().startswith(("other checkout:", "second run:"))]
     assert len(verdicts) == 12, done.stdout
     assert all(v.endswith(": identical") for v in verdicts), done.stdout
+    counts = [line for line in done.stdout.splitlines()
+              if line.startswith("lines of src/treeconv/*.py: ")]
+    assert len(counts) == 1, done.stdout
+    this, other = counts[0].split(": ", 1)[1].split(", ")
+    assert this.startswith("this ") and other.startswith("other ")
+    assert int(this.split()[1]) == int(other.split()[1]) > 0

@@ -19,9 +19,9 @@ from treeconv.synthetic import (
 )
 from treeconv.tensor_core import Tape, Tensor
 from treeconv.tree_conv import (
-    CWindowParams,
-    DWindowParams,
+    WindowParams,
     convolve,
+    forest,
     init_c_window,
     init_d_window,
 )
@@ -37,10 +37,10 @@ I_LOVED_IT_CONLL = (
 
 def zero_c_params(n_c, n_e):
     from treeconv.tensor_core import parameter
-    return CWindowParams(
+    return WindowParams(
         W_p=parameter(np.zeros((n_c, n_e)), "conv.W_p"),
-        W_l=parameter(np.zeros((n_c, n_e)), "conv.W_l"),
-        W_r=parameter(np.zeros((n_c, n_e)), "conv.W_r"),
+        W_child=[parameter(np.zeros((n_c, n_e)), "conv.W_l"),
+                 parameter(np.zeros((n_c, n_e)), "conv.W_r")],
         b=parameter(np.zeros(n_c), "conv.b"),
     )
 
@@ -72,23 +72,23 @@ def window_d(tape, p, children, params, inventory):
 def naive_window_c(p, cl, cr, params):
     z = naive_matvec(params.W_p.data, p) + params.b.data
     if cl is not None:
-        z = z + naive_matvec(params.W_l.data, cl)
+        z = z + naive_matvec(params.W_child[0].data, cl)
     if cr is not None:
-        z = z + naive_matvec(params.W_r.data, cr)
+        z = z + naive_matvec(params.W_child[1].data, cr)
     return np.maximum(z, 0.0)
 
 
 def naive_window_d(p, children, params, inventory):
     z = naive_matvec(params.W_p.data, p) + params.b.data
     for vec, rel in children:
-        z = z + naive_matvec(params.W_rel[inventory.slot_of(rel)].data, vec)
+        z = z + naive_matvec(params.W_child[inventory.slot_of(rel)].data, vec)
     return np.maximum(z, 0.0)
 
 
 def naive_convolve(tree, vectors, params, inventory=None):
-    out = np.zeros((len(tree.nodes), params.n_c))
+    out = np.zeros((len(tree.nodes), params.W_p.data.shape[0]))
     for v, node in enumerate(tree.nodes):
-        if isinstance(params, DWindowParams):
+        if tree.kind == DEPENDENCY:
             children = [(vectors[c], tree.nodes[c].dep_relation)
                         for c in node.children]
             out[v] = naive_window_d(vectors[v], children, params, inventory)
@@ -145,8 +145,8 @@ class TestDependencyWindow:
         ).data
         want = np.maximum(
             params.W_p.data @ v_loved
-            + params.W_rel[inv.slot_of("nsubj")].data @ v_i
-            + params.W_rel[inv.slot_of("dobj")].data @ v_it
+            + params.W_child[inv.slot_of("nsubj")].data @ v_i
+            + params.W_child[inv.slot_of("dobj")].data @ v_it
             + params.b.data,
             0.0,
         )
@@ -268,3 +268,27 @@ class TestConvolve:
         params = init_d_window(2, 2, inv.n_slots, np.random.default_rng(9))
         with pytest.raises(ContractError):
             convolve(Tape(), tree, Tensor(np.zeros((1, 2))), params, inv)
+
+
+class TestWindowChecks:
+    def test_c_window_on_dependency_forest_rejected(self):
+        tree = parse_dependency(I_LOVED_IT_CONLL)
+        inv = build_dep_inventory([tree])
+        params = init_c_window(2, 2, np.random.default_rng(10))
+        with pytest.raises(ContractError, match="child"):
+            convolve(Tape(), tree, Tensor(np.zeros((3, 2))), params, inv)
+
+    def test_d_window_one_matrix_short_rejected(self):
+        inv = build_dep_inventory([parse_dependency(I_LOVED_IT_CONLL)])
+        # xcomp has no dedicated slot: it reads the shared, last matrix
+        tree = parse_dependency("1\tgo\t_\t_\t_\t_\t0\troot\n"
+                                "2\tnow\t_\t_\t_\t_\t1\txcomp\n")
+        params = init_d_window(2, 2, inv.n_slots - 1, np.random.default_rng(11))
+        with pytest.raises(ContractError, match="child"):
+            convolve(Tape(), tree, Tensor(np.zeros((2, 2))), params, inv)
+
+    def test_forest_of_mixed_kinds_rejected(self):
+        dep = parse_dependency(I_LOVED_IT_CONLL)
+        con = random_constituency_tree(np.random.default_rng(12), ["a", "b"])
+        with pytest.raises(ContractError, match="one kind"):
+            forest([dep, con], build_dep_inventory([dep]))

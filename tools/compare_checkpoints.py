@@ -15,8 +15,10 @@ short program writes in the checkpoint layout.
 
 For every run it prints the sha256 of both checkouts' files and
 "identical" or "differ"; a difference also gives the largest
-|a - b| / max|a| over the stored arrays, and the array it is in.  Exits
-0 when every run is identical in both comparisons, 1 otherwise.
+|a - b| / max|a| over the stored arrays, and the array it is in.  A
+last line gives the line count of src/treeconv/*.py in both checkouts,
+as `wc -l` counts them.  Exits 0 when every run is identical in both
+comparisons, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -210,6 +212,12 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def package_lines(checkout: Path) -> int:
+    """Newlines in the checkout's src/treeconv/*.py, as `wc -l` counts."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "treeconv").glob("*.py"))
+
+
 def compare(other: Path) -> bool:
     """Print one block per run; True when all runs are identical."""
     same = True
@@ -240,6 +248,8 @@ def compare(other: Path) -> bool:
                     same = False
                     print(f"  {label}: differ, "
                           f"{largest_difference(files['this'], files[tag])}")
+    print(f"lines of src/treeconv/*.py: this {package_lines(HERE)}, "
+          f"other {package_lines(other)}")
     return same
 
 
