@@ -239,6 +239,14 @@ def subtree_at(tree: ParseTree, v: int) -> ParseTree:
                      sentence_label=tree.nodes[v].label)
 
 
+def tagged_constituents(tree: ParseTree) -> List[int]:
+    """The nodes that carry a tag, in node order: the roots of the
+    sub-sentence samples."""
+    if tree.kind != CONSTITUENCY:
+        raise ContractError("sub-sentence extraction needs constituency trees")
+    return [v for v, node in enumerate(tree.nodes) if node.label is not None]
+
+
 def extract_subsentences(tree: ParseTree) -> List[ParseTree]:
     """Every tagged constituent as an independent labeled sample.
 
@@ -246,10 +254,7 @@ def extract_subsentences(tree: ParseTree) -> List[ParseTree]:
     enlarge the training set only; validation and test stay on whole
     sentences.
     """
-    if tree.kind != CONSTITUENCY:
-        raise ContractError("sub-sentence extraction needs constituency trees")
-    return [subtree_at(tree, v) for v, node in enumerate(tree.nodes)
-            if node.label is not None]
+    return [subtree_at(tree, v) for v in tagged_constituents(tree)]
 
 
 def read_constituency_file(source) -> List[ParseTree]:

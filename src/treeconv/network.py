@@ -3,7 +3,11 @@ classifier head.  A minibatch of sentences is one forest on one tape:
 one node-vector matrix, one convolution, one pooling over every tree's
 slots and one head, with one backward pass per batch.  Both variants
 take this path with one window type (see :mod:`tree_conv`); a variant
-picks the node vectors, the window's child matrices and the pooling."""
+picks the node vectors, the window's child matrices and the pooling.
+
+Constituency node rows are the frozen RAE annotation.  During
+`trainer.train` they come from the trainer's once-per-run cache; a
+trained classifier annotates its trees on every call."""
 
 from __future__ import annotations
 
@@ -96,6 +100,9 @@ class SentenceClassifier:
 
     Constituency node vectors come frozen from the recursive-autoencoder
     annotation; no gradient ever flows into them or its parameters.
+    `node_rows`, when given, maps id(tree) to those rows for every tree
+    the classifier forwards (`trainer.train`'s cache); without it each
+    forward annotates its trees.
     Dependency node vectors are embedding rows, trainable when the model
     owns an embedding parameter.
     """
@@ -103,13 +110,15 @@ class SentenceClassifier:
     def __init__(self, config: TrainConfig, params: ModelParams,
                  table: EmbeddingTable,
                  inventory: Optional[DepTypeInventory] = None,
-                 rae: Optional[CompositionParams] = None):
+                 rae: Optional[CompositionParams] = None,
+                 node_rows: Optional[Dict[int, np.ndarray]] = None):
         config.validate()
         self.config = config
         self.params = params
         self.table = table
         self.inventory = inventory
         self.rae = rae
+        self.node_rows = node_rows
         if config.variant == VARIANT_C and rae is None:
             raise ContractError("constituency classifier needs composition params")
         if config.variant == VARIANT_D and inventory is None:
@@ -117,11 +126,14 @@ class SentenceClassifier:
 
     def node_vectors(self, tape: Tape, forest: tree_conv.Forest) -> Tensor:
         """The (n_nodes, n_e) matrix of node vectors, row v for forest
-        row v: constituency annotations, or rows of the embedding table
-        (a parameter when it trains, else a constant)."""
+        row v: constituency annotations (from `node_rows` when given),
+        or rows of the embedding table (a parameter when it trains, else
+        a constant)."""
         if self.config.variant == VARIANT_C:
-            return Tensor(np.concatenate([annotate(tree, self.rae, self.table)
-                                          for tree in forest.trees]))
+            given = self.node_rows
+            return Tensor(np.concatenate([
+                annotate(tree, self.rae, self.table) if given is None
+                else given[id(tree)] for tree in forest.trees]))
         rows = [node.embedding_index for node in forest.nodes]
         if None in rows:
             node = forest.nodes[rows.index(None)]

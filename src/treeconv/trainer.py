@@ -7,6 +7,11 @@ so a batch's gradient sums over its sentences in the tape's fixed replay
 order, and two runs with the same seed produce identical checkpoints.
 Evaluation runs the same batched forward, recording nothing.  The
 learning rate halves after two epochs without a validation improvement.
+
+Constituency node rows are frozen, so `train` annotates each distinct
+training tree that yields a sample, and each validation tree, once
+before epoch 1; every forward pass of the run reads those rows, a
+sub-sentence's as a slice of its source tree's (see `_node_rows`).
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,10 +34,11 @@ from .corpus_io import (
     Vocabulary,
     build_dep_inventory,
     extract_subsentences,
+    tagged_constituents,
 )
 from .errors import ConfigError, ContractError
 from .network import SentenceClassifier, TrainedModel, init_model
-from .rae_pretrain import CompositionParams
+from .rae_pretrain import CompositionParams, annotate
 from .tensor_core import (Tape, grad_of, iter_batches, l2_penalty, node_groups,
                           sgd_epoch)
 
@@ -56,17 +63,69 @@ class TrainReport:
     wall_time: float = 0.0
 
 
+# (sample, tree, v): the tagged constituent at node v of tree, or tree
+# itself when v is None
+Sourced = Tuple[ParseTree, ParseTree, Optional[int]]
+
+
+def _sourced_samples(trees: Sequence[ParseTree],
+                     config: TrainConfig) -> List[Sourced]:
+    """Every training sample with its source, in training order."""
+    if config.variant != VARIANT_C or not config.use_subsentences:
+        return [(tree, tree, None) for tree in trees]
+    sourced: List[Sourced] = []
+    for tree in trees:
+        sourced += zip(extract_subsentences(tree), repeat(tree),
+                       tagged_constituents(tree))
+        if tree.nodes[tree.root].label is None and tree.sentence_label is not None:
+            sourced.append((tree, tree, None))
+    return sourced
+
+
 def _training_samples(trees: Sequence[ParseTree],
                       config: TrainConfig) -> List[ParseTree]:
     """Expand tagged constituents into individual samples (train only)."""
-    if config.variant != VARIANT_C or not config.use_subsentences:
-        return list(trees)
-    samples: List[ParseTree] = []
-    for tree in trees:
-        samples.extend(extract_subsentences(tree))
-        if tree.nodes[tree.root].label is None and tree.sentence_label is not None:
-            samples.append(tree)
-    return samples
+    return [sample for sample, _, _ in _sourced_samples(trees, config)]
+
+
+def _node_rows(sourced: Sequence[Sourced], val_trees: Sequence[ParseTree],
+               rae: CompositionParams,
+               table: EmbeddingTable) -> Dict[int, np.ndarray]:
+    """The frozen RAE rows of every tree `train` forwards, by id(tree).
+
+    Each distinct source or validation tree is annotated once.  A
+    sub-sentence's rows are a slice of its source tree's rows put in
+    pre-order: `subtree_at` numbers the constituent at v in the order
+    the pre-order walk enters it, and that walk covers the nodes below v
+    in one run.  So the rows held grow with the distinct nodes, not with
+    the summed sub-sentence sizes.
+    """
+    annotated: Dict[int, np.ndarray] = {}  # id(tree) -> annotate(tree)
+    preorder: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    rows: Dict[int, np.ndarray] = {}
+
+    def own_rows(tree: ParseTree) -> np.ndarray:
+        if id(tree) not in annotated:
+            annotated[id(tree)] = annotate(tree, rae, table)
+        return annotated[id(tree)]
+
+    for sample, tree, v in sourced:
+        if v is None:
+            rows[id(sample)] = own_rows(tree)
+            continue
+        if id(tree) not in preorder:
+            order = np.array([u for u, entering in tree.walk() if entering])
+            place = np.empty_like(order)  # each node's pre-order position
+            place[order] = np.arange(len(order))
+            ordered = own_rows(tree)
+            if not np.array_equal(order, np.arange(len(order))):
+                ordered = ordered[order]  # a tree not numbered in pre-order
+            preorder[id(tree)] = ordered, place
+        ordered, place = preorder[id(tree)]
+        rows[id(sample)] = ordered[place[v]:place[v] + len(sample)]
+    for tree in val_trees:
+        rows[id(tree)] = own_rows(tree)
+    return rows
 
 
 def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
@@ -100,7 +159,8 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
     if config.variant == VARIANT_D and inventory is None:
         inventory = build_dep_inventory(train_trees)
 
-    samples = _training_samples(train_trees, config)
+    sourced = _sourced_samples(train_trees, config)
+    samples = [sample for sample, _, _ in sourced]
     if any(tree.sentence_label is None for tree in samples):
         raise ConfigError("every training sample needs a label")
     if any(tree.sentence_label is None for tree in val_trees):
@@ -109,8 +169,10 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
     started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     params = init_model(config, table, inventory, rng)
-    classifier = SentenceClassifier(config, params, table,
-                                    inventory=inventory, rae=rae)
+    node_rows = (_node_rows(sourced, val_trees, rae, table)
+                 if config.variant == VARIANT_C else None)
+    classifier = SentenceClassifier(config, params, table, inventory=inventory,
+                                    rae=rae, node_rows=node_rows)
 
     report = TrainReport()
     # validation accuracy is >= 0, so epoch 1 always sets best_epoch

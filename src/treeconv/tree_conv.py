@@ -25,7 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .corpus_io import DEPENDENCY, DepTypeInventory, ParseTree, TreeNode
+from .corpus_io import (CONSTITUENCY, DEPENDENCY, DepTypeInventory, ParseTree,
+                        TreeNode)
 from .errors import ContractError
 from .tensor_core import (ALL_ROWS, Tape, Tensor, by_name, parameter,
                           uniform_init)
@@ -34,35 +35,39 @@ from .tensor_core import (ALL_ROWS, Tape, Tensor, by_name, parameter,
 @dataclass
 class WindowParams:
     """The window's weights: `W_child[key]` is the matrix for children of
-    key `key`, a child position or a relation slot (see :func:`forest`)."""
+    key `key`, a child position or a relation slot (see :func:`forest`).
+    `kind` is the tree kind the window was built for, which picks what
+    its keys mean."""
 
     W_p: Tensor            # (n_c, n_e)
     W_child: List[Tensor]  # one (n_c, n_e) matrix per child key
     b: Tensor              # (n_c,)
+    kind: str              # CONSTITUENCY or DEPENDENCY
 
     def named(self) -> List[Tuple[str, Tensor]]:
         return by_name(self.W_p, *self.W_child, self.b)
 
 
-def _init_window(n_c: int, n_e: int, child_names: Sequence[str],
+def _init_window(n_c: int, n_e: int, child_names: Sequence[str], kind: str,
                  rng) -> WindowParams:
     return WindowParams(
         W_p=parameter(uniform_init(rng, (n_c, n_e)), "conv.W_p"),
         W_child=[parameter(uniform_init(rng, (n_c, n_e)), name)
                  for name in child_names],
         b=parameter(np.zeros(n_c), "conv.b"),
+        kind=kind,
     )
 
 
 def init_c_window(n_c: int, n_e: int, rng) -> WindowParams:
     """A constituency window: left and right child matrices."""
-    return _init_window(n_c, n_e, ["conv.W_l", "conv.W_r"], rng)
+    return _init_window(n_c, n_e, ["conv.W_l", "conv.W_r"], CONSTITUENCY, rng)
 
 
 def init_d_window(n_c: int, n_e: int, n_slots: int, rng) -> WindowParams:
     """A dependency window: one child matrix per inventory slot."""
     return _init_window(n_c, n_e, [f"conv.W_rel{i}" for i in range(n_slots)],
-                        rng)
+                        DEPENDENCY, rng)
 
 
 @dataclass
@@ -79,6 +84,7 @@ class Forest:
     nodes: List[TreeNode]  # one per row, i.e. one per window
     edges: List[Tuple[int, np.ndarray, np.ndarray]]  # (key, child, parent)
     n_keys: int
+    kind: str  # the trees' kind
 
 
 def forest(trees: Sequence[ParseTree],
@@ -112,7 +118,8 @@ def forest(trees: Sequence[ParseTree],
     return Forest(trees=trees, nodes=nodes,
                   edges=[(key, np.array(src), np.array(dst))
                          for key, (src, dst) in sorted(edges.items())],
-                  n_keys=inventory.n_slots if dependency else 2)
+                  n_keys=inventory.n_slots if dependency else 2,
+                  kind=DEPENDENCY if dependency else CONSTITUENCY)
 
 
 def convolve(tape: Tape, trees: Union[Forest, ParseTree], node_vectors: Tensor,
@@ -133,6 +140,11 @@ def convolve(tape: Tape, trees: Union[Forest, ParseTree], node_vectors: Tensor,
         raise ContractError(
             f"node_vectors covers {node_vectors.data.shape[0]} nodes, "
             f"forest has {n}"
+        )
+    if params.kind != trees.kind:
+        raise ContractError(
+            f"window's child matrices are keyed for {params.kind} trees, "
+            f"the forest holds {trees.kind} trees"
         )
     if len(params.W_child) != trees.n_keys:
         raise ContractError(

@@ -1,6 +1,7 @@
 """The benchmark's span tracer keeps counting what it counted when a
 sentence was its own forward pass: one convolution window per node, one
-pooling slot per sample and slot, one annotation per constituency tree.
+pooling slot per sample and slot, one annotation per constituency tree
+forwarded (in training, one per distinct tree: `train` annotates once).
 
 `bench/tracing.py` wraps the package's functions from outside and reads
 their arguments and results (`convolve`'s second argument has one
@@ -61,6 +62,10 @@ def test_counters_match_the_trees_forwarded(variant, pooling):
     samples = _training_samples(train_trees, config)
     # each epoch forwards every sample once, then the validation split
     seen = config.max_epochs * (list(samples) + list(val_trees))
+    # but train annotates each tree that yields a sample, and each
+    # validation tree, once per call
+    sources = [tree for tree in train_trees if _training_samples([tree], config)]
+    distinct = len({id(tree) for tree in sources + list(val_trees)})
 
     tracer = tracing.Tracer()
     tracer.phase = "train"
@@ -74,6 +79,7 @@ def test_counters_match_the_trees_forwarded(variant, pooling):
         counts = tracer.counts[phase]
         assert counts["tree_conv.windows"] == sum(len(t.nodes) for t in forwarded)
         assert counts["pooling.slots"] == len(forwarded) * SLOTS[pooling]
-        annotated = len(forwarded) if variant == "c" else 0
+        annotated = 0 if variant == "d" else (
+            distinct if phase == "train" else len(forwarded))
         assert counts["rae_pretrain.annotate_calls"] == annotated
     assert tracer.counts["train"]["tensor_core.backward_calls"] > 0

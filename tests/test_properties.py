@@ -1,11 +1,12 @@
 """Property tests over random trees of up to ~2k nodes: round trips,
-structural invariants, sub-tree copies, the frozen annotation, the RAE
-reconstruction loss (one tree against a per-node oracle, a batch against
-its trees one call each) and the convolution oracle; over random matrices
-and slot maps, single-tree and batch-shaped, the pooling primitive
-`segment_max`; over random tapes of row lookups, the row-gradient sums
-against a plain-numpy replay; and over random minibatches, the batched
-loss and gradient against the same samples one tape at a time.
+structural invariants, sub-tree copies, the frozen annotation and the
+trainer's cache of it, the RAE reconstruction loss (one tree against a
+per-node oracle, a batch against its trees one call each) and the
+convolution oracle; over random matrices and slot maps, single-tree
+and batch-shaped, the pooling primitive `segment_max`; over random
+tapes of row lookups, the row-gradient sums against a plain-numpy
+replay; and over random minibatches, the batched loss and gradient
+against the same samples one tape at a time.
 
 The tree shapes come from a hypothesis-drawn `random.Random`, so a
 failing example replays from the seed hypothesis prints; the size is a
@@ -20,6 +21,9 @@ from hypothesis import strategies as st
 
 from treeconv.config import TrainConfig
 from treeconv.corpus_io import (
+    CONSTITUENCY,
+    ParseTree,
+    TreeNode,
     bind_vocabulary,
     build_dep_inventory,
     parse_constituency,
@@ -47,6 +51,7 @@ from treeconv.tensor_core import (
     grad_of,
     parameter,
 )
+from treeconv.trainer import _node_rows, _sourced_samples, _training_samples
 from treeconv.tree_conv import convolve, init_c_window, init_d_window
 
 from test_tree_conv import naive_convolve
@@ -175,6 +180,54 @@ def test_annotate_is_compose_node_by_node(rng, n_leaves):
             c2 = out[kids[1]] if len(kids) > 1 else np.zeros(n_e)
             want = compose(out[kids[0]], c2, params)
         assert np.array_equal(out[v], want), v
+
+
+def unordered_tree():
+    """A hand-built tree whose nodes are not numbered in pre-order (the
+    walk enters 0, 2, 1, 3, 4, 5), with an untagged root."""
+    nodes = [TreeNode(children=[2, 1], depth_layer=1),
+             TreeNode(children=[3], depth_layer=2, label=3),
+             TreeNode(word="a", depth_layer=2, label=0),
+             TreeNode(children=[4, 5], depth_layer=3, label=1),
+             TreeNode(word="b", depth_layer=4),
+             TreeNode(word="c", depth_layer=4, label=2)]
+    tree = ParseTree(kind=CONSTITUENCY, nodes=nodes, root=0)
+    validate_tree(tree)
+    return tree
+
+
+@PROPERTY
+@given(RANDOMS, st.integers(1, 5))
+def test_cached_rows_are_each_samples_annotation(rng, size):
+    """Every training sample's rows in the trainer's cache are the bytes
+    `annotate` gives for that sample, a sub-sentence's as a view of its
+    source tree's rows; validation trees get their own annotation."""
+    lines = [random_bracketed(rng, rng.randint(1, 80))[0] for _ in range(size)]
+    lines.append(unary_chain(rng.randint(2, 40), "chain"))
+    trees = [parse_constituency(line) for line in lines] + [unordered_tree()]
+    rng.shuffle(trees)
+    vocab = vocabulary_from_corpus(trees)
+    for tree in trees:
+        bind_vocabulary(tree, vocab)
+        if tree.sentence_label is None:  # an untagged root trains whole
+            tree.sentence_label = 1
+    table = random_embeddings(vocab, 3, seed=rng.randrange(2 ** 32))
+    params = init_composition(3, np.random.default_rng(rng.randrange(2 ** 32)))
+    config = TrainConfig(variant="c", n_e=3, n_c=2, n_h=2, classes=5)
+
+    sourced = _sourced_samples(trees, config)
+    assert [sample for sample, _, _ in sourced] == \
+        _training_samples(trees, config)
+    val_trees = trees[:2]
+    rows = _node_rows(sourced, val_trees, params, table)
+    for sample, tree, v in sourced:
+        want = annotate(sample, params, table)
+        assert rows[id(sample)].tobytes() == want.tobytes()
+        if v is not None:
+            assert rows[id(sample)].base is not None  # a slice, not a copy
+    for tree in val_trees:
+        assert rows[id(tree)].tobytes() == \
+            annotate(tree, params, table).tobytes()
 
 
 def naive_recon_loss(tree, params, table):

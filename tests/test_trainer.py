@@ -410,6 +410,83 @@ class TestSubsentenceExpansion:
         assert _training_samples(corpus.dep_trees, config) == corpus.dep_trees
 
 
+def bound_con_corpus(*groups, n_e=4):
+    """Each group of bracketed lines parsed, bound to one vocabulary."""
+    from treeconv.corpus_io import (bind_vocabulary, parse_constituency,
+                                    random_embeddings, vocabulary_from_corpus)
+    parsed = [[parse_constituency(line) for line in lines] for lines in groups]
+    vocab = vocabulary_from_corpus([t for trees in parsed for t in trees])
+    for trees in parsed:
+        for tree in trees:
+            bind_vocabulary(tree, vocab)
+    return parsed, vocab, random_embeddings(vocab, n_e, seed=0)
+
+
+def count_calls(monkeypatch, module, name, holders=()):
+    """Patch module.name (and the copies `holders` bound) to record the
+    id of each call's first argument; returns the list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(id(args[0]))
+        return original(*args, **kwargs)
+    for holder in (module, *holders):
+        monkeypatch.setattr(holder, name, counted)
+    return calls
+
+
+class TestAnnotationCache:
+    """`train` annotates each tree once per call, whatever its epoch
+    count; a trained classifier still annotates on every call."""
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_train_annotates_each_distinct_tree_once(self, monkeypatch, epochs):
+        import treeconv.network as network_mod
+        import treeconv.rae_pretrain as rae_mod
+        import treeconv.trainer as trainer_mod
+
+        (train_trees, val_trees), vocab, table = bound_con_corpus(
+            ["(1 (1 (0 critics) (1 liked)) (0 (0 the) (0 film)))",
+             "(S (X (1 good) (X film)) (0 bad))",  # untagged root
+             "(X (X no) (X tags))",                # yields no sample
+             "(0 (0 (0 (0 deep))))"],
+            ["(1 (1 liked) (0 it))", "(0 (0 hated) (0 it))"])
+        train_trees[1].sentence_label = 1  # the untagged root trains whole
+        val_trees.append(train_trees[0])   # one tree in both splits
+        calls = count_calls(monkeypatch, rae_mod, "annotate",
+                            (trainer_mod, network_mod))
+        rae = init_composition(4, np.random.default_rng(3))
+        config = small_config("c", n_e=4, n_c=4, n_h=4, max_epochs=epochs,
+                              batch_size=3, dropout_embed=0.2)
+        model, _ = train(train_trees, val_trees, vocab, table, config, rae=rae)
+        sources = [train_trees[0], train_trees[1], train_trees[3]]
+        assert sorted(calls) == sorted({id(t) for t in sources + val_trees})
+
+        calls.clear()
+        classifier = model.classifier()
+        classifier.predict(val_trees[0])
+        classifier.predict(val_trees[0])
+        evaluate(classifier, val_trees)
+        assert len(calls) == 2 + len(val_trees)
+
+    def test_tagged_chain_composes_each_node_once(self, monkeypatch):
+        import treeconv.rae_pretrain as rae_mod
+
+        depth = 600
+        chain = "(1 " * (depth - 1) + "(0 w)" + ")" * (depth - 1)
+        (train_trees, val_trees), vocab, table = bound_con_corpus(
+            [chain], ["(1 (0 w))"])
+        calls = count_calls(monkeypatch, rae_mod, "compose")
+        rae = init_composition(4, np.random.default_rng(3))
+        config = small_config("c", n_e=4, n_c=4, n_h=4, max_epochs=1,
+                              batch_size=50)
+        train(train_trees, val_trees, vocab, table, config, rae=rae)
+        # 599 non-leaf chain nodes and one in the validation tree; one
+        # annotation per sub-sentence would make 599 * 600 / 2 + 1
+        assert len(calls) == depth
+
+
 class TestEvaluate:
     def test_perfect_predictions(self):
         corpus = make_overfit_corpus(n_sentences=8, classes=2, n_e=8, seed=10)

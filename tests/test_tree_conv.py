@@ -42,6 +42,7 @@ def zero_c_params(n_c, n_e):
         W_child=[parameter(np.zeros((n_c, n_e)), "conv.W_l"),
                  parameter(np.zeros((n_c, n_e)), "conv.W_r")],
         b=parameter(np.zeros(n_c), "conv.b"),
+        kind=CONSTITUENCY,
     )
 
 
@@ -277,6 +278,22 @@ class TestWindowChecks:
         params = init_c_window(2, 2, np.random.default_rng(10))
         with pytest.raises(ContractError, match="child"):
             convolve(Tape(), tree, Tensor(np.zeros((3, 2))), params, inv)
+
+    def test_c_window_with_as_many_matrices_as_slots_rejected(self):
+        # one dedicated relation makes n_slots 2, the c-window's count
+        tree = parse_dependency("1\tgo\t_\t_\t_\t_\t0\troot\n"
+                                "2\tnow\t_\t_\t_\t_\t1\txcomp\n")
+        inv = build_dep_inventory([tree])
+        assert inv.n_slots == 2
+        params = init_c_window(2, 2, np.random.default_rng(10))
+        with pytest.raises(ContractError, match="keyed for constituency"):
+            convolve(Tape(), tree, Tensor(np.zeros((2, 2))), params, inv)
+
+    def test_d_window_on_constituency_forest_rejected(self):
+        tree = random_constituency_tree(np.random.default_rng(12), ["a", "b"])
+        params = init_d_window(2, 2, 2, np.random.default_rng(10))
+        with pytest.raises(ContractError, match="keyed for dependency"):
+            convolve(Tape(), tree, Tensor(np.zeros((len(tree), 2))), params)
 
     def test_d_window_one_matrix_short_rejected(self):
         inv = build_dep_inventory([parse_dependency(I_LOVED_IT_CONLL)])

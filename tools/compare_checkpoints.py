@@ -9,9 +9,12 @@ package, once with OTHER_CHECKOUT's, and once more with this checkout's
 to check that one seed gives one checkpoint.  The runs are CLI `train`
 on tiny_dep (trained embeddings, dropout, an earlier epoch restored), on
 trec_mini (frozen embeddings, dropout) and on tiny_con (pretraining in
-the run, with and without dropout), `pretrain-rae` on tiny_con, and the
+the run, with and without dropout), `pretrain-rae` on tiny_con, the
 bag-of-embeddings baseline (trained embeddings), whose parameters a
-short program writes in the checkpoint layout.
+short program writes in the checkpoint layout, and CLI `train` (with
+dropout) on a corpus this script writes, whose unary chains and
+untagged (X) interior constituents tiny_con lacks: nodes with no right
+child, and trees only partly tagged.
 
 For every run it prints the sha256 of both checkouts' files and
 "identical" or "differ"; a difference also gives the largest
@@ -100,6 +103,22 @@ pooling = 3slot
 alpha = 0.6
 """
 
+# unary chains, some fully tagged; untagged (X) interior constituents
+_CHAINS = """\
+(1 (X (1 good) (X (1 (X fun)))) (1 (1 (1 film))))
+(0 (X (0 bad) (0 (X (X plot)))) (X (0 awful)))
+(1 (1 (X (X (1 great))) (X cast)) (X (1 fun)))
+(0 (X (X (0 dull) (X (X plot)))) (0 (0 film)))
+(1 (X great) (1 (X (1 good) (X film))))
+(0 (0 (X awful) (0 (0 (0 bad)))) (X cast))
+(1 (1 (1 (1 (1 good)))))
+(0 (X (X (X (0 dull)))))
+(1 (X (X fun) (X (X film))) (1 great))
+(0 (X plot) (0 (X (0 (0 awful)))))
+(1 (1 (X cast) (1 good)) (X (X (X film))))
+(0 (0 dull) (X (X (X (X plot)))))
+"""
+
 # trains the baseline and writes its parameters as MAGIC, the header
 # length, a JSON header with the arrays' names and shapes, a newline and
 # the little-endian float64 payload
@@ -139,6 +158,7 @@ def _runs(work: Path) -> Dict[str, List[str]]:
                "c_plain.cfg": _C.format(dropout=0.0)}
     for name, text in configs.items():
         (work / name).write_text(text)
+    (work / "chains_con.txt").write_text(_CHAINS)
     cli = ["-m", "treeconv"]
     dep = ["--train", str(DATA / "tiny_dep.conll"),
            "--labels", str(DATA / "tiny_dep.lbl"),
@@ -161,6 +181,9 @@ def _runs(work: Path) -> Dict[str, List[str]]:
                    "--batch", "3", "--seed", "2"] + con,
         "bag baseline, trained":
             ["-c", _BAG, str(DATA)],
+        "train chains_con, dropout":
+            cli + ["train", "--config", str(work / "c_dropout.cfg"),
+                   "--train", str(work / "chains_con.txt")],
     }
 
 
