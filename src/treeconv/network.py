@@ -7,7 +7,9 @@ picks the node vectors, the window's child matrices and the pooling.
 
 Constituency node rows are the frozen RAE annotation.  During
 `trainer.train` they come from the trainer's once-per-run cache; a
-trained classifier annotates its trees on every call."""
+trained classifier annotates its trees on every call, the whole forest
+at once, one matrix product per tree height (see
+:func:`rae_pretrain.annotate_forest`)."""
 
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .corpus_io import (
 )
 from .errors import ContractError
 from .pooling import GLOBAL, THREE_SLOT, SlotAssignment
-from .rae_pretrain import CompositionParams, annotate
+from .rae_pretrain import CompositionParams, annotate_forest
 from .tensor_core import Tape, Tensor, by_name, parameter
 
 
@@ -102,7 +104,7 @@ class SentenceClassifier:
     annotation; no gradient ever flows into them or its parameters.
     `node_rows`, when given, maps id(tree) to those rows for every tree
     the classifier forwards (`trainer.train`'s cache); without it each
-    forward annotates its trees.
+    forward annotates its forest in one batch.
     Dependency node vectors are embedding rows, trainable when the model
     owns an embedding parameter.
     """
@@ -130,10 +132,10 @@ class SentenceClassifier:
         or rows of the embedding table (a parameter when it trains, else
         a constant)."""
         if self.config.variant == VARIANT_C:
-            given = self.node_rows
-            return Tensor(np.concatenate([
-                annotate(tree, self.rae, self.table) if given is None
-                else given[id(tree)] for tree in forest.trees]))
+            if self.node_rows is None:
+                return Tensor(annotate_forest(forest.trees, self.rae, self.table))
+            return Tensor(np.concatenate([self.node_rows[id(tree)]
+                                          for tree in forest.trees]))
         rows = [node.embedding_index for node in forest.nodes]
         if None in rows:
             node = forest.nodes[rows.index(None)]

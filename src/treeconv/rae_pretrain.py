@@ -3,12 +3,14 @@
 Constituency constituents have no word embedding of their own, so each
 non-leaf vector is composed from its children, p = tanh(W.[c1;c2] + b),
 and the composition weights are pretrained to reconstruct the children
-from p.  The pretraining loss batches a minibatch by height: the
-non-leaf nodes of one height, across all its trees, compose and
-reconstruct as one matrix, so a batch records a few ops per height of
-its tallest tree whatever its tree count.  After pretraining the
-per-node vectors are frozen: tree convolution reads them as constants
-and no gradient ever reaches them.
+from p.  One height index (`height_index`) orders a batch of trees
+bottom up: the non-leaf nodes of one height, across all its trees,
+compose as one matrix.  The pretraining loss composes and reconstructs
+each height on a tape, so a batch records a few ops per height of its
+tallest tree whatever its tree count; `annotate_forest` composes each
+height of a batch with one matrix product, recording nothing.  After
+pretraining the node vectors are frozen: tree convolution reads them
+as constants and no gradient ever reaches them.
 """
 
 from __future__ import annotations
@@ -61,53 +63,98 @@ def init_composition(n_e: int, rng) -> CompositionParams:
     )
 
 
-def compose(c1: np.ndarray, c2: np.ndarray, params: CompositionParams) -> np.ndarray:
-    """tanh(W.[c1;c2] + b) for two child vectors."""
-    c1 = np.asarray(c1, dtype=np.float64)
-    c2 = np.asarray(c2, dtype=np.float64)
+@dataclass
+class HeightIndex:
+    """One bottom-up composition order for a forest of constituency trees.
+
+    A node's height is 0 at a leaf and one more than its taller child's
+    above.  Rows are forest rows: the trees' nodes stacked tree after
+    tree, then one zero row (row `size`) that stands in for a unary
+    node's missing right child.  Every node of height h depends only on
+    lower heights, so each height composes as one matrix.
+    """
+
+    size: int                    # forest rows, the zero row excluded
+    leaves: np.ndarray           # embedding index of each levels[0] row
+    levels: List[np.ndarray]     # rows of height h, each tree's in post-order
+    children: List[np.ndarray]   # per height h >= 1, (m_h, 2) child rows
+
+
+def height_index(trees: Sequence[ParseTree]) -> HeightIndex:
+    """The height index of `trees`, from one left-to-right post-order
+    pass per tree."""
+    size = sum(len(tree) for tree in trees)
+    height = [0] * (size + 1)
+    leaves: List[int] = []
+    levels: List[List[int]] = [[]]
+    children: List[List[int]] = []
+    offset = 0
+    for tree in trees:
+        if tree.kind != CONSTITUENCY:
+            raise ContractError("annotation expects constituency trees")
+        order, stack = [], [tree.root]
+        while stack:  # root, right subtree, left subtree: post-order reversed
+            v = stack.pop()
+            order.append(v)
+            stack.extend(tree.nodes[v].children)
+        for v in reversed(order):
+            node = tree.nodes[v]
+            kids = node.children
+            if not kids:
+                if node.embedding_index is None:
+                    raise ContractError(f"leaf {node.word!r} has no embedding "
+                                        f"index; bind_vocabulary first")
+                leaves.append(node.embedding_index)
+                levels[0].append(offset + v)
+                continue
+            if len(kids) > 2:
+                raise ContractError(
+                    f"node {v} has {len(kids)} children; binarize first")
+            left = offset + kids[0]
+            right = offset + kids[1] if len(kids) > 1 else size
+            h = height[offset + v] = 1 + max(height[left], height[right])
+            if h == len(levels):
+                levels.append([])
+                children.append([])
+            levels[h].append(offset + v)
+            children[h - 1] += (left, right)
+        offset += len(tree)
+    return HeightIndex(size, np.array(leaves, dtype=np.intp),
+                       [np.array(rows, dtype=np.intp) for rows in levels],
+                       [np.array(kids, dtype=np.intp).reshape(-1, 2)
+                        for kids in children])
+
+
+def annotate_forest(trees: Sequence[ParseTree], params: CompositionParams,
+                    table: EmbeddingTable) -> np.ndarray:
+    """Frozen node vectors of a forest: embedding rows at the leaves and
+    p = tanh(W.[c1;c2] + b) above, as one (sum of nodes, n_e) array,
+    row for forest row (the trees' nodes stacked tree after tree).
+
+    A unary node composes its only child with a zero vector, matching
+    the absent-child convention used by the convolution window.  The
+    leaves are one table gather, and each height of the forest is one
+    matrix product over every tree's nodes of that height.
+    """
     n_e = params.n_e
-    if c1.shape != (n_e,) or c2.shape != (n_e,):
-        raise ShapeError(
-            f"compose: children must have dim {n_e}, "
-            f"got {c1.shape} and {c2.shape}"
-        )
-    return np.tanh(params.W_comp.data @ np.concatenate([c1, c2])
-                   + params.b_comp.data)
+    if table.dim != n_e:
+        raise ShapeError(f"embedding dim {table.dim} != composition dim {n_e}")
+    index = height_index(trees)
+    out = np.zeros((index.size + 1, n_e))  # the last row stays zero
+    out[index.levels[0]] = table.vectors[index.leaves]
+    W_comp, b_comp = params.W_comp.data, params.b_comp.data
+    for rows, kids in zip(index.levels[1:], index.children):
+        p = out[kids].reshape(len(rows), 2 * n_e) @ W_comp.T
+        p += b_comp
+        out[rows] = np.tanh(p, out=p)
+    return out[:index.size]
 
 
 def annotate(tree: ParseTree, params: CompositionParams,
              table: EmbeddingTable) -> np.ndarray:
-    """Frozen per-node vectors: embedding rows at leaves, compositions above.
-
-    A unary non-leaf composes its only child with a zero vector, matching
-    the absent-child convention used by the convolution window.  Returns
-    an (n_nodes, n_e) array aligned with the tree's node indices.
-    """
-    if tree.kind != CONSTITUENCY:
-        raise ContractError("annotate expects a constituency tree")
-    n_e = params.n_e
-    if table.dim != n_e:
-        raise ShapeError(f"embedding dim {table.dim} != composition dim {n_e}")
-    zero = np.zeros(n_e)
-    out = np.zeros((len(tree.nodes), n_e))
-    for v, entering in tree.walk():
-        if entering:
-            continue
-        kids = tree.nodes[v].children
-        if not kids:
-            out[v] = _leaf_row(tree.nodes[v], table)
-        else:
-            c2 = out[kids[1]] if len(kids) > 1 else zero
-            out[v] = compose(out[kids[0]], c2, params)
-    return out
-
-
-def _leaf_row(node, table: EmbeddingTable) -> np.ndarray:
-    if node.embedding_index is None:
-        raise ContractError(
-            f"leaf {node.word!r} has no embedding index; bind_vocabulary first"
-        )
-    return table.row(node.embedding_index)
+    """The (n_nodes, n_e) frozen vectors of one tree, aligned with its
+    node indices (see `annotate_forest`)."""
+    return annotate_forest([tree], params, table)
 
 
 def _recon_loss(tape: Tape, trees: Sequence[ParseTree], params: CompositionParams,
@@ -116,40 +163,31 @@ def _recon_loss(tape: Tape, trees: Sequence[ParseTree], params: CompositionParam
     (None if they have none), and their count.
 
     The non-leaf nodes of one height, across all the trees, compose and
-    reconstruct together: their [left; right] child rows, a zero row for
-    a unary node's missing right child, form one (m, 2*n_e) matrix, read
-    from the leaf rows and from just the lower levels those children sit
-    in.  One post-order walk per tree finds every node's (level, row).
+    reconstruct together (see `height_index`): their [left; right] child
+    rows form one (m, 2*n_e) matrix, read from the leaf rows and from
+    just the lower levels those children sit in.
     """
-    rows = [np.zeros(params.n_e)]  # level 0: a zero row, then the leaves
-    levels: List[list] = []  # per height, the [left; right] child refs
-    for tree in trees:
-        where = [(0, 0)] * len(tree)  # (level, row) of each node's vector
-        for v, entering in tree.walk():
-            if entering:
-                continue
-            kids = tree.nodes[v].children
-            if not kids:
-                where[v] = (0, len(rows))
-                rows.append(_leaf_row(tree.nodes[v], table))
-                continue
-            pair = [where[kids[0]], where[kids[1]] if len(kids) > 1 else (0, 0)]
-            height = 1 + max(pair[0][0], pair[1][0])
-            if height > len(levels):
-                levels.append([])
-            where[v] = (height, len(levels[height - 1]) // 2)
-            levels[height - 1] += pair
-    vectors = [Tensor(np.array(rows))]
+    index = height_index(trees)
+    # each forest row's vector is row `rank` of level `level_of`'s
+    # matrix; level 0 is a zero row, then the leaves
+    level_of = np.zeros(index.size + 1, dtype=np.intp)
+    rank = np.zeros(index.size + 1, dtype=np.intp)
+    for h, rows in enumerate(index.levels):
+        level_of[rows] = h
+        rank[rows] = np.arange(len(rows)) + int(h == 0)
+    vectors = [Tensor(np.concatenate([np.zeros((1, params.n_e)),
+                                      table.vectors[index.leaves]]))]
     every = slice(None)
     total = None
-    for refs in levels:
-        start, offset = {}, 0
-        for level in sorted({level for level, _ in refs}):
-            start[level], offset = offset, offset + len(vectors[level].data)
+    for kids in index.children:
+        refs = kids.ravel()
+        used = np.unique(level_of[refs])
+        start = np.zeros(len(vectors), dtype=np.intp)
+        start[used] = np.cumsum([0] + [len(vectors[l].data) for l in used[:-1]])
         pairs = tape.reshape(
-            tape.take_rows([vectors[level] for level in start],
-                           [start[level] + row for level, row in refs]),
-            (len(refs) // 2, 2 * params.n_e))
+            tape.take_rows([vectors[l] for l in used],
+                           start[level_of[refs]] + rank[refs]),
+            (len(kids), 2 * params.n_e))
         p = tape.tanh(tape.edge_matmul(pairs, [(params.W_comp, every, every)],
                                        params.b_comp))
         recon = tape.tanh(tape.edge_matmul(p, [(params.W_rec, every, every)],
@@ -157,7 +195,7 @@ def _recon_loss(tape: Tape, trees: Sequence[ParseTree], params: CompositionParam
         loss = tape.sumsq(tape.sub(pairs, recon))
         total = loss if total is None else tape.add(total, loss)
         vectors.append(p)
-    return total, sum(len(refs) for refs in levels) // 2
+    return total, sum(len(rows) for rows in index.levels[1:])
 
 
 def reconstruction_loss(trees: Sequence[ParseTree], params: CompositionParams,

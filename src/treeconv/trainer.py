@@ -10,8 +10,9 @@ learning rate halves after two epochs without a validation improvement.
 
 Constituency node rows are frozen, so `train` annotates each distinct
 training tree that yields a sample, and each validation tree, once
-before epoch 1; every forward pass of the run reads those rows, a
-sub-sentence's as a slice of its source tree's (see `_node_rows`).
+before epoch 1, in batches of up to EVAL_NODES nodes that compose one
+tree height at a time; every forward pass of the run reads those rows,
+a sub-sentence's as a slice of its source tree's (see `_node_rows`).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .corpus_io import (
 )
 from .errors import ConfigError, ContractError
 from .network import SentenceClassifier, TrainedModel, init_model
-from .rae_pretrain import CompositionParams, annotate
+from .rae_pretrain import CompositionParams, annotate_forest
 from .tensor_core import (Tape, grad_of, iter_batches, l2_penalty, node_groups,
                           sgd_epoch)
 
@@ -93,38 +94,40 @@ def _node_rows(sourced: Sequence[Sourced], val_trees: Sequence[ParseTree],
                table: EmbeddingTable) -> Dict[int, np.ndarray]:
     """The frozen RAE rows of every tree `train` forwards, by id(tree).
 
-    Each distinct source or validation tree is annotated once.  A
-    sub-sentence's rows are a slice of its source tree's rows put in
-    pre-order: `subtree_at` numbers the constituent at v in the order
-    the pre-order walk enters it, and that walk covers the nodes below v
-    in one run.  So the rows held grow with the distinct nodes, not with
-    the summed sub-sentence sizes.
+    Each distinct source or validation tree is annotated once, in
+    `node_groups` batches of `annotate_forest`, and keeps a view of its
+    batch's rows.  A sub-sentence's rows are a slice of its source
+    tree's rows put in pre-order: `subtree_at` numbers the constituent
+    at v in the order the pre-order walk enters it, and that walk covers
+    the nodes below v in one run.  So the rows held grow with the
+    distinct nodes, not with the summed sub-sentence sizes.
     """
-    annotated: Dict[int, np.ndarray] = {}  # id(tree) -> annotate(tree)
+    distinct = {id(tree): tree
+                for tree in [tree for _, tree, _ in sourced] + list(val_trees)}
+    own: Dict[int, np.ndarray] = {}  # id(tree) -> the tree's annotation
+    for group in node_groups(list(distinct.values())):
+        ends = np.cumsum([len(tree) for tree in group])
+        for tree, block in zip(group, np.split(
+                annotate_forest(group, rae, table), ends[:-1])):
+            own[id(tree)] = block
     preorder: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     rows: Dict[int, np.ndarray] = {}
-
-    def own_rows(tree: ParseTree) -> np.ndarray:
-        if id(tree) not in annotated:
-            annotated[id(tree)] = annotate(tree, rae, table)
-        return annotated[id(tree)]
-
     for sample, tree, v in sourced:
         if v is None:
-            rows[id(sample)] = own_rows(tree)
+            rows[id(sample)] = own[id(tree)]
             continue
         if id(tree) not in preorder:
             order = np.array([u for u, entering in tree.walk() if entering])
             place = np.empty_like(order)  # each node's pre-order position
             place[order] = np.arange(len(order))
-            ordered = own_rows(tree)
+            ordered = own[id(tree)]
             if not np.array_equal(order, np.arange(len(order))):
                 ordered = ordered[order]  # a tree not numbered in pre-order
             preorder[id(tree)] = ordered, place
         ordered, place = preorder[id(tree)]
         rows[id(sample)] = ordered[place[v]:place[v] + len(sample)]
     for tree in val_trees:
-        rows[id(tree)] = own_rows(tree)
+        rows[id(tree)] = own[id(tree)]
     return rows
 
 

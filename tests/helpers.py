@@ -48,3 +48,39 @@ def naive_matvec(W, x):
             acc += W[r, c] * x[c]
         out[r] = acc
     return out
+
+
+def compose_node(c1, c2, params):
+    """tanh(W.[c1;c2] + b) for one node's two child vectors: the per-node
+    RAE composition that the batch annotator runs a tree height at a
+    time."""
+    x = np.concatenate([np.asarray(c1, dtype=np.float64),
+                        np.asarray(c2, dtype=np.float64)])
+    return np.tanh(params.W_comp.data @ x + params.b_comp.data)
+
+
+
+def record_annotation(monkeypatch):
+    """Patch the batch annotator to record each call's tree ids, and its
+    height index to record the non-leaf rows each call composes; returns
+    the two lists (one entry per call)."""
+    import treeconv.network as network_mod
+    import treeconv.rae_pretrain as rae_mod
+    import treeconv.trainer as trainer_mod
+
+    calls, composed = [], []
+    annotate_forest, height_index = rae_mod.annotate_forest, rae_mod.height_index
+
+    def counted_forest(trees, *args, **kwargs):
+        calls.append([id(tree) for tree in trees])
+        return annotate_forest(trees, *args, **kwargs)
+
+    def counted_index(trees):
+        index = height_index(trees)
+        composed.append(sum(len(rows) for rows in index.levels[1:]))
+        return index
+    # network and trainer hold their own binding of annotate_forest
+    for holder in (rae_mod, network_mod, trainer_mod):
+        monkeypatch.setattr(holder, "annotate_forest", counted_forest)
+    monkeypatch.setattr(rae_mod, "height_index", counted_index)
+    return calls, composed

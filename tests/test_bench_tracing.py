@@ -1,7 +1,10 @@
 """The benchmark's span tracer keeps counting what it counted when a
-sentence was its own forward pass: one convolution window per node, one
-pooling slot per sample and slot, one annotation per constituency tree
-forwarded (in training, one per distinct tree: `train` annotates once).
+sentence was its own forward pass: one convolution window per node and
+one pooling slot per sample and slot.  Annotation runs a forest at a
+time (`rae_pretrain.annotate_forest`), so the one-tree `annotate` the
+tracer wraps sees no call; the batch annotator sees each constituency
+tree forwarded once per call (in training, each distinct tree once:
+`train` annotates once).
 
 `bench/tracing.py` wraps the package's functions from outside and reads
 their arguments and results (`convolve`'s second argument has one
@@ -27,6 +30,8 @@ from treeconv.corpus_io import (
 from treeconv.rae_pretrain import init_composition
 from treeconv.trainer import _training_samples, evaluate, train
 
+from helpers import record_annotation
+
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
 sys.path.append(str(ROOT / "bench"))
@@ -49,7 +54,7 @@ def corpus(variant):
 
 @pytest.mark.parametrize("variant,pooling", [("d", "kslot"), ("d", "global"),
                                              ("c", "3slot"), ("c", "global")])
-def test_counters_match_the_trees_forwarded(variant, pooling):
+def test_counters_match_the_trees_forwarded(monkeypatch, variant, pooling):
     vocab, table, trees = corpus(variant)
     train_trees, val_trees, test_trees = trees[:5], trees[5:7], trees
     config = TrainConfig(variant=variant, n_e=table.dim, n_c=4, n_h=4,
@@ -65,21 +70,27 @@ def test_counters_match_the_trees_forwarded(variant, pooling):
     # but train annotates each tree that yields a sample, and each
     # validation tree, once per call
     sources = [tree for tree in train_trees if _training_samples([tree], config)]
-    distinct = len({id(tree) for tree in sources + list(val_trees)})
+    distinct = {id(tree) for tree in sources + list(val_trees)}
 
+    calls, _ = record_annotation(monkeypatch)
+    annotated = {}  # phase -> ids of the trees annotated, call after call
     tracer = tracing.Tracer()
     tracer.phase = "train"
     with tracing.installed(tracer):
         model, _ = train(train_trees, val_trees, vocab, table, config, rae=rae)
+    annotated["train"] = [i for call in calls for i in call]
+    calls.clear()
     tracer.phase = "predict"
     with tracing.installed(tracer):
         evaluate(model.classifier(), test_trees)
+    annotated["predict"] = [i for call in calls for i in call]
 
     for phase, forwarded in (("train", seen), ("predict", test_trees)):
         counts = tracer.counts[phase]
         assert counts["tree_conv.windows"] == sum(len(t.nodes) for t in forwarded)
         assert counts["pooling.slots"] == len(forwarded) * SLOTS[pooling]
-        annotated = 0 if variant == "d" else (
-            distinct if phase == "train" else len(forwarded))
-        assert counts["rae_pretrain.annotate_calls"] == annotated
+        assert counts["rae_pretrain.annotate_calls"] == 0
+        want = [] if variant == "d" else (
+            distinct if phase == "train" else [id(t) for t in forwarded])
+        assert sorted(annotated[phase]) == sorted(want)
     assert tracer.counts["train"]["tensor_core.backward_calls"] > 0

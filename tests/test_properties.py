@@ -39,7 +39,7 @@ from treeconv.network import SentenceClassifier, init_model
 from treeconv.rae_pretrain import (
     _recon_loss,
     annotate,
-    compose,
+    annotate_forest,
     init_composition,
 )
 from treeconv.synthetic import random_dependency_tree
@@ -54,6 +54,7 @@ from treeconv.tensor_core import (
 from treeconv.trainer import _node_rows, _sourced_samples, _training_samples
 from treeconv.tree_conv import convolve, init_c_window, init_d_window
 
+from helpers import compose_node
 from test_tree_conv import naive_convolve
 
 TAGS = ["0", "1", "2", "3", "4", "S", "NP", "VP", "X", "-1", "+2", "PP$",
@@ -62,6 +63,9 @@ ALPHABET = "abcxyz019éß٣.,:;'$-_!?"
 SPACES = [" ", "  ", "\t", "\u3000"]
 
 PROPERTY = settings(deadline=None, max_examples=30)
+# batched annotation runs one matrix product per tree height, so a row
+# may differ from a one-node-at-a-time composition in the last bits
+ANNOTATION_TOLERANCE = dict(rtol=1e-12, atol=1e-15)
 RANDOMS = st.randoms(use_true_random=True)
 LEAVES = st.integers(min_value=1, max_value=900)
 WORDS = st.integers(min_value=1, max_value=2000)
@@ -178,8 +182,8 @@ def test_annotate_is_compose_node_by_node(rng, n_leaves):
             want = table.row(node.embedding_index)
         else:
             c2 = out[kids[1]] if len(kids) > 1 else np.zeros(n_e)
-            want = compose(out[kids[0]], c2, params)
-        assert np.array_equal(out[v], want), v
+            want = compose_node(out[kids[0]], c2, params)
+        assert np.allclose(out[v], want, **ANNOTATION_TOLERANCE), v
 
 
 def unordered_tree():
@@ -196,22 +200,30 @@ def unordered_tree():
     return tree
 
 
-@PROPERTY
-@given(RANDOMS, st.integers(1, 5))
-def test_cached_rows_are_each_samples_annotation(rng, size):
-    """Every training sample's rows in the trainer's cache are the bytes
-    `annotate` gives for that sample, a sub-sentence's as a view of its
-    source tree's rows; validation trees get their own annotation."""
-    lines = [random_bracketed(rng, rng.randint(1, 80))[0] for _ in range(size)]
-    lines.append(unary_chain(rng.randint(2, 40), "chain"))
+def bound_forest(rng, lines, n_e):
+    """`lines` parsed, plus the hand-built `unordered_tree()`, shuffled
+    and bound to one random table."""
     trees = [parse_constituency(line) for line in lines] + [unordered_tree()]
     rng.shuffle(trees)
     vocab = vocabulary_from_corpus(trees)
     for tree in trees:
         bind_vocabulary(tree, vocab)
+    return trees, random_embeddings(vocab, n_e, seed=rng.randrange(2 ** 32))
+
+
+@PROPERTY
+@given(RANDOMS, st.integers(1, 5))
+def test_cached_rows_are_each_samples_annotation(rng, size):
+    """Every training sample's rows in the trainer's cache are what
+    `annotate` gives for that sample (within the batching tolerance), a
+    sub-sentence's as a view of its source tree's rows; validation trees
+    get their own annotation, and a second fill gives the same bytes."""
+    lines = [random_bracketed(rng, rng.randint(1, 80))[0] for _ in range(size)]
+    lines.append(unary_chain(rng.randint(2, 40), "chain"))
+    trees, table = bound_forest(rng, lines, 3)
+    for tree in trees:
         if tree.sentence_label is None:  # an untagged root trains whole
             tree.sentence_label = 1
-    table = random_embeddings(vocab, 3, seed=rng.randrange(2 ** 32))
     params = init_composition(3, np.random.default_rng(rng.randrange(2 ** 32)))
     config = TrainConfig(variant="c", n_e=3, n_c=2, n_h=2, classes=5)
 
@@ -220,14 +232,47 @@ def test_cached_rows_are_each_samples_annotation(rng, size):
         _training_samples(trees, config)
     val_trees = trees[:2]
     rows = _node_rows(sourced, val_trees, params, table)
+    again = _node_rows(sourced, val_trees, params, table)
     for sample, tree, v in sourced:
         want = annotate(sample, params, table)
-        assert rows[id(sample)].tobytes() == want.tobytes()
+        assert np.allclose(rows[id(sample)], want, **ANNOTATION_TOLERANCE)
+        assert rows[id(sample)].tobytes() == again[id(sample)].tobytes()
         if v is not None:
             assert rows[id(sample)].base is not None  # a slice, not a copy
     for tree in val_trees:
-        assert rows[id(tree)].tobytes() == \
-            annotate(tree, params, table).tobytes()
+        assert np.allclose(rows[id(tree)], annotate(tree, params, table),
+                           **ANNOTATION_TOLERANCE)
+        assert rows[id(tree)].tobytes() == again[id(tree)].tobytes()
+
+
+def assert_forest_is_its_trees(trees, params, table):
+    """One `annotate_forest` call equals the trees' own annotations
+    stacked, within the batching tolerance."""
+    out = annotate_forest(trees, params, table)
+    want = np.concatenate([annotate(tree, params, table) for tree in trees])
+    assert out.shape == want.shape
+    assert np.allclose(out, want, **ANNOTATION_TOLERANCE)
+
+
+@PROPERTY
+@given(RANDOMS, st.integers(1, 6))
+def test_annotate_forest_is_each_trees_annotation(rng, size):
+    """A batch of random trees, unary chains and a tree not numbered in
+    pre-order annotates as its trees do one call each."""
+    lines = [random_bracketed(rng, rng.randint(1, 120))[0] for _ in range(size)]
+    lines += [unary_chain(rng.randint(2, 60), "chain"), "(1 alone)"]
+    trees, table = bound_forest(rng, lines, 3)
+    params = init_composition(3, np.random.default_rng(rng.randrange(2 ** 32)))
+    assert_forest_is_its_trees(trees, params, table)
+
+
+def test_annotate_forest_with_a_5000_deep_chain():
+    rng = random.Random(5000)
+    lines = [random_bracketed(rng, 40)[0], unary_chain(5000, "deep"),
+             random_bracketed(rng, 10)[0]]
+    trees, table = bound_forest(rng, lines, 3)
+    params = init_composition(3, np.random.default_rng(7))
+    assert_forest_is_its_trees(trees, params, table)
 
 
 def naive_recon_loss(tree, params, table):

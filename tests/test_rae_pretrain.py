@@ -1,21 +1,22 @@
 import numpy as np
 import pytest
 
-from treeconv.corpus_io import EmbeddingTable, bind_vocabulary, parse_constituency
+from treeconv.corpus_io import (EmbeddingTable, bind_vocabulary,
+                                parse_constituency, parse_dependency)
 from treeconv.corpus_io import Vocabulary
 from treeconv.errors import ContractError, ShapeError
 from treeconv.rae_pretrain import (
     CompositionParams,
     PretrainConfig,
     annotate,
-    compose,
+    annotate_forest,
     init_composition,
     pretrain,
     reconstruction_loss,
 )
 from treeconv.tensor_core import parameter
 
-from helpers import naive_matvec
+from helpers import compose_node, naive_matvec
 
 
 def zero_params(n_e):
@@ -35,30 +36,51 @@ def small_table(words, n_e, seed=0, scale=0.5):
     return vocab, table
 
 
-class TestCompose:
+def pair_tree(vocab, words=("a", "b")):
+    """A two-leaf tree over `words`, bound to `vocab`."""
+    tree = parse_constituency(f"(1 (0 {words[0]}) (0 {words[1]}))")
+    bind_vocabulary(tree, vocab)
+    return tree
+
+
+class TestAnnotateForest:
+    """The batch annotator's composition, p = tanh(W.[c1;c2] + b), and
+    its contract errors."""
+
     def test_zero_params_give_zero_vector(self):
-        out = compose(np.ones(3), np.ones(3), zero_params(3))
-        assert np.array_equal(out, np.zeros(3))
+        vocab, table = small_table(["a", "b"], 3)
+        out = annotate_forest([pair_tree(vocab)], zero_params(3), table)
+        assert np.array_equal(out[0], np.zeros(3))
 
     def test_output_strictly_inside_unit_box(self):
+        vocab, table = small_table(["a", "b"], 4, scale=5.0)
         rng = np.random.default_rng(1)
-        params = init_composition(4, rng)
-        out = compose(rng.normal(size=4), rng.normal(size=4), params)
-        assert np.all(out > -1.0) and np.all(out < 1.0)
+        out = annotate_forest([pair_tree(vocab)], init_composition(4, rng), table)
+        assert np.all(out[0] > -1.0) and np.all(out[0] < 1.0)
 
     def test_matches_matvec_tanh_oracle(self):
-        rng = np.random.default_rng(2)
-        params = init_composition(3, rng)
-        c1, c2 = rng.normal(size=3), rng.normal(size=3)
+        vocab, table = small_table(["a", "b"], 3, seed=2)
+        params = init_composition(3, np.random.default_rng(2))
+        out = annotate_forest([pair_tree(vocab)], params, table)
+        c1, c2 = table.row(vocab.lookup("a")), table.row(vocab.lookup("b"))
         want = np.tanh(
             naive_matvec(params.W_comp.data, np.concatenate([c1, c2]))
             + params.b_comp.data
         )
-        assert np.max(np.abs(compose(c1, c2, params) - want)) < 1e-12
+        assert np.max(np.abs(out[0] - want)) < 1e-12
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            compose(np.zeros(3), np.zeros(4), zero_params(3))
+    def test_contract_errors(self):
+        vocab, table = small_table(["a", "b", "c"], 3)
+        tree = pair_tree(vocab)
+        with pytest.raises(ShapeError):  # table dim != n_e
+            annotate_forest([tree], zero_params(4), table)
+        dep = parse_dependency("1\ta\t_\t_\t_\t_\t0\troot")
+        with pytest.raises(ContractError, match="constituency"):
+            annotate_forest([tree, dep], zero_params(3), table)
+        wide = pair_tree(vocab, ("b", "c"))
+        wide.nodes[wide.root].children.append(wide.nodes[wide.root].children[0])
+        with pytest.raises(ContractError, match="3 children"):
+            annotate_forest([tree, wide], zero_params(3), table)
 
 
 class TestAnnotate:
@@ -83,7 +105,8 @@ class TestAnnotate:
             if node.children:
                 kids = [vectors[c] for c in node.children]
                 c2 = kids[1] if len(kids) > 1 else np.zeros(4)
-                assert np.array_equal(vectors[v], compose(kids[0], c2, params))
+                assert np.allclose(vectors[v], compose_node(kids[0], c2, params),
+                                   rtol=1e-12, atol=1e-15)
 
     def test_all_zero_params_zero_non_leaves(self):
         vocab, table = small_table(["a", "b"], 2)

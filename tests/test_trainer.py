@@ -21,6 +21,8 @@ from treeconv.trainer import (
     train,
 )
 
+from helpers import record_annotation
+
 
 def small_config(variant, **kw):
     base = dict(variant=variant, n_e=16, n_c=12, n_h=8, classes=2,
@@ -422,30 +424,13 @@ def bound_con_corpus(*groups, n_e=4):
     return parsed, vocab, random_embeddings(vocab, n_e, seed=0)
 
 
-def count_calls(monkeypatch, module, name, holders=()):
-    """Patch module.name (and the copies `holders` bound) to record the
-    id of each call's first argument; returns the list."""
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(id(args[0]))
-        return original(*args, **kwargs)
-    for holder in (module, *holders):
-        monkeypatch.setattr(holder, name, counted)
-    return calls
-
-
 class TestAnnotationCache:
     """`train` annotates each tree once per call, whatever its epoch
-    count; a trained classifier still annotates on every call."""
+    count, and composes each distinct node once; a trained classifier
+    annotates each forwarded tree once per call, a forest per batch."""
 
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_train_annotates_each_distinct_tree_once(self, monkeypatch, epochs):
-        import treeconv.network as network_mod
-        import treeconv.rae_pretrain as rae_mod
-        import treeconv.trainer as trainer_mod
-
         (train_trees, val_trees), vocab, table = bound_con_corpus(
             ["(1 (1 (0 critics) (1 liked)) (0 (0 the) (0 film)))",
              "(S (X (1 good) (X film)) (0 bad))",  # untagged root
@@ -454,37 +439,71 @@ class TestAnnotationCache:
             ["(1 (1 liked) (0 it))", "(0 (0 hated) (0 it))"])
         train_trees[1].sentence_label = 1  # the untagged root trains whole
         val_trees.append(train_trees[0])   # one tree in both splits
-        calls = count_calls(monkeypatch, rae_mod, "annotate",
-                            (trainer_mod, network_mod))
+        calls, _ = record_annotation(monkeypatch)
         rae = init_composition(4, np.random.default_rng(3))
         config = small_config("c", n_e=4, n_c=4, n_h=4, max_epochs=epochs,
                               batch_size=3, dropout_embed=0.2)
         model, _ = train(train_trees, val_trees, vocab, table, config, rae=rae)
         sources = [train_trees[0], train_trees[1], train_trees[3]]
-        assert sorted(calls) == sorted({id(t) for t in sources + val_trees})
+        distinct = {id(t): t for t in sources + val_trees}
+        assert calls == [list(distinct)]  # one batch: a single node group
 
         calls.clear()
         classifier = model.classifier()
         classifier.predict(val_trees[0])
         classifier.predict(val_trees[0])
         evaluate(classifier, val_trees)
-        assert len(calls) == 2 + len(val_trees)
+        assert calls == [[id(val_trees[0])]] * 2 + [[id(t) for t in val_trees]]
 
     def test_tagged_chain_composes_each_node_once(self, monkeypatch):
-        import treeconv.rae_pretrain as rae_mod
-
         depth = 600
         chain = "(1 " * (depth - 1) + "(0 w)" + ")" * (depth - 1)
         (train_trees, val_trees), vocab, table = bound_con_corpus(
             [chain], ["(1 (0 w))"])
-        calls = count_calls(monkeypatch, rae_mod, "compose")
+        _, composed = record_annotation(monkeypatch)
         rae = init_composition(4, np.random.default_rng(3))
         config = small_config("c", n_e=4, n_c=4, n_h=4, max_epochs=1,
                               batch_size=50)
         train(train_trees, val_trees, vocab, table, config, rae=rae)
         # 599 non-leaf chain nodes and one in the validation tree; one
-        # annotation per sub-sentence would make 599 * 600 / 2 + 1
-        assert len(calls) == depth
+        # annotation per sub-sentence would compose 599 * 600 / 2 + 1
+        assert sum(composed) == depth
+
+
+def test_c_batches_agree_with_single_predictions():
+    """`evaluate` and `predict_batch` annotate a forest per node group,
+    `predict` one tree at a time; over a mixed-length corpus both give
+    every tree the same class and probabilities within 1e-12 (the bench
+    fails a run whose evaluate and predict correct counts differ)."""
+    from treeconv.corpus_io import bind_vocabulary, parse_constituency
+    from treeconv.synthetic import random_constituency_tree, toy_vocab_table
+    from treeconv.tensor_core import node_groups
+
+    rng = np.random.default_rng(12)
+    words = [f"w{i}" for i in range(40)]
+    vocab, table = toy_vocab_table(words, 24, seed=12)
+    trees = [random_constituency_tree(rng, rng.choice(words, size=n))
+             for n in rng.integers(1, 80, size=40)]
+    trees += [parse_constituency("(2 " * d + "(1 w3)" + ")" * d)
+              for d in (1, 7, 30)]
+    for tree in trees:
+        bind_vocabulary(tree, vocab)
+        tree.sentence_label = int(rng.integers(5))
+    config = small_config("c", n_e=24, n_c=16, n_h=8, classes=5,
+                          pooling="3slot")
+    classifier = SentenceClassifier(
+        config, init_model(config, table, None, rng), table,
+        rae=init_composition(24, rng))
+
+    groups = list(node_groups(trees))
+    assert len(groups) > 2
+    batched = [pred for group in groups for pred in classifier.predict_batch(group)]
+    single = [classifier.predict(tree) for tree in trees]
+    for one, many in zip(single, batched):
+        assert one.predicted == many.predicted
+        assert np.max(np.abs(one.probabilities - many.probabilities)) <= 1e-12
+    assert evaluate(classifier, trees).correct == sum(
+        pred.predicted == tree.sentence_label for pred, tree in zip(single, trees))
 
 
 class TestEvaluate:
