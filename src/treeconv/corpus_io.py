@@ -74,13 +74,12 @@ class ParseTree:
                     stack.append((c, True))
 
     def leaf_indices(self) -> List[int]:
-        """Childless nodes in left-to-right order."""
+        """Childless nodes in left-to-right order (a constituency tree's
+        node order, see `first_out_of_preorder`)."""
+        order = range(len(self.nodes))
         if self.kind == DEPENDENCY:
-            order = sorted(range(len(self.nodes)),
-                           key=lambda v: self.nodes[v].position)
-            return [v for v in order if not self.nodes[v].children]
-        return [v for v, entering in self.walk()
-                if entering and not self.nodes[v].children]
+            order = sorted(order, key=lambda v: self.nodes[v].position)
+        return [v for v in order if not self.nodes[v].children]
 
     def words(self) -> List[str]:
         """Sentence tokens in surface order."""
@@ -131,6 +130,23 @@ def validate_tree(tree: ParseTree) -> None:
         for v, node in enumerate(tree.nodes):
             if len(node.children) > 2:
                 raise StructureError(f"node {v} has {len(node.children)} children")
+        out = first_out_of_preorder(tree)
+        if out is not None:
+            raise StructureError(f"node {out} is not numbered in pre-order")
+
+
+def first_out_of_preorder(tree: ParseTree) -> Optional[int]:
+    """The first node the pre-order walk enters out of turn (its number
+    is not the count of nodes entered before it), or None.  Constituency
+    trees are numbered in pre-order, so a sub-sentence is a run of rows."""
+    stack, entered = [tree.root], 0
+    while stack:
+        v = stack.pop()
+        if v != entered:
+            return v
+        entered += 1
+        stack.extend(reversed(tree.nodes[v].children))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +237,9 @@ def serialize_constituency(tree: ParseTree) -> str:
 
 def subtree_at(tree: ParseTree, v: int) -> ParseTree:
     """Copy of the subtree rooted at node v as an independent tree, its
-    nodes numbered in pre-order with depth_layer counted from 1."""
+    nodes numbered in pre-order with depth_layer counted from 1 (the
+    parser numbers its trees with it; training reads these nodes in
+    place, as a span)."""
     nodes: List[TreeNode] = []
     path: List[TreeNode] = []  # copies of the nodes entered and not yet left
     for u, entering in tree.walk(v):
@@ -248,12 +266,10 @@ def tagged_constituents(tree: ParseTree) -> List[int]:
 
 
 def extract_subsentences(tree: ParseTree) -> List[ParseTree]:
-    """Every tagged constituent as an independent labeled sample.
-
-    The whole sentence is included when its root carries a tag.  Used to
-    enlarge the training set only; validation and test stay on whole
-    sentences.
-    """
+    """Every tagged constituent as an independent labeled sample (a
+    `subtree_at` copy), the whole sentence included when its root
+    carries a tag.  `trainer.train` reads them in place, as spans; the
+    benchmark counts samples with this."""
     return [subtree_at(tree, v) for v in tagged_constituents(tree)]
 
 

@@ -1,15 +1,16 @@
 """End-to-end sentence network: node vectors, tree convolution, pooling,
-classifier head.  A minibatch of sentences is one forest on one tape:
-one node-vector matrix, one convolution, one pooling over every tree's
-slots and one head, with one backward pass per batch.  Both variants
-take this path with one window type (see :mod:`tree_conv`); a variant
-picks the node vectors, the window's child matrices and the pooling.
+classifier head.  A minibatch of samples is one forest on one tape:
+one node-vector matrix, one convolution, one pooling over every
+sample's slots and one head, with one backward pass per batch.  Both
+variants take this path with one window type (see :mod:`tree_conv`); a
+variant picks the node vectors, the window's child matrices and the
+pooling.
 
-Constituency node rows are the frozen RAE annotation.  During
-`trainer.train` they come from the trainer's once-per-run cache; a
-trained classifier annotates its trees on every call, the whole forest
-at once, one matrix product per tree height (see
-:func:`rae_pretrain.annotate_forest`)."""
+A sample is a :class:`tree_conv.Span` of an indexed tree, the whole
+tree or a constituency sub-sentence.  Trees are indexed once where the
+work starts (`trainer.train`, or a prediction call): window edges and
+node rows, the frozen RAE annotation composed a forest at a time (see
+:func:`rae_pretrain.annotate_forest`) or embedding indices."""
 
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .corpus_io import (
 from .errors import ContractError
 from .pooling import GLOBAL, THREE_SLOT, SlotAssignment
 from .rae_pretrain import CompositionParams, annotate_forest
-from .tensor_core import Tape, Tensor, by_name, parameter
+from .tensor_core import Tape, Tensor, by_name, node_groups, parameter
 
 
 @dataclass
@@ -69,12 +70,15 @@ def slot_count(config: TrainConfig) -> int:
     return config.k
 
 
-def assign_slots(tree: ParseTree, config: TrainConfig) -> SlotAssignment:
+def assign_slots(tree: ParseTree, config: TrainConfig,
+                 v: Optional[int] = None) -> SlotAssignment:
+    """The slots of `tree`, or of the sub-sentence at node v, under the
+    config's pooling."""
     strategy = config.resolved_pooling()
     if strategy == GLOBAL:
-        return pooling.assign_global(tree)
+        return pooling.assign_global(tree, v)
     if strategy == THREE_SLOT:
-        return pooling.assign_three_slot(tree, config.alpha)
+        return pooling.assign_three_slot(tree, config.alpha, v)
     return pooling.assign_k_slot(tree, config.k)
 
 
@@ -98,13 +102,10 @@ def init_model(config: TrainConfig, table: EmbeddingTable,
 
 class SentenceClassifier:
     """Forward evaluation of one trained (or training) variant, a
-    minibatch of trees at a time.
+    minibatch of spans at a time.
 
     Constituency node vectors come frozen from the recursive-autoencoder
     annotation; no gradient ever flows into them or its parameters.
-    `node_rows`, when given, maps id(tree) to those rows for every tree
-    the classifier forwards (`trainer.train`'s cache); without it each
-    forward annotates its forest in one batch.
     Dependency node vectors are embedding rows, trainable when the model
     owns an embedding parameter.
     """
@@ -112,46 +113,77 @@ class SentenceClassifier:
     def __init__(self, config: TrainConfig, params: ModelParams,
                  table: EmbeddingTable,
                  inventory: Optional[DepTypeInventory] = None,
-                 rae: Optional[CompositionParams] = None,
-                 node_rows: Optional[Dict[int, np.ndarray]] = None):
+                 rae: Optional[CompositionParams] = None):
         config.validate()
         self.config = config
         self.params = params
         self.table = table
         self.inventory = inventory
         self.rae = rae
-        self.node_rows = node_rows
         if config.variant == VARIANT_C and rae is None:
             raise ContractError("constituency classifier needs composition params")
         if config.variant == VARIANT_D and inventory is None:
             raise ContractError("dependency classifier needs a relation inventory")
 
+    def index(self, trees: Sequence[ParseTree]) -> tree_conv.TreeIndex:
+        """The window index of `trees` with the rows their node vectors
+        read: the frozen RAE annotation, composed `node_groups` trees at
+        a time, or embedding indices."""
+        index = tree_conv.index_trees(trees, self.inventory)
+        if self.config.variant == VARIANT_C:
+            index.rows = np.empty((len(index), self.rae.n_e))
+            start = 0
+            for group in node_groups(trees):
+                block = annotate_forest(group, self.rae, self.table)
+                index.rows[start:start + len(block)] = block
+                start += len(block)
+            return index
+        rows = [node.embedding_index for tree in trees for node in tree.nodes]
+        if None in rows:
+            word = next(node.word for tree in trees for node in tree.nodes
+                        if node.embedding_index is None)
+            raise ContractError(f"node {word!r} has no embedding index; "
+                                f"bind_vocabulary first")
+        if min(rows) < 0 or max(rows) >= len(self.table):
+            raise ContractError("embedding index out of range for the table")
+        index.rows = np.array(rows, dtype=np.intp)
+        return index
+
+    def span(self, index: tree_conv.TreeIndex, t: int,
+             v: Optional[int] = None) -> tree_conv.Span:
+        """The sample of tree t of `index`, with its sentence label as its
+        class, or of the sub-sentence at its constituency node v, with
+        v's tag: its rows and its slot map."""
+        tree = index.trees[t]
+        slots = np.array(assign_slots(tree, self.config, v).slot_of, dtype=np.intp)
+        start = index.offsets[t] + (0 if v is None else v)
+        return tree_conv.Span(index, start, start + len(slots), slots,
+                              tree.sentence_label if v is None else tree.nodes[v].label)
+
+    def spans(self, trees: Sequence[ParseTree]) -> List[tree_conv.Span]:
+        """Whole-tree samples of `trees`, indexed together."""
+        index = self.index(trees)
+        return [self.span(index, t) for t in range(len(trees))]
+
     def node_vectors(self, tape: Tape, forest: tree_conv.Forest) -> Tensor:
         """The (n_nodes, n_e) matrix of node vectors, row v for forest
-        row v: constituency annotations (from `node_rows` when given),
-        or rows of the embedding table (a parameter when it trains, else
-        a constant)."""
+        row v: constituency annotations, or rows of the embedding table
+        (a parameter when it trains, else a constant)."""
+        rows = np.concatenate([span.index.rows[span.start:span.stop]
+                               for span in forest.spans])
         if self.config.variant == VARIANT_C:
-            if self.node_rows is None:
-                return Tensor(annotate_forest(forest.trees, self.rae, self.table))
-            return Tensor(np.concatenate([self.node_rows[id(tree)]
-                                          for tree in forest.trees]))
-        rows = [node.embedding_index for node in forest.nodes]
-        if None in rows:
-            node = forest.nodes[rows.index(None)]
-            raise ContractError(
-                f"node {node.word!r} has no embedding index; bind_vocabulary first")
-        table = self.params.embeddings
-        return tape.take_rows(Tensor(self.table.vectors, name="embedding table")
-                              if table is None else table, rows)
+            return Tensor(rows)
+        if self.params.embeddings is None:  # `index` checked the rows
+            return Tensor(self.table.vectors[rows])
+        return tape.take_rows(self.params.embeddings, rows)
 
     def _dropout(self, tape: Tape, forest: tree_conv.Forest, vectors: Tensor,
                  mode: str, rng) -> Tuple[Tensor, Optional[np.ndarray]]:
         """Training-mode inverted dropout: the node vectors times their
-        mask, and the (trees, n_h) hidden-unit mask (None when off).
+        mask, and the (spans, n_h) hidden-unit mask (None when off).
 
-        The masks are drawn tree by tree, the node rows and then the
-        hidden row, so a tree's masks do not depend on the batch it is
+        The masks are drawn span by span, the node rows and then the
+        hidden row, so a sample's masks do not depend on the batch it is
         in.  `tape.mul` applies the node mask; it records nothing when
         the vectors are frozen, and never writes them.
         """
@@ -161,9 +193,9 @@ class SentenceClassifier:
         if rng is None:
             raise ContractError("training with dropout needs an rng")
         embed, hidden = [], []
-        for tree in forest.trees:
+        for span in forest.spans:
             if embed_rate:
-                embed.append(dropout_mask((len(tree.nodes), self.config.n_e),
+                embed.append(dropout_mask((len(span), self.config.n_e),
                                           embed_rate, mode, rng))
             if hidden_rate:
                 hidden.append(dropout_mask(self.config.n_h, hidden_rate, mode, rng))
@@ -174,43 +206,42 @@ class SentenceClassifier:
     def forward_features(self, tape: Tape, trees: Sequence[ParseTree]) -> Tensor:
         """The convolution's feature map of `trees` in evaluation mode,
         stacked tree after tree (see :class:`tree_conv.Forest`)."""
-        forest = tree_conv.forest(trees, self.inventory)
+        forest = tree_conv.forest(self.spans(trees))
         return tree_conv.convolve(tape, forest, self.node_vectors(tape, forest),
                                   self.params.conv)
 
-    def _slots(self, trees: Sequence[ParseTree]) -> SlotAssignment:
-        """Every tree's slots, tree b's numbered from b * slot_count."""
-        per_tree = slot_count(self.config)
-        slot_of: List[int] = []
-        for b, tree in enumerate(trees):
-            offset = b * per_tree
-            slot_of += [s + offset for s in assign_slots(tree, self.config).slot_of]
-        return SlotAssignment(slot_of=slot_of, slot_count=per_tree * len(trees))
-
-    def logits(self, tape: Tape, trees: Sequence[ParseTree], mode: str = "eval",
-               rng=None) -> Tensor:
-        """The (len(trees), classes) logit matrix: node vectors,
-        convolution, pooling and head, each one array op for the batch."""
-        forest = tree_conv.forest(trees, self.inventory)
+    def logits(self, tape: Tape, samples, mode: str = "eval", rng=None) -> Tensor:
+        """The (samples, classes) logit matrix of spans, or of parse trees
+        (indexed here): node vectors, convolution, pooling and head, each
+        one array op for the batch."""
+        spans = self.spans(samples) if isinstance(samples[0], ParseTree) else samples
+        forest = tree_conv.forest(spans)
         vectors, hidden_mask = self._dropout(
             tape, forest, self.node_vectors(tape, forest), mode, rng)
         features = tree_conv.convolve(tape, forest, vectors, self.params.conv)
-        pooled, _ = pooling.pool(tape, features, self._slots(trees))
+        per_span = slot_count(self.config)
+        slot_of = np.concatenate([span.slots for span in spans])
+        if len(spans) > 1:  # span b's slots are numbered from b * per_span
+            slot_of += np.repeat(np.arange(0, per_span * len(spans), per_span),
+                                 [len(span) for span in spans])
+        pooled, _ = pooling.pool(tape, features,
+                                 SlotAssignment(slot_of, per_span * len(spans)))
         return classifier_head.forward(
-            tape, tape.reshape(pooled, (len(trees), -1)), self.params.head,
+            tape, tape.reshape(pooled, (len(spans), -1)), self.params.head,
             hidden_mask=hidden_mask)
 
-    def loss(self, tape: Tape, trees: Sequence[ParseTree], gold: Sequence[int],
+    def loss(self, tape: Tape, samples, gold: Sequence[int],
              mode: str = "train", rng=None) -> LossValue:
-        """Summed cross entropy of `trees` against their `gold` classes."""
+        """Summed cross entropy of `samples` (spans or parse trees)
+        against their `gold` classes."""
         return classifier_head.loss(
-            tape, self.logits(tape, trees, mode=mode, rng=rng), gold)
+            tape, self.logits(tape, samples, mode=mode, rng=rng), gold)
 
-    def predict_batch(self, trees: Sequence[ParseTree]) -> List[PredictionOutput]:
-        """Predictions for `trees`, one batched forward that records
-        nothing."""
+    def predict_batch(self, samples) -> List[PredictionOutput]:
+        """Predictions for `samples` (parse trees, indexed here, or
+        spans), one batched forward that records nothing."""
         return classifier_head.predictions(
-            self.logits(Tape(record=False), trees).data)
+            self.logits(Tape(record=False), samples).data)
 
     def predict(self, tree: ParseTree) -> PredictionOutput:
         return self.predict_batch([tree])[0]

@@ -9,6 +9,8 @@ fixed number of slots:
   holds them;
 * k-slot (dependency): words allocated to k equal spans by position.
 
+The global and 3-slot rules also give a constituency sub-sentence's.
+
 Pooling takes the per-dimension maximum within each slot and records
 which node won every dimension (the provenance used for visualization
 and for routing gradients).
@@ -21,7 +23,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .corpus_io import CONSTITUENCY, DEPENDENCY, ParseTree
+from .corpus_io import CONSTITUENCY, DEPENDENCY, ParseTree, TreeNode
 from .errors import ContractError
 from .tensor_core import Tape, Tensor
 
@@ -63,36 +65,45 @@ class PoolProvenance:
                 yield slot, dim, int(node)
 
 
-def assign_global(tree: ParseTree) -> SlotAssignment:
-    """Everything into one slot; applicable to any structure."""
-    return SlotAssignment(slot_of=[0] * len(tree.nodes), slot_count=1)
+def _span(tree: ParseTree, v: Optional[int]) -> List[TreeNode]:
+    """The nodes of the sub-sentence at node v, every node when v is
+    None: in a pre-order tree, v and the run of deeper nodes after it."""
+    if v is None:
+        return tree.nodes
+    depth, stop = tree.nodes[v].depth_layer, v + 1
+    while stop < len(tree.nodes) and tree.nodes[stop].depth_layer > depth:
+        stop += 1
+    return tree.nodes[v:stop]
 
 
-def assign_three_slot(tree: ParseTree,
-                      alpha: float = DEFAULT_ALPHA) -> SlotAssignment:
+def assign_global(tree: ParseTree, v: Optional[int] = None) -> SlotAssignment:
+    """Everything into one slot; applicable to any structure (with `v`,
+    to the sub-sentence at constituency node v)."""
+    return SlotAssignment(slot_of=[0] * len(_span(tree, v)), slot_count=1)
+
+
+def assign_three_slot(tree: ParseTree, alpha: float = DEFAULT_ALPHA,
+                      v: Optional[int] = None) -> SlotAssignment:
     """Depth-thresholded TOP plus lower-left / lower-right split.
 
     Nodes with depth_layer < alpha*d pool to TOP; lower nodes go by
     which of the root's child subtrees contains them.  The root itself
     is always TOP, which only matters for degenerate trees where
-    alpha*d <= 1.
+    alpha*d <= 1.  With `v`, those of the sub-sentence at node v, as of
+    its `subtree_at` copy: from its own depths and its root's children.
     """
     if tree.kind != CONSTITUENCY:
         raise ContractError("3-slot pooling is defined for constituency trees")
-    threshold = alpha * tree.depth()
-    side = {}  # node -> LOWER_LEFT or LOWER_RIGHT
-    for mark, top_child in zip((LOWER_LEFT, LOWER_RIGHT),
-                               tree.nodes[tree.root].children):
-        for v, entering in tree.walk(top_child):
-            if entering:
-                side[v] = mark
-
-    slot_of = []
-    for v, node in enumerate(tree.nodes):
-        if v == tree.root or node.depth_layer < threshold:
-            slot_of.append(TOP)
-        else:
-            slot_of.append(side[v])
+    v = tree.root if v is None else v
+    nodes = _span(tree, v)
+    base = nodes[0].depth_layer - 1
+    threshold = alpha * (max(node.depth_layer for node in nodes) - base)
+    kids = nodes[0].children
+    right = kids[1] - v if len(kids) > 1 else len(nodes)  # the right subtree's row
+    slot_of = [TOP if node.depth_layer - base < threshold
+               else LOWER_LEFT if u < right else LOWER_RIGHT
+               for u, node in enumerate(nodes)]
+    slot_of[0] = TOP
     return SlotAssignment(slot_of=slot_of, slot_count=3)
 
 

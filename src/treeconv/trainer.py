@@ -2,17 +2,16 @@
 finite-difference gradient checker and length-bucketed evaluation.
 
 Each epoch is one :func:`~treeconv.tensor_core.sgd_epoch` pass.  A
-minibatch is one forward pass over its sentences and one backward pass,
-so a batch's gradient sums over its sentences in the tape's fixed replay
+minibatch is one forward pass over its samples and one backward pass,
+so a batch's gradient sums over its samples in the tape's fixed replay
 order, and two runs with the same seed produce identical checkpoints.
 Evaluation runs the same batched forward, recording nothing.  The
 learning rate halves after two epochs without a validation improvement.
 
-Constituency node rows are frozen, so `train` annotates each distinct
-training tree that yields a sample, and each validation tree, once
-before epoch 1, in batches of up to EVAL_NODES nodes that compose one
-tree height at a time; every forward pass of the run reads those rows,
-a sub-sentence's as a slice of its source tree's (see `_node_rows`).
+A training sample is a span of its source tree (:class:`tree_conv.Span`):
+the whole tree, or a tagged constituent's rows.  Before epoch 1 `train`
+indexes each distinct training tree that yields a sample, and each
+validation tree, once, and makes each sample's span with its slot map.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,20 +26,19 @@ import numpy as np
 from .classifier_head import transfer_5_to_2, warn_underflow
 from .config import VARIANT_C, VARIANT_D, TrainConfig
 from .corpus_io import (
-    CONSTITUENCY,
     DepTypeInventory,
     EmbeddingTable,
     ParseTree,
     Vocabulary,
     build_dep_inventory,
-    extract_subsentences,
     tagged_constituents,
 )
 from .errors import ConfigError, ContractError
 from .network import SentenceClassifier, TrainedModel, init_model
-from .rae_pretrain import CompositionParams, annotate_forest
+from .rae_pretrain import CompositionParams
 from .tensor_core import (Tape, grad_of, iter_batches, l2_penalty, node_groups,
                           sgd_epoch)
+from .tree_conv import Span
 
 # re-exported for convenience: the config type lives in config.py
 __all__ = [
@@ -64,71 +61,33 @@ class TrainReport:
     wall_time: float = 0.0
 
 
-# (sample, tree, v): the tagged constituent at node v of tree, or tree
-# itself when v is None
-Sourced = Tuple[ParseTree, ParseTree, Optional[int]]
-
-
-def _sourced_samples(trees: Sequence[ParseTree],
-                     config: TrainConfig) -> List[Sourced]:
-    """Every training sample with its source, in training order."""
+def _sample_roots(tree: ParseTree, config: TrainConfig) -> List[Optional[int]]:
+    """The roots of `tree`'s samples in training order, None for the
+    whole tree: with sub-sentences, every tagged constituent, then the
+    whole tree if it has a sentence label and no root tag."""
     if config.variant != VARIANT_C or not config.use_subsentences:
-        return [(tree, tree, None) for tree in trees]
-    sourced: List[Sourced] = []
-    for tree in trees:
-        sourced += zip(extract_subsentences(tree), repeat(tree),
-                       tagged_constituents(tree))
-        if tree.nodes[tree.root].label is None and tree.sentence_label is not None:
-            sourced.append((tree, tree, None))
-    return sourced
+        return [None]
+    roots: List[Optional[int]] = list(tagged_constituents(tree))
+    if tree.nodes[tree.root].label is None and tree.sentence_label is not None:
+        roots.append(None)
+    return roots
 
 
-def _training_samples(trees: Sequence[ParseTree],
-                      config: TrainConfig) -> List[ParseTree]:
-    """Expand tagged constituents into individual samples (train only)."""
-    return [sample for sample, _, _ in _sourced_samples(trees, config)]
-
-
-def _node_rows(sourced: Sequence[Sourced], val_trees: Sequence[ParseTree],
-               rae: CompositionParams,
-               table: EmbeddingTable) -> Dict[int, np.ndarray]:
-    """The frozen RAE rows of every tree `train` forwards, by id(tree).
-
-    Each distinct source or validation tree is annotated once, in
-    `node_groups` batches of `annotate_forest`, and keeps a view of its
-    batch's rows.  A sub-sentence's rows are a slice of its source
-    tree's rows put in pre-order: `subtree_at` numbers the constituent
-    at v in the order the pre-order walk enters it, and that walk covers
-    the nodes below v in one run.  So the rows held grow with the
-    distinct nodes, not with the summed sub-sentence sizes.
-    """
-    distinct = {id(tree): tree
-                for tree in [tree for _, tree, _ in sourced] + list(val_trees)}
-    own: Dict[int, np.ndarray] = {}  # id(tree) -> the tree's annotation
-    for group in node_groups(list(distinct.values())):
-        ends = np.cumsum([len(tree) for tree in group])
-        for tree, block in zip(group, np.split(
-                annotate_forest(group, rae, table), ends[:-1])):
-            own[id(tree)] = block
-    preorder: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    rows: Dict[int, np.ndarray] = {}
-    for sample, tree, v in sourced:
-        if v is None:
-            rows[id(sample)] = own[id(tree)]
-            continue
-        if id(tree) not in preorder:
-            order = np.array([u for u, entering in tree.walk() if entering])
-            place = np.empty_like(order)  # each node's pre-order position
-            place[order] = np.arange(len(order))
-            ordered = own[id(tree)]
-            if not np.array_equal(order, np.arange(len(order))):
-                ordered = ordered[order]  # a tree not numbered in pre-order
-            preorder[id(tree)] = ordered, place
-        ordered, place = preorder[id(tree)]
-        rows[id(sample)] = ordered[place[v]:place[v] + len(sample)]
-    for tree in val_trees:
-        rows[id(tree)] = own[id(tree)]
-    return rows
+def _sample_spans(classifier: SentenceClassifier,
+                  train_trees: Sequence[ParseTree],
+                  roots: Sequence[List[Optional[int]]],
+                  val_trees: Sequence[ParseTree]) -> Tuple[List[Span], List[Span]]:
+    """A span per root in `roots` (each training tree's `_sample_roots`),
+    and the validation trees' spans, of one index in which each distinct
+    tree is indexed once."""
+    distinct = {id(tree): tree for tree, nodes in zip(train_trees, roots)
+                if nodes}
+    distinct.update((id(tree), tree) for tree in val_trees)
+    index = classifier.index(list(distinct.values()))
+    at = {key: t for t, key in enumerate(distinct)}  # id(tree) -> its tree number
+    samples = [classifier.span(index, at[id(tree)], v)
+               for tree, nodes in zip(train_trees, roots) for v in nodes]
+    return samples, [classifier.span(index, at[id(tree)]) for tree in val_trees]
 
 
 def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
@@ -162,9 +121,12 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
     if config.variant == VARIANT_D and inventory is None:
         inventory = build_dep_inventory(train_trees)
 
-    sourced = _sourced_samples(train_trees, config)
-    samples = [sample for sample, _, _ in sourced]
-    if any(tree.sentence_label is None for tree in samples):
+    roots = [_sample_roots(tree, config) for tree in train_trees]
+    if not any(roots):
+        raise ConfigError("no training samples: no training tree has a tagged "
+                          "constituent or a sentence label")
+    if any(tree.sentence_label is None
+           for tree, nodes in zip(train_trees, roots) if None in nodes):
         raise ConfigError("every training sample needs a label")
     if any(tree.sentence_label is None for tree in val_trees):
         raise ConfigError("every validation sentence needs a label")
@@ -172,10 +134,9 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
     started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     params = init_model(config, table, inventory, rng)
-    node_rows = (_node_rows(sourced, val_trees, rae, table)
-                 if config.variant == VARIANT_C else None)
     classifier = SentenceClassifier(config, params, table, inventory=inventory,
-                                    rae=rae, node_rows=node_rows)
+                                    rae=rae)
+    samples, val_spans = _sample_spans(classifier, train_trees, roots, val_trees)
 
     report = TrainReport()
     # validation accuracy is >= 0, so epoch 1 always sets best_epoch
@@ -187,8 +148,7 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
 
     def batch_loss(tape, batch):
         nonlocal underflows
-        value = classifier.loss(tape, batch,
-                                [tree.sentence_label for tree in batch],
+        value = classifier.loss(tape, batch, [span.label for span in batch],
                                 mode="train", rng=rng)
         underflows += int(np.count_nonzero(value.clamped))
         return value.node, value.per_row, len(batch)
@@ -201,7 +161,7 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
                                loss_bound=BLOWUP_RATIO * math.log(config.classes))
         warn_underflow(epoch, underflows, len(samples))
         train_loss = epoch_loss / len(samples)
-        val_acc = evaluate(classifier, val_trees).accuracy
+        val_acc = evaluate(classifier, val_trees, spans=val_spans).accuracy
         report.train_loss.append(train_loss)
         report.val_accuracy.append(val_acc)
         if log is not None:
@@ -277,13 +237,16 @@ def _bucket_labels(boundaries: Sequence[int]) -> List[str]:
 
 def evaluate(classifier, trees: Sequence[ParseTree],
              buckets: Optional[Sequence[int]] = None,
-             transfer_binary: bool = False) -> EvalReport:
+             transfer_binary: bool = False,
+             spans: Optional[Sequence[Span]] = None) -> EvalReport:
     """Root-label accuracy, overall and per sentence-length bucket.
 
     Only whole sentences participate; `buckets` holds upper boundaries
     (defaults to 7 groups at granularity 5).  With transfer_binary, a
     5-class sentiment model is reinterpreted for binary gold labels.
-    The classifier's `predict_batch` sees each `node_groups` group.
+    The classifier's `predict_batch` sees each `node_groups` group of
+    `trees`, or of `spans`, the trees' whole-tree spans, when the
+    caller has indexed them already (`train`'s validation trees).
     """
     boundaries = list(buckets) if buckets is not None else default_length_buckets()
     labels = _bucket_labels(boundaries)
@@ -292,7 +255,7 @@ def evaluate(classifier, trees: Sequence[ParseTree],
         raise ContractError("evaluation corpus is empty")
     if any(tree.sentence_label is None for tree in trees):
         raise ContractError("evaluation needs root labels on every sentence")
-    preds = [pred for group in node_groups(trees)
+    preds = [pred for group in node_groups(trees if spans is None else spans)
              for pred in classifier.predict_batch(group)]
     for tree, pred in zip(trees, preds):
         if transfer_binary:
@@ -363,12 +326,14 @@ def gradient_check(classifier: SentenceClassifier, tree: ParseTree, gold: int,
     weights = classifier.params.weight_matrices()
     lam = classifier.config.l2
 
+    spans = classifier.spans([tree])
+
     def loss_value() -> float:
-        value = classifier.loss(Tape(), [tree], [gold], mode="eval")
+        value = classifier.loss(Tape(), spans, [gold], mode="eval")
         return value.cross_entropy + l2_penalty(weights, lam)[0]
 
     tape = Tape()
-    value = classifier.loss(tape, [tree], [gold], mode="eval")
+    value = classifier.loss(tape, spans, [gold], mode="eval")
     grads = tape.backward(value.node)
     decay = l2_penalty(weights, lam)[1]
     analytic = {name: grad_of(grads, p) + decay.get(p, 0.0) for name, p in named}

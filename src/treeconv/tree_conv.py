@@ -16,17 +16,22 @@ linear in its size.  A minibatch is convolved as one forest (see
 product of the stacked n x n_e node matrix with each weight matrix,
 gathered by child and summed into parent rows with the bias, then one
 ReLU.
+
+A forest stacks its samples' slices of an edge index built once for
+their trees (:class:`TreeIndex`); a sample is a :class:`Span` of rows,
+so a constituency sub-sentence is read in place in its pre-order
+sentence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .corpus_io import (CONSTITUENCY, DEPENDENCY, DepTypeInventory, ParseTree,
-                        TreeNode)
+                        first_out_of_preorder)
 from .errors import ContractError
 from .tensor_core import (ALL_ROWS, Tape, Tensor, by_name, parameter,
                           uniform_init)
@@ -71,55 +76,109 @@ def init_d_window(n_c: int, n_e: int, n_slots: int, rng) -> WindowParams:
 
 
 @dataclass
-class Forest:
-    """Trees stacked as one forest, the convolution's index of a batch.
-
-    Node rows run tree after tree, each tree's nodes in order.  `edges`
-    holds, per child key (relation slot for dependency trees, child
-    position for constituency trees), the child rows and their parent
-    rows; `n_keys` is how many keys the trees' kind has.
-    """
+class TreeIndex:
+    """The window index of trees stacked tree after tree (see
+    :func:`index_trees`): the child links in parent order, row r's in
+    columns `first[r]:first[r + 1]` of `edges`, so the links inside a
+    span of rows are one slice; and the `rows` the node vectors read
+    (see `network.SentenceClassifier.index`)."""
 
     trees: Sequence[ParseTree]
-    nodes: List[TreeNode]  # one per row, i.e. one per window
-    edges: List[Tuple[int, np.ndarray, np.ndarray]]  # (key, child, parent)
-    n_keys: int
-    kind: str  # the trees' kind
+    offsets: List[int]  # each tree's first row, then the row count
+    edges: np.ndarray   # (3, links): child key, child row, parent row
+    first: List[int]    # each row's first link, then the link count
+    n_keys: int         # how many keys the trees' kind has
+    kind: str
+    rows: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return self.offsets[-1]
 
 
-def forest(trees: Sequence[ParseTree],
-           inventory: Optional[DepTypeInventory] = None) -> Forest:
-    """The window index of `trees`, which must all be of one kind.
+@dataclass(slots=True)
+class Span:
+    """Rows [start, stop) of an index, a whole tree or a constituency
+    sub-sentence; as a sample, with its pooling slot map (a slot per
+    row) and gold class (see `network.SentenceClassifier.span`)."""
 
-    Dependency trees key a child by its relation's slot in `inventory`;
-    constituency trees key it by position and ignore `inventory`.
-    """
+    index: TreeIndex
+    start: int
+    stop: int
+    slots: Optional[np.ndarray] = None
+    label: Optional[int] = None
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+
+def index_trees(trees: Sequence[ParseTree],
+                inventory: Optional[DepTypeInventory] = None) -> TreeIndex:
+    """The window index of `trees`, all of one kind.  Dependency trees
+    key a child by its relation's slot in `inventory`; constituency
+    trees key it by position and must be binary and in pre-order."""
     kinds = sorted({tree.kind for tree in trees})
     if len(kinds) > 1:
         raise ContractError(f"a forest holds trees of one kind, got {kinds}")
     dependency = kinds == [DEPENDENCY]
     if dependency and inventory is None:
         raise ContractError("dependency convolution needs a relation inventory")
-    edges: Dict[int, Tuple[List[int], List[int]]] = {}
-    nodes: List[TreeNode] = []
+    key, child, parent, first, offsets = [], [], [], [0], [0]
     for tree in trees:
-        base = len(nodes)
-        for v, node in enumerate(tree.nodes):
+        nodes, base = tree.nodes, offsets[-1]
+        out = None if dependency else first_out_of_preorder(tree)
+        if out is not None:
+            raise ContractError(f"node {out} is not numbered in pre-order, as "
+                                f"constituency trees must be")
+        for v, node in enumerate(nodes):
             if not dependency and len(node.children) > 2:
                 raise ContractError(
                     f"node {v} has {len(node.children)} children; binarize first")
             for position, c in enumerate(node.children):
-                key = (inventory.slot_of(tree.nodes[c].dep_relation)
-                       if dependency else position)
-                src, dst = edges.setdefault(key, ([], []))
-                src.append(base + c)
-                dst.append(base + v)
-        nodes.extend(tree.nodes)
-    return Forest(trees=trees, nodes=nodes,
-                  edges=[(key, np.array(src), np.array(dst))
-                         for key, (src, dst) in sorted(edges.items())],
-                  n_keys=inventory.n_slots if dependency else 2,
-                  kind=DEPENDENCY if dependency else CONSTITUENCY)
+                key.append(inventory.slot_of(nodes[c].dep_relation)
+                           if dependency else position)
+                child.append(base + c)
+                parent.append(base + v)
+            first.append(len(child))
+        offsets.append(base + len(nodes))
+    return TreeIndex(trees, offsets, np.array([key, child, parent], dtype=np.intp),
+                     first, inventory.n_slots if dependency else 2, kinds[0])
+
+
+@dataclass
+class Forest:
+    """Spans of one index stacked as the convolution's index of a batch:
+    rows run span after span, and `edges` holds, per child key, the
+    child rows and their parent rows."""
+
+    spans: Sequence[Span]
+    nodes: range  # the forest's rows, one per window
+    edges: List[Tuple[int, np.ndarray, np.ndarray]]  # (key, child, parent)
+    n_keys: int
+    kind: str
+
+
+def forest(spans: Sequence[Span]) -> Forest:
+    """The forest of `spans`, all of one index: each span's slice of the
+    links, moved to its forest rows, grouped by key in span order."""
+    index = spans[0].index
+    parts, shifts, counts, rows = [], [], [], 0
+    for span in spans:
+        if span.index is not index:
+            raise ContractError("a forest's spans come from one index")
+        a, b = index.first[span.start], index.first[span.stop]
+        parts.append(index.edges[:, a:b])
+        shifts.append(rows - span.start)
+        counts.append(b - a)
+        rows += span.stop - span.start
+    edges = np.concatenate(parts, axis=1)
+    if any(shifts):
+        edges[1:] += np.repeat(shifts, counts)
+    edges = edges[:, np.argsort(edges[0], kind="stable")]
+    ends = np.searchsorted(edges[0], np.arange(index.n_keys + 1)).tolist()
+    return Forest(spans, range(rows),
+                  [(key, edges[1, a:b], edges[2, a:b])
+                   for key, (a, b) in enumerate(zip(ends, ends[1:])) if b > a],
+                  index.n_keys, index.kind)
 
 
 def convolve(tape: Tape, trees: Union[Forest, ParseTree], node_vectors: Tensor,
@@ -134,7 +193,8 @@ def convolve(tape: Tape, trees: Union[Forest, ParseTree], node_vectors: Tensor,
     (n_nodes, n_c) feature map, row v the window rooted at node v.
     """
     if isinstance(trees, ParseTree):
-        trees = forest([trees], inventory)
+        index = index_trees([trees], inventory)
+        trees = forest([Span(index, 0, len(index))])
     n = len(trees.nodes)
     if node_vectors.data.ndim != 2 or node_vectors.data.shape[0] != n:
         raise ContractError(

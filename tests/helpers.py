@@ -66,7 +66,6 @@ def record_annotation(monkeypatch):
     the two lists (one entry per call)."""
     import treeconv.network as network_mod
     import treeconv.rae_pretrain as rae_mod
-    import treeconv.trainer as trainer_mod
 
     calls, composed = [], []
     annotate_forest, height_index = rae_mod.annotate_forest, rae_mod.height_index
@@ -79,8 +78,8 @@ def record_annotation(monkeypatch):
         index = height_index(trees)
         composed.append(sum(len(rows) for rows in index.levels[1:]))
         return index
-    # network and trainer hold their own binding of annotate_forest
-    for holder in (rae_mod, network_mod, trainer_mod):
+    # network holds its own binding of annotate_forest
+    for holder in (rae_mod, network_mod):
         monkeypatch.setattr(holder, "annotate_forest", counted_forest)
     monkeypatch.setattr(rae_mod, "height_index", counted_index)
     return calls, composed

@@ -22,13 +22,14 @@ from treeconv.config import TrainConfig
 from treeconv.corpus_io import (
     attach_labels,
     bind_vocabulary,
+    extract_subsentences,
     load_embeddings,
     read_constituency_file,
     read_dependency_file,
     read_label_file,
 )
 from treeconv.rae_pretrain import init_composition
-from treeconv.trainer import _training_samples, evaluate, train
+from treeconv.trainer import evaluate, train
 
 from helpers import record_annotation
 
@@ -38,6 +39,20 @@ sys.path.append(str(ROOT / "bench"))
 import tracing  # noqa: E402
 
 SLOTS = {"kslot": 2, "global": 1, "3slot": 3}
+
+
+def training_samples(trees, config):
+    """The samples `train` forwards per epoch, as trees: with
+    sub-sentences every tagged constituent (a `subtree_at` copy), plus
+    each labelled tree whose root has no tag; else each tree."""
+    if config.variant != "c" or not config.use_subsentences:
+        return list(trees)
+    samples = []
+    for tree in trees:
+        samples += extract_subsentences(tree)
+        if tree.nodes[tree.root].label is None and tree.sentence_label is not None:
+            samples.append(tree)
+    return samples
 
 
 def corpus(variant):
@@ -64,12 +79,12 @@ def test_counters_match_the_trees_forwarded(monkeypatch, variant, pooling):
                          train_embeddings=(variant == "d")).validate()
     rae = (init_composition(table.dim, np.random.default_rng(1))
            if variant == "c" else None)
-    samples = _training_samples(train_trees, config)
+    samples = training_samples(train_trees, config)
     # each epoch forwards every sample once, then the validation split
     seen = config.max_epochs * (list(samples) + list(val_trees))
     # but train annotates each tree that yields a sample, and each
     # validation tree, once per call
-    sources = [tree for tree in train_trees if _training_samples([tree], config)]
+    sources = [tree for tree in train_trees if training_samples([tree], config)]
     distinct = {id(tree) for tree in sources + list(val_trees)}
 
     calls, _ = record_annotation(monkeypatch)

@@ -1,6 +1,7 @@
 """Property tests over random trees of up to ~2k nodes: round trips,
 structural invariants, sub-tree copies, the frozen annotation and the
-trainer's cache of it, the RAE reconstruction loss (one tree against a
+rows of `train`'s index, `train`'s spans against their sub-tree copies,
+the pre-order rule, the RAE reconstruction loss (one tree against a
 per-node oracle, a batch against its trees one call each) and the
 convolution oracle; over random matrices and slot maps, single-tree
 and batch-shaped, the pooling primitive `segment_max`; over random
@@ -16,6 +17,7 @@ separate argument that shrinks on its own.
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,8 +53,10 @@ from treeconv.tensor_core import (
     grad_of,
     parameter,
 )
-from treeconv.trainer import _node_rows, _sourced_samples, _training_samples
-from treeconv.tree_conv import convolve, init_c_window, init_d_window
+from treeconv.errors import ContractError, StructureError
+from treeconv.trainer import _sample_roots, _sample_spans, train
+from treeconv.tree_conv import (convolve, index_trees, init_c_window,
+                                init_d_window)
 
 from helpers import compose_node
 from test_tree_conv import naive_convolve
@@ -195,15 +199,40 @@ def unordered_tree():
              TreeNode(children=[4, 5], depth_layer=3, label=1),
              TreeNode(word="b", depth_layer=4),
              TreeNode(word="c", depth_layer=4, label=2)]
-    tree = ParseTree(kind=CONSTITUENCY, nodes=nodes, root=0)
-    validate_tree(tree)
-    return tree
+    return ParseTree(kind=CONSTITUENCY, nodes=nodes, root=0)
 
 
-def bound_forest(rng, lines, n_e):
-    """`lines` parsed, plus the hand-built `unordered_tree()`, shuffled
-    and bound to one random table."""
-    trees = [parse_constituency(line) for line in lines] + [unordered_tree()]
+def test_trees_not_in_preorder_are_rejected():
+    """Constituency trees are numbered in pre-order: `validate_tree`,
+    `train` and `predict` name the first node the walk enters out of
+    turn (node 2, entered second)."""
+    tree = unordered_tree()
+    with pytest.raises(StructureError, match="node 2 "):
+        validate_tree(tree)
+    val = parse_constituency("(1 (0 a) (1 b))")
+    vocab = vocabulary_from_corpus([tree, val])
+    for t in (tree, val):
+        bind_vocabulary(t, vocab)
+    table = random_embeddings(vocab, 3, seed=0)
+    rae = init_composition(3, np.random.default_rng(0))
+    config = TrainConfig(variant="c", n_e=3, n_c=2, n_h=2, classes=5,
+                         max_epochs=1).validate()
+    with pytest.raises(ContractError, match="node 2 "):
+        train([tree], [val], vocab, table, config, rae=rae)
+    clf = SentenceClassifier(config, init_model(config, table, None,
+                                                np.random.default_rng(0)),
+                             table, rae=rae)
+    clf.predict(val)
+    with pytest.raises(ContractError, match="node 2 "):
+        clf.predict(tree)
+
+
+def bound_forest(rng, lines, n_e, unordered=True):
+    """`lines` parsed, plus (unless `unordered` is False) the
+    hand-built `unordered_tree()`, shuffled and bound to one random
+    table."""
+    trees = [parse_constituency(line) for line in lines]
+    trees += [unordered_tree()] if unordered else []
     rng.shuffle(trees)
     vocab = vocabulary_from_corpus(trees)
     for tree in trees:
@@ -211,38 +240,105 @@ def bound_forest(rng, lines, n_e):
     return trees, random_embeddings(vocab, n_e, seed=rng.randrange(2 ** 32))
 
 
+def c_classifier(config, table, nprng):
+    return SentenceClassifier(config, init_model(config, table, None, nprng),
+                              table, rae=init_composition(config.n_e, nprng))
+
+
+def training_spans(classifier, trees, val_trees):
+    """`train`'s samples of `trees` and spans of `val_trees`."""
+    roots = [_sample_roots(tree, classifier.config) for tree in trees]
+    return _sample_spans(classifier, trees, roots, val_trees)
+
+
 @PROPERTY
 @given(RANDOMS, st.integers(1, 5))
 def test_cached_rows_are_each_samples_annotation(rng, size):
-    """Every training sample's rows in the trainer's cache are what
-    `annotate` gives for that sample (within the batching tolerance), a
-    sub-sentence's as a view of its source tree's rows; validation trees
-    get their own annotation, and a second fill gives the same bytes."""
+    """Every training sample's rows in its tree's index are what
+    `annotate` gives for that sample as a `subtree_at` copy (within the
+    batching tolerance), a sub-sentence's as a view of its source
+    tree's rows; validation trees get their own annotation, and a
+    second build gives the same bytes."""
     lines = [random_bracketed(rng, rng.randint(1, 80))[0] for _ in range(size)]
     lines.append(unary_chain(rng.randint(2, 40), "chain"))
-    trees, table = bound_forest(rng, lines, 3)
+    trees, table = bound_forest(rng, lines, 3, unordered=False)
     for tree in trees:
         if tree.sentence_label is None:  # an untagged root trains whole
             tree.sentence_label = 1
-    params = init_composition(3, np.random.default_rng(rng.randrange(2 ** 32)))
     config = TrainConfig(variant="c", n_e=3, n_c=2, n_h=2, classes=5)
+    clf = c_classifier(config, table,
+                       np.random.default_rng(rng.randrange(2 ** 32)))
+    params = clf.rae
 
-    sourced = _sourced_samples(trees, config)
-    assert [sample for sample, _, _ in sourced] == \
-        _training_samples(trees, config)
     val_trees = trees[:2]
-    rows = _node_rows(sourced, val_trees, params, table)
-    again = _node_rows(sourced, val_trees, params, table)
-    for sample, tree, v in sourced:
-        want = annotate(sample, params, table)
-        assert np.allclose(rows[id(sample)], want, **ANNOTATION_TOLERANCE)
-        assert rows[id(sample)].tobytes() == again[id(sample)].tobytes()
-        if v is not None:
-            assert rows[id(sample)].base is not None  # a slice, not a copy
-    for tree in val_trees:
-        assert np.allclose(rows[id(tree)], annotate(tree, params, table),
+    samples, val_spans = training_spans(clf, trees, val_trees)
+    again, val_again = training_spans(clf, trees, val_trees)
+    roots = [(tree, v) for tree in trees for v in _sample_roots(tree, config)]
+    assert len(samples) == len(roots)
+    index = samples[0].index
+    assert all(span.index is index for span in samples + val_spans)
+    offset = {id(tree): index.offsets[t] for t, tree in enumerate(index.trees)}
+    for span, same, (tree, v) in zip(samples, again, roots):
+        copy = tree if v is None else subtree_at(tree, v)
+        start = offset[id(tree)] + (v or 0)
+        assert (span.start, span.stop) == (start, start + len(copy))
+        rows = index.rows[span.start:span.stop]
+        assert np.allclose(rows, annotate(copy, params, table),
                            **ANNOTATION_TOLERANCE)
-        assert rows[id(tree)].tobytes() == again[id(tree)].tobytes()
+        assert rows.tobytes() == same.index.rows[same.start:same.stop].tobytes()
+        assert rows.base is not None  # a slice, not a copy
+    for tree, span, same in zip(val_trees, val_spans, val_again):
+        assert (span.start, span.stop) == (offset[id(tree)],
+                                           offset[id(tree)] + len(tree))
+        rows = index.rows[span.start:span.stop]
+        assert np.allclose(rows, annotate(tree, params, table),
+                           **ANNOTATION_TOLERANCE)
+        assert rows.tobytes() == same.index.rows[same.start:same.stop].tobytes()
+
+
+@PROPERTY
+@given(RANDOMS, st.sampled_from(["3slot", "global"]), st.integers(1, 4))
+def test_spans_forward_as_their_subtree_copies(rng, pooling, size):
+    """A minibatch of `train`'s spans gives byte for byte the logits,
+    per-row losses and gradients of the same minibatch of `subtree_at`
+    copies, each copy reading its span's frozen rows, with dropout on
+    and one seed: trees with unary chains and untagged interiors."""
+    lines = [random_bracketed(rng, rng.randint(1, 30))[0] for _ in range(size)]
+    lines.append(unary_chain(rng.randint(2, 12), "chain"))
+    trees, table = bound_forest(rng, lines, 3, unordered=False)
+    for tree in trees:
+        if tree.sentence_label is None:  # an untagged root trains whole
+            tree.sentence_label = 1
+    config = TrainConfig(variant="c", n_e=3, n_c=4, n_h=5, classes=5,
+                         pooling=pooling, dropout_embed=0.3,
+                         dropout_hidden=0.2).validate()
+    clf = c_classifier(config, table,
+                       np.random.default_rng(rng.randrange(2 ** 32)))
+    samples, _ = training_spans(clf, trees, trees[:1])
+    roots = [(tree, v) for tree in trees for v in _sample_roots(tree, config)]
+    picked = [rng.randrange(len(samples)) for _ in range(rng.randint(1, 12))]
+    spans = [samples[i] for i in picked]
+    copies = [tree if v is None else subtree_at(tree, v)
+              for tree, v in (roots[i] for i in picked)]
+    index = index_trees(copies)
+    index.rows = np.concatenate([span.index.rows[span.start:span.stop]
+                                 for span in spans])
+    oracle = [clf.span(index, t) for t in range(len(copies))]
+    assert [span.label for span in spans] == [span.label for span in oracle]
+    seed = rng.randrange(2 ** 32)
+
+    def forward(batch):
+        tape = Tape()
+        value = clf.loss(tape, batch, [span.label % 5 for span in batch],
+                         rng=np.random.default_rng(seed))
+        grads = tape.backward(value.node)
+        logits = clf.logits(Tape(record=False), batch, mode="train",
+                            rng=np.random.default_rng(seed))
+        return [logits.data, value.per_row] + [grad_of(grads, p)
+                                               for _, p in clf.params.named()]
+
+    for got, want in zip(forward(spans), forward(oracle)):
+        assert got.tobytes() == want.tobytes()
 
 
 def assert_forest_is_its_trees(trees, params, table):

@@ -312,7 +312,7 @@ class TestTrainLoop:
         scripted = iter(accuracies)
         snapshots = []
 
-        def scripted_evaluate(classifier, trees):
+        def scripted_evaluate(classifier, trees, spans=None):
             snapshots.append(classifier.params.copy_arrays())
             return SimpleNamespace(accuracy=next(scripted))
 
@@ -387,29 +387,33 @@ class TestBatches:
 
 
 class TestSubsentenceExpansion:
+    """`train`'s samples are spans rooted at these nodes (None: the
+    whole tree)."""
+
     def test_tagged_constituents_become_training_samples(self):
         from treeconv.corpus_io import parse_constituency
-        from treeconv.trainer import _training_samples
+        from treeconv.trainer import _sample_roots
 
         tree = parse_constituency("(3 (2 I) (3 (3 loved) (2 it)))")
         config = small_config("c")
-        samples = _training_samples([tree], config)
-        assert len(samples) == 5  # every tagged node, root included
-        assert sorted(s.sentence_label for s in samples) == [2, 2, 3, 3, 3]
+        roots = _sample_roots(tree, config)
+        assert len(roots) == 5  # every tagged node, root included
+        assert sorted(tree.nodes[v].label for v in roots) == [2, 2, 3, 3, 3]
 
     def test_expansion_can_be_disabled(self):
         from treeconv.corpus_io import parse_constituency
-        from treeconv.trainer import _training_samples
+        from treeconv.trainer import _sample_roots
 
         tree = parse_constituency("(3 (2 I) (3 (3 loved) (2 it)))")
         config = small_config("c", use_subsentences=False)
-        assert _training_samples([tree], config) == [tree]
+        assert _sample_roots(tree, config) == [None]
 
     def test_dependency_corpus_is_never_expanded(self):
         corpus = make_overfit_corpus(n_sentences=4, classes=2, n_e=8, seed=12)
-        from treeconv.trainer import _training_samples
+        from treeconv.trainer import _sample_roots
         config = small_config("d", n_e=8)
-        assert _training_samples(corpus.dep_trees, config) == corpus.dep_trees
+        assert [_sample_roots(tree, config) for tree in corpus.dep_trees] == \
+            [[None]] * len(corpus.dep_trees)
 
 
 def bound_con_corpus(*groups, n_e=4):
@@ -468,6 +472,40 @@ class TestAnnotationCache:
         # 599 non-leaf chain nodes and one in the validation tree; one
         # annotation per sub-sentence would compose 599 * 600 / 2 + 1
         assert sum(composed) == depth
+
+
+class TestSpans:
+    """`train` reads sub-sentences in place, as spans of their trees."""
+
+    def test_train_makes_no_subtree_copies(self, monkeypatch):
+        import treeconv.corpus_io as corpus_mod
+        (train_trees, val_trees), vocab, table = bound_con_corpus(
+            ["(1 (X (1 good) (X (1 (X fun)))) (1 (1 (1 film))))",
+             "(0 (X (0 bad) (0 (X (X plot)))) (X (0 awful)))",
+             "(0 (0 (0 (0 deep))))"],
+            ["(1 (1 liked) (0 it))"])
+
+        def copy(*args):
+            raise AssertionError("train copied a sub-sentence")
+        monkeypatch.setattr(corpus_mod, "subtree_at", copy)
+        config = small_config("c", n_e=4, n_c=4, n_h=4, max_epochs=2,
+                              batch_size=3, dropout_embed=0.2)
+        _, report = train(train_trees, val_trees, vocab, table, config,
+                          rae=init_composition(4, np.random.default_rng(3)))
+        assert len(report.train_loss) == 2
+
+    def test_no_training_sample_is_a_config_error(self, monkeypatch):
+        import treeconv.trainer as trainer_mod
+        (train_trees, val_trees), vocab, table = bound_con_corpus(
+            ["(X (X a) (X b))", "(X (X c) (X d))"], ["(1 (0 a) (1 c))"])
+
+        def init(*args, **kwargs):
+            raise AssertionError("train initialised a model")
+        monkeypatch.setattr(trainer_mod, "init_model", init)
+        config = small_config("c", n_e=4, n_c=4, n_h=4, max_epochs=1)
+        with pytest.raises(ConfigError, match="no training samples"):
+            train(train_trees, val_trees, vocab, table, config,
+                  rae=init_composition(4, np.random.default_rng(0)))
 
 
 def test_c_batches_agree_with_single_predictions():

@@ -19,9 +19,11 @@ from treeconv.synthetic import (
 )
 from treeconv.tensor_core import Tape, Tensor
 from treeconv.tree_conv import (
+    Span,
     WindowParams,
     convolve,
     forest,
+    index_trees,
     init_c_window,
     init_d_window,
 )
@@ -307,5 +309,10 @@ class TestWindowChecks:
     def test_forest_of_mixed_kinds_rejected(self):
         dep = parse_dependency(I_LOVED_IT_CONLL)
         con = random_constituency_tree(np.random.default_rng(12), ["a", "b"])
+        inv = build_dep_inventory([dep])
         with pytest.raises(ContractError, match="one kind"):
-            forest([dep, con], build_dep_inventory([dep]))
+            index_trees([dep, con], inv)
+        spans = [Span(index, 0, len(index))
+                 for index in (index_trees([dep], inv), index_trees([con]))]
+        with pytest.raises(ContractError, match="one index"):
+            forest(spans)

@@ -12,9 +12,10 @@ trec_mini (frozen embeddings, dropout) and on tiny_con (pretraining in
 the run, with and without dropout), `pretrain-rae` on tiny_con, the
 bag-of-embeddings baseline (trained embeddings), whose parameters a
 short program writes in the checkpoint layout, and CLI `train` (with
-dropout) on a corpus this script writes, whose unary chains and
-untagged (X) interior constituents tiny_con lacks: nodes with no right
-child, and trees only partly tagged.
+dropout, under 3-slot and under global pooling) on a corpus this
+script writes, whose unary chains and untagged (X) interior
+constituents tiny_con lacks: nodes with no right child, and trees only
+partly tagged.
 
 For every run it prints the sha256 of both checkouts' files and
 "identical" or "differ"; a difference also gives the largest
@@ -184,6 +185,10 @@ def _runs(work: Path) -> Dict[str, List[str]]:
         "train chains_con, dropout":
             cli + ["train", "--config", str(work / "c_dropout.cfg"),
                    "--train", str(work / "chains_con.txt")],
+        "train chains_con, dropout, global pooling":
+            cli + ["train", "--config", str(work / "c_dropout.cfg"),
+                   "--train", str(work / "chains_con.txt"),
+                   "--pooling", "global"],
     }
 
 
