@@ -102,7 +102,41 @@ def by_name(*tensors: Optional[Tensor]) -> List[Tuple[str, Tensor]]:
 def uniform_init(rng, shape) -> np.ndarray:
     """Uniform +-sqrt(6/(fan_in+fan_out)) draws for a weight matrix."""
     bound = np.sqrt(6.0 / (shape[0] + shape[1]))
-    return rng.uniform(-bound, bound, size=shape)
+    # the draws of rng.uniform(-bound, bound), scaled in place: 1.3x
+    # faster on a 300 x 300 matrix
+    draws = rng.random(shape)
+    draws *= 2.0 * bound
+    draws -= bound
+    return draws
+
+
+# entries (rows x width) up to which `_scatter_add` makes numpy's 2-D
+# `np.add.at` call: below about 500 entries it costs less than the flat
+# call and its index (at width 30, 240 entries: 3.5 against 4.7 us; 750
+# entries: 7.9 against 6.0 us; at width 300, 1500 entries: 14.8 against
+# 7.8 us; numpy 2.4, best of 15 timeit repeats on a 2-core Xeon)
+FLAT_SCATTER = 512
+
+
+def _scatter_add(out: np.ndarray, rows, values: np.ndarray) -> None:
+    """out[rows] += values, where `values` holds one row per index and a
+    repeated row sums its values in order; `rows` is an index array or
+    a slice.
+
+    Every row scatter on the tape runs here.  Above FLAT_SCATTER entries
+    a C-contiguous `out` takes one 1-D `np.add.at` over its flat entries
+    (row r, column j at r * width + j), which numpy runs several times
+    faster than the 2-D call; both add entry by entry in index order, so
+    the sums are the same bytes.
+    """
+    if isinstance(rows, slice):
+        out[rows] += values
+    elif values.size <= FLAT_SCATTER or out.ndim < 2 or not out.flags.c_contiguous:
+        np.add.at(out, rows, values)
+    else:
+        width = out[0].size
+        at = np.asarray(rows, dtype=np.intp)[:, None] * width + np.arange(width)
+        np.add.at(out.reshape(-1), at.reshape(-1), values.reshape(-1))
 
 
 @dataclass(eq=False)
@@ -127,14 +161,14 @@ class RowGradient:
 
     def dense(self) -> np.ndarray:
         out = np.zeros(self.shape)
-        np.add.at(out, self.indices, self.rows)
+        _scatter_add(out, self.indices, self.rows)
         return out
 
     def summed(self) -> "RowGradient":
         """The same gradient with one row per distinct index."""
         indices, at = np.unique(self.indices, return_inverse=True)
         rows = np.zeros((len(indices),) + self.rows.shape[1:])
-        np.add.at(rows, at, self.rows)
+        _scatter_add(rows, at, self.rows)
         return RowGradient(self.shape, indices, rows)
 
 
@@ -150,7 +184,7 @@ def _add_grad(cur, g):
         if isinstance(cur, list):
             cur.append(g)
         else:
-            np.add.at(cur, g.indices, g.rows)
+            _scatter_add(cur, g.indices, g.rows)
         return cur
     if cur is None:
         return g + 0.0
@@ -158,15 +192,6 @@ def _add_grad(cur, g):
         cur = RowGradient.joined(cur).dense()
     cur += g
     return cur
-
-
-def _scatter_add(out: np.ndarray, rows, values: np.ndarray) -> None:
-    """out[rows] += values, where a repeated row sums all its values;
-    `rows` is an index array or a slice."""
-    if isinstance(rows, slice):
-        out[rows] += values
-    else:
-        np.add.at(out, rows, values)
 
 
 # rows per GEMM call in `edge_matmul`: OpenBLAS packs the rows of a call
@@ -389,7 +414,9 @@ class Tape:
         ALL_ROWS; a repeated `dst` row sums its products.  The output
         has one row per row of `X`.  A first all-rows term is the
         product that the other terms and the bias add into.  Products
-        run GEMM_ROWS rows at a time.
+        run GEMM_ROWS rows at a time.  The other terms' products (the
+        convolution's child sum), and on the backward pass their rows
+        of the gradient of `X`, add into place through `_scatter_add`.
         """
         if X.data.ndim != 2:
             raise ShapeError(f"edge_matmul: {X._label()} is not a matrix")
@@ -614,14 +641,17 @@ def node_groups(items: Sequence) -> Iterator[list]:
         yield group
 
 
+def _l2_value(matrices: Sequence[Tensor], lam: float) -> float:
+    return lam * sum(float(np.sum(W.data * W.data)) for W in matrices)
+
+
 def l2_penalty(matrices: Sequence[Tensor],
                lam: float) -> Tuple[float, GradientMap]:
     """lam * sum of squared entries of `matrices`, and its gradient
     2 * lam * W per matrix (an empty map when lam is 0)."""
     if lam == 0.0:
         return 0.0, {}
-    value = lam * sum(float(np.sum(W.data * W.data)) for W in matrices)
-    return value, {W: 2.0 * lam * W.data for W in matrices}
+    return _l2_value(matrices, lam), {W: 2.0 * lam * W.data for W in matrices}
 
 
 def sgd_epoch(samples: Sequence, batch_loss: Callable,
@@ -637,13 +667,18 @@ def sgd_epoch(samples: Sequence, batch_loss: Callable,
     to the batch's loss, weight count).  A batch steps each parameter by
     `lr` times the gradient of that node over the weight count (a batch
     without a node or counting 0 is skipped), plus 2 * lam * W of the
-    pre-step weights for the matrices in `decayed`.  A parameter whose
-    gradient is a row gradient and that is not decayed only has its
-    touched rows written.  Raises DivergenceError at the first batch
-    whose mean sample loss exceeds `loss_bound`, before its update, and
-    after the first batch that leaves the loss or a parameter non-finite
-    (the loss is finite until then, so the running sum shows it).
+    pre-step weights for the matrices in `decayed`, one matrix at a
+    time.  A parameter whose gradient is a row gradient and that is not
+    decayed only has its touched rows written.  Raises DivergenceError
+    at the first batch whose mean sample loss exceeds `loss_bound`,
+    before its update, and after the first batch that leaves the loss or
+    a parameter non-finite (the loss is finite until then, so the
+    running sum shows it).  The first update checks every parameter in
+    full; later ones check a row-written parameter on the rows they
+    wrote, as its other rows have not changed since they were checked.
     """
+    decay = set(decayed) if lam != 0.0 else set()
+    checked = False  # whether every parameter was checked in full
     total = 0.0
     for number, batch in enumerate(iter_batches(len(samples), batch_size,
                                                 rng), start=1):
@@ -661,23 +696,29 @@ def sgd_epoch(samples: Sequence, batch_loss: Callable,
             continue
         grads = tape.backward(node)
         tape = node = None  # free the batch's records before the update
-        penalty, decay = l2_penalty(decayed, lam)
-        total += len(batch) * penalty
+        if decay:
+            total += len(batch) * _l2_value(decayed, lam)
+        written = {}  # row-written parameter -> the rows written
         for _, p in params:
             step = grads.pop(p, None)
             if isinstance(step, RowGradient):
                 if p not in decay:
                     step.rows *= lr / count
                     p.data[step.indices] -= step.rows
+                    written[p] = step.indices
                     continue
                 step = step.dense()
             elif step is None:
                 step = np.zeros_like(p.data)
             step *= lr / count
-            if p in decay:
-                step += lr * decay[p]
+            if p in decay:  # lr * (2 * lam * W), in place
+                shrink = np.multiply(p.data, 2.0 * lam)
+                shrink *= lr
+                step += shrink
             p.data -= step
-        bad = [name for name, p in params if not np.isfinite(p.data).all()]
+        bad = [name for name, p in params if not np.isfinite(
+            p.data[written[p]] if checked and p in written else p.data).all()]
+        checked = True
         if bad or not math.isfinite(total):
             raise DivergenceError(
                 f"training diverged in epoch {epoch}, batch {number}: loss "

@@ -7,7 +7,8 @@ convolution oracle; over random matrices and slot maps, single-tree
 and batch-shaped, the pooling primitive `segment_max`; over random
 tapes of row lookups, the row-gradient sums against a plain-numpy
 replay; and over random minibatches, the batched loss and gradient
-against the same samples one tape at a time.
+against the same samples one tape at a time; and over random row
+scatters, `_scatter_add` against numpy's `np.add.at`.
 
 The tree shapes come from a hypothesis-drawn `random.Random`, so a
 failing example replays from the seed hypothesis prints; the size is a
@@ -46,8 +47,10 @@ from treeconv.rae_pretrain import (
 )
 from treeconv.synthetic import random_dependency_tree
 from treeconv.tensor_core import (
+    FLAT_SCATTER,
     WIDE_SLOT,
     RowGradient,
+    _scatter_add,
     Tape,
     Tensor,
     grad_of,
@@ -575,6 +578,38 @@ def test_segment_max_matches_per_slot_loop_on_batches(rng, trees, per_tree,
     X = small_integers(rng, rows, cols)
     assert (X.size > WIDE_SLOT * count) == wide
     check_segment_max(X, slot_of, count, random_coeffs(rng, count, cols))
+
+
+@PROPERTY
+@given(RANDOMS, st.booleans(), st.sampled_from(["uniform", "zipf"]),
+       st.booleans())
+def test_scatter_add_is_np_add_at_bytewise(rng, flat, spread, one_d):
+    """`_scatter_add` against the 2-D `np.add.at`, byte for byte: random
+    widths, rows repeated at random or Zipf-heavy (a few rows take most
+    of the additions), blocks on either side of FLAT_SCATTER entries,
+    and a 1-D `out`.  Values span 16 decades, so adding a row's values
+    in another order would change the sum's last bits."""
+    nprng = np.random.default_rng(rng.randrange(2 ** 32))
+    n_out = rng.randint(1, 60)
+    width = 1 if one_d else rng.randint(1, 400)
+    # rows that put the block on either side of FLAT_SCATTER entries
+    n = (FLAT_SCATTER // width + 1 + rng.randrange(40) if flat
+         else rng.randint(1, FLAT_SCATTER // width))
+    if spread == "zipf":
+        rows = np.minimum(nprng.zipf(1.5, n) - 1, n_out - 1)
+    else:
+        rows = nprng.integers(0, n_out, n)
+    if rng.random() < 0.25:
+        rows = rows - n_out  # the same rows, counted from the end
+    shape = (n_out,) if one_d else (n_out, width)
+    values = (nprng.normal(size=(n,) + shape[1:])
+              * 10.0 ** nprng.integers(-8, 8, size=(n,) + shape[1:]))
+    out = nprng.normal(size=shape)
+    want = out.copy()
+    np.add.at(want, rows, values)
+    _scatter_add(out, rows, values)
+    assert (values.size > FLAT_SCATTER) == flat
+    assert out.tobytes() == want.tobytes()
 
 
 BATCH_SETUPS = [("d", "kslot"), ("d", "global"), ("c", "3slot"), ("c", "global")]

@@ -4,12 +4,14 @@ import pytest
 from treeconv.errors import ContractError, ShapeError
 from treeconv.tensor_core import (
     ALL_ROWS,
+    FLAT_SCATTER,
     RowGradient,
     Tape,
     Tensor,
     grad_of,
     matrix,
     parameter,
+    _scatter_add,
     softmax_probs,
     vector,
 )
@@ -156,6 +158,24 @@ class TestRowLookupGradient:
             assert len(calls) == 1 + len(read_by)
             for m, indices in read_by.items():
                 assert grads[m].indices.tolist() == indices
+
+
+class TestScatterAdd:
+    def test_writes_a_non_contiguous_out_in_place(self):
+        """A strided or transposed `out` has no flat view, so a block
+        above FLAT_SCATTER entries must still land in it, not in a copy."""
+        rng = np.random.default_rng(31)
+        width = 40
+        rows = rng.integers(0, 9, FLAT_SCATTER // width + 5)
+        values = rng.normal(size=(len(rows), width))
+        for out in (np.zeros((9, 2 * width))[:, ::2],
+                    np.zeros((width, 9)).T):
+            assert not out.flags.c_contiguous
+            want = out.copy()
+            np.add.at(want, rows, values)
+            _scatter_add(out, rows, values)
+            assert out.tobytes() == want.tobytes()
+            assert out.any()
 
 
 class TestGradientMap:

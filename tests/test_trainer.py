@@ -11,7 +11,7 @@ from treeconv.errors import ConfigError, ContractError, DivergenceError
 from treeconv.network import SentenceClassifier, init_model
 from treeconv.rae_pretrain import init_composition
 from treeconv.synthetic import fixture_pair, make_overfit_corpus
-from treeconv.tensor_core import Tape, grad_of, sgd_epoch
+from treeconv.tensor_core import Tape, grad_of, parameter, sgd_epoch
 from treeconv.trainer import (
     default_length_buckets,
     evaluate,
@@ -375,6 +375,44 @@ class TestDivergence:
         assert "epoch 1, batch 1" in message
         assert f"non-finite parameters: {first_param}" in message
         assert isinstance(caught.value, ConfigError)
+
+
+    @staticmethod
+    def _row_sum_epoch(table):
+        """One sgd_epoch at lr 1e308 over a one-column table, one row per
+        batch in the order of `permutation(len(table))` under seed 4,
+        each row's loss its value (gradient 1, so a step subtracts
+        1e308): a row at -1e308 steps to -inf, a row at 0 stays finite."""
+        E = parameter(table, "embeddings")
+
+        def batch_loss(tape, rows):
+            node = tape.sum_rows(tape.take_rows(E, rows))
+            return node, node.data.tolist(), 1
+
+        with np.errstate(over="ignore"):
+            sgd_epoch(list(range(len(table))), batch_loss, [("embeddings", E)],
+                      1e308, 1, np.random.default_rng(4))
+
+    def test_a_row_made_non_finite_in_a_later_batch_is_caught(self):
+        """After the first batch only the rows a batch wrote are checked;
+        a row that one of them sends to -inf still stops the run."""
+        order = np.random.default_rng(4).permutation(6)
+        table = np.zeros((6, 1))
+        table[order[2]] = -1e308
+        with pytest.raises(DivergenceError) as caught:
+            self._row_sum_epoch(table)
+        message = str(caught.value)
+        assert "epoch 1, batch 3" in message
+        assert "non-finite parameters: embeddings" in message
+
+    def test_the_first_batch_checks_rows_it_did_not_write(self):
+        order = np.random.default_rng(4).permutation(6)
+        table = np.zeros((6, 1))
+        table[order[3]] = np.nan  # read in batch 4 only
+        with pytest.raises(DivergenceError) as caught:
+            self._row_sum_epoch(table)
+        assert "epoch 1, batch 1" in str(caught.value)
+        assert "non-finite parameters: embeddings" in str(caught.value)
 
 
 class TestBatches:
