@@ -75,7 +75,7 @@ class ParseTree:
 
     def leaf_indices(self) -> List[int]:
         """Childless nodes in left-to-right order (a constituency tree's
-        node order, see `first_out_of_preorder`)."""
+        node order, which `validate_tree` checks is the pre-order)."""
         order = range(len(self.nodes))
         if self.kind == DEPENDENCY:
             order = sorted(order, key=lambda v: self.nodes[v].position)
@@ -130,23 +130,10 @@ def validate_tree(tree: ParseTree) -> None:
         for v, node in enumerate(tree.nodes):
             if len(node.children) > 2:
                 raise StructureError(f"node {v} has {len(node.children)} children")
-        out = first_out_of_preorder(tree)
-        if out is not None:
-            raise StructureError(f"node {out} is not numbered in pre-order")
-
-
-def first_out_of_preorder(tree: ParseTree) -> Optional[int]:
-    """The first node the pre-order walk enters out of turn (its number
-    is not the count of nodes entered before it), or None.  Constituency
-    trees are numbered in pre-order, so a sub-sentence is a run of rows."""
-    stack, entered = [tree.root], 0
-    while stack:
-        v = stack.pop()
-        if v != entered:
-            return v
-        entered += 1
-        stack.extend(reversed(tree.nodes[v].children))
-    return None
+        # numbered in pre-order, so a sub-sentence is a run of rows
+        for turn, v in enumerate(u for u, entering in tree.walk() if entering):
+            if v != turn:
+                raise StructureError(f"node {v} is not numbered in pre-order")
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ pooling.
 
 A sample is a :class:`tree_conv.Span` of an indexed tree, the whole
 tree or a constituency sub-sentence.  Trees are indexed once where the
-work starts (`trainer.train`, or a prediction call): window edges and
-node rows, the frozen RAE annotation composed a forest at a time (see
-:func:`rae_pretrain.annotate_forest`) or embedding indices."""
+work starts (`trainer.train`, or a prediction call), in one walk per
+constituency tree: window edges, the composition order and the node
+rows, which are the frozen RAE annotation composed from that order
+(see :func:`rae_pretrain.annotate_forest`) or embedding indices."""
 
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .corpus_io import (
 from .errors import ContractError
 from .pooling import GLOBAL, THREE_SLOT, SlotAssignment
 from .rae_pretrain import CompositionParams, annotate_forest
-from .tensor_core import Tape, Tensor, by_name, node_groups, parameter
+from .tensor_core import Tape, Tensor, by_name, parameter
 
 
 @dataclass
@@ -131,12 +132,7 @@ class SentenceClassifier:
         a time, or embedding indices."""
         index = tree_conv.index_trees(trees, self.inventory)
         if self.config.variant == VARIANT_C:
-            index.rows = np.empty((len(index), self.rae.n_e))
-            start = 0
-            for group in node_groups(trees):
-                block = annotate_forest(group, self.rae, self.table)
-                index.rows[start:start + len(block)] = block
-                start += len(block)
+            index.rows = annotate_forest(index, self.rae, self.table)
             return index
         rows = [node.embedding_index for tree in trees for node in tree.nodes]
         if None in rows:

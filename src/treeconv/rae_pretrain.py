@@ -3,14 +3,14 @@
 Constituency constituents have no word embedding of their own, so each
 non-leaf vector is composed from its children, p = tanh(W.[c1;c2] + b),
 and the composition weights are pretrained to reconstruct the children
-from p.  One height index (`height_index`) orders a batch of trees
-bottom up: the non-leaf nodes of one height, across all its trees,
+from p.  The trees' window index (`tree_conv.index_trees`) also orders
+them bottom up: the non-leaf nodes of one height, across all its trees,
 compose as one matrix.  The pretraining loss composes and reconstructs
 each height on a tape, so a batch records a few ops per height of its
 tallest tree whatever its tree count; `annotate_forest` composes each
-height of a batch with one matrix product, recording nothing.  After
-pretraining the node vectors are frozen: tree convolution reads them
-as constants and no gradient ever reaches them.
+height of a group of trees with one matrix product, recording nothing.
+After pretraining the node vectors are frozen: tree convolution reads
+them as constants and no gradient ever reaches them.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .corpus_io import CONSTITUENCY, EmbeddingTable, ParseTree
 from .errors import ContractError, ShapeError
 from .tensor_core import (Tape, Tensor, by_name, node_groups, parameter,
                           sgd_epoch, uniform_init)
+from .tree_conv import TreeIndex, index_trees
 
 HOLDOUT_FRACTION = 0.1  # the corpus share `pretrain` selects its epoch on
 
@@ -63,98 +64,59 @@ def init_composition(n_e: int, rng) -> CompositionParams:
     )
 
 
-@dataclass
-class HeightIndex:
-    """One bottom-up composition order for a forest of constituency trees.
-
-    A node's height is 0 at a leaf and one more than its taller child's
-    above.  Rows are forest rows: the trees' nodes stacked tree after
-    tree, then one zero row (row `size`) that stands in for a unary
-    node's missing right child.  Every node of height h depends only on
-    lower heights, so each height composes as one matrix.
-    """
-
-    size: int                    # forest rows, the zero row excluded
-    leaves: np.ndarray           # embedding index of each levels[0] row
-    levels: List[np.ndarray]     # rows of height h, each tree's in post-order
-    children: List[np.ndarray]   # per height h >= 1, (m_h, 2) child rows
+def _check_composable(index: TreeIndex) -> None:
+    """Annotation reads constituency trees with bound leaves."""
+    if index.kind != CONSTITUENCY:
+        raise ContractError("annotation expects constituency trees")
+    if index.leaves is None:
+        word = next(node.word for tree in index.trees for node in tree.nodes
+                    if not node.children and node.embedding_index is None)
+        raise ContractError(f"leaf {word!r} has no embedding index; "
+                            f"bind_vocabulary first")
 
 
-def height_index(trees: Sequence[ParseTree]) -> HeightIndex:
-    """The height index of `trees`, from one left-to-right post-order
-    pass per tree."""
-    size = sum(len(tree) for tree in trees)
-    height = [0] * (size + 1)
-    leaves: List[int] = []
-    levels: List[List[int]] = [[]]
-    children: List[List[int]] = []
-    offset = 0
-    for tree in trees:
-        if tree.kind != CONSTITUENCY:
-            raise ContractError("annotation expects constituency trees")
-        order, stack = [], [tree.root]
-        while stack:  # root, right subtree, left subtree: post-order reversed
-            v = stack.pop()
-            order.append(v)
-            stack.extend(tree.nodes[v].children)
-        for v in reversed(order):
-            node = tree.nodes[v]
-            kids = node.children
-            if not kids:
-                if node.embedding_index is None:
-                    raise ContractError(f"leaf {node.word!r} has no embedding "
-                                        f"index; bind_vocabulary first")
-                leaves.append(node.embedding_index)
-                levels[0].append(offset + v)
-                continue
-            if len(kids) > 2:
-                raise ContractError(
-                    f"node {v} has {len(kids)} children; binarize first")
-            left = offset + kids[0]
-            right = offset + kids[1] if len(kids) > 1 else size
-            h = height[offset + v] = 1 + max(height[left], height[right])
-            if h == len(levels):
-                levels.append([])
-                children.append([])
-            levels[h].append(offset + v)
-            children[h - 1] += (left, right)
-        offset += len(tree)
-    return HeightIndex(size, np.array(leaves, dtype=np.intp),
-                       [np.array(rows, dtype=np.intp) for rows in levels],
-                       [np.array(kids, dtype=np.intp).reshape(-1, 2)
-                        for kids in children])
-
-
-def annotate_forest(trees: Sequence[ParseTree], params: CompositionParams,
+def annotate_forest(index: TreeIndex, params: CompositionParams,
                     table: EmbeddingTable) -> np.ndarray:
-    """Frozen node vectors of a forest: embedding rows at the leaves and
-    p = tanh(W.[c1;c2] + b) above, as one (sum of nodes, n_e) array,
-    row for forest row (the trees' nodes stacked tree after tree).
+    """Frozen node vectors of an index's constituency trees: embedding
+    rows at the leaves and p = tanh(W.[c1;c2] + b) above, as one
+    (len(index), n_e) array, row for index row.
 
     A unary node composes its only child with a zero vector, matching
     the absent-child convention used by the convolution window.  The
-    leaves are one table gather, and each height of the forest is one
-    matrix product over every tree's nodes of that height.
+    leaves are one table gather, and each height of each `node_groups`
+    group of trees is one matrix product over the group's nodes of that
+    height.  (Composing a height across all groups at once would change
+    each product's row count, and with it OpenBLAS's rounding.)
     """
     n_e = params.n_e
     if table.dim != n_e:
         raise ShapeError(f"embedding dim {table.dim} != composition dim {n_e}")
-    index = height_index(trees)
-    out = np.zeros((index.size + 1, n_e))  # the last row stays zero
+    _check_composable(index)
+    size = len(index)
+    out = np.zeros((size + 1, n_e))  # the last row stays zero
     out[index.levels[0]] = table.vectors[index.leaves]
     W_comp, b_comp = params.W_comp.data, params.b_comp.data
-    for rows, kids in zip(index.levels[1:], index.children):
-        p = out[kids].reshape(len(rows), 2 * n_e) @ W_comp.T
-        p += b_comp
-        out[rows] = np.tanh(p, out=p)
-    return out[:index.size]
+    start = 0
+    for group in node_groups(index.trees):
+        stop = start + sum(len(tree) for tree in group)
+        for rows, kids in zip(index.levels[1:], index.children):
+            # a level holds its rows tree after tree, so the group's
+            # rows are one run of it, found by bisection
+            a, b = np.searchsorted(rows, (start, stop)).tolist()
+            if a == b:  # the group has no taller node
+                break
+            p = out[kids[a:b]].reshape(b - a, 2 * n_e) @ W_comp.T
+            p += b_comp
+            out[rows[a:b]] = np.tanh(p, out=p)
+        start = stop
+    return out[:size]
 
 
 def annotate(tree: ParseTree, params: CompositionParams,
              table: EmbeddingTable) -> np.ndarray:
     """The (n_nodes, n_e) frozen vectors of one tree, aligned with its
     node indices (see `annotate_forest`)."""
-    return annotate_forest([tree], params, table)
+    return annotate_forest(index_trees([tree]), params, table)
 
 
 def _recon_loss(tape: Tape, trees: Sequence[ParseTree], params: CompositionParams,
@@ -163,15 +125,16 @@ def _recon_loss(tape: Tape, trees: Sequence[ParseTree], params: CompositionParam
     (None if they have none), and their count.
 
     The non-leaf nodes of one height, across all the trees, compose and
-    reconstruct together (see `height_index`): their [left; right] child
-    rows form one (m, 2*n_e) matrix, read from the leaf rows and from
-    just the lower levels those children sit in.
+    reconstruct together (see `tree_conv.TreeIndex`): their [left; right]
+    child rows form one (m, 2*n_e) matrix, read from the leaf rows and
+    from just the lower levels those children sit in.
     """
-    index = height_index(trees)
-    # each forest row's vector is row `rank` of level `level_of`'s
+    index = index_trees(trees)
+    _check_composable(index)
+    # each index row's vector is row `rank` of level `level_of`'s
     # matrix; level 0 is a zero row, then the leaves
-    level_of = np.zeros(index.size + 1, dtype=np.intp)
-    rank = np.zeros(index.size + 1, dtype=np.intp)
+    level_of = np.zeros(len(index) + 1, dtype=np.intp)
+    rank = np.zeros(len(index) + 1, dtype=np.intp)
     for h, rows in enumerate(index.levels):
         level_of[rows] = h
         rank[rows] = np.arange(len(rows)) + int(h == 0)

@@ -20,7 +20,9 @@ ReLU.
 A forest stacks its samples' slices of an edge index built once for
 their trees (:class:`TreeIndex`); a sample is a :class:`Span` of rows,
 so a constituency sub-sentence is read in place in its pre-order
-sentence.
+sentence.  The same walk that indexes a constituency tree's windows
+orders its nodes for the RAE composition (see
+:func:`rae_pretrain.annotate_forest`).
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .corpus_io import (CONSTITUENCY, DEPENDENCY, DepTypeInventory, ParseTree,
-                        first_out_of_preorder)
+from .corpus_io import CONSTITUENCY, DEPENDENCY, DepTypeInventory, ParseTree
 from .errors import ContractError
 from .tensor_core import (ALL_ROWS, Tape, Tensor, by_name, parameter,
                           uniform_init)
@@ -81,7 +82,14 @@ class TreeIndex:
     :func:`index_trees`): the child links in parent order, row r's in
     columns `first[r]:first[r + 1]` of `edges`, so the links inside a
     span of rows are one slice; and the `rows` the node vectors read
-    (see `network.SentenceClassifier.index`)."""
+    (see `network.SentenceClassifier.index`).
+
+    Constituency trees also get their bottom-up composition order.  A
+    node's height is 0 at a leaf and one more than its taller child's
+    above; every node of height h depends only on lower heights, so
+    each height composes as one matrix.  Row `len(index)` is a zero row
+    that stands in for a unary node's missing right child.
+    """
 
     trees: Sequence[ParseTree]
     offsets: List[int]  # each tree's first row, then the row count
@@ -89,6 +97,10 @@ class TreeIndex:
     first: List[int]    # each row's first link, then the link count
     n_keys: int         # how many keys the trees' kind has
     kind: str
+    leaves: Optional[np.ndarray]  # embedding index of each levels[0] row
+                                  # (None if a leaf has none)
+    levels: List[np.ndarray]      # rows of height h, each tree's in post-order
+    children: List[np.ndarray]    # per height h >= 1, (m_h, 2) child rows
     rows: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
@@ -115,7 +127,9 @@ def index_trees(trees: Sequence[ParseTree],
                 inventory: Optional[DepTypeInventory] = None) -> TreeIndex:
     """The window index of `trees`, all of one kind.  Dependency trees
     key a child by its relation's slot in `inventory`; constituency
-    trees key it by position and must be binary and in pre-order."""
+    trees key it by position, must be binary and in pre-order, and are
+    ordered for composition in the same walk: links on entering a
+    node, height on leaving it."""
     kinds = sorted({tree.kind for tree in trees})
     if len(kinds) > 1:
         raise ContractError(f"a forest holds trees of one kind, got {kinds}")
@@ -123,25 +137,59 @@ def index_trees(trees: Sequence[ParseTree],
     if dependency and inventory is None:
         raise ContractError("dependency convolution needs a relation inventory")
     key, child, parent, first, offsets = [], [], [], [0], [0]
+    size = sum(len(tree) for tree in trees)
+    height = [0] * (size + 1)
+    leaves: List[Optional[int]] = []
+    levels: List[List[int]] = [] if dependency else [[]]
+    children: List[List[int]] = []
     for tree in trees:
         nodes, base = tree.nodes, offsets[-1]
-        out = None if dependency else first_out_of_preorder(tree)
-        if out is not None:
-            raise ContractError(f"node {out} is not numbered in pre-order, as "
-                                f"constituency trees must be")
-        for v, node in enumerate(nodes):
-            if not dependency and len(node.children) > 2:
-                raise ContractError(
-                    f"node {v} has {len(node.children)} children; binarize first")
-            for position, c in enumerate(node.children):
-                key.append(inventory.slot_of(nodes[c].dep_relation)
-                           if dependency else position)
-                child.append(base + c)
-                parent.append(base + v)
-            first.append(len(child))
         offsets.append(base + len(nodes))
+        if dependency:
+            for v, node in enumerate(nodes):
+                for c in node.children:
+                    key.append(inventory.slot_of(nodes[c].dep_relation))
+                    child.append(base + c)
+                    parent.append(base + v)
+                first.append(len(child))
+            continue
+        entered = 0
+        for v, entering in tree.walk():
+            kids = nodes[v].children
+            if entering:
+                if v != entered:
+                    break
+                entered += 1
+                if len(kids) > 2:
+                    raise ContractError(
+                        f"node {v} has {len(kids)} children; binarize first")
+                for position, c in enumerate(kids):
+                    key.append(position)
+                    child.append(base + c)
+                    parent.append(base + v)
+                first.append(len(child))
+            elif not kids:
+                leaves.append(nodes[v].embedding_index)
+                levels[0].append(base + v)
+            else:
+                left = base + kids[0]
+                right = base + kids[1] if len(kids) > 1 else size
+                h = height[base + v] = 1 + max(height[left], height[right])
+                if h == len(levels):
+                    levels.append([])
+                    children.append([])
+                levels[h].append(base + v)
+                children[h - 1] += (left, right)
+        if entering or entered != len(nodes):  # broke at v, or missed a node
+            raise ContractError(f"node {v if entering else entered} is not "
+                                f"numbered in pre-order, as constituency "
+                                f"trees must be")
     return TreeIndex(trees, offsets, np.array([key, child, parent], dtype=np.intp),
-                     first, inventory.n_slots if dependency else 2, kinds[0])
+                     first, inventory.n_slots if dependency else 2, kinds[0],
+                     None if None in leaves else np.array(leaves, dtype=np.intp),
+                     [np.array(rows, dtype=np.intp) for rows in levels],
+                     [np.array(kids, dtype=np.intp).reshape(-1, 2)
+                      for kids in children])
 
 
 @dataclass

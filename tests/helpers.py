@@ -61,25 +61,20 @@ def compose_node(c1, c2, params):
 
 
 def record_annotation(monkeypatch):
-    """Patch the batch annotator to record each call's tree ids, and its
-    height index to record the non-leaf rows each call composes; returns
-    the two lists (one entry per call)."""
+    """Patch the batch annotator to record each call's tree ids and the
+    non-leaf rows it composes (its index's levels above the leaves);
+    returns the two lists (one entry per call)."""
     import treeconv.network as network_mod
     import treeconv.rae_pretrain as rae_mod
 
     calls, composed = [], []
-    annotate_forest, height_index = rae_mod.annotate_forest, rae_mod.height_index
+    annotate_forest = rae_mod.annotate_forest
 
-    def counted_forest(trees, *args, **kwargs):
-        calls.append([id(tree) for tree in trees])
-        return annotate_forest(trees, *args, **kwargs)
-
-    def counted_index(trees):
-        index = height_index(trees)
+    def counted_forest(index, *args, **kwargs):
+        calls.append([id(tree) for tree in index.trees])
         composed.append(sum(len(rows) for rows in index.levels[1:]))
-        return index
+        return annotate_forest(index, *args, **kwargs)
     # network holds its own binding of annotate_forest
     for holder in (rae_mod, network_mod):
         monkeypatch.setattr(holder, "annotate_forest", counted_forest)
-    monkeypatch.setattr(rae_mod, "height_index", counted_index)
     return calls, composed

@@ -1,10 +1,10 @@
 """The benchmark's span tracer keeps counting what it counted when a
 sentence was its own forward pass: one convolution window per node and
-one pooling slot per sample and slot.  Annotation runs a forest at a
-time (`rae_pretrain.annotate_forest`), so the one-tree `annotate` the
-tracer wraps sees no call; the batch annotator sees each constituency
-tree forwarded once per call (in training, each distinct tree once:
-`train` annotates once).
+one pooling slot per sample and slot.  Annotation reads the tree index
+of a prediction call or a training run (`rae_pretrain.annotate_forest`),
+so the one-tree `annotate` the tracer wraps sees no call; the batch
+annotator sees each constituency tree forwarded once per call (in
+training, each distinct tree once: `train` indexes and annotates once).
 
 `bench/tracing.py` wraps the package's functions from outside and reads
 their arguments and results (`convolve`'s second argument has one

@@ -1,9 +1,10 @@
 """Property tests over random trees of up to ~2k nodes: round trips,
 structural invariants, sub-tree copies, the frozen annotation and the
 rows of `train`'s index, `train`'s spans against their sub-tree copies,
-the pre-order rule, the RAE reconstruction loss (one tree against a
-per-node oracle, a batch against its trees one call each) and the
-convolution oracle; over random matrices and slot maps, single-tree
+the pre-order rule, the index's composition order against plain
+recursion, annotation by node group, the RAE reconstruction loss (one
+tree against a per-node oracle, a batch against its trees one call
+each) and the convolution oracle; over random matrices and slot maps, single-tree
 and batch-shaped, the pooling primitive `segment_max`; over random
 tapes of row lookups, the row-gradient sums against a plain-numpy
 replay; and over random minibatches, the batched loss and gradient
@@ -16,6 +17,7 @@ separate argument that shrinks on its own.
 """
 
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -40,13 +42,17 @@ from treeconv.corpus_io import (
 )
 from treeconv.network import SentenceClassifier, init_model
 from treeconv.rae_pretrain import (
+    PretrainConfig,
     _recon_loss,
     annotate,
     annotate_forest,
     init_composition,
+    pretrain,
+    reconstruction_loss,
 )
 from treeconv.synthetic import random_dependency_tree
 from treeconv.tensor_core import (
+    EVAL_NODES,
     FLAT_SCATTER,
     WIDE_SLOT,
     RowGradient,
@@ -54,6 +60,7 @@ from treeconv.tensor_core import (
     Tape,
     Tensor,
     grad_of,
+    node_groups,
     parameter,
 )
 from treeconv.errors import ContractError, StructureError
@@ -207,7 +214,8 @@ def unordered_tree():
 
 def test_trees_not_in_preorder_are_rejected():
     """Constituency trees are numbered in pre-order: `validate_tree`,
-    `train` and `predict` name the first node the walk enters out of
+    `train`, `predict`, `annotate`, `pretrain` and
+    `reconstruction_loss` name the first node the walk enters out of
     turn (node 2, entered second)."""
     tree = unordered_tree()
     with pytest.raises(StructureError, match="node 2 "):
@@ -228,14 +236,16 @@ def test_trees_not_in_preorder_are_rejected():
     clf.predict(val)
     with pytest.raises(ContractError, match="node 2 "):
         clf.predict(tree)
+    for call in (lambda: annotate(tree, rae, table),
+                 lambda: pretrain([tree], table, PretrainConfig(max_epochs=1)),
+                 lambda: reconstruction_loss([val, tree], rae, table)):
+        with pytest.raises(ContractError, match="node 2 "):
+            call()
 
 
-def bound_forest(rng, lines, n_e, unordered=True):
-    """`lines` parsed, plus (unless `unordered` is False) the
-    hand-built `unordered_tree()`, shuffled and bound to one random
-    table."""
+def bound_forest(rng, lines, n_e):
+    """`lines` parsed, shuffled and bound to one random table."""
     trees = [parse_constituency(line) for line in lines]
-    trees += [unordered_tree()] if unordered else []
     rng.shuffle(trees)
     vocab = vocabulary_from_corpus(trees)
     for tree in trees:
@@ -264,7 +274,7 @@ def test_cached_rows_are_each_samples_annotation(rng, size):
     second build gives the same bytes."""
     lines = [random_bracketed(rng, rng.randint(1, 80))[0] for _ in range(size)]
     lines.append(unary_chain(rng.randint(2, 40), "chain"))
-    trees, table = bound_forest(rng, lines, 3, unordered=False)
+    trees, table = bound_forest(rng, lines, 3)
     for tree in trees:
         if tree.sentence_label is None:  # an untagged root trains whole
             tree.sentence_label = 1
@@ -308,7 +318,7 @@ def test_spans_forward_as_their_subtree_copies(rng, pooling, size):
     and one seed: trees with unary chains and untagged interiors."""
     lines = [random_bracketed(rng, rng.randint(1, 30))[0] for _ in range(size)]
     lines.append(unary_chain(rng.randint(2, 12), "chain"))
-    trees, table = bound_forest(rng, lines, 3, unordered=False)
+    trees, table = bound_forest(rng, lines, 3)
     for tree in trees:
         if tree.sentence_label is None:  # an untagged root trains whole
             tree.sentence_label = 1
@@ -347,7 +357,7 @@ def test_spans_forward_as_their_subtree_copies(rng, pooling, size):
 def assert_forest_is_its_trees(trees, params, table):
     """One `annotate_forest` call equals the trees' own annotations
     stacked, within the batching tolerance."""
-    out = annotate_forest(trees, params, table)
+    out = annotate_forest(index_trees(trees), params, table)
     want = np.concatenate([annotate(tree, params, table) for tree in trees])
     assert out.shape == want.shape
     assert np.allclose(out, want, **ANNOTATION_TOLERANCE)
@@ -356,8 +366,8 @@ def assert_forest_is_its_trees(trees, params, table):
 @PROPERTY
 @given(RANDOMS, st.integers(1, 6))
 def test_annotate_forest_is_each_trees_annotation(rng, size):
-    """A batch of random trees, unary chains and a tree not numbered in
-    pre-order annotates as its trees do one call each."""
+    """A batch of random trees, a unary chain and a leaf-only line
+    annotates as its trees do one call each."""
     lines = [random_bracketed(rng, rng.randint(1, 120))[0] for _ in range(size)]
     lines += [unary_chain(rng.randint(2, 60), "chain"), "(1 alone)"]
     trees, table = bound_forest(rng, lines, 3)
@@ -372,6 +382,90 @@ def test_annotate_forest_with_a_5000_deep_chain():
     trees, table = bound_forest(rng, lines, 3)
     params = init_composition(3, np.random.default_rng(7))
     assert_forest_is_its_trees(trees, params, table)
+
+
+def naive_composition_order(trees):
+    """The index's composition order by plain recursion: each height's
+    rows (trees stacked), each tree's in post-order; the leaves'
+    embedding indices; and per height h >= 1 the [left; right] child
+    rows, the zero row (the forest's row count) for a missing right
+    child."""
+    zero = sum(len(tree) for tree in trees)
+    levels, leaves, children = {}, [], {}
+
+    def visit(tree, base, v):
+        kids = tree.nodes[v].children
+        h = 0
+        for c in kids:
+            h = max(h, visit(tree, base, c) + 1)
+        levels.setdefault(h, []).append(base + v)
+        if kids:
+            right = base + kids[1] if len(kids) > 1 else zero
+            children.setdefault(h, []).append([base + kids[0], right])
+        else:
+            leaves.append(tree.nodes[v].embedding_index)
+        return h
+
+    base = 0
+    for tree in trees:
+        visit(tree, base, tree.root)
+        base += len(tree)
+    return ([levels[h] for h in range(len(levels))], leaves,
+            [children[h] for h in range(1, len(levels))])
+
+
+def assert_order_is_naive(trees):
+    index = index_trees(trees)
+    levels, leaves, children = naive_composition_order(trees)
+    assert [rows.tolist() for rows in index.levels] == levels
+    assert index.leaves.tolist() == leaves
+    assert [kids.tolist() for kids in index.children] == children
+    assert all(kids.shape == (len(rows), 2)
+               for rows, kids in zip(index.levels[1:], index.children))
+
+
+@PROPERTY
+@given(RANDOMS, st.integers(1, 6))
+def test_composition_order_matches_naive_recursion(rng, size):
+    """`index_trees`' levels, leaves and child rows are what a recursive
+    height count gives, on random bracketings, unary chains and
+    leaf-only lines, one tree alone and stacked as a forest."""
+    lines = [random_bracketed(rng, rng.randint(1, 120))[0] for _ in range(size)]
+    lines += [unary_chain(rng.randint(2, 60), "chain"), "(1 alone)"]
+    trees, _ = bound_forest(rng, lines, 3)
+    assert_order_is_naive(trees)
+    assert_order_is_naive(trees[:1])
+
+
+def test_composition_order_of_a_5000_deep_chain():
+    rng = random.Random(5001)
+    lines = [random_bracketed(rng, 30)[0], unary_chain(5000, "deep"), "(1 a)"]
+    trees, _ = bound_forest(rng, lines, 3)
+    limit = sys.getrecursionlimit()  # the oracle recurses once per level
+    sys.setrecursionlimit(20000)
+    try:
+        assert_order_is_naive(trees)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(index_trees(trees).levels) == 5001  # the leaf, then 5000
+
+
+def test_annotation_composes_each_tree_group_as_its_own_forest():
+    """Over an index of more than EVAL_NODES rows, `annotate_forest`
+    gives the bytes of one call per `node_groups` group of its trees:
+    each height of a group is one matrix product of the same rows, so
+    OpenBLAS rounds every row as in a group-sized call."""
+    rng = random.Random(19)
+    lines = [random_bracketed(rng, rng.randint(1, 80))[0] for _ in range(60)]
+    lines += [unary_chain(rng.randint(2, 40), "chain") for _ in range(4)]
+    trees, table = bound_forest(rng, lines, 16)
+    index = index_trees(trees)
+    groups = list(node_groups(trees))
+    assert len(index) > EVAL_NODES and len(groups) > 2
+    params = init_composition(16, np.random.default_rng(19))
+    want = np.concatenate([annotate_forest(index_trees(group), params, table)
+                           for group in groups])
+    assert annotate_forest(index, params, table).tobytes() == want.tobytes()
 
 
 def naive_recon_loss(tree, params, table):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from treeconv.corpus_io import (EmbeddingTable, bind_vocabulary,
-                                parse_constituency, parse_dependency)
+                                build_dep_inventory, parse_constituency,
+                                parse_dependency)
 from treeconv.corpus_io import Vocabulary
 from treeconv.errors import ContractError, ShapeError
 from treeconv.rae_pretrain import (
@@ -15,6 +16,7 @@ from treeconv.rae_pretrain import (
     reconstruction_loss,
 )
 from treeconv.tensor_core import parameter
+from treeconv.tree_conv import index_trees
 
 from helpers import compose_node, naive_matvec
 
@@ -49,19 +51,21 @@ class TestAnnotateForest:
 
     def test_zero_params_give_zero_vector(self):
         vocab, table = small_table(["a", "b"], 3)
-        out = annotate_forest([pair_tree(vocab)], zero_params(3), table)
+        out = annotate_forest(index_trees([pair_tree(vocab)]), zero_params(3),
+                              table)
         assert np.array_equal(out[0], np.zeros(3))
 
     def test_output_strictly_inside_unit_box(self):
         vocab, table = small_table(["a", "b"], 4, scale=5.0)
         rng = np.random.default_rng(1)
-        out = annotate_forest([pair_tree(vocab)], init_composition(4, rng), table)
+        out = annotate_forest(index_trees([pair_tree(vocab)]),
+                              init_composition(4, rng), table)
         assert np.all(out[0] > -1.0) and np.all(out[0] < 1.0)
 
     def test_matches_matvec_tanh_oracle(self):
         vocab, table = small_table(["a", "b"], 3, seed=2)
         params = init_composition(3, np.random.default_rng(2))
-        out = annotate_forest([pair_tree(vocab)], params, table)
+        out = annotate_forest(index_trees([pair_tree(vocab)]), params, table)
         c1, c2 = table.row(vocab.lookup("a")), table.row(vocab.lookup("b"))
         want = np.tanh(
             naive_matvec(params.W_comp.data, np.concatenate([c1, c2]))
@@ -73,14 +77,15 @@ class TestAnnotateForest:
         vocab, table = small_table(["a", "b", "c"], 3)
         tree = pair_tree(vocab)
         with pytest.raises(ShapeError):  # table dim != n_e
-            annotate_forest([tree], zero_params(4), table)
+            annotate_forest(index_trees([tree]), zero_params(4), table)
         dep = parse_dependency("1\ta\t_\t_\t_\t_\t0\troot")
         with pytest.raises(ContractError, match="constituency"):
-            annotate_forest([tree, dep], zero_params(3), table)
+            annotate_forest(index_trees([dep], build_dep_inventory([dep])),
+                            zero_params(3), table)
         wide = pair_tree(vocab, ("b", "c"))
         wide.nodes[wide.root].children.append(wide.nodes[wide.root].children[0])
         with pytest.raises(ContractError, match="3 children"):
-            annotate_forest([tree, wide], zero_params(3), table)
+            annotate_forest(index_trees([tree, wide]), zero_params(3), table)
 
 
 class TestAnnotate:

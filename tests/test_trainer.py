@@ -497,6 +497,46 @@ class TestAnnotationCache:
         evaluate(classifier, val_trees)
         assert calls == [[id(val_trees[0])]] * 2 + [[id(t) for t in val_trees]]
 
+    @pytest.mark.parametrize("pooling", ["3slot", "global"])
+    def test_each_tree_is_walked_once_per_call(self, monkeypatch, pooling):
+        """The index's walk checks the pre-order, links the windows and
+        orders the composition: `train` walks each distinct tree once,
+        and a prediction call each tree it is given once."""
+        from treeconv import corpus_io
+        (train_trees, val_trees), vocab, table = bound_con_corpus(
+            ["(1 (1 (0 critics) (1 liked)) (0 (0 the) (0 film)))",
+             "(S (X (1 good) (X film)) (0 bad))",  # untagged root
+             "(X (X no) (X tags))",                # yields no sample
+             "(0 (0 (0 (0 deep))))"],
+            ["(1 (1 liked) (0 it))", "(0 (0 hated) (0 it))"])
+        train_trees[1].sentence_label = 1
+        val_trees.append(train_trees[0])
+
+        def separate_check(tree):
+            raise AssertionError("a separate pre-order check ran")
+        monkeypatch.setattr(corpus_io, "validate_tree", separate_check)
+        walked = []
+        walk = corpus_io.ParseTree.walk
+
+        def counted_walk(tree, v=None):
+            walked.append(id(tree))
+            return walk(tree, v)
+        monkeypatch.setattr(corpus_io.ParseTree, "walk", counted_walk)
+        config = small_config("c", n_e=4, n_c=4, n_h=4, max_epochs=2,
+                              batch_size=3, pooling=pooling)
+        model, _ = train(train_trees, val_trees, vocab, table, config,
+                         rae=init_composition(4, np.random.default_rng(3)))
+        sources = [train_trees[0], train_trees[1], train_trees[3]]
+        assert sorted(walked) == sorted({id(t) for t in sources + val_trees})
+
+        walked.clear()
+        classifier = model.classifier()
+        classifier.predict(val_trees[0])
+        classifier.predict(val_trees[0])
+        evaluate(classifier, val_trees)
+        assert sorted(walked) == sorted([id(val_trees[0])] * 2
+                                        + [id(t) for t in val_trees])
+
     def test_tagged_chain_composes_each_node_once(self, monkeypatch):
         depth = 600
         chain = "(1 " * (depth - 1) + "(0 w)" + ")" * (depth - 1)

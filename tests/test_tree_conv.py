@@ -306,6 +306,18 @@ class TestWindowChecks:
         with pytest.raises(ContractError, match="child"):
             convolve(Tape(), tree, Tensor(np.zeros((2, 2))), params, inv)
 
+    @pytest.mark.parametrize("children,missed", [([[1, 1], []], 1),
+                                                 ([[1], [], []], 2)])
+    def test_constituency_walk_must_enter_each_node_once_in_turn(
+            self, children, missed):
+        """A child listed twice is entered out of turn, a node no child
+        link reaches is never entered: either is named."""
+        tree = ParseTree(kind=CONSTITUENCY, root=0, nodes=[
+            TreeNode(word=None if kids else "w", children=kids)
+            for kids in children])
+        with pytest.raises(ContractError, match=f"node {missed} is not"):
+            index_trees([tree])
+
     def test_forest_of_mixed_kinds_rejected(self):
         dep = parse_dependency(I_LOVED_IT_CONLL)
         con = random_constituency_tree(np.random.default_rng(12), ["a", "b"])

@@ -15,7 +15,12 @@ short program writes in the checkpoint layout, and CLI `train` (with
 dropout, under 3-slot and under global pooling) on a corpus this
 script writes, whose unary chains and untagged (X) interior
 constituents tiny_con lacks: nodes with no right child, and trees only
-partly tagged.
+partly tagged.  A ninth run is CLI `train` (one epoch) on 64 random
+bracketings this script writes, validated on the same file: its
+training and validation trees index about 3000 rows, more than
+EVAL_NODES (1024), so the frozen annotation runs in three node groups,
+and a change in how the groups share their matrix products changes the
+checkpoint.
 
 For every run it prints the sha256 of both checkouts' files and
 "identical" or "differ"; a difference also gives the largest
@@ -30,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -97,7 +103,7 @@ learning_rate = 0.3
 l2 = 1e-4
 dropout_hidden = {dropout}
 dropout_embed = {dropout}
-max_epochs = 5
+max_epochs = {epochs}
 seed = 7
 [pooling]
 pooling = 3slot
@@ -119,6 +125,28 @@ _CHAINS = """\
 (1 (1 (X cast) (1 good)) (X (X (X film))))
 (0 (0 dull) (X (X (X (X plot)))))
 """
+
+
+def _wide_corpus() -> str:
+    """64 random binary bracketings of 12 words each: interior tags 0, 1
+    or X (untagged), the root's alternating 0 and 1.  The first and last
+    lines branch right over 24 words: read as training and as validation
+    trees, their tallest heights hold one or two nodes per annotation
+    group and four in all."""
+    lines, words = 64, 12
+    rng = random.Random(9)
+    vocab = ["good", "bad", "film", "plot", "cast", "fun", "dull", "great"]
+    out = []
+    for line in range(lines):
+        tall = line in (0, lines - 1)
+        items = [f"({rng.choice('01X')} {rng.choice(vocab)})"
+                 for _ in range(2 * words if tall else words)]
+        while len(items) > 2:
+            i = len(items) - 2 if tall else rng.randrange(len(items) - 1)
+            items[i:i + 2] = [f"({rng.choice('01X')} {items[i]} {items[i + 1]})"]
+        out.append(f"({line % 2} {items[0]} {items[1]})\n")
+    return "".join(out)
+
 
 # trains the baseline and writes its parameters as MAGIC, the header
 # length, a JSON header with the arrays' names and shapes, a newline and
@@ -155,11 +183,13 @@ with open(out, "wb") as fh:
 def _runs(work: Path) -> Dict[str, List[str]]:
     """Run name -> arguments after `python`; each writes OUT."""
     configs = {"d_trained.cfg": _D_TRAINED, "d_frozen.cfg": _D_FROZEN,
-               "c_dropout.cfg": _C.format(dropout=0.2),
-               "c_plain.cfg": _C.format(dropout=0.0)}
+               "c_dropout.cfg": _C.format(dropout=0.2, epochs=5),
+               "c_plain.cfg": _C.format(dropout=0.0, epochs=5),
+               "c_wide.cfg": _C.format(dropout=0.2, epochs=1)}
     for name, text in configs.items():
         (work / name).write_text(text)
     (work / "chains_con.txt").write_text(_CHAINS)
+    (work / "wide_con.txt").write_text(_wide_corpus())
     cli = ["-m", "treeconv"]
     dep = ["--train", str(DATA / "tiny_dep.conll"),
            "--labels", str(DATA / "tiny_dep.lbl"),
@@ -189,6 +219,10 @@ def _runs(work: Path) -> Dict[str, List[str]]:
             cli + ["train", "--config", str(work / "c_dropout.cfg"),
                    "--train", str(work / "chains_con.txt"),
                    "--pooling", "global"],
+        "train wide_con, more than one annotation group":
+            cli + ["train", "--config", str(work / "c_wide.cfg"),
+                   "--train", str(work / "wide_con.txt"),
+                   "--val", str(work / "wide_con.txt")],
     }
 
 
