@@ -1,6 +1,7 @@
 """Flat bag-of-embeddings baseline: the same hidden+softmax head fed by
-the mean word vector, with no tree structure anywhere.  Serves as the
-control in the structural-signal experiment."""
+the mean word vector, with no tree structure anywhere, trained by the
+same epoch loop as the tree model.  Serves as the control in the
+structural-signal experiment."""
 
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ from .classifier_head import HeadParams, PredictionOutput
 from .config import TrainConfig
 from .corpus_io import EmbeddingTable, ParseTree
 from .errors import ConfigError, ContractError
-from .tensor_core import Tape, Tensor, by_name, parameter, sgd_epoch
-from .trainer import TrainReport, evaluate
+from .tensor_core import Tape, Tensor, by_name, parameter
+from .trainer import TrainReport, evaluate, fit
 
 
 class BagOfEmbeddings:
@@ -63,7 +64,8 @@ def train_bag_baseline(train_trees: Sequence[ParseTree],
                        val_trees: Sequence[ParseTree],
                        table: EmbeddingTable, config: TrainConfig,
                        ) -> Tuple[BagOfEmbeddings, TrainReport]:
-    """SGD loop for the baseline, mirroring the tree model's regime."""
+    """The baseline trained by the tree model's epoch loop (`trainer.fit`):
+    the same batches, rate halving, best-epoch rule and blow-up stop."""
     config.validate()
     if not train_trees or not val_trees:
         raise ConfigError("train and validation splits must both be non-empty")
@@ -73,35 +75,11 @@ def train_bag_baseline(train_trees: Sequence[ParseTree],
     if config.train_embeddings:
         embeddings = parameter(table.vectors.copy(), "embeddings")
     model = BagOfEmbeddings(head, table, embeddings)
-    named = model.named()
-    underflows = 0
-
-    def batch_loss(tape, batch):
-        nonlocal underflows
-        value = classifier_head.loss(tape, model.logits(tape, batch),
-                                     [tree.sentence_label for tree in batch])
-        underflows += int(np.count_nonzero(value.clamped))
-        return value.node, value.per_row, len(batch)
-
-    report = TrainReport()
-    # validation accuracy is >= 0, so epoch 1 always sets best
-    best_acc = -1.0
-    for epoch in range(1, config.max_epochs + 1):
-        underflows = 0
-        # no blow-up bound (see trainer.train): the control is left to
-        # run through a saturated softmax
-        epoch_loss = sgd_epoch(train_trees, batch_loss, named,
-                               config.learning_rate, config.batch_size, rng,
-                               epoch=epoch, decayed=[head.W_h, head.W_o],
-                               lam=config.l2)
-        classifier_head.warn_underflow(epoch, underflows, len(train_trees))
-        report.train_loss.append(epoch_loss / len(train_trees))
-        acc = evaluate(model, val_trees).accuracy
-        report.val_accuracy.append(acc)
-        if acc > best_acc:
-            best_acc = acc
-            report.best_epoch = epoch
-            best = {name: p.data.copy() for name, p in named}
-    for name, p in named:
-        p.data = best[name]
+    report = fit(
+        train_trees,
+        lambda tape, batch: classifier_head.loss(
+            tape, model.logits(tape, batch),
+            [tree.sentence_label for tree in batch]),
+        model.named(), [head.W_h, head.W_o],
+        lambda: evaluate(model, val_trees).accuracy, config, rng)
     return model, report

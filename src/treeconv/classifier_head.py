@@ -144,6 +144,11 @@ def transfer_5_to_2(probabilities: np.ndarray) -> PredictionOutput:
                             note=note)
 
 
+def check_mode(mode: str) -> None:
+    if mode not in ("train", "eval"):
+        raise ConfigError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
+
+
 def dropout_mask(shape, rate: float, mode: str, rng) -> np.ndarray:
     """Inverted-dropout mask: 0 with probability `rate`, else 1/(1-rate).
 
@@ -152,8 +157,7 @@ def dropout_mask(shape, rate: float, mode: str, rng) -> np.ndarray:
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
+    check_mode(mode)
     if mode == "eval" or rate == 0.0:
         return np.ones(shape)
     keep = rng.random(shape) >= rate

@@ -209,6 +209,19 @@ def _label_trees(trees, labels_path, what, names=None):
     return names
 
 
+def _bound_embeddings(path, trees, n_e, seed):
+    """The embedding file at `path`, or random n_e-dim vectors for the
+    words of `trees`, as (vocabulary, table), with `trees` bound to it."""
+    if path is not None:
+        vocab, table = _with_path(path, lambda: load_embeddings(path))
+    else:
+        vocab = vocabulary_from_corpus(trees)
+        table = random_embeddings(vocab, n_e, seed)
+    for tree in trees:
+        bind_vocabulary(tree, vocab)
+    return vocab, table
+
+
 def cmd_train(args) -> int:
     overrides = {"seed": args.seed, "variant": args.variant,
                  "pooling": args.pooling, "k": args.k, "alpha": args.alpha}
@@ -230,20 +243,13 @@ def cmd_train(args) -> int:
         val_trees = [train_trees[i] for i in order[:n_val]]
         train_trees = [train_trees[i] for i in order[n_val:]]
 
-    if args.embeddings is not None:
-        vocab, table = _with_path(args.embeddings,
-                                  lambda: load_embeddings(args.embeddings))
-        if table.dim != config.n_e:
-            raise ConfigError(
-                f"embedding file has dim {table.dim} but config n_e is "
-                f"{config.n_e}"
-            )
-    else:
-        vocab = vocabulary_from_corpus(train_trees + val_trees)
-        table = random_embeddings(vocab, config.n_e, config.seed)
-
-    for tree in train_trees + val_trees:
-        bind_vocabulary(tree, vocab)
+    vocab, table = _bound_embeddings(args.embeddings, train_trees + val_trees,
+                                     config.n_e, config.seed)
+    if table.dim != config.n_e:
+        raise ConfigError(
+            f"embedding file has dim {table.dim} but config n_e is "
+            f"{config.n_e}"
+        )
 
     rae = None
     if config.variant == VARIANT_C:
@@ -368,14 +374,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_pretrain_rae(args) -> int:
     trees = _with_path(args.train_path,
                        lambda: read_constituency_file(args.train_path))
-    if args.embeddings is not None:
-        vocab, table = _with_path(args.embeddings,
-                                  lambda: load_embeddings(args.embeddings))
-    else:
-        vocab = vocabulary_from_corpus(trees)
-        table = random_embeddings(vocab, args.n_e, args.seed)
-    for tree in trees:
-        bind_vocabulary(tree, vocab)
+    vocab, table = _bound_embeddings(args.embeddings, trees, args.n_e, args.seed)
     config = PretrainConfig(learning_rate=args.lr, batch_size=args.batch,
                             max_epochs=args.epochs, seed=args.seed)
     rae = pretrain(trees, table, config)

@@ -16,7 +16,7 @@ rows, which are the frozen RAE annotation composed from that order
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,14 +52,6 @@ class ModelParams:
         """Matrices under the l2 penalty: biases and embeddings excluded."""
         return [t for _, t in self.named()
                 if t.data.ndim == 2 and t is not self.embeddings]
-
-    def copy_arrays(self) -> Dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.named()}
-
-    def load_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Rebind every parameter to its array in `arrays` (no copy)."""
-        for name, t in self.named():
-            t.data = arrays[name]
 
 
 def slot_count(config: TrainConfig) -> int:
@@ -181,8 +173,10 @@ class SentenceClassifier:
         The masks are drawn span by span, the node rows and then the
         hidden row, so a sample's masks do not depend on the batch it is
         in.  `tape.mul` applies the node mask; it records nothing when
-        the vectors are frozen, and never writes them.
+        the vectors are frozen, and never writes them.  A mode other than
+        "train" or "eval" raises ConfigError.
         """
+        classifier_head.check_mode(mode)
         embed_rate, hidden_rate = self.config.dropout_embed, self.config.dropout_hidden
         if mode != "train" or not (embed_rate or hidden_rate):
             return vectors, None

@@ -7,6 +7,8 @@ so a batch's gradient sums over its samples in the tape's fixed replay
 order, and two runs with the same seed produce identical checkpoints.
 Evaluation runs the same batched forward, recording nothing.  The
 learning rate halves after two epochs without a validation improvement.
+`train` and the bag baseline both run `fit`'s epoch loop, so the control
+trains, selects its epoch and stops as the tree model does.
 
 A training sample is a span of its source tree (:class:`tree_conv.Span`):
 the whole tree, or a tagged constituent's rows.  Before epoch 1 `train`
@@ -23,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .classifier_head import transfer_5_to_2, warn_underflow
+from .classifier_head import LossValue, transfer_5_to_2, warn_underflow
 from .config import VARIANT_C, VARIANT_D, TrainConfig
 from .corpus_io import (
     DepTypeInventory,
@@ -36,13 +38,13 @@ from .corpus_io import (
 from .errors import ConfigError, ContractError
 from .network import SentenceClassifier, TrainedModel, init_model
 from .rae_pretrain import CompositionParams
-from .tensor_core import (Tape, grad_of, iter_batches, l2_penalty, node_groups,
-                          sgd_epoch)
+from .tensor_core import (Tape, Tensor, grad_of, iter_batches, l2_penalty,
+                          node_groups, sgd_epoch)
 from .tree_conv import Span
 
 # re-exported for convenience: the config type lives in config.py
 __all__ = [
-    "TrainConfig", "TrainReport", "train", "evaluate", "gradient_check",
+    "TrainConfig", "TrainReport", "fit", "train", "evaluate", "gradient_check",
     "GradCheckReport", "EvalReport", "default_length_buckets", "iter_batches",
 ]
 
@@ -90,6 +92,75 @@ def _sample_spans(classifier: SentenceClassifier,
     return samples, [classifier.span(index, at[id(tree)]) for tree in val_trees]
 
 
+def fit(samples: Sequence, loss: Callable[[Tape, list], LossValue],
+        named: Sequence[Tuple[str, Tensor]], decayed: Sequence[Tensor],
+        accuracy: Callable[[], float], config: TrainConfig, rng,
+        log: Optional[Callable[[str], None]] = None) -> TrainReport:
+    """config.max_epochs epochs of `sgd_epoch` over `samples`, after which
+    every parameter in `named` holds its best epoch's array.
+
+    `loss(tape, batch)` records a batch's :class:`LossValue`; `accuracy()`
+    is the validation accuracy of the parameters as they stand.  The best
+    epoch has the highest accuracy, ties broken by the lower training
+    loss (this matters when the validation split is too small to move).
+    The rate halves after PLATEAU_EPOCHS epochs without a higher accuracy.
+
+    A run that blows up stops with DivergenceError, even while its loss
+    stays finite: the rule is a batch whose mean cross entropy exceeds
+    BLOWUP_RATIO * ln(classes) = 1e18 * ln(classes), checked before that
+    batch's update.  ln(classes) is what a uniform guess costs.  A run
+    whose softmax only saturates can spike to ~3e16 times that and
+    recover (the underflow test at rate 1e5 does), so the bound sits
+    well above that.
+    """
+    report = TrainReport()
+    # validation accuracy is >= 0, so epoch 1 always sets best_epoch
+    best_acc = -1.0
+    best_loss = float("inf")
+    lr = config.learning_rate
+    stale = 0
+    underflows = 0
+
+    def batch_loss(tape, batch):
+        nonlocal underflows
+        value = loss(tape, batch)
+        underflows += int(np.count_nonzero(value.clamped))
+        return value.node, value.per_row, len(batch)
+
+    for epoch in range(1, config.max_epochs + 1):
+        underflows = 0
+        epoch_loss = sgd_epoch(samples, batch_loss, named, lr,
+                               config.batch_size, rng, epoch=epoch,
+                               decayed=decayed, lam=config.l2,
+                               loss_bound=BLOWUP_RATIO * math.log(config.classes))
+        warn_underflow(epoch, underflows, len(samples))
+        train_loss = epoch_loss / len(samples)
+        val_acc = accuracy()
+        report.train_loss.append(train_loss)
+        report.val_accuracy.append(val_acc)
+        if log is not None:
+            log(f"epoch {epoch} train_loss {train_loss:.6f} val_acc {val_acc:.4f}")
+
+        if val_acc > best_acc or (val_acc == best_acc and train_loss < best_loss):
+            report.best_epoch = epoch
+            if epoch < config.max_epochs:  # the last epoch's state is live
+                best_state = [p.data.copy() for _, p in named]
+            best_loss = train_loss
+        if val_acc > best_acc:
+            best_acc = val_acc
+            stale = 0
+        else:
+            stale += 1
+            if stale >= PLATEAU_EPOCHS:
+                lr *= 0.5
+                stale = 0
+
+    if report.best_epoch < config.max_epochs:
+        for (_, p), data in zip(named, best_state):
+            p.data = data  # nothing else holds the snapshot
+    return report
+
+
 def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
           vocab: Vocabulary, table: EmbeddingTable, config: TrainConfig,
           rae: Optional[CompositionParams] = None,
@@ -102,15 +173,8 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
     With train_embeddings off, the embedding table comes back
     bit-identical.  Constituency node vectors are always frozen (they
     belong to the pretrained composition), so train_embeddings only
-    applies to the dependency variant.
-
-    A run that blows up stops with DivergenceError, even while its loss
-    stays finite: the rule is a batch whose mean cross entropy exceeds
-    BLOWUP_RATIO * ln(classes) = 1e18 * ln(classes), checked before that
-    batch's update.  ln(classes) is what a uniform guess costs.  A run
-    whose softmax only saturates can spike to ~3e16 times that and
-    recover (the underflow test at rate 1e5 does), so the bound sits
-    well above that.
+    applies to the dependency variant.  `fit` runs the epochs, so a run
+    that blows up stops with DivergenceError.
     """
     config.validate()
     if not train_trees or not val_trees:
@@ -137,55 +201,13 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
     classifier = SentenceClassifier(config, params, table, inventory=inventory,
                                     rae=rae)
     samples, val_spans = _sample_spans(classifier, train_trees, roots, val_trees)
-
-    report = TrainReport()
-    # validation accuracy is >= 0, so epoch 1 always sets best_epoch
-    best_acc = -1.0
-    best_loss = float("inf")
-    lr = config.learning_rate
-    stale = 0
-    underflows = 0
-
-    def batch_loss(tape, batch):
-        nonlocal underflows
-        value = classifier.loss(tape, batch, [span.label for span in batch],
-                                mode="train", rng=rng)
-        underflows += int(np.count_nonzero(value.clamped))
-        return value.node, value.per_row, len(batch)
-
-    for epoch in range(1, config.max_epochs + 1):
-        underflows = 0
-        epoch_loss = sgd_epoch(samples, batch_loss, params.named(), lr,
-                               config.batch_size, rng, epoch=epoch,
-                               decayed=params.weight_matrices(), lam=config.l2,
-                               loss_bound=BLOWUP_RATIO * math.log(config.classes))
-        warn_underflow(epoch, underflows, len(samples))
-        train_loss = epoch_loss / len(samples)
-        val_acc = evaluate(classifier, val_trees, spans=val_spans).accuracy
-        report.train_loss.append(train_loss)
-        report.val_accuracy.append(val_acc)
-        if log is not None:
-            log(f"epoch {epoch} train_loss {train_loss:.6f} val_acc {val_acc:.4f}")
-
-        # checkpoint selection: best validation accuracy, ties broken by
-        # the lower training loss (matters when the validation split is
-        # too small to move)
-        if val_acc > best_acc or (val_acc == best_acc and train_loss < best_loss):
-            report.best_epoch = epoch
-            if epoch < config.max_epochs:  # the last epoch's state is live
-                best_state = params.copy_arrays()
-            best_loss = train_loss
-        if val_acc > best_acc:
-            best_acc = val_acc
-            stale = 0
-        else:
-            stale += 1
-            if stale >= PLATEAU_EPOCHS:
-                lr *= 0.5
-                stale = 0
-
-    if report.best_epoch < config.max_epochs:
-        params.load_arrays(best_state)  # nothing else holds the snapshot
+    report = fit(
+        samples,
+        lambda tape, batch: classifier.loss(
+            tape, batch, [span.label for span in batch], mode="train", rng=rng),
+        params.named(), params.weight_matrices(),
+        lambda: evaluate(classifier, val_trees, spans=val_spans).accuracy,
+        config, rng, log=log)
     # the returned table must not alias the trained parameter
     table_out = (table if params.embeddings is None
                  else EmbeddingTable(params.embeddings.data.copy()))

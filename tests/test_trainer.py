@@ -32,6 +32,13 @@ def small_config(variant, **kw):
     return TrainConfig(**base).validate()
 
 
+def _arrays(model):
+    """Copies of the parameter arrays, by name, of a model's `params` or,
+    without them, of its own `named()` (parameters or a bag baseline)."""
+    named = model.params.named() if hasattr(model, "params") else model.named()
+    return {name: p.data.copy() for name, p in named}
+
+
 def fixture_classifier(variant, pooling=None, lam=0.0, k=2, seed=0,
                        train_embeddings=False, classes=3):
     con, dep, vocab, table = fixture_pair(n_e=4, seed=seed)
@@ -96,7 +103,7 @@ class TestGradientCheck:
         # identical parameters by construction (same seeds); dropout is off
         for (_, p0), (_, p1) in zip(clf0.params.named(), clf1.params.named()):
             assert np.array_equal(p0.data, p1.data)
-        before = clf1.params.copy_arrays()
+        before = _arrays(clf1)
 
         def step(clf):
             def batch_loss(tape, batch):
@@ -133,6 +140,24 @@ class TestNodeVectors:
             clf.predict(tree)
 
 
+class TestDropoutMode:
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_unknown_mode_rejected(self, dropout):
+        corpus = make_overfit_corpus(n_sentences=8, classes=2, n_e=8, seed=6)
+        config = small_config("d", n_e=8, dropout_embed=dropout,
+                              dropout_hidden=dropout)
+        rng = np.random.default_rng(3)
+        inventory = build_dep_inventory(corpus.dep_trees)
+        clf = SentenceClassifier(config,
+                                 init_model(config, corpus.table, inventory, rng),
+                                 corpus.table, inventory=inventory)
+        trees = corpus.dep_trees
+        with pytest.raises(ConfigError, match="dropout mode must be 'train' "
+                                              "or 'eval', got 'Train'"):
+            clf.loss(Tape(), trees, [t.sentence_label for t in trees],
+                     mode="Train", rng=rng)
+
+
 class TestRowGradientStep:
     """One sgd_epoch step on a d-model whose embedding table is trained."""
 
@@ -148,7 +173,7 @@ class TestRowGradientStep:
         clf = SentenceClassifier(config, params, corpus.table,
                                  inventory=inventory)
         named = params.named()
-        before = params.copy_arrays()
+        before = _arrays(params)
         grads_seen = []  # the batch's dense gradients, before the update
 
         def batch_loss(tape, trees):
@@ -215,7 +240,7 @@ class TestTrainLoop:
         m2, r2 = run()
         assert r1.train_loss == r2.train_loss
         assert r1.val_accuracy == r2.val_accuracy
-        a1, a2 = m1.params.copy_arrays(), m2.params.copy_arrays()
+        a1, a2 = _arrays(m1), _arrays(m2)
         assert a1.keys() == a2.keys()
         for name in a1:
             assert np.array_equal(a1[name], a2[name]), name
@@ -248,24 +273,15 @@ class TestTrainLoop:
         assert not np.shares_memory(model.table.vectors,
                                     model.params.embeddings.data)
 
-    @pytest.mark.parametrize("trainer,lr", [("train", 1e5),
-                                            ("train_bag_baseline", 1e3)])
-    def test_underflow_warned_once_per_epoch_with_count(self, caplog,
-                                                        trainer, lr):
-        from treeconv.baseline import train_bag_baseline
-
+    def test_underflow_warned_once_per_epoch_with_count(self, caplog):
         # a huge rate saturates the softmax without going non-finite
         corpus = make_overfit_corpus(n_sentences=8, classes=2, n_e=8, seed=1)
-        config = small_config("d", n_e=8, learning_rate=lr, batch_size=4,
+        config = small_config("d", n_e=8, learning_rate=1e5, batch_size=4,
                               max_epochs=3)
         caplog.set_level(logging.WARNING, logger="treeconv.classifier_head")
         with np.errstate(all="ignore"):
-            if trainer == "train":
-                train(corpus.dep_trees, corpus.dep_trees, corpus.vocab,
-                      corpus.table, config)
-            else:
-                train_bag_baseline(corpus.dep_trees, corpus.dep_trees,
-                                   corpus.table, config)
+            train(corpus.dep_trees, corpus.dep_trees, corpus.vocab,
+                  corpus.table, config)
         pattern = re.compile(r"epoch (\d+): gold-class probability "
                              r"underflowed to 0 in (\d+) of 8 samples")
         records = [r.getMessage() for r in caplog.records
@@ -301,36 +317,77 @@ class TestTrainLoop:
         best = max(report.val_accuracy)
         assert report.val_accuracy[report.best_epoch - 1] == best
 
-    @pytest.mark.parametrize("accuracies,best", [((0.5, 0.9, 0.7), 2),
-                                                 ((0.5, 0.7, 0.9), 3)])
-    def test_checkpoint_holds_the_best_epochs_parameters(
-            self, monkeypatch, accuracies, best):
+    @staticmethod
+    def _scripted_run(monkeypatch, trainer, accuracies):
+        """Run `trainer` ("train" or "train_bag_baseline") with trained
+        embeddings for len(accuracies) epochs, its validation accuracies
+        scripted by patching `evaluate` in the module that calls it.
+        Returns the model, the report, the parameter arrays at each
+        epoch's evaluation, the rate of every `sgd_epoch` call, and the
+        configured rate."""
+        import treeconv.baseline as baseline_mod
         import treeconv.trainer as trainer_mod
 
         corpus = make_overfit_corpus(n_sentences=6, classes=2, n_e=8, seed=9)
-        config = small_config("d", n_e=8, max_epochs=3, train_embeddings=True)
+        config = small_config("d", n_e=8, max_epochs=len(accuracies),
+                              train_embeddings=True)
         scripted = iter(accuracies)
-        snapshots = []
+        snapshots, rates = [], []
 
-        def scripted_evaluate(classifier, trees, spans=None):
-            snapshots.append(classifier.params.copy_arrays())
+        def scripted_evaluate(model, trees, spans=None):
+            snapshots.append(_arrays(model))
             return SimpleNamespace(accuracy=next(scripted))
 
-        monkeypatch.setattr(trainer_mod, "evaluate", scripted_evaluate)
-        model, report = train(corpus.dep_trees, corpus.dep_trees,
-                              corpus.vocab, corpus.table, config)
+        def recording_epoch(samples, batch_loss, named, lr, *args, **kwargs):
+            rates.append(lr)
+            return sgd_epoch(samples, batch_loss, named, lr, *args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "sgd_epoch", recording_epoch)
+        if trainer == "train":
+            monkeypatch.setattr(trainer_mod, "evaluate", scripted_evaluate)
+            model, report = train(corpus.dep_trees, corpus.dep_trees,
+                                  corpus.vocab, corpus.table, config)
+        else:
+            monkeypatch.setattr(baseline_mod, "evaluate", scripted_evaluate)
+            model, report = baseline_mod.train_bag_baseline(
+                corpus.dep_trees, corpus.dep_trees, corpus.table, config)
+        return model, report, snapshots, rates, config.learning_rate
+
+    @pytest.mark.parametrize("trainer", ["train", "train_bag_baseline"])
+    @pytest.mark.parametrize("accuracies,best", [((0.5, 0.9, 0.7), 2),
+                                                 ((0.5, 0.7, 0.9), 3)])
+    def test_checkpoint_holds_the_best_epochs_parameters(
+            self, monkeypatch, trainer, accuracies, best):
+        model, report, snapshots, _, _ = self._scripted_run(
+            monkeypatch, trainer, accuracies)
         assert report.best_epoch == best
         # every epoch moved the weights, so a wrong epoch would show
-        for name in ("conv.W_p", "embeddings"):
+        first = next(iter(snapshots[0]))
+        for name in (first, "embeddings"):
             assert not np.array_equal(snapshots[1][name], snapshots[2][name])
-        got = model.params.copy_arrays()
+        got = _arrays(model)
         assert got.keys() == snapshots[best - 1].keys()
         for name, want in snapshots[best - 1].items():
             assert np.array_equal(got[name], want), name
-        assert np.array_equal(model.table.vectors,
-                              snapshots[best - 1]["embeddings"])
-        assert not np.shares_memory(model.table.vectors,
-                                    model.params.embeddings.data)
+        if trainer == "train":
+            assert np.array_equal(model.table.vectors,
+                                  snapshots[best - 1]["embeddings"])
+            assert not np.shares_memory(model.table.vectors,
+                                        model.params.embeddings.data)
+
+    @pytest.mark.parametrize("trainer", ["train", "train_bag_baseline"])
+    def test_flat_accuracy_halves_the_rate_and_the_lower_loss_wins(
+            self, monkeypatch, trainer):
+        model, report, snapshots, rates, lr = self._scripted_run(
+            monkeypatch, trainer, (0.5,) * 4)
+        # PLATEAU_EPOCHS = 2 epochs without a gain halve the next epoch's rate
+        assert rates == [lr, lr, lr, lr / 2]
+        # equal accuracies: the epoch with the lowest training loss
+        best = int(np.argmin(report.train_loss)) + 1
+        assert best > 1 and report.best_epoch == best
+        got = _arrays(model)
+        for name, want in snapshots[best - 1].items():
+            assert np.array_equal(got[name], want), name
 
     def test_empty_split_rejected(self):
         corpus = make_overfit_corpus(n_sentences=6, classes=2, n_e=8, seed=7)
@@ -376,6 +433,21 @@ class TestDivergence:
         assert f"non-finite parameters: {first_param}" in message
         assert isinstance(caught.value, ConfigError)
 
+
+    def test_diverging_baseline_stops_after_warning_its_underflow(self, caplog):
+        from treeconv.baseline import train_bag_baseline
+
+        corpus = make_overfit_corpus(n_sentences=8, classes=2, n_e=8, seed=1)
+        config = small_config("d", n_e=8, learning_rate=1e3, batch_size=4,
+                              max_epochs=3)
+        caplog.set_level(logging.WARNING, logger="treeconv.classifier_head")
+        with np.errstate(all="ignore"), \
+                pytest.raises(DivergenceError, match="epoch 2, batch 2"):
+            train_bag_baseline(corpus.dep_trees, corpus.dep_trees,
+                               corpus.table, config)
+        records = [r.getMessage() for r in caplog.records
+                   if "underflowed" in r.getMessage()]
+        assert len(records) == 1 and records[0].startswith("epoch 1:"), records
 
     @staticmethod
     def _row_sum_epoch(table):
