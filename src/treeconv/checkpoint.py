@@ -74,7 +74,8 @@ def load_checkpoint(path) -> TrainedModel:
     """Build the model the stored config describes, then fill its arrays
     from the payload.  The stored arrays must carry that model's names,
     in order, and its shapes; any mismatch is a FormatError naming the
-    file and the array."""
+    file and the array.  A model that trains its embeddings stores them
+    once, as its table, which is the embedding parameter's array."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise FormatError(f"{path} is not a treeconv checkpoint")
@@ -121,9 +122,6 @@ def load_checkpoint(path) -> TrainedModel:
             target[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
         if fh.read(1) != b"":
             raise FormatError(f"{path}: trailing bytes after payload")
-
-    if model.params.embeddings is not None:
-        model.params.embeddings.data[...] = model.table.vectors
     return model
 
 

@@ -239,7 +239,11 @@ class SentenceClassifier:
 
 @dataclass
 class TrainedModel:
-    """Everything a checkpoint stores: self-describing and reloadable."""
+    """Everything a checkpoint stores: self-describing and reloadable.
+
+    A model that trains its embeddings holds its table once: `table` is
+    the embedding parameter's array, whatever table it was built with.
+    """
 
     config: TrainConfig
     params: ModelParams
@@ -248,6 +252,10 @@ class TrainedModel:
     inventory: Optional[DepTypeInventory] = None
     rae: Optional[CompositionParams] = None
     label_names: Optional[List[str]] = None
+
+    def __post_init__(self):
+        if self.params.embeddings is not None:
+            self.table = EmbeddingTable(self.params.embeddings.data)
 
     @property
     def variant(self) -> str:

@@ -231,8 +231,15 @@ def grad_of(grads: GradientMap, param: Tensor) -> np.ndarray:
     return g
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of `arr` is finite, read off its min and max
+    (NaN propagates through both), so no boolean copy of `arr` is made."""
+    return arr.size == 0 or (math.isfinite(arr.min())
+                             and math.isfinite(arr.max()))
+
+
 def assert_finite(arr: np.ndarray, what: str = "array") -> None:
-    if not np.all(np.isfinite(arr)):
+    if not all_finite(arr):
         raise ContractError(f"{what} contains non-finite entries")
 
 
@@ -716,8 +723,8 @@ def sgd_epoch(samples: Sequence, batch_loss: Callable,
                 shrink *= lr
                 step += shrink
             p.data -= step
-        bad = [name for name, p in params if not np.isfinite(
-            p.data[written[p]] if checked and p in written else p.data).all()]
+        bad = [name for name, p in params if not all_finite(
+            p.data[written[p]] if checked and p in written else p.data)]
         checked = True
         if bad or not math.isfinite(total):
             raise DivergenceError(

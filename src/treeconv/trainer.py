@@ -104,6 +104,7 @@ def fit(samples: Sequence, loss: Callable[[Tape, list], LossValue],
     epoch has the highest accuracy, ties broken by the lower training
     loss (this matters when the validation split is too small to move).
     The rate halves after PLATEAU_EPOCHS epochs without a higher accuracy.
+    The report's `wall_time` is the seconds `fit` took.
 
     A run that blows up stops with DivergenceError, even while its loss
     stays finite: the rule is a batch whose mean cross entropy exceeds
@@ -113,6 +114,7 @@ def fit(samples: Sequence, loss: Callable[[Tape, list], LossValue],
     recover (the underflow test at rate 1e5 does), so the bound sits
     well above that.
     """
+    started = time.perf_counter()
     report = TrainReport()
     # validation accuracy is >= 0, so epoch 1 always sets best_epoch
     best_acc = -1.0
@@ -158,6 +160,7 @@ def fit(samples: Sequence, loss: Callable[[Tape, list], LossValue],
     if report.best_epoch < config.max_epochs:
         for (_, p), data in zip(named, best_state):
             p.data = data  # nothing else holds the snapshot
+    report.wall_time = time.perf_counter() - started
     return report
 
 
@@ -170,11 +173,14 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
           ) -> Tuple[TrainedModel, TrainReport]:
     """SGD on the mean batch loss; returns the best-validation checkpoint.
 
-    With train_embeddings off, the embedding table comes back
-    bit-identical.  Constituency node vectors are always frozen (they
-    belong to the pretrained composition), so train_embeddings only
-    applies to the dependency variant.  `fit` runs the epochs, so a run
-    that blows up stops with DivergenceError.
+    `table` is never written.  With train_embeddings on, `init_model`
+    copies it into the embedding parameter, and the returned model's
+    table is that parameter's array, held once; with it off, the model
+    holds `table` itself.  Constituency node vectors are always frozen
+    (they belong to the pretrained composition), so train_embeddings
+    only applies to the dependency variant.  `fit` runs the epochs, so
+    a run that blows up stops with DivergenceError.  The report's
+    `wall_time` counts from before the model is initialised.
     """
     config.validate()
     if not train_trees or not val_trees:
@@ -208,12 +214,9 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
         params.named(), params.weight_matrices(),
         lambda: evaluate(classifier, val_trees, spans=val_spans).accuracy,
         config, rng, log=log)
-    # the returned table must not alias the trained parameter
-    table_out = (table if params.embeddings is None
-                 else EmbeddingTable(params.embeddings.data.copy()))
     report.wall_time = time.perf_counter() - started
     model = TrainedModel(config=config, params=params, vocab=vocab,
-                         table=table_out, inventory=inventory, rae=rae,
+                         table=table, inventory=inventory, rae=rae,
                          label_names=label_names)
     return model, report
 

@@ -367,6 +367,24 @@ class TestCheckpointRoundTrip:
             p1, p2 = c1.predict(t), c2.predict(t)
             assert np.array_equal(p1.probabilities, p2.probabilities)
 
+    def test_loaded_trained_table_is_the_embedding_parameter(self, tmp_path):
+        corpus = make_overfit_corpus(n_sentences=6, classes=2, n_e=8, seed=4)
+        config = TrainConfig(variant="d", n_e=8, n_c=6, n_h=4, classes=2,
+                             max_epochs=1, train_embeddings=True).validate()
+        model, _ = trainer.train(corpus.dep_trees, corpus.dep_trees,
+                                 corpus.vocab, corpus.table, config)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        assert np.shares_memory(loaded.params.embeddings.data,
+                                loaded.table.vectors)
+        assert (loaded.table.vectors.tobytes()
+                == model.params.embeddings.data.tobytes())
+        for tree in corpus.dep_trees:
+            want = model.classifier().predict(tree).probabilities
+            got = loaded.classifier().predict(tree).probabilities
+            assert got.tobytes() == want.tobytes()
+
     def test_version_mismatch_rejected(self, tmp_path, toy_d_config):
         out = train_tiny(tmp_path, toy_d_config)
         raw = out.read_bytes()

@@ -1,12 +1,15 @@
+import gc
 import logging
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from treeconv.baseline import train_bag_baseline
 from treeconv.config import TrainConfig
-from treeconv.corpus_io import build_dep_inventory
+from treeconv.corpus_io import EmbeddingTable, build_dep_inventory
 from treeconv.errors import ConfigError, ContractError, DivergenceError
 from treeconv.network import SentenceClassifier, init_model
 from treeconv.rae_pretrain import init_composition
@@ -263,15 +266,57 @@ class TestTrainLoop:
         assert np.array_equal(corpus.table.vectors, before)
         assert not np.array_equal(model.table.vectors, before)
 
-    def test_returned_table_does_not_alias_trained_embeddings(self):
+    def test_returned_table_is_the_trained_embeddings(self):
         corpus = make_overfit_corpus(n_sentences=6, classes=2, n_e=8, seed=4)
         config = small_config("d", n_e=8, max_epochs=2, train_embeddings=True)
         model, _ = train(corpus.dep_trees, corpus.dep_trees, corpus.vocab,
                          corpus.table, config)
         assert np.array_equal(model.table.vectors,
                               model.params.embeddings.data)
-        assert not np.shares_memory(model.table.vectors,
-                                    model.params.embeddings.data)
+        assert np.shares_memory(model.table.vectors,
+                                model.params.embeddings.data)
+
+    def test_a_trained_table_is_held_once(self):
+        # tracemalloc sees numpy buffers: the model may hold one table,
+        # not the parameter and a copy of it
+        corpus = make_overfit_corpus(n_sentences=6, classes=2, n_e=8, seed=4)
+        filler = np.random.default_rng(0).random(
+            (100_000 - len(corpus.table), 8))
+        table = EmbeddingTable(np.vstack([corpus.table.vectors, filler]))
+        config = small_config("d", n_e=8, max_epochs=1, train_embeddings=True)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model, _ = train(corpus.dep_trees, corpus.dep_trees, corpus.vocab,
+                             table, config)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert model.table.vectors.shape == table.vectors.shape
+        assert held < 1.5 * table.vectors.nbytes, held
+
+    def test_training_from_a_trained_table_leaves_its_model_untouched(self):
+        corpus = make_overfit_corpus(n_sentences=6, classes=2, n_e=8, seed=4)
+        config = small_config("d", n_e=8, max_epochs=2, train_embeddings=True)
+        first, _ = train(corpus.dep_trees, corpus.dep_trees, corpus.vocab,
+                         corpus.table, config)
+        table_before = first.table.vectors.tobytes()
+        params_before = {name: a.tobytes() for name, a in _arrays(first).items()}
+        second, _ = train(corpus.dep_trees, corpus.dep_trees, corpus.vocab,
+                          first.table, config)
+        assert second.table.vectors.tobytes() != table_before
+        assert first.table.vectors.tobytes() == table_before
+        assert {name: a.tobytes() for name, a in _arrays(first).items()} \
+            == params_before
+
+    def test_the_baseline_reports_its_wall_time(self):
+        corpus = make_overfit_corpus(n_sentences=6, classes=2, n_e=8, seed=4)
+        config = small_config("d", n_e=8, max_epochs=2, train_embeddings=True)
+        _, report = train_bag_baseline(corpus.dep_trees, corpus.dep_trees,
+                                       corpus.table, config)
+        assert report.wall_time > 0.0
 
     def test_underflow_warned_once_per_epoch_with_count(self, caplog):
         # a huge rate saturates the softmax without going non-finite
@@ -372,8 +417,8 @@ class TestTrainLoop:
         if trainer == "train":
             assert np.array_equal(model.table.vectors,
                                   snapshots[best - 1]["embeddings"])
-            assert not np.shares_memory(model.table.vectors,
-                                        model.params.embeddings.data)
+            assert np.shares_memory(model.table.vectors,
+                                    model.params.embeddings.data)
 
     @pytest.mark.parametrize("trainer", ["train", "train_bag_baseline"])
     def test_flat_accuracy_halves_the_rate_and_the_lower_loss_wins(
@@ -410,7 +455,6 @@ class TestDivergence:
     ])
     def test_non_finite_step_raises_naming_epoch_batch_parameter(
             self, trainer, first_param):
-        from treeconv.baseline import train_bag_baseline
         from treeconv.rae_pretrain import PretrainConfig, pretrain
 
         # an infinite rate makes the first update non-finite in every
@@ -435,8 +479,6 @@ class TestDivergence:
 
 
     def test_diverging_baseline_stops_after_warning_its_underflow(self, caplog):
-        from treeconv.baseline import train_bag_baseline
-
         corpus = make_overfit_corpus(n_sentences=8, classes=2, n_e=8, seed=1)
         config = small_config("d", n_e=8, learning_rate=1e3, batch_size=4,
                               max_epochs=3)
