@@ -75,7 +75,8 @@ def load_checkpoint(path) -> TrainedModel:
     from the payload.  The stored arrays must carry that model's names,
     in order, and its shapes; any mismatch is a FormatError naming the
     file and the array.  A model that trains its embeddings stores them
-    once, as its table, which is the embedding parameter's array."""
+    once, as its whole table; loaded, its embedding parameter holds
+    every row, and its table is that parameter's array."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise FormatError(f"{path} is not a treeconv checkpoint")
@@ -180,7 +181,9 @@ def _model_for_header(header, path) -> TrainedModel:
     rng = np.random.default_rng(0)
     table = EmbeddingTable(np.zeros((len(vocab), config.n_e)))
     params = init_model(config, table, inventory, rng)
+    if params.embeddings is not None:  # the payload fills one table
+        table = EmbeddingTable(params.embeddings.data)
     rae = init_composition(config.n_e, rng) if header["has_rae"] else None
     return TrainedModel(config=config, params=params, vocab=vocab,
-                        table=table, inventory=inventory, rae=rae,
+                        base_table=table, inventory=inventory, rae=rae,
                         label_names=header["label_names"])

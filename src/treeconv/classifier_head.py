@@ -149,16 +149,13 @@ def check_mode(mode: str) -> None:
         raise ConfigError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
 
 
-def dropout_mask(shape, rate: float, mode: str, rng) -> np.ndarray:
-    """Inverted-dropout mask: 0 with probability `rate`, else 1/(1-rate).
-
-    Evaluation mode returns all ones, so no rescaling is ever needed at
-    prediction time.
-    """
+def dropout_mask(shape, rate: float, rng) -> np.ndarray:
+    """Training-mode inverted-dropout mask: 0 with probability `rate`,
+    else 1/(1-rate), so no rescaling is ever needed at prediction time
+    (evaluation draws no mask)."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    check_mode(mode)
-    if mode == "eval" or rate == 0.0:
+    if rate == 0.0:
         return np.ones(shape)
     keep = rng.random(shape) >= rate
     return keep.astype(np.float64) / (1.0 - rate)

@@ -393,7 +393,7 @@ def _save_rae(rae, vocab, table, path) -> None:
                          classes=2, pooling=GLOBAL).validate()
     params = init_model(config, table, None, np.random.default_rng(0))
     model = TrainedModel(config=config, params=params, vocab=vocab,
-                         table=table, rae=rae, label_names=None)
+                         base_table=table, rae=rae, label_names=None)
     ckpt.save_checkpoint(model, path)
 
 

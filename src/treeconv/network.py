@@ -16,6 +16,7 @@ rows, which are the frozen RAE annotation composed from that order
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,11 +40,16 @@ from .tensor_core import Tape, Tensor, by_name, parameter
 class ModelParams:
     """All trainable weights in a fixed order: window, head and, when
     they train, embeddings, under the names their init functions gave
-    them (the checkpoint layout)."""
+    them (the checkpoint layout).
+
+    `embeddings` holds the rows `rows` of the vocabulary, in order, or
+    every row when `rows` is None.
+    """
 
     conv: tree_conv.WindowParams
     head: HeadParams
     embeddings: Optional[Tensor] = None
+    rows: Optional[np.ndarray] = None
 
     def named(self) -> List[Tuple[str, Tensor]]:
         return self.conv.named() + self.head.named() + by_name(self.embeddings)
@@ -76,8 +82,14 @@ def assign_slots(tree: ParseTree, config: TrainConfig,
 
 
 def init_model(config: TrainConfig, table: EmbeddingTable,
-               inventory: Optional[DepTypeInventory], rng) -> ModelParams:
-    """Fresh parameters: uniform +-sqrt(6/(fan_in+fan_out)), zero biases."""
+               inventory: Optional[DepTypeInventory], rng,
+               rows: Optional[np.ndarray] = None) -> ModelParams:
+    """Fresh parameters: uniform +-sqrt(6/(fan_in+fan_out)), zero biases.
+
+    Trained embeddings start as `table`'s rows `rows` (sorted vocabulary
+    indices), gathered, or as a copy of the whole table when `rows` is
+    None; `table` is never written.
+    """
     if config.variant == VARIANT_D:
         if inventory is None:
             raise ContractError("dependency model needs a relation inventory")
@@ -87,10 +99,10 @@ def init_model(config: TrainConfig, table: EmbeddingTable,
         conv = tree_conv.init_c_window(config.n_c, config.n_e, rng)
     head = classifier_head.init_head(
         config.n_h, slot_count(config) * config.n_c, config.classes, rng)
-    embeddings = None
-    if config.variant == VARIANT_D and config.train_embeddings:
-        embeddings = parameter(table.vectors.copy(), "embeddings")
-    return ModelParams(conv, head, embeddings)
+    if not (config.variant == VARIANT_D and config.train_embeddings):
+        return ModelParams(conv, head)
+    vectors = table.vectors.copy() if rows is None else table.vectors[rows]
+    return ModelParams(conv, head, parameter(vectors, "embeddings"), rows)
 
 
 class SentenceClassifier:
@@ -100,10 +112,12 @@ class SentenceClassifier:
     Constituency node vectors come frozen from the recursive-autoencoder
     annotation; no gradient ever flows into them or its parameters.
     Dependency node vectors are embedding rows, trainable when the model
-    owns an embedding parameter.
+    owns an embedding parameter.  `table` is the table the model was
+    built with: a word whose row the parameter does not hold reads it.
+    `train` indexes its trees before it initialises `params`.
     """
 
-    def __init__(self, config: TrainConfig, params: ModelParams,
+    def __init__(self, config: TrainConfig, params: Optional[ModelParams],
                  table: EmbeddingTable,
                  inventory: Optional[DepTypeInventory] = None,
                  rae: Optional[CompositionParams] = None):
@@ -121,7 +135,10 @@ class SentenceClassifier:
     def index(self, trees: Sequence[ParseTree]) -> tree_conv.TreeIndex:
         """The window index of `trees` with the rows their node vectors
         read: the frozen RAE annotation, composed `node_groups` trees at
-        a time, or embedding indices."""
+        a time, or embedding indices.  Where the embedding parameter
+        holds only some rows of the vocabulary, a word's index is its
+        row of the parameter, and for any other word the parameter's
+        length plus its vocabulary index (see `node_vectors`)."""
         index = tree_conv.index_trees(trees, self.inventory)
         if self.config.variant == VARIANT_C:
             index.rows = annotate_forest(index, self.rae, self.table)
@@ -135,7 +152,18 @@ class SentenceClassifier:
         if min(rows) < 0 or max(rows) >= len(self.table):
             raise ContractError("embedding index out of range for the table")
         index.rows = np.array(rows, dtype=np.intp)
+        if self.params is not None and self.params.rows is not None:
+            index.rows = self._stacked_rows[index.rows]
         return index
+
+    @cached_property
+    def _stacked_rows(self) -> np.ndarray:
+        """Each vocabulary index's row in the embedding parameter stacked
+        over `table`, where the parameter holds only some rows."""
+        trained = self.params.rows
+        at = np.arange(len(trained), len(trained) + len(self.table))
+        at[trained] = np.arange(len(trained))
+        return at
 
     def span(self, index: tree_conv.TreeIndex, t: int,
              v: Optional[int] = None) -> tree_conv.Span:
@@ -156,14 +184,27 @@ class SentenceClassifier:
     def node_vectors(self, tape: Tape, forest: tree_conv.Forest) -> Tensor:
         """The (n_nodes, n_e) matrix of node vectors, row v for forest
         row v: constituency annotations, or rows of the embedding table
-        (a parameter when it trains, else a constant)."""
+        (a parameter when it trains, else a constant).  Trained
+        embeddings are read as if stacked over `table`, so that a row
+        past the parameter's reads a word it does not hold."""
         rows = np.concatenate([span.index.rows[span.start:span.stop]
                                for span in forest.spans])
         if self.config.variant == VARIANT_C:
             return Tensor(rows)
-        if self.params.embeddings is None:  # `index` checked the rows
+        trained = self.params.embeddings
+        if trained is None:  # `index` checked the rows
             return Tensor(self.table.vectors[rows])
-        return tape.take_rows(self.params.embeddings, rows)
+        held = len(trained.data)
+        if rows.max() < held:
+            return tape.take_rows(trained, rows)
+        if tape.record:
+            return tape.take_rows([trained, Tensor(self.table.vectors)], rows)
+        # prediction: one read of `table`, the trained rows written over
+        # it, about half the time of `take_rows` over the two matrices
+        vectors = self.table.vectors[np.maximum(rows - held, 0)]
+        hit = np.flatnonzero(rows < held)
+        vectors[hit] = trained.data[rows[hit]]
+        return Tensor(vectors)
 
     def _dropout(self, tape: Tape, forest: tree_conv.Forest, vectors: Tensor,
                  mode: str, rng) -> Tuple[Tensor, Optional[np.ndarray]]:
@@ -186,9 +227,9 @@ class SentenceClassifier:
         for span in forest.spans:
             if embed_rate:
                 embed.append(dropout_mask((len(span), self.config.n_e),
-                                          embed_rate, mode, rng))
+                                          embed_rate, rng))
             if hidden_rate:
-                hidden.append(dropout_mask(self.config.n_h, hidden_rate, mode, rng))
+                hidden.append(dropout_mask(self.config.n_h, hidden_rate, rng))
         if embed:
             vectors = tape.mul(vectors, Tensor(np.concatenate(embed)))
         return vectors, np.array(hidden) if hidden else None
@@ -241,26 +282,39 @@ class SentenceClassifier:
 class TrainedModel:
     """Everything a checkpoint stores: self-describing and reloadable.
 
-    A model that trains its embeddings holds its table once: `table` is
-    the embedding parameter's array, whatever table it was built with.
+    `base_table` is the table the model was built with; training never
+    writes it.  A model that trains its embeddings holds the trained
+    rows in its embedding parameter, and their vocabulary indices in
+    `params.rows` (None: every row, as in a loaded checkpoint).
     """
 
     config: TrainConfig
     params: ModelParams
     vocab: Vocabulary
-    table: EmbeddingTable
+    base_table: EmbeddingTable
     inventory: Optional[DepTypeInventory] = None
     rae: Optional[CompositionParams] = None
     label_names: Optional[List[str]] = None
 
-    def __post_init__(self):
-        if self.params.embeddings is not None:
-            self.table = EmbeddingTable(self.params.embeddings.data)
+    @cached_property
+    def table(self) -> EmbeddingTable:
+        """The table the model reads: `base_table`, or with trained
+        embeddings the parameter's array when it holds every row (a
+        loaded checkpoint), else a copy of `base_table` with the trained
+        rows in place, built on first read."""
+        embeddings, rows = self.params.embeddings, self.params.rows
+        if embeddings is None:
+            return self.base_table
+        if rows is None:
+            return EmbeddingTable(embeddings.data)
+        vectors = self.base_table.vectors.copy()
+        vectors[rows] = embeddings.data
+        return EmbeddingTable(vectors)
 
     @property
     def variant(self) -> str:
         return self.config.variant
 
     def classifier(self) -> SentenceClassifier:
-        return SentenceClassifier(self.config, self.params, self.table,
+        return SentenceClassifier(self.config, self.params, self.base_table,
                                   inventory=self.inventory, rae=self.rae)

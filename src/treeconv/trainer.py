@@ -173,14 +173,19 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
           ) -> Tuple[TrainedModel, TrainReport]:
     """SGD on the mean batch loss; returns the best-validation checkpoint.
 
-    `table` is never written.  With train_embeddings on, `init_model`
-    copies it into the embedding parameter, and the returned model's
-    table is that parameter's array, held once; with it off, the model
-    holds `table` itself.  Constituency node vectors are always frozen
-    (they belong to the pretrained composition), so train_embeddings
-    only applies to the dependency variant.  `fit` runs the epochs, so
-    a run that blows up stops with DivergenceError.  The report's
-    `wall_time` counts from before the model is initialised.
+    `table` is never written.  With train_embeddings on, the embedding
+    parameter holds only the rows the training and validation trees
+    read, gathered from `table`: SGD cannot move any other row.  The
+    returned model reads the trained rows for those words and `table`
+    for every other word; its `table` is `table` with the trained rows
+    in place.  So a non-finite row that no tree reads does not stop the
+    run, as with frozen embeddings, but `save_checkpoint` refuses to
+    write it.  With train_embeddings off, the model holds `table`
+    itself.  Constituency node vectors are always frozen (they belong
+    to the pretrained composition), so train_embeddings only applies to
+    the dependency variant.  `fit` runs the epochs, so a run that blows
+    up stops with DivergenceError.  The report's `wall_time` counts
+    from before the trees are indexed.
     """
     config.validate()
     if not train_trees or not val_trees:
@@ -203,10 +208,15 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
 
     started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
-    params = init_model(config, table, inventory, rng)
-    classifier = SentenceClassifier(config, params, table, inventory=inventory,
+    classifier = SentenceClassifier(config, None, table, inventory=inventory,
                                     rae=rae)
     samples, val_spans = _sample_spans(classifier, train_trees, roots, val_trees)
+    rows = None
+    if config.variant == VARIANT_D and config.train_embeddings:
+        # the parameter's rows are the distinct words read, in vocabulary order
+        index = val_spans[0].index
+        rows, index.rows = np.unique(index.rows, return_inverse=True)
+    params = classifier.params = init_model(config, table, inventory, rng, rows)
     report = fit(
         samples,
         lambda tape, batch: classifier.loss(
@@ -216,7 +226,7 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
         config, rng, log=log)
     report.wall_time = time.perf_counter() - started
     model = TrainedModel(config=config, params=params, vocab=vocab,
-                         table=table, inventory=inventory, rae=rae,
+                         base_table=table, inventory=inventory, rae=rae,
                          label_names=label_names)
     return model, report
 

@@ -10,7 +10,11 @@ from treeconv.classifier_head import (
     predictions,
     transfer_5_to_2,
 )
+from treeconv.config import TrainConfig
+from treeconv.corpus_io import build_dep_inventory
 from treeconv.errors import ConfigError, ShapeError
+from treeconv.network import SentenceClassifier, init_model
+from treeconv.synthetic import fixture_pair
 from treeconv.tensor_core import (
     Tape,
     Tensor,
@@ -157,26 +161,40 @@ class TestTransfer:
 class TestDropout:
     def test_rate_zero_all_ones(self):
         rng = np.random.default_rng(4)
-        assert np.array_equal(dropout_mask(5, 0.0, "train", rng), np.ones(5))
-        assert np.array_equal(dropout_mask(5, 0.0, "eval", rng), np.ones(5))
+        assert np.array_equal(dropout_mask(5, 0.0, rng), np.ones(5))
 
     def test_eval_mode_is_identity(self):
+        # evaluation draws no mask: the logits are the undropped model's,
+        # and the rng is not read
+        _, dep, _, table = fixture_pair(n_e=4, seed=5)
+        inventory = build_dep_inventory([dep])
+        configs = [TrainConfig(variant="d", n_e=4, n_c=4, n_h=4, classes=3,
+                               dropout_embed=rate, dropout_hidden=rate)
+                   for rate in (0.5, 0.0)]
+        params = init_model(configs[0], table, inventory,
+                            np.random.default_rng(5))
         rng = np.random.default_rng(5)
-        assert np.array_equal(dropout_mask(7, 0.5, "eval", rng), np.ones(7))
+        state = rng.bit_generator.state
+        got, want = (SentenceClassifier(config, params, table,
+                                        inventory=inventory).logits(
+                         Tape(), [dep], mode="eval", rng=rng).data
+                     for config in configs)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == state
 
     def test_rate_one_rejected(self):
         with pytest.raises(ConfigError):
-            dropout_mask(3, 1.0, "train", np.random.default_rng(6))
+            dropout_mask(3, 1.0, np.random.default_rng(6))
 
     def test_monte_carlo_drop_fraction(self):
         rng = np.random.default_rng(7)
-        mask = dropout_mask(10**6, 0.5, "train", rng)
+        mask = dropout_mask(10**6, 0.5, rng)
         dropped = np.mean(mask == 0.0)
         assert abs(dropped - 0.5) < 0.005
 
     def test_inverted_dropout_expectation(self):
         rng = np.random.default_rng(8)
         activation = 3.7
-        mask = dropout_mask(10**6, 0.4, "train", rng)
+        mask = dropout_mask(10**6, 0.4, rng)
         masked_mean = float(np.mean(mask * activation))
         assert abs(masked_mean - activation) / activation < 0.01

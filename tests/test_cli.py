@@ -378,8 +378,7 @@ class TestCheckpointRoundTrip:
         loaded = load_checkpoint(path)
         assert np.shares_memory(loaded.params.embeddings.data,
                                 loaded.table.vectors)
-        assert (loaded.table.vectors.tobytes()
-                == model.params.embeddings.data.tobytes())
+        assert loaded.table.vectors.tobytes() == model.table.vectors.tobytes()
         for tree in corpus.dep_trees:
             want = model.classifier().predict(tree).probabilities
             got = loaded.classifier().predict(tree).probabilities
@@ -459,7 +458,8 @@ def _layout_case(case, tmp_path):
                              train_embeddings=case == "d trained")
     params = init_model(config, table, inventory, rng)
     save_checkpoint(TrainedModel(config=config, params=params, vocab=vocab,
-                                 table=table, inventory=inventory, rae=rae),
+                                 base_table=table, inventory=inventory,
+                                 rae=rae),
                     path)
     return params.named() + (rae.named() if rae else []), path
 

@@ -1,3 +1,4 @@
+import copy
 import gc
 import logging
 import re
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from treeconv.baseline import train_bag_baseline
+from treeconv.checkpoint import load_checkpoint, save_checkpoint
 from treeconv.config import TrainConfig
-from treeconv.corpus_io import EmbeddingTable, build_dep_inventory
+from treeconv.corpus_io import EmbeddingTable, Vocabulary, build_dep_inventory
 from treeconv.errors import ConfigError, ContractError, DivergenceError
 from treeconv.network import SentenceClassifier, init_model
 from treeconv.rae_pretrain import init_composition
@@ -40,6 +42,17 @@ def _arrays(model):
     without them, of its own `named()` (parameters or a bag baseline)."""
     named = model.params.named() if hasattr(model, "params") else model.named()
     return {name: p.data.copy() for name, p in named}
+
+
+def assert_trained_over(model, table, trained):
+    """`model.table` holds `trained` in the rows its parameter trained
+    and `table`'s own bytes in every other row."""
+    rows = model.params.rows
+    others = np.setdiff1d(np.arange(len(table)), rows)
+    assert model.table.vectors.shape == table.vectors.shape
+    assert model.table.vectors[rows].tobytes() == trained.tobytes()
+    assert (model.table.vectors[others].tobytes()
+            == table.vectors[others].tobytes())
 
 
 def fixture_classifier(variant, pooling=None, lam=0.0, k=2, seed=0,
@@ -271,10 +284,11 @@ class TestTrainLoop:
         config = small_config("d", n_e=8, max_epochs=2, train_embeddings=True)
         model, _ = train(corpus.dep_trees, corpus.dep_trees, corpus.vocab,
                          corpus.table, config)
-        assert np.array_equal(model.table.vectors,
-                              model.params.embeddings.data)
-        assert np.shares_memory(model.table.vectors,
-                                model.params.embeddings.data)
+        read = np.unique([node.embedding_index for tree in corpus.dep_trees
+                          for node in tree.nodes])
+        assert len(read) < len(corpus.table)  # some rows are never read
+        assert np.array_equal(model.params.rows, read)
+        assert_trained_over(model, corpus.table, model.params.embeddings.data)
 
     def test_a_trained_table_is_held_once(self):
         # tracemalloc sees numpy buffers: the model may hold one table,
@@ -296,6 +310,114 @@ class TestTrainLoop:
             tracemalloc.stop()
         assert model.table.vectors.shape == table.vectors.shape
         assert held < 1.5 * table.vectors.nbytes, held
+
+    def test_two_epochs_allocate_the_rows_read_not_the_table(self, monkeypatch):
+        # the first of two epochs is kept, so `fit` snapshots the
+        # embedding parameter: the rows the run reads, not the table
+        import treeconv.trainer as trainer_mod
+
+        corpus = make_overfit_corpus(n_sentences=6, classes=2, n_e=8, seed=4)
+        filler = np.random.default_rng(0).random(
+            (100_000 - len(corpus.table), 8))
+        table = EmbeddingTable(np.vstack([corpus.table.vectors, filler]))
+        accuracies = iter((0.9, 0.5))
+        monkeypatch.setattr(trainer_mod, "evaluate", lambda *args, **kwargs:
+                            SimpleNamespace(accuracy=next(accuracies)))
+        config = small_config("d", n_e=8, max_epochs=2, train_embeddings=True)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            _, report = train(corpus.dep_trees, corpus.dep_trees, corpus.vocab,
+                              table, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.best_epoch == 1
+        assert peak < 0.25 * table.vectors.nbytes, peak
+
+    @staticmethod
+    def _unused_words():
+        """Training and validation trees, bound to a vocabulary of 20 words
+        more than they use (before UNK, which no tree holds, so the trees'
+        indices stay as bound), its table, the rows that only validation
+        trees read and the rows no tree reads."""
+        corpus = make_overfit_corpus(n_sentences=6, classes=2, n_e=8, seed=4)
+        words = corpus.vocab.unk_index
+        vocab = Vocabulary(index={**corpus.vocab.index,
+                                  **{f"unused{i}": words + i for i in range(20)}},
+                           unk_index=words + 20)
+        vectors = np.vstack([corpus.table.vectors[:words],
+                             np.random.default_rng(0).random((20, 8)),
+                             corpus.table.vectors[words:]])
+        train_trees, val_trees = corpus.dep_trees[:4], corpus.dep_trees[4:]
+
+        def read(trees):
+            return {node.embedding_index for tree in trees for node in tree.nodes}
+
+        val_only = sorted(read(val_trees) - read(train_trees))
+        unread = sorted(set(range(len(vocab))) - read(corpus.dep_trees))
+        assert val_only and len(unread) > 20
+        return train_trees, val_trees, vocab, vectors, val_only, unread
+
+    def test_rows_no_training_tree_reads_keep_the_callers_bytes(self, tmp_path):
+        train_trees, val_trees, vocab, vectors, val_only, unread = \
+            self._unused_words()
+        config = small_config("d", n_e=8, max_epochs=2, train_embeddings=True)
+        before = vectors.tobytes()
+        model, _ = train(train_trees, val_trees, vocab,
+                         EmbeddingTable(vectors), config)
+        assert vectors.tobytes() == before
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        for rows in (val_only, unread):
+            for got in (model.table, load_checkpoint(path).table):
+                assert got.vectors[rows].tobytes() == vectors[rows].tobytes()
+
+        # a non-finite row that no tree reads stops no batch, as with a
+        # frozen table, but no checkpoint holds it
+        vectors[unread[0]] = np.nan
+        before = vectors.tobytes()
+        model, _ = train(train_trees, val_trees, vocab,
+                         EmbeddingTable(vectors), config)
+        assert vectors.tobytes() == before
+        assert np.isnan(model.table.vectors[unread[0]]).all()
+        with pytest.raises(ContractError, match="checkpoint array table"):
+            save_checkpoint(model, tmp_path / "nan.ckpt")
+        assert not (tmp_path / "nan.ckpt").exists()
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_words_the_run_did_not_train_read_the_callers_rows(
+            self, tmp_path, record):
+        """On trees with words no training or validation tree holds, the
+        model forwards as its whole trained table does (its checkpoint,
+        loaded): the same losses and, on a recording tape, the same
+        gradients, the embeddings' at the rows it trained (it holds no
+        other row, so the rows of the other words get none)."""
+        train_trees, val_trees, vocab, vectors, _, unread = self._unused_words()
+        config = small_config("d", n_e=8, max_epochs=2, train_embeddings=True)
+        model, _ = train(train_trees, val_trees, vocab,
+                         EmbeddingTable(vectors), config)
+        save_checkpoint(model, tmp_path / "model.ckpt")
+        loaded = load_checkpoint(tmp_path / "model.ckpt")
+        trees = copy.deepcopy(train_trees[:3])
+        for tree, row in zip(trees, unread):
+            tree.nodes[0].embedding_index = row
+        gold = [tree.sentence_label for tree in trees]
+        results = []
+        for held in (model, loaded):
+            clf = held.classifier()
+            tape = Tape(record=record)
+            value = clf.loss(tape, trees, gold, mode="eval")
+            grads = tape.backward(value.node) if record else {}
+            results.append((value.per_row, clf.params, grads))
+        (ours, params, grads), (whole, loaded_params, loaded_grads) = results
+        assert ours.tobytes() == whole.tobytes()
+        if record:
+            for (name, p), (_, q) in zip(params.named(), loaded_params.named()):
+                want = grad_of(loaded_grads, q)
+                if p is params.embeddings:
+                    want = want[params.rows]
+                assert grad_of(grads, p).tobytes() == want.tobytes(), name
 
     def test_training_from_a_trained_table_leaves_its_model_untouched(self):
         corpus = make_overfit_corpus(n_sentences=6, classes=2, n_e=8, seed=4)
@@ -415,10 +537,8 @@ class TestTrainLoop:
         for name, want in snapshots[best - 1].items():
             assert np.array_equal(got[name], want), name
         if trainer == "train":
-            assert np.array_equal(model.table.vectors,
-                                  snapshots[best - 1]["embeddings"])
-            assert np.shares_memory(model.table.vectors,
-                                    model.params.embeddings.data)
+            assert_trained_over(model, model.base_table,
+                                snapshots[best - 1]["embeddings"])
 
     @pytest.mark.parametrize("trainer", ["train", "train_bag_baseline"])
     def test_flat_accuracy_halves_the_rate_and_the_lower_loss_wins(

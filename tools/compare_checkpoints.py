@@ -23,7 +23,16 @@ and a change in how the groups share their matrix products changes the
 checkpoint.  A tenth run trains the baseline again, validated on two
 trees: their accuracy stalls at 0.5 for five epochs, so the rate halves
 twice before epoch 6 reaches 1.0 and is kept, and a change to the
-baseline's rate halving or epoch selection changes the checkpoint.
+baseline's rate halving or epoch selection changes the checkpoint.  An
+eleventh run is CLI `train` with trained embeddings read from
+tests/data/tiny_embeddings.txt, on six tiny_dep sentences, validated on
+four sentences this script writes: the embedding file holds words that
+no sentence reads, and the validation sentences hold a word of the file
+that training lacks and two words outside it (the UNK row).  Its epoch
+4 of 6 is kept, so the embedding rows the run trains are snapshotted
+and restored, and a change to which rows a run trains, or to how the
+saved table joins them with the rows it does not read, changes the
+checkpoint.
 
 For every run it prints the sha256 of both checkouts' files and
 "identical" or "differ"; a difference also gives the largest
@@ -130,6 +139,25 @@ _CHAINS = """\
 """
 
 
+def _svo(words: str) -> str:
+    """A four-word "subject verb the object" sentence in CoNLL."""
+    heads = [(2, "nsubj"), (0, "root"), (4, "det"), (2, "dobj")]
+    return "".join(f"{i}\t{word}\t_\t_\t_\t_\t{head}\t{rel}\n"
+                   for i, (word, (head, rel)) in enumerate(
+                       zip(words.split(), heads), start=1))
+
+
+# "music" is in tiny_embeddings.txt but in none of the training sentences;
+# "adored" and "fans" are in neither
+_UNSEEN_VAL = ["critics liked the music", "critics hated the music",
+               "critics adored the music", "fans hated the show"]
+
+
+def _labels(count: int) -> str:
+    """Alternating POS and NEG labels for `count` sentences."""
+    return "".join(f"{('POS', 'NEG')[i % 2]}\t{i}\n" for i in range(count))
+
+
 def _wide_corpus() -> str:
     """64 random binary bracketings of 12 words each: interior tags 0, 1
     or X (untagged), the root's alternating 0 and 1.  The first and last
@@ -194,6 +222,11 @@ def _runs(work: Path) -> Dict[str, List[str]]:
         (work / name).write_text(text)
     (work / "chains_con.txt").write_text(_CHAINS)
     (work / "wide_con.txt").write_text(_wide_corpus())
+    six = (DATA / "tiny_dep.conll").read_text().strip().split("\n\n")[:6]
+    (work / "six_dep.conll").write_text("\n\n".join(six) + "\n")
+    (work / "six_dep.lbl").write_text(_labels(6))
+    (work / "unseen_dep.conll").write_text("\n".join(map(_svo, _UNSEEN_VAL)))
+    (work / "unseen_dep.lbl").write_text(_labels(len(_UNSEEN_VAL)))
     cli = ["-m", "treeconv"]
     dep = ["--train", str(DATA / "tiny_dep.conll"),
            "--labels", str(DATA / "tiny_dep.lbl"),
@@ -229,6 +262,13 @@ def _runs(work: Path) -> Dict[str, List[str]]:
                    "--val", str(work / "wide_con.txt")],
         "bag baseline, trained, rate halved":
             ["-c", _BAG, str(DATA), "6", "2"],
+        "train six tiny_dep, trained, embedding file, unseen validation words":
+            cli + ["train", "--config", str(work / "d_trained.cfg"),
+                   "--train", str(work / "six_dep.conll"),
+                   "--labels", str(work / "six_dep.lbl"),
+                   "--val", str(work / "unseen_dep.conll"),
+                   "--val-labels", str(work / "unseen_dep.lbl"),
+                   "--embeddings", str(DATA / "tiny_embeddings.txt")],
     }
 
 
