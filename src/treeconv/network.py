@@ -105,6 +105,20 @@ def init_model(config: TrainConfig, table: EmbeddingTable,
     return ModelParams(conv, head, parameter(vectors, "embeddings"), rows)
 
 
+def read_rows(trees: Sequence[ParseTree], table: EmbeddingTable) -> np.ndarray:
+    """The embedding index of every node of `trees`, in order, each
+    checked to be a row of `table`."""
+    rows = [node.embedding_index for tree in trees for node in tree.nodes]
+    if None in rows:
+        word = next(node.word for tree in trees for node in tree.nodes
+                    if node.embedding_index is None)
+        raise ContractError(f"node {word!r} has no embedding index; "
+                            f"bind_vocabulary first")
+    if min(rows) < 0 or max(rows) >= len(table):
+        raise ContractError("embedding index out of range for the table")
+    return np.array(rows, dtype=np.intp)
+
+
 class SentenceClassifier:
     """Forward evaluation of one trained (or training) variant, a
     minibatch of spans at a time.
@@ -114,10 +128,9 @@ class SentenceClassifier:
     Dependency node vectors are embedding rows, trainable when the model
     owns an embedding parameter.  `table` is the table the model was
     built with: a word whose row the parameter does not hold reads it.
-    `train` indexes its trees before it initialises `params`.
     """
 
-    def __init__(self, config: TrainConfig, params: Optional[ModelParams],
+    def __init__(self, config: TrainConfig, params: ModelParams,
                  table: EmbeddingTable,
                  inventory: Optional[DepTypeInventory] = None,
                  rae: Optional[CompositionParams] = None):
@@ -143,16 +156,8 @@ class SentenceClassifier:
         if self.config.variant == VARIANT_C:
             index.rows = annotate_forest(index, self.rae, self.table)
             return index
-        rows = [node.embedding_index for tree in trees for node in tree.nodes]
-        if None in rows:
-            word = next(node.word for tree in trees for node in tree.nodes
-                        if node.embedding_index is None)
-            raise ContractError(f"node {word!r} has no embedding index; "
-                                f"bind_vocabulary first")
-        if min(rows) < 0 or max(rows) >= len(self.table):
-            raise ContractError("embedding index out of range for the table")
-        index.rows = np.array(rows, dtype=np.intp)
-        if self.params is not None and self.params.rows is not None:
+        index.rows = read_rows(trees, self.table)
+        if self.params.rows is not None:
             index.rows = self._stacked_rows[index.rows]
         return index
 
@@ -191,20 +196,10 @@ class SentenceClassifier:
                                for span in forest.spans])
         if self.config.variant == VARIANT_C:
             return Tensor(rows)
-        trained = self.params.embeddings
-        if trained is None:  # `index` checked the rows
+        if self.params.embeddings is None:  # `index` checked the rows
             return Tensor(self.table.vectors[rows])
-        held = len(trained.data)
-        if rows.max() < held:
-            return tape.take_rows(trained, rows)
-        if tape.record:
-            return tape.take_rows([trained, Tensor(self.table.vectors)], rows)
-        # prediction: one read of `table`, the trained rows written over
-        # it, about half the time of `take_rows` over the two matrices
-        vectors = self.table.vectors[np.maximum(rows - held, 0)]
-        hit = np.flatnonzero(rows < held)
-        vectors[hit] = trained.data[rows[hit]]
-        return Tensor(vectors)
+        return tape.take_rows([self.params.embeddings, Tensor(self.table.vectors)],
+                              rows)
 
     def _dropout(self, tape: Tape, forest: tree_conv.Forest, vectors: Tensor,
                  mode: str, rng) -> Tuple[Tensor, Optional[np.ndarray]]:

@@ -31,6 +31,7 @@ inputs produce bit-identical outputs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -374,35 +375,50 @@ class Tape:
         """Rows `indices` of a matrix, stacked (embedding lookup), or of
         a list of equal-width matrices read as if stacked in order.
 
-        Each matrix read gets its rows' gradient as one
-        :class:`RowGradient` block, so a matrix reached only through
-        lookups keeps a row gradient.
+        Indices that all fall in one matrix are one fancy index of it;
+        otherwise every row is read from the last matrix any index
+        falls in, clipped into it, and the other matrices' rows are
+        written over theirs.  Each matrix read gets its rows' gradient
+        as one :class:`RowGradient` block, so a matrix reached only
+        through lookups keeps a row gradient.
         """
         mats = [M] if isinstance(M, Tensor) else list(M)
         width = mats[0].data.shape[1:]
+        bounds = [0]  # matrix k holds the stacked rows bounds[k]:bounds[k + 1]
         for m in mats:
             if m.data.ndim != 2 or m.data.shape[1:] != width:
                 raise ShapeError(f"take_rows: {m._label()} is not a matrix "
                                  f"of width {width}")
+            bounds.append(bounds[-1] + len(m.data))
         idx = np.asarray(indices, dtype=np.intp)
         if idx.ndim != 1:
             raise ShapeError("take_rows: indices must be 1-D")
-        stacked = sum(len(m.data) for m in mats)
-        if idx.size and not (0 <= idx.min() and idx.max() < stacked):
-            raise ContractError(f"take_rows: row out of range for "
-                                f"{', '.join(m._label() for m in mats)}")
-        if len(mats) == 1:  # one fancy index
-            data, groups = mats[0].data[idx], [(mats[0], ALL_ROWS, idx)]
+        first = last = 0  # the matrices of the least and the largest index
+        if idx.size:
+            lo, hi = int(idx.min()), int(idx.max())
+            if not (0 <= lo and hi < bounds[-1]):
+                raise ContractError(f"take_rows: row out of range for "
+                                    f"{', '.join(m._label() for m in mats)}")
+            first, last = bisect_right(bounds, lo) - 1, bisect_right(bounds, hi) - 1
+        track = self._tracks(*mats)
+        rows = idx - bounds[last] if bounds[last] else idx
+        if first == last:  # one fancy index
+            data, groups = mats[last].data[rows], [(mats[last], ALL_ROWS, rows)]
         else:
-            data = np.empty((idx.size,) + width)
-            groups, start = [], 0  # (matrix, the output rows it fills, its rows)
-            for m in mats:
-                at = np.flatnonzero((idx >= start) & (idx < start + len(m.data)))
-                rows = idx[at] - start
-                data[at] = m.data[rows]
-                groups.append((m, at, rows))
-                start += len(m.data)
-        out = Tensor(data, requires_grad=self._tracks(*mats))
+            data, groups = mats[last].data[np.maximum(rows, 0)], []
+            for k in range(first, last + 1 if track else last):
+                # no index lies below matrix `first` or past matrix `last`
+                if k == first:
+                    at = np.flatnonzero(idx < bounds[k + 1])
+                elif k == last:
+                    at = np.flatnonzero(idx >= bounds[k])
+                else:
+                    at = np.flatnonzero((idx >= bounds[k]) & (idx < bounds[k + 1]))
+                rows = idx[at] - bounds[k] if bounds[k] else idx[at]
+                if k < last:
+                    data[at] = mats[k].data[rows]
+                groups.append((mats[k], at, rows))
+        out = Tensor(data, requires_grad=track)
         if out.requires_grad:
             def backward(g, accum, groups=groups):
                 for m, at, rows in groups:

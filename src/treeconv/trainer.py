@@ -36,7 +36,7 @@ from .corpus_io import (
     tagged_constituents,
 )
 from .errors import ConfigError, ContractError
-from .network import SentenceClassifier, TrainedModel, init_model
+from .network import SentenceClassifier, TrainedModel, init_model, read_rows
 from .rae_pretrain import CompositionParams
 from .tensor_core import (Tape, Tensor, grad_of, iter_batches, l2_penalty,
                           node_groups, sgd_epoch)
@@ -75,18 +75,26 @@ def _sample_roots(tree: ParseTree, config: TrainConfig) -> List[Optional[int]]:
     return roots
 
 
-def _sample_spans(classifier: SentenceClassifier,
+def _read_trees(train_trees: Sequence[ParseTree],
+                roots: Sequence[List[Optional[int]]],
+                val_trees: Sequence[ParseTree]) -> List[ParseTree]:
+    """Each training tree with a root in `roots` (its `_sample_roots`)
+    and each validation tree, once, in order."""
+    distinct = {id(tree): tree for tree, nodes in zip(train_trees, roots)
+                if nodes}
+    distinct.update((id(tree), tree) for tree in val_trees)
+    return list(distinct.values())
+
+
+def _sample_spans(classifier: SentenceClassifier, trees: Sequence[ParseTree],
                   train_trees: Sequence[ParseTree],
                   roots: Sequence[List[Optional[int]]],
                   val_trees: Sequence[ParseTree]) -> Tuple[List[Span], List[Span]]:
     """A span per root in `roots` (each training tree's `_sample_roots`),
-    and the validation trees' spans, of one index in which each distinct
-    tree is indexed once."""
-    distinct = {id(tree): tree for tree, nodes in zip(train_trees, roots)
-                if nodes}
-    distinct.update((id(tree), tree) for tree in val_trees)
-    index = classifier.index(list(distinct.values()))
-    at = {key: t for t, key in enumerate(distinct)}  # id(tree) -> its tree number
+    and the validation trees' spans, of one index of `trees`, their
+    `_read_trees`."""
+    index = classifier.index(trees)
+    at = {id(tree): t for t, tree in enumerate(trees)}  # id(tree) -> its tree number
     samples = [classifier.span(index, at[id(tree)], v)
                for tree, nodes in zip(train_trees, roots) for v in nodes]
     return samples, [classifier.span(index, at[id(tree)]) for tree in val_trees]
@@ -185,7 +193,7 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
     to the pretrained composition), so train_embeddings only applies to
     the dependency variant.  `fit` runs the epochs, so a run that blows
     up stops with DivergenceError.  The report's `wall_time` counts
-    from before the trees are indexed.
+    from before the model is initialised.
     """
     config.validate()
     if not train_trees or not val_trees:
@@ -208,15 +216,15 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
 
     started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
-    classifier = SentenceClassifier(config, None, table, inventory=inventory,
-                                    rae=rae)
-    samples, val_spans = _sample_spans(classifier, train_trees, roots, val_trees)
+    trees = _read_trees(train_trees, roots, val_trees)
     rows = None
     if config.variant == VARIANT_D and config.train_embeddings:
-        # the parameter's rows are the distinct words read, in vocabulary order
-        index = val_spans[0].index
-        rows, index.rows = np.unique(index.rows, return_inverse=True)
-    params = classifier.params = init_model(config, table, inventory, rng, rows)
+        rows = np.unique(read_rows(trees, table))  # the rows SGD can move
+    params = init_model(config, table, inventory, rng, rows)
+    classifier = SentenceClassifier(config, params, table, inventory=inventory,
+                                    rae=rae)
+    samples, val_spans = _sample_spans(classifier, trees, train_trees, roots,
+                                       val_trees)
     report = fit(
         samples,
         lambda tape, batch: classifier.loss(

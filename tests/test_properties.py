@@ -64,7 +64,7 @@ from treeconv.tensor_core import (
     parameter,
 )
 from treeconv.errors import ContractError, StructureError
-from treeconv.trainer import _sample_roots, _sample_spans, train
+from treeconv.trainer import _read_trees, _sample_roots, _sample_spans, train
 from treeconv.tree_conv import (convolve, index_trees, init_c_window,
                                 init_d_window)
 
@@ -261,7 +261,8 @@ def c_classifier(config, table, nprng):
 def training_spans(classifier, trees, val_trees):
     """`train`'s samples of `trees` and spans of `val_trees`."""
     roots = [_sample_roots(tree, classifier.config) for tree in trees]
-    return _sample_spans(classifier, trees, roots, val_trees)
+    return _sample_spans(classifier, _read_trees(trees, roots, val_trees),
+                         trees, roots, val_trees)
 
 
 @PROPERTY

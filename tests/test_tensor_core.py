@@ -159,6 +159,34 @@ class TestRowLookupGradient:
             for m, indices in read_by.items():
                 assert grads[m].indices.tolist() == indices
 
+    def test_stacked_lookup_reads_and_differentiates_as_the_vstack(self):
+        """Over several matrices, an empty one included, `take_rows` reads
+        what one lookup of their vstack reads, on either tape, and each
+        matrix gets its own rows of the vstack's gradient: indices in one
+        matrix, in the first and the last only, across all, and none."""
+        rng = np.random.default_rng(32)
+        sizes = (3, 0, 4, 2)
+        mats = [parameter(rng.normal(size=(n, 2)), f"M{k}")
+                for k, n in enumerate(sizes)]
+        stacked = np.vstack([m.data for m in mats])
+        bounds = np.cumsum((0,) + sizes)
+        for rows in ([3, 5, 4], [0, 8, 2, 8], [6, 1, 3, 8, 0], [2], []):
+            for record in (False, True):
+                tape = Tape(record=record)
+                read = tape.take_rows(mats, rows)
+                assert read.data.shape == (len(rows), 2)
+                assert read.data.tobytes() == stacked[rows].tobytes()
+                if not (record and rows):
+                    continue
+                coeffs = rng.normal(size=read.data.shape)
+                grads = tape.backward(tape.sumsq(tape.mul(read, Tensor(coeffs))))
+                dense = np.zeros_like(stacked)
+                np.add.at(dense, rows, 2.0 * read.data * coeffs * coeffs)
+                for k, m in enumerate(mats):
+                    np.testing.assert_allclose(grad_of(grads, m),
+                                               dense[bounds[k]:bounds[k + 1]],
+                                               rtol=1e-12, atol=0)
+
 
 class TestScatterAdd:
     def test_writes_a_non_contiguous_out_in_place(self):
