@@ -42,6 +42,6 @@ for variant, trees in (("d", corpus.dep_trees), ("c", corpus.con_trees)):
         if acc == 1.0:
             print(f"  reached 100% at epoch {epoch}")
             break
-    final = evaluate(model.classifier(), trees)
+    final = evaluate(model, trees)
     print(f"  best-epoch model accuracy: {final.accuracy:.3f} "
           f"({final.correct}/{final.total})")

@@ -22,7 +22,7 @@ config = TrainConfig(variant="d", n_e=8, n_c=16, n_h=8, classes=2,
                      train_embeddings=False).validate()
 print("training the tree model on the structural task ...")
 result = run_structural_experiment(task, config)
-clf = result.tree_model.classifier()
+clf = result.tree_model
 
 for i, tree in enumerate(task.test[:2]):
     tape = Tape()

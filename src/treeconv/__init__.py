@@ -37,7 +37,7 @@ from .errors import (
     StructureError,
     TreeConvError,
 )
-from .network import ModelParams, SentenceClassifier, TrainedModel, init_model
+from .network import ModelParams, SentenceClassifier, init_model
 from .tensor_core import Tape, Tensor
 from .trainer import TrainReport, evaluate, gradient_check, train
 

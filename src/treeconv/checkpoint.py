@@ -17,10 +17,10 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .config import VARIANT_D, config_from_dict, config_to_dict
+from .config import VARIANT_C, VARIANT_D, config_from_dict, config_to_dict
 from .corpus_io import DepTypeInventory, EmbeddingTable, Vocabulary
 from .errors import ConfigError, FormatError
-from .network import TrainedModel, init_model
+from .network import SentenceClassifier, init_model
 from .rae_pretrain import init_composition
 from .tensor_core import assert_finite
 
@@ -30,7 +30,7 @@ _HEADER_KEYS = ("variant", "config", "label_names", "vocabulary", "inventory",
                 "has_rae", "arrays")
 
 
-def _array_entries(model: TrainedModel) -> List[Tuple[str, np.ndarray]]:
+def _array_entries(model: SentenceClassifier) -> List[Tuple[str, np.ndarray]]:
     entries = [(name, t.data) for name, t in model.params.named()
                if t is not model.params.embeddings]
     if model.rae is not None:
@@ -39,13 +39,13 @@ def _array_entries(model: TrainedModel) -> List[Tuple[str, np.ndarray]]:
     return entries
 
 
-def save_checkpoint(model: TrainedModel, path) -> None:
+def save_checkpoint(model: SentenceClassifier, path) -> None:
     entries = _array_entries(model)
     for name, arr in entries:
         assert_finite(arr, f"checkpoint array {name}")
     header = {
         "format_version": FORMAT_VERSION,
-        "variant": model.variant,
+        "variant": model.config.variant,
         "config": config_to_dict(model.config),
         "label_names": model.label_names,
         "vocabulary": {
@@ -70,13 +70,15 @@ def save_checkpoint(model: TrainedModel, path) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path) -> TrainedModel:
-    """Build the model the stored config describes, then fill its arrays
-    from the payload.  The stored arrays must carry that model's names,
-    in order, and its shapes; any mismatch is a FormatError naming the
-    file and the array.  A model that trains its embeddings stores them
-    once, as its whole table; loaded, its embedding parameter holds
-    every row, and its table is that parameter's array."""
+def load_checkpoint(path) -> SentenceClassifier:
+    """Build the model the stored config describes, one
+    :class:`SentenceClassifier` as `trainer.train` returns, then fill its
+    arrays from the payload.  The stored arrays must carry that model's
+    names, in order, and its shapes; any mismatch is a FormatError
+    naming the file and the array.  A model that trains its embeddings
+    stores them once, as its whole table; loaded, its embedding
+    parameter holds every row, and its `base_table` and `table` are
+    that parameter's array."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise FormatError(f"{path} is not a treeconv checkpoint")
@@ -109,8 +111,9 @@ def load_checkpoint(path) -> TrainedModel:
             missing = [n for n in expected if n not in stored]
             unknown = [n for n in stored if n not in expected]
             raise FormatError(
-                f"{path}: stored arrays do not match the {model.variant}-model "
-                f"layout (missing {missing}, unknown {unknown})"
+                f"{path}: stored arrays do not match the "
+                f"{model.config.variant}-model layout "
+                f"(missing {missing}, unknown {unknown})"
             )
         for spec, (name, target) in zip(header["arrays"], entries):
             shape = tuple(spec["shape"])
@@ -147,7 +150,7 @@ _HEADER_VALUES = {
 }
 
 
-def _model_for_header(header, path) -> TrainedModel:
+def _model_for_header(header, path) -> SentenceClassifier:
     """A freshly initialised model of the stored layout, its arrays to be
     overwritten by the payload."""
     missing = [key for key in _HEADER_KEYS if key not in header]
@@ -162,6 +165,9 @@ def _model_for_header(header, path) -> TrainedModel:
         raise FormatError(f"{path}: stored config is invalid: {e}")
     if header["variant"] != config.variant:
         raise FormatError(f"{path}: variant tag disagrees with config")
+    if config.variant == VARIANT_C and not header["has_rae"]:
+        raise FormatError(f"{path}: constituency checkpoint lacks "
+                          f"composition params")
 
     vocab = Vocabulary(
         index={tok: i for i, tok in enumerate(header["vocabulary"]["tokens"])},
@@ -184,6 +190,6 @@ def _model_for_header(header, path) -> TrainedModel:
     if params.embeddings is not None:  # the payload fills one table
         table = EmbeddingTable(params.embeddings.data)
     rae = init_composition(config.n_e, rng) if header["has_rae"] else None
-    return TrainedModel(config=config, params=params, vocab=vocab,
-                        base_table=table, inventory=inventory, rae=rae,
-                        label_names=header["label_names"])
+    return SentenceClassifier(config, params, table, inventory=inventory,
+                              rae=rae, vocab=vocab,
+                              label_names=header["label_names"])

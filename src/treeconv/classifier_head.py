@@ -155,7 +155,5 @@ def dropout_mask(shape, rate: float, rng) -> np.ndarray:
     (evaluation draws no mask)."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return np.ones(shape)
     keep = rng.random(shape) >= rate
     return keep.astype(np.float64) / (1.0 - rate)

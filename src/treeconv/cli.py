@@ -40,7 +40,7 @@ from .corpus_io import (
     vocabulary_from_corpus,
 )
 from .errors import ConfigError, ContractError, DataError, ShapeError
-from .network import SentenceClassifier, TrainedModel, assign_slots, init_model
+from .network import SentenceClassifier, assign_slots, init_model
 from .pooling import DEFAULT_ALPHA, GLOBAL, K_SLOT, THREE_SLOT, pool
 from .rae_pretrain import PretrainConfig, init_composition, pretrain
 from .synthetic import fixture_pair
@@ -285,7 +285,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = ckpt.load_checkpoint(args.checkpoint)
-    trees = _read_corpus_checked(args.input, model.variant)
+    trees = _read_corpus_checked(args.input, model.config.variant)
     # --binary gold labels are binary, not the checkpoint's classes
     _label_trees(trees, args.labels, args.input,
                  None if args.binary else model.label_names)
@@ -295,9 +295,8 @@ def cmd_eval(args) -> int:
     if args.binary and model.config.classes != 5:
         raise ConfigError("--binary needs a 5-class sentiment checkpoint")
 
-    classifier = model.classifier()
     boundaries = trainer.default_length_buckets(granularity=args.buckets)
-    report = trainer.evaluate(classifier, trees, buckets=boundaries,
+    report = trainer.evaluate(model, trees, buckets=boundaries,
                               transfer_binary=args.binary)
     if args.binary:
         print("5-to-2 transfer evaluation (neutral mass discarded)")
@@ -310,17 +309,16 @@ def cmd_eval(args) -> int:
 
 def cmd_visualize(args) -> int:
     model = ckpt.load_checkpoint(args.checkpoint)
-    trees = _read_corpus_checked(args.input, model.variant)
+    trees = _read_corpus_checked(args.input, model.config.variant)
     for tree in trees:
         bind_vocabulary(tree, model.vocab)
 
     slots = replace(model.config, pooling=args.pooling, k=args.k,
                     alpha=args.alpha).validate()
-    classifier = model.classifier()
     written = 0
     for i, tree in enumerate(trees):
         tape = Tape()
-        features = classifier.forward_features(tape, [tree])
+        features = model.forward_features(tape, [tree])
         _, provenance = pool(tape, features, assign_slots(tree, slots))
         fracs = viz.fractions(provenance, tree)
         with open(f"{args.out_prefix}_{i}.dot", "w", encoding="utf-8") as fh:
@@ -392,9 +390,8 @@ def _save_rae(rae, vocab, table, path) -> None:
     config = TrainConfig(variant=VARIANT_C, n_e=rae.n_e, n_c=1, n_h=1,
                          classes=2, pooling=GLOBAL).validate()
     params = init_model(config, table, None, np.random.default_rng(0))
-    model = TrainedModel(config=config, params=params, vocab=vocab,
-                         base_table=table, rae=rae, label_names=None)
-    ckpt.save_checkpoint(model, path)
+    ckpt.save_checkpoint(SentenceClassifier(config, params, table, rae=rae,
+                                            vocab=vocab), path)
 
 
 if __name__ == "__main__":

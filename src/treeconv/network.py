@@ -11,7 +11,11 @@ tree or a constituency sub-sentence.  Trees are indexed once where the
 work starts (`trainer.train`, or a prediction call), in one walk per
 constituency tree: window edges, the composition order and the node
 rows, which are the frozen RAE annotation composed from that order
-(see :func:`rae_pretrain.annotate_forest`) or embedding indices."""
+(see :func:`rae_pretrain.annotate_forest`) or embedding indices.
+
+A model is one :class:`SentenceClassifier`, whether it trains or not:
+`trainer.train` and `checkpoint.load_checkpoint` return it, and it holds
+everything a checkpoint stores."""
 
 from __future__ import annotations
 
@@ -83,12 +87,12 @@ def assign_slots(tree: ParseTree, config: TrainConfig,
 
 def init_model(config: TrainConfig, table: EmbeddingTable,
                inventory: Optional[DepTypeInventory], rng,
-               rows: Optional[np.ndarray] = None) -> ModelParams:
+               trees: Optional[Sequence[ParseTree]] = None) -> ModelParams:
     """Fresh parameters: uniform +-sqrt(6/(fan_in+fan_out)), zero biases.
 
-    Trained embeddings start as `table`'s rows `rows` (sorted vocabulary
-    indices), gathered, or as a copy of the whole table when `rows` is
-    None; `table` is never written.
+    Trained embeddings start as the rows of `table` that `trees` read,
+    gathered (SGD cannot move any other row), or as a copy of the whole
+    table when `trees` is None; `table` is never written.
     """
     if config.variant == VARIANT_D:
         if inventory is None:
@@ -101,6 +105,7 @@ def init_model(config: TrainConfig, table: EmbeddingTable,
         config.n_h, slot_count(config) * config.n_c, config.classes, rng)
     if not (config.variant == VARIANT_D and config.train_embeddings):
         return ModelParams(conv, head)
+    rows = None if trees is None else np.unique(read_rows(trees, table))
     vectors = table.vectors.copy() if rows is None else table.vectors[rows]
     return ModelParams(conv, head, parameter(vectors, "embeddings"), rows)
 
@@ -120,30 +125,60 @@ def read_rows(trees: Sequence[ParseTree], table: EmbeddingTable) -> np.ndarray:
 
 
 class SentenceClassifier:
-    """Forward evaluation of one trained (or training) variant, a
-    minibatch of spans at a time.
+    """One TBCNN of either variant, trained or training: its forward pass,
+    a minibatch of spans at a time, and everything a checkpoint stores,
+    so it is self-describing and reloadable.
 
     Constituency node vectors come frozen from the recursive-autoencoder
     annotation; no gradient ever flows into them or its parameters.
     Dependency node vectors are embedding rows, trainable when the model
-    owns an embedding parameter.  `table` is the table the model was
-    built with: a word whose row the parameter does not hold reads it.
+    owns an embedding parameter.  `base_table` is the table the model was
+    built with; training never writes it.  A model that trains its
+    embeddings holds the trained rows in its embedding parameter and
+    their vocabulary indices in `params.rows` (None: every row, as in a
+    loaded checkpoint); a word whose row the parameter does not hold
+    reads `base_table`.  `vocab` and `label_names` are stored with the
+    model, and no forward pass reads them.
     """
 
     def __init__(self, config: TrainConfig, params: ModelParams,
-                 table: EmbeddingTable,
+                 base_table: EmbeddingTable,
                  inventory: Optional[DepTypeInventory] = None,
-                 rae: Optional[CompositionParams] = None):
+                 rae: Optional[CompositionParams] = None,
+                 vocab: Optional[Vocabulary] = None,
+                 label_names: Optional[List[str]] = None):
         config.validate()
         self.config = config
         self.params = params
-        self.table = table
+        self.base_table = base_table
         self.inventory = inventory
         self.rae = rae
+        self.vocab = vocab
+        self.label_names = label_names
         if config.variant == VARIANT_C and rae is None:
             raise ContractError("constituency classifier needs composition params")
         if config.variant == VARIANT_D and inventory is None:
             raise ContractError("dependency classifier needs a relation inventory")
+
+    @cached_property
+    def table(self) -> EmbeddingTable:
+        """The whole table the model reads: `base_table`, or with trained
+        embeddings the parameter's array when it holds every row (a
+        loaded checkpoint), else a copy of `base_table` with the trained
+        rows in place, built on first read.  No forward pass reads it;
+        `save_checkpoint` does."""
+        embeddings, rows = self.params.embeddings, self.params.rows
+        if embeddings is None:
+            return self.base_table
+        if rows is None:
+            return EmbeddingTable(embeddings.data)
+        vectors = self.base_table.vectors.copy()
+        vectors[rows] = embeddings.data
+        return EmbeddingTable(vectors)
+
+    def classifier(self) -> "SentenceClassifier":
+        """The model itself: a trained model is its own classifier."""
+        return self
 
     def index(self, trees: Sequence[ParseTree]) -> tree_conv.TreeIndex:
         """The window index of `trees` with the rows their node vectors
@@ -154,9 +189,9 @@ class SentenceClassifier:
         length plus its vocabulary index (see `node_vectors`)."""
         index = tree_conv.index_trees(trees, self.inventory)
         if self.config.variant == VARIANT_C:
-            index.rows = annotate_forest(index, self.rae, self.table)
+            index.rows = annotate_forest(index, self.rae, self.base_table)
             return index
-        index.rows = read_rows(trees, self.table)
+        index.rows = read_rows(trees, self.base_table)
         if self.params.rows is not None:
             index.rows = self._stacked_rows[index.rows]
         return index
@@ -164,9 +199,9 @@ class SentenceClassifier:
     @cached_property
     def _stacked_rows(self) -> np.ndarray:
         """Each vocabulary index's row in the embedding parameter stacked
-        over `table`, where the parameter holds only some rows."""
+        over `base_table`, where the parameter holds only some rows."""
         trained = self.params.rows
-        at = np.arange(len(trained), len(trained) + len(self.table))
+        at = np.arange(len(trained), len(trained) + len(self.base_table))
         at[trained] = np.arange(len(trained))
         return at
 
@@ -190,16 +225,16 @@ class SentenceClassifier:
         """The (n_nodes, n_e) matrix of node vectors, row v for forest
         row v: constituency annotations, or rows of the embedding table
         (a parameter when it trains, else a constant).  Trained
-        embeddings are read as if stacked over `table`, so that a row
+        embeddings are read as if stacked over `base_table`, so that a row
         past the parameter's reads a word it does not hold."""
         rows = np.concatenate([span.index.rows[span.start:span.stop]
                                for span in forest.spans])
         if self.config.variant == VARIANT_C:
             return Tensor(rows)
         if self.params.embeddings is None:  # `index` checked the rows
-            return Tensor(self.table.vectors[rows])
-        return tape.take_rows([self.params.embeddings, Tensor(self.table.vectors)],
-                              rows)
+            return Tensor(self.base_table.vectors[rows])
+        return tape.take_rows([self.params.embeddings,
+                               Tensor(self.base_table.vectors)], rows)
 
     def _dropout(self, tape: Tape, forest: tree_conv.Forest, vectors: Tensor,
                  mode: str, rng) -> Tuple[Tensor, Optional[np.ndarray]]:
@@ -271,45 +306,3 @@ class SentenceClassifier:
 
     def predict(self, tree: ParseTree) -> PredictionOutput:
         return self.predict_batch([tree])[0]
-
-
-@dataclass
-class TrainedModel:
-    """Everything a checkpoint stores: self-describing and reloadable.
-
-    `base_table` is the table the model was built with; training never
-    writes it.  A model that trains its embeddings holds the trained
-    rows in its embedding parameter, and their vocabulary indices in
-    `params.rows` (None: every row, as in a loaded checkpoint).
-    """
-
-    config: TrainConfig
-    params: ModelParams
-    vocab: Vocabulary
-    base_table: EmbeddingTable
-    inventory: Optional[DepTypeInventory] = None
-    rae: Optional[CompositionParams] = None
-    label_names: Optional[List[str]] = None
-
-    @cached_property
-    def table(self) -> EmbeddingTable:
-        """The table the model reads: `base_table`, or with trained
-        embeddings the parameter's array when it holds every row (a
-        loaded checkpoint), else a copy of `base_table` with the trained
-        rows in place, built on first read."""
-        embeddings, rows = self.params.embeddings, self.params.rows
-        if embeddings is None:
-            return self.base_table
-        if rows is None:
-            return EmbeddingTable(embeddings.data)
-        vectors = self.base_table.vectors.copy()
-        vectors[rows] = embeddings.data
-        return EmbeddingTable(vectors)
-
-    @property
-    def variant(self) -> str:
-        return self.config.variant
-
-    def classifier(self) -> SentenceClassifier:
-        return SentenceClassifier(self.config, self.params, self.base_table,
-                                  inventory=self.inventory, rae=self.rae)

@@ -11,7 +11,7 @@ import numpy as np
 from .baseline import train_bag_baseline
 from .config import VARIANT_C, VARIANT_D, TrainConfig
 from .errors import ConfigError
-from .network import TrainedModel
+from .network import SentenceClassifier
 from .rae_pretrain import CompositionParams
 from .synthetic import StructuralTask, ToyCorpus
 from .trainer import evaluate, train
@@ -72,7 +72,7 @@ def pooling_comparison(corpus: ToyCorpus, rae: CompositionParams,
             trees = corpus.con_trees if variant == VARIANT_C else corpus.dep_trees
             model, _ = train(trees, trees, corpus.vocab, corpus.table, config,
                              rae=rae if variant == VARIANT_C else None)
-            accs.append(evaluate(model.classifier(), trees).accuracy)
+            accs.append(evaluate(model, trees).accuracy)
         rows.append(ComparisonRow(model=label, pooling=pooling_label,
                                   accuracies=accs))
     return rows
@@ -80,7 +80,7 @@ def pooling_comparison(corpus: ToyCorpus, rae: CompositionParams,
 
 @dataclass
 class StructuralResult:
-    tree_model: TrainedModel
+    tree_model: SentenceClassifier
     tree_accuracy: float
     baseline_accuracy: float
 
@@ -96,7 +96,7 @@ def run_structural_experiment(task: StructuralTask, config: TrainConfig,
     if config.variant != VARIANT_D:
         raise ConfigError("the structural experiment uses the dependency variant")
     model, _ = train(task.train, task.train, task.vocab, task.table, config)
-    tree_acc = evaluate(model.classifier(), task.test).accuracy
+    tree_acc = evaluate(model, task.test).accuracy
     baseline, _ = train_bag_baseline(task.train, task.train, task.table, config)
     base_acc = evaluate(baseline, task.test).accuracy
     return StructuralResult(tree_model=model, tree_accuracy=tree_acc,

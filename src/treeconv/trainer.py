@@ -36,7 +36,7 @@ from .corpus_io import (
     tagged_constituents,
 )
 from .errors import ConfigError, ContractError
-from .network import SentenceClassifier, TrainedModel, init_model, read_rows
+from .network import SentenceClassifier, init_model
 from .rae_pretrain import CompositionParams
 from .tensor_core import (Tape, Tensor, grad_of, iter_batches, l2_penalty,
                           node_groups, sgd_epoch)
@@ -178,22 +178,23 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
           inventory: Optional[DepTypeInventory] = None,
           label_names: Optional[List[str]] = None,
           log: Optional[Callable[[str], None]] = None,
-          ) -> Tuple[TrainedModel, TrainReport]:
-    """SGD on the mean batch loss; returns the best-validation checkpoint.
+          ) -> Tuple[SentenceClassifier, TrainReport]:
+    """SGD on the mean batch loss; returns the model with its
+    best-validation parameters, one :class:`SentenceClassifier` that
+    `evaluate` reads and `save_checkpoint` writes, and the report.
 
-    `table` is never written.  With train_embeddings on, the embedding
-    parameter holds only the rows the training and validation trees
-    read, gathered from `table`: SGD cannot move any other row.  The
-    returned model reads the trained rows for those words and `table`
-    for every other word; its `table` is `table` with the trained rows
-    in place.  So a non-finite row that no tree reads does not stop the
-    run, as with frozen embeddings, but `save_checkpoint` refuses to
-    write it.  With train_embeddings off, the model holds `table`
-    itself.  Constituency node vectors are always frozen (they belong
-    to the pretrained composition), so train_embeddings only applies to
-    the dependency variant.  `fit` runs the epochs, so a run that blows
-    up stops with DivergenceError.  The report's `wall_time` counts
-    from before the model is initialised.
+    `table` is never written; it is the model's `base_table`.  With
+    train_embeddings on, the embedding parameter holds only the rows the
+    training and validation trees read, gathered from `table`: SGD
+    cannot move any other row.  The returned model reads the trained
+    rows for those words and `table` for every other word; its `table`
+    is `table` with the trained rows in place.  So a non-finite row that
+    no tree reads does not stop the run, as with frozen embeddings, but
+    `save_checkpoint` refuses to write it.  Constituency node vectors
+    are always frozen (they belong to the pretrained composition), so
+    train_embeddings only applies to the dependency variant.  `fit` runs
+    the epochs, so a run that blows up stops with DivergenceError.  The
+    report's `wall_time` counts from before the model is initialised.
     """
     config.validate()
     if not train_trees or not val_trees:
@@ -217,25 +218,19 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
     started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     trees = _read_trees(train_trees, roots, val_trees)
-    rows = None
-    if config.variant == VARIANT_D and config.train_embeddings:
-        rows = np.unique(read_rows(trees, table))  # the rows SGD can move
-    params = init_model(config, table, inventory, rng, rows)
-    classifier = SentenceClassifier(config, params, table, inventory=inventory,
-                                    rae=rae)
-    samples, val_spans = _sample_spans(classifier, trees, train_trees, roots,
+    params = init_model(config, table, inventory, rng, trees)
+    model = SentenceClassifier(config, params, table, inventory=inventory,
+                               rae=rae, vocab=vocab, label_names=label_names)
+    samples, val_spans = _sample_spans(model, trees, train_trees, roots,
                                        val_trees)
     report = fit(
         samples,
-        lambda tape, batch: classifier.loss(
+        lambda tape, batch: model.loss(
             tape, batch, [span.label for span in batch], mode="train", rng=rng),
         params.named(), params.weight_matrices(),
-        lambda: evaluate(classifier, val_trees, spans=val_spans).accuracy,
+        lambda: evaluate(model, val_trees, spans=val_spans).accuracy,
         config, rng, log=log)
     report.wall_time = time.perf_counter() - started
-    model = TrainedModel(config=config, params=params, vocab=vocab,
-                         base_table=table, inventory=inventory, rae=rae,
-                         label_names=label_names)
     return model, report
 
 
@@ -372,7 +367,7 @@ def gradient_check(classifier: SentenceClassifier, tree: ParseTree, gold: int,
     spans = classifier.spans([tree])
 
     def loss_value() -> float:
-        value = classifier.loss(Tape(), spans, [gold], mode="eval")
+        value = classifier.loss(Tape(record=False), spans, [gold], mode="eval")
         return value.cross_entropy + l2_penalty(weights, lam)[0]
 
     tape = Tape()

@@ -17,7 +17,7 @@ from treeconv.corpus_io import (
     read_dependency_file,
     serialize_dependency,
 )
-from treeconv.network import TrainedModel, init_model
+from treeconv.network import SentenceClassifier, init_model
 from treeconv.rae_pretrain import init_composition
 from treeconv.synthetic import fixture_pair, make_overfit_corpus
 
@@ -415,6 +415,38 @@ class TestCheckpointRoundTrip:
         assert str(bad) in err and fragment in err, err
 
 
+def _without_rae(raw):
+    """A c-checkpoint's bytes with `has_rae` false in the header and the
+    rae.* arrays cut from header and payload."""
+    length_line = raw[len(MAGIC):].split(b"\n", 1)[0]
+    start = len(MAGIC) + len(length_line) + 1
+    end = start + int(length_line)
+    header = json.loads(raw[start:end])
+    payload, at, kept = raw[end + 1:], 0, []
+    for spec in header["arrays"]:
+        size = 8 * int(np.prod(spec["shape"]))
+        if not spec["name"].startswith("rae."):
+            kept.append((spec, payload[at:at + size]))
+        at += size
+    header.update(has_rae=False, arrays=[spec for spec, _ in kept])
+    blob = json.dumps(header).encode("utf-8")
+    return (MAGIC + f"{len(blob)}\n".encode("ascii") + blob + b"\n"
+            + b"".join(data for _, data in kept))
+
+
+@pytest.mark.parametrize("command", ["eval", "visualize"])
+def test_c_checkpoint_without_rae_exits_3_naming_file(command, tmp_path,
+                                                       capsys):
+    _, path = _layout_case("c", tmp_path)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_without_rae(path.read_bytes()))
+    code = main([command, "--checkpoint", str(bad),
+                 "--input", str(DATA / "tiny_con.txt")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert str(bad) in err and "composition params" in err, err
+
+
 def _stored_names(path):
     """The array names in a checkpoint's header, in payload order."""
     raw = path.read_bytes()
@@ -457,9 +489,9 @@ def _layout_case(case, tmp_path):
         config = TrainConfig(variant="d", n_e=4, n_c=3, n_h=3, classes=3,
                              train_embeddings=case == "d trained")
     params = init_model(config, table, inventory, rng)
-    save_checkpoint(TrainedModel(config=config, params=params, vocab=vocab,
-                                 base_table=table, inventory=inventory,
-                                 rae=rae),
+    save_checkpoint(SentenceClassifier(config, params, table,
+                                       inventory=inventory, rae=rae,
+                                       vocab=vocab),
                     path)
     return params.named() + (rae.named() if rae else []), path
 

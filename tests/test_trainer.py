@@ -311,6 +311,23 @@ class TestTrainLoop:
         assert model.table.vectors.shape == table.vectors.shape
         assert held < 1.5 * table.vectors.nbytes, held
 
+    def test_only_saving_builds_the_whole_trained_table(self, tmp_path):
+        # a forward pass reads the trained rows over `base_table`; the
+        # merged `table` is built only by a read such as `save_checkpoint`
+        corpus = make_overfit_corpus(n_sentences=6, classes=2, n_e=8, seed=4)
+        filler = np.random.default_rng(0).random((1000, 8))
+        table = EmbeddingTable(np.vstack([corpus.table.vectors, filler]))
+        config = small_config("d", n_e=8, max_epochs=1, train_embeddings=True)
+        model, _ = train(corpus.dep_trees, corpus.dep_trees, corpus.vocab,
+                         table, config)
+        assert model.classifier() is model
+        evaluate(model, corpus.dep_trees)
+        model.predict(corpus.dep_trees[0])
+        assert "table" not in model.__dict__
+        save_checkpoint(model, tmp_path / "model.ckpt")
+        assert "table" in model.__dict__
+        assert_trained_over(model, table, model.params.embeddings.data)
+
     def test_two_epochs_allocate_the_rows_read_not_the_table(self, monkeypatch):
         # the first of two epochs is kept, so `fit` snapshots the
         # embedding parameter: the rows the run reads, not the table
