@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .tensor_core import (
-    ALL_ROWS,
     Tape,
     Tensor,
     by_name,
@@ -81,11 +80,10 @@ def forward(tape: Tape, x: Tensor, params: HeadParams,
             f"head expects input rows of width {params.W_h.data.shape[1]}, "
             f"got pooled slots of shape {x.data.shape}"
         )
-    h = tape.relu(tape.edge_matmul(x, [(params.W_h, ALL_ROWS, ALL_ROWS)],
-                                   params.b_h))
+    h = tape.relu(tape.edge_matmul(x, params.W_h, params.b_h))
     if hidden_mask is not None:
         h = tape.mul(h, Tensor(hidden_mask))
-    return tape.edge_matmul(h, [(params.W_o, ALL_ROWS, ALL_ROWS)], params.b_o)
+    return tape.edge_matmul(h, params.W_o, params.b_o)
 
 
 def predictions(logits: np.ndarray) -> List[PredictionOutput]:

@@ -163,6 +163,12 @@ def _dispatch(args) -> int:
     raise ConfigError(f"unknown command {args.command!r}")
 
 
+def _at_least(flag, value, least) -> None:
+    """Reject a command-line number below `least`, naming its flag."""
+    if value < least:
+        raise ConfigError(f"{flag} must be >= {least}, got {value}")
+
+
 def _with_path(path, fn):
     """Run a reader, prefixing the file name onto any data error."""
     try:
@@ -284,6 +290,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _at_least("--buckets", args.buckets, 1)
     model = ckpt.load_checkpoint(args.checkpoint)
     trees = _read_corpus_checked(args.input, model.config.variant)
     # --binary gold labels are binary, not the checkpoint's classes
@@ -331,6 +338,7 @@ def cmd_visualize(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    _at_least("--seed", args.seed, 0)
     variants = [VARIANT_C, VARIANT_D] if args.variant == "both" else [args.variant]
     worst = 0.0
     for variant in variants:
@@ -370,11 +378,12 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_pretrain_rae(args) -> int:
+    _at_least("--n-e", args.n_e, 1)
+    config = PretrainConfig(learning_rate=args.lr, batch_size=args.batch,
+                            max_epochs=args.epochs, seed=args.seed).validate()
     trees = _with_path(args.train_path,
                        lambda: read_constituency_file(args.train_path))
     vocab, table = _bound_embeddings(args.embeddings, trees, args.n_e, args.seed)
-    config = PretrainConfig(learning_rate=args.lr, batch_size=args.batch,
-                            max_epochs=args.epochs, seed=args.seed)
     rae = pretrain(trees, table, config)
     _save_rae(rae, vocab, table, args.out)
     print(f"composition parameters written to {args.out}")

@@ -64,6 +64,8 @@ class TrainConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
 

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .corpus_io import CONSTITUENCY, EmbeddingTable, ParseTree
-from .errors import ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 from .tensor_core import (Tape, Tensor, by_name, node_groups, parameter,
                           sgd_epoch, uniform_init)
 from .tree_conv import TreeIndex, index_trees
@@ -53,6 +53,18 @@ class PretrainConfig:
     max_epochs: int = 30
     patience: Optional[int] = 3  # epochs without held-out improvement; None = off
     seed: int = 0
+
+    def validate(self) -> "PretrainConfig":
+        if self.learning_rate <= 0.0:
+            raise ConfigError(
+                f"learning_rate must be positive, got {self.learning_rate}")
+        for name in ("batch_size", "max_epochs", "patience"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        return self
 
 
 def init_composition(n_e: int, rng) -> CompositionParams:
@@ -140,7 +152,6 @@ def _recon_loss(tape: Tape, trees: Sequence[ParseTree], params: CompositionParam
         rank[rows] = np.arange(len(rows)) + int(h == 0)
     vectors = [Tensor(np.concatenate([np.zeros((1, params.n_e)),
                                       table.vectors[index.leaves]]))]
-    every = slice(None)
     total = None
     for kids in index.children:
         refs = kids.ravel()
@@ -151,10 +162,8 @@ def _recon_loss(tape: Tape, trees: Sequence[ParseTree], params: CompositionParam
             tape.take_rows([vectors[l] for l in used],
                            start[level_of[refs]] + rank[refs]),
             (len(kids), 2 * params.n_e))
-        p = tape.tanh(tape.edge_matmul(pairs, [(params.W_comp, every, every)],
-                                       params.b_comp))
-        recon = tape.tanh(tape.edge_matmul(p, [(params.W_rec, every, every)],
-                                           params.b_rec))
+        p = tape.tanh(tape.edge_matmul(pairs, params.W_comp, params.b_comp))
+        recon = tape.tanh(tape.edge_matmul(p, params.W_rec, params.b_rec))
         loss = tape.sumsq(tape.sub(pairs, recon))
         total = loss if total is None else tape.add(total, loss)
         vectors.append(p)
@@ -183,6 +192,7 @@ def pretrain(trees: Sequence[ParseTree], table: EmbeddingTable,
     never exceeds the initial one.  Gradients are averaged per non-leaf
     node in the batch.
     """
+    config.validate()
     trees = list(trees)
     if any(t.kind != CONSTITUENCY for t in trees):
         raise ContractError("pretraining expects constituency trees")

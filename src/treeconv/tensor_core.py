@@ -15,9 +15,9 @@ rows, repeats included, and every sum runs in replay order.
 The tape records whole-array operations, so one layer of a minibatch of
 sentences is one record over the stacked n x d matrix of all their
 nodes: `take_rows` (embedding lookup; rows of several matrices read as
-if stacked), `edge_matmul` (weighted row products summed into
-destination rows plus a bias row: the tree convolution, and with one
-all-rows term a plain affine layer), `sum_rows`, `segment_max`
+if stacked), `edge_matmul` (X @ W.T plus a bias row: an affine layer,
+and with edge products summed into destination rows the tree
+convolution), `sum_rows`, `segment_max`
 (per-slot column maximum with winning rows, the pooling), `reshape`
 and the row-wise `cross_entropy`; elementwise `add`, `sub`,
 `mul`, `scale`, `relu`, `tanh` and `sumsq` complete the set.  A tape
@@ -119,10 +119,9 @@ def uniform_init(rng, shape) -> np.ndarray:
 FLAT_SCATTER = 512
 
 
-def _scatter_add(out: np.ndarray, rows, values: np.ndarray) -> None:
-    """out[rows] += values, where `values` holds one row per index and a
-    repeated row sums its values in order; `rows` is an index array or
-    a slice.
+def _scatter_add(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """out[rows] += values, where `rows` is an index array, `values` holds
+    one row per index and a repeated row sums its values in order.
 
     Every row scatter on the tape runs here.  Above FLAT_SCATTER entries
     a C-contiguous `out` takes one 1-D `np.add.at` over its flat entries
@@ -130,9 +129,7 @@ def _scatter_add(out: np.ndarray, rows, values: np.ndarray) -> None:
     faster than the 2-D call; both add entry by entry in index order, so
     the sums are the same bytes.
     """
-    if isinstance(rows, slice):
-        out[rows] += values
-    elif values.size <= FLAT_SCATTER or out.ndim < 2 or not out.flags.c_contiguous:
+    if values.size <= FLAT_SCATTER or out.ndim < 2 or not out.flags.c_contiguous:
         np.add.at(out, rows, values)
     else:
         width = out[0].size
@@ -252,9 +249,6 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
-
-# the index of every row in an `edge_matmul` term
-ALL_ROWS = slice(None)
 
 # entries per slot above which `segment_max` reduces slot by slot (the
 # two forms cost the same near 2000 on a 40-tree batch)
@@ -403,7 +397,7 @@ class Tape:
         track = self._tracks(*mats)
         rows = idx - bounds[last] if bounds[last] else idx
         if first == last:  # one fancy index
-            data, groups = mats[last].data[rows], [(mats[last], ALL_ROWS, rows)]
+            data, groups = mats[last].data[rows], [(mats[last], slice(None), rows)]
         else:
             data, groups = mats[last].data[np.maximum(rows, 0)], []
             for k in range(first, last + 1 if track else last):
@@ -427,66 +421,54 @@ class Tape:
             self._push(out, backward)
         return out
 
-    def edge_matmul(self, X: Tensor,
-                    terms: Sequence[Tuple[Tensor, object, object]],
-                    bias: Optional[Tensor] = None) -> Tensor:
-        """Sum of weighted row products: out[dst] += X[src] @ W.T for
-        every term (W, src, dst), plus the vector `bias` on every row.
+    def edge_matmul(self, X: Tensor, W: Tensor, bias: Optional[Tensor] = None,
+                    edges: Sequence[Tuple[Tensor, np.ndarray, np.ndarray]] = ()
+                    ) -> Tensor:
+        """X @ W.T, plus the vector `bias` on every row, plus
+        X[src] @ W_e.T added into rows `dst` for every edge term
+        (W_e, src, dst).
 
-        `src` and `dst` are equal-length index arrays, or both
-        ALL_ROWS; a repeated `dst` row sums its products.  The output
-        has one row per row of `X`.  A first all-rows term is the
-        product that the other terms and the bias add into.  Products
-        run GEMM_ROWS rows at a time.  The other terms' products (the
-        convolution's child sum), and on the backward pass their rows
-        of the gradient of `X`, add into place through `_scatter_add`.
+        `src` and `dst` are equal-length index arrays; a repeated `dst`
+        row sums its products.  Products run GEMM_ROWS rows at a time.
+        The edge products (the convolution's child sum), and on the
+        backward pass their rows of the gradient of `X`, add into place
+        through `_scatter_add`.
         """
         if X.data.ndim != 2:
             raise ShapeError(f"edge_matmul: {X._label()} is not a matrix")
-        if not terms:
-            raise ShapeError("edge_matmul: no terms")
-        width = terms[0][0].data.shape[0]
+        width = W.data.shape[0]
         shape = (width, X.data.shape[1])
-        for W, _, _ in terms:
-            if W.data.shape != shape:
+        for M in (W, *(W_e for W_e, _, _ in edges)):
+            if M.data.shape != shape:
                 raise ShapeError(
-                    f"edge_matmul: {W._label()} {W.data.shape} does not map "
+                    f"edge_matmul: {M._label()} {M.data.shape} does not map "
                     f"{X._label()} {X.data.shape} to width {width}"
                 )
         if bias is not None and bias.data.shape != (width,):
             raise ShapeError(f"edge_matmul: bias {bias._label()} "
                              f"{bias.data.shape} does not fit width {width}")
-        data = None
-        for W, src, dst in terms:
-            product = _row_blocks(X.data[src], W.data.T)
-            if data is None and isinstance(dst, slice):
-                data = product
-                continue
-            if data is None:
-                data = np.zeros((X.data.shape[0], width))
-            _scatter_add(data, dst, product)
+        data = _row_blocks(X.data, W.data.T)
+        for W_e, src, dst in edges:
+            _scatter_add(data, dst, _row_blocks(X.data[src], W_e.data.T))
         if bias is not None:
             data += bias.data
         out = Tensor(data, requires_grad=self.record and (
-            X.requires_grad or any(W.requires_grad for W, _, _ in terms)
+            X.requires_grad or W.requires_grad
+            or any(W_e.requires_grad for W_e, _, _ in edges)
             or (bias is not None and bias.requires_grad)))
         if out.requires_grad:
-            def backward(g, accum, X=X, terms=tuple(terms), bias=bias):
+            def backward(g, accum, X=X, W=W, bias=bias, edges=tuple(edges)):
                 if bias is not None and bias.requires_grad:
                     accum(bias, g.sum(axis=0))
-                dX = None
-                for W, src, dst in terms:
+                if W.requires_grad:
+                    accum(W, _summed_blocks(g, X.data))
+                dX = _row_blocks(g, W.data) if X.requires_grad else None
+                for W_e, src, dst in edges:
                     g_dst = g[dst]
-                    if W.requires_grad:
-                        accum(W, _summed_blocks(g_dst, X.data[src]))
-                    if X.requires_grad:
-                        term = _row_blocks(g_dst, W.data)
-                        if dX is None and isinstance(src, slice):
-                            dX = term
-                            continue
-                        if dX is None:
-                            dX = np.zeros_like(X.data)
-                        _scatter_add(dX, src, term)
+                    if W_e.requires_grad:
+                        accum(W_e, _summed_blocks(g_dst, X.data[src]))
+                    if dX is not None:
+                        _scatter_add(dX, src, _row_blocks(g_dst, W_e.data))
                 if dX is not None:
                     accum(X, dX)
             self._push(out, backward)

@@ -34,8 +34,7 @@ import numpy as np
 
 from .corpus_io import CONSTITUENCY, DEPENDENCY, DepTypeInventory, ParseTree
 from .errors import ContractError
-from .tensor_core import (ALL_ROWS, Tape, Tensor, by_name, parameter,
-                          uniform_init)
+from .tensor_core import Tape, Tensor, by_name, parameter, uniform_init
 
 
 @dataclass
@@ -260,6 +259,5 @@ def convolve(tape: Tape, trees: Union[Forest, ParseTree], node_vectors: Tensor,
             f"trees have {trees.n_keys} child keys"
         )
     # W_p reads every node; each child matrix reads child rows into parents
-    terms = [(params.W_p, ALL_ROWS, ALL_ROWS)]
-    terms.extend((params.W_child[key], src, dst) for key, src, dst in trees.edges)
-    return tape.relu(tape.edge_matmul(node_vectors, terms, params.b))
+    edges = [(params.W_child[key], src, dst) for key, src, dst in trees.edges]
+    return tape.relu(tape.edge_matmul(node_vectors, params.W_p, params.b, edges))

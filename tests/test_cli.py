@@ -603,7 +603,55 @@ class TestTrecPipeline:
         assert "overall accuracy" in capsys.readouterr().out
 
 
+# an out-of-range number on the command line or in a config file: the
+# argv, the seed of {cfg} (TOY_D_CONFIG) and the message that must name
+# the number; {ckpt} is a trained checkpoint, {out} the output path
+OUT_OF_RANGE = {
+    "train --seed -1": (
+        "train --config {cfg} --train {dep} --labels {lbl} --seed -1 --out {out}",
+        7, "seed must be >= 0, got -1"),
+    "train seed = -1 in config": (
+        "train --config {cfg} --train {dep} --labels {lbl} --out {out}",
+        -1, "seed must be >= 0, got -1"),
+    **{f"pretrain-rae {flags}": (
+        f"pretrain-rae --train {{con}} {flags} --out {{out}}", 7, message)
+       for flags, message in [
+           ("--seed -1", "seed must be >= 0, got -1"),
+           ("--batch 0", "batch_size must be >= 1, got 0"),
+           ("--batch -3", "batch_size must be >= 1, got -3"),
+           ("--lr 0", "learning_rate must be positive, got 0.0"),
+           ("--lr -1", "learning_rate must be positive, got -1.0"),
+           ("--epochs -1", "max_epochs must be >= 1, got -1"),
+           ("--n-e 0", "--n-e must be >= 1, got 0"),
+           ("--n-e -2", "--n-e must be >= 1, got -2")]},
+    "gradcheck --seed -1": ("gradcheck --seed -1", 7,
+                            "--seed must be >= 0, got -1"),
+    "eval --buckets 0": (
+        "eval --checkpoint {ckpt} --input {dep} --labels {lbl} --buckets 0",
+        7, "--buckets must be >= 1, got 0"),
+}
+
+
 class TestFailureExitCodes:
+    @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+    def test_out_of_range_number_exits_2_naming_it(self, case, tmp_path,
+                                                   d_checkpoint, capsys):
+        command, seed, message = OUT_OF_RANGE[case]
+        config = tmp_path / "toy_d.cfg"
+        config.write_text(TOY_D_CONFIG.replace("seed = 7", f"seed = {seed}"))
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = command.format(cfg=config, dep=DATA / "tiny_dep.conll",
+                              lbl=DATA / "tiny_dep.lbl",
+                              con=DATA / "tiny_con.txt", ckpt=d_checkpoint,
+                              out=out / "model.ckpt").split()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
     def test_diverging_run_exits_2_without_writing(self, tmp_path, capsys):
         config = tmp_path / "qc.cfg"
         config.write_text(

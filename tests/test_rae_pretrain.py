@@ -5,7 +5,7 @@ from treeconv.corpus_io import (EmbeddingTable, bind_vocabulary,
                                 build_dep_inventory, parse_constituency,
                                 parse_dependency)
 from treeconv.corpus_io import Vocabulary
-from treeconv.errors import ContractError, ShapeError
+from treeconv.errors import ConfigError, ContractError, ShapeError
 from treeconv.rae_pretrain import (
     CompositionParams,
     PretrainConfig,
@@ -180,6 +180,15 @@ class TestPretrain:
         bind_vocabulary(tree, vocab)
         with pytest.raises(ContractError):
             pretrain([tree], table)
+
+    def test_patience_below_one_rejected_before_training(self):
+        # the CLI sets no patience, so its range is checked here
+        vocab, table = small_table(["a", "b"], 2)
+        tree = parse_constituency("(1 (2 a) (3 b))")
+        bind_vocabulary(tree, vocab)
+        with pytest.raises(ConfigError, match="patience must be >= 1, got 0"):
+            pretrain([tree], table, PretrainConfig(patience=0))
+        assert PretrainConfig(patience=None).validate().patience is None
 
     @pytest.mark.parametrize("seed", range(8))
     def test_split_without_non_leaf_falls_back_to_the_corpus(self, seed):

@@ -3,8 +3,8 @@ import pytest
 
 from treeconv.errors import ContractError, ShapeError
 from treeconv.tensor_core import (
-    ALL_ROWS,
     FLAT_SCATTER,
+    GEMM_ROWS,
     RowGradient,
     Tape,
     Tensor,
@@ -28,13 +28,12 @@ def matvec(tape, W, x):
     """W.x as a vector, through a one-row `edge_matmul`."""
     row = tape.reshape(x, (1, -1))
     row.name = x.name
-    return tape.reshape(tape.edge_matmul(row, [(W, ALL_ROWS, ALL_ROWS)]), -1)
+    return tape.reshape(tape.edge_matmul(row, W), -1)
 
 
 def add_bias(tape, X, b):
-    """X + b on every row, through an identity `edge_matmul` term."""
-    eye = matrix(np.eye(X.data.shape[1]))
-    return tape.edge_matmul(X, [(eye, ALL_ROWS, ALL_ROWS)], b)
+    """X + b on every row, through an identity `edge_matmul`."""
+    return tape.edge_matmul(X, matrix(np.eye(X.data.shape[1])), b)
 
 
 def concat(tape, parts):
@@ -363,27 +362,44 @@ class TestOpGradients:
         assert isinstance(grads[E_], RowGradient)
         assert sorted(grads[E_].indices.tolist()) == [1, 4, 5]
 
-    def test_edge_matmul_repeated_destination_and_all_rows(self):
+    # (rows of X, output width, edges per term, bias): a term's
+    # destinations lie in the first half of the rows, so some repeat.
+    # The last case has more than GEMM_ROWS rows, a term without edges,
+    # and a term whose scatters exceed FLAT_SCATTER entries both forward
+    # (edges x width 4) and backward (edges x 3 columns of X)
+    @pytest.mark.parametrize("rows,width,counts,bias", [
+        (4, 2, [3], False),
+        (4, 2, [], True),
+        (GEMM_ROWS + 22, 4, [FLAT_SCATTER // 3 + 10, 0, 40], True),
+    ], ids=["small", "no_edges", "blocked_and_flat"])
+    def test_edge_matmul_repeated_destination(self, rows, width, counts, bias):
         rng = np.random.default_rng(21)
-        X = rng.normal(size=(4, 3))
-        W_all = rng.normal(size=(2, 3))
-        W_edge = rng.normal(size=(2, 3))
-        coeffs = rng.normal(size=(4, 2))
-        src, dst = np.array([1, 2, 3]), np.array([0, 0, 2])
+        X = rng.normal(size=(rows, 3))
+        W = rng.normal(size=(width, 3))
+        b = rng.normal(size=width)
+        W_edges = [rng.normal(size=(width, 3)) for _ in counts]
+        links = [(rng.integers(0, rows, n), rng.integers(0, rows // 2, n))
+                 for n in counts]
+        coeffs = rng.normal(size=(rows, width))
+        assert all(len(np.unique(dst)) < len(dst) for _, dst in links if len(dst))
+
+        def affine(tape, X_, W_, b_, W_es):
+            edges = [(W_e, src, dst) for W_e, (src, dst) in zip(W_es, links)]
+            return tape.edge_matmul(X_, W_, b_ if bias else None, edges)
 
         def build(tape, ps):
-            X_, Wa, We = ps
-            out = tape.edge_matmul(X_, [(Wa, slice(None), slice(None)),
-                                        (We, src, dst)])
-            return tape.sumsq(tape.mul(tape.tanh(out), Tensor(coeffs)))
+            out = affine(tape, ps[0], ps[1], ps[2], ps[3:])
+            return tape.sumsq(tape.mul(out, Tensor(coeffs)))
 
-        self._check(build, [X, W_all, W_edge])
-        terms = [(matrix(W_all), slice(None), slice(None)),
-                 (matrix(W_edge), src, dst)]
-        out = Tape().edge_matmul(matrix(X), terms)
-        want = X @ W_all.T
-        want[0] += W_edge @ X[1] + W_edge @ X[2]  # node 0 has two children
-        want[2] += W_edge @ X[3]
+        # the loss is quadratic in each entry, so a central difference is
+        # exact but for rounding, which a wide step keeps small
+        self._check(build, [X, W, b] + W_edges, eps=1e-2)
+        out = affine(Tape(), matrix(X), matrix(W), vector(b),
+                     [matrix(W_e) for W_e in W_edges])
+        want = np.array([naive_matvec(W, x) + (b if bias else 0.0) for x in X])
+        for W_e, (src, dst) in zip(W_edges, links):
+            for s, d in zip(src, dst):
+                want[d] += naive_matvec(W_e, X[s])
         assert np.max(np.abs(out.data - want)) < 1e-12
 
     def test_add_bias_broadcasts_over_rows(self):

@@ -1,5 +1,5 @@
-"""Compare the checkpoints that two checkouts write for a fixed set of
-small seeded runs.
+"""Compare the checkpoints, and the gradient check's printed output, that
+two checkouts write for a fixed set of small seeded runs.
 
     python tools/compare_checkpoints.py OTHER_CHECKOUT
 
@@ -32,14 +32,17 @@ that training lacks and two words outside it (the UNK row).  Its epoch
 4 of 6 is kept, so the embedding rows the run trains are snapshotted
 and restored, and a change to which rows a run trains, or to how the
 saved table joins them with the rows it does not read, changes the
-checkpoint.
+checkpoint.  A twelfth run is `gradcheck --variant both`, whose printed
+output (every parameter's worst relative error, for both variants, four
+configurations each) is compared in place of a checkpoint.
 
 For every run it prints the sha256 of both checkouts' files and
-"identical" or "differ"; a difference also gives the largest
-|a - b| / max|a| over the stored arrays, and the array it is in.  A
-last line gives the line count of src/treeconv/*.py in both checkouts,
-as `wc -l` counts them.  Exits 0 when every run is identical in both
-comparisons, 1 otherwise.
+"identical" or "differ"; a difference also gives, for a checkpoint, the
+largest |a - b| / max|a| over the stored arrays and the array it is in,
+and for printed output the first line that differs.  A last line gives
+the line count of src/treeconv/*.py in both checkouts, as `wc -l`
+counts them.  Exits 0 when every run is identical in both comparisons,
+1 otherwise.
 """
 
 from __future__ import annotations
@@ -212,8 +215,13 @@ with open(out, "wb") as fh:
 """
 
 
+# where a run's arguments name its output file; a run without it has its
+# standard output compared
+OUT = "{out}"
+
+
 def _runs(work: Path) -> Dict[str, List[str]]:
-    """Run name -> arguments after `python`; each writes OUT."""
+    """Run name -> arguments after `python`."""
     configs = {"d_trained.cfg": _D_TRAINED, "d_frozen.cfg": _D_FROZEN,
                "c_dropout.cfg": _C.format(dropout=0.2, epochs=5),
                "c_plain.cfg": _C.format(dropout=0.0, epochs=5),
@@ -228,6 +236,7 @@ def _runs(work: Path) -> Dict[str, List[str]]:
     (work / "unseen_dep.conll").write_text("\n".join(map(_svo, _UNSEEN_VAL)))
     (work / "unseen_dep.lbl").write_text(_labels(len(_UNSEEN_VAL)))
     cli = ["-m", "treeconv"]
+    train = cli + ["train", "--out", OUT]
     dep = ["--train", str(DATA / "tiny_dep.conll"),
            "--labels", str(DATA / "tiny_dep.lbl"),
            "--val", str(DATA / "tiny_dep.conll"),
@@ -235,54 +244,56 @@ def _runs(work: Path) -> Dict[str, List[str]]:
     con = ["--train", str(DATA / "tiny_con.txt")]
     return {
         "train tiny_dep, trained, dropout":
-            cli + ["train", "--config", str(work / "d_trained.cfg")] + dep,
+            train + ["--config", str(work / "d_trained.cfg")] + dep,
         "train trec_mini, frozen, dropout":
-            cli + ["train", "--config", str(work / "d_frozen.cfg"),
+            train + ["--config", str(work / "d_frozen.cfg"),
                    "--train", str(DATA / "trec_mini.conll"),
                    "--labels", str(DATA / "trec_mini.lbl")],
         "train tiny_con, dropout":
-            cli + ["train", "--config", str(work / "c_dropout.cfg")] + con,
+            train + ["--config", str(work / "c_dropout.cfg")] + con,
         "train tiny_con, no dropout":
-            cli + ["train", "--config", str(work / "c_plain.cfg")] + con,
+            train + ["--config", str(work / "c_plain.cfg")] + con,
         "pretrain-rae tiny_con":
-            cli + ["pretrain-rae", "--n-e", "8", "--epochs", "5",
-                   "--batch", "3", "--seed", "2"] + con,
+            cli + ["pretrain-rae", "--out", OUT, "--n-e", "8", "--epochs",
+                   "5", "--batch", "3", "--seed", "2"] + con,
         "bag baseline, trained":
-            ["-c", _BAG, str(DATA), "5", "4"],
+            ["-c", _BAG, str(DATA), "5", "4", OUT],
         "train chains_con, dropout":
-            cli + ["train", "--config", str(work / "c_dropout.cfg"),
+            train + ["--config", str(work / "c_dropout.cfg"),
                    "--train", str(work / "chains_con.txt")],
         "train chains_con, dropout, global pooling":
-            cli + ["train", "--config", str(work / "c_dropout.cfg"),
+            train + ["--config", str(work / "c_dropout.cfg"),
                    "--train", str(work / "chains_con.txt"),
                    "--pooling", "global"],
         "train wide_con, more than one annotation group":
-            cli + ["train", "--config", str(work / "c_wide.cfg"),
+            train + ["--config", str(work / "c_wide.cfg"),
                    "--train", str(work / "wide_con.txt"),
                    "--val", str(work / "wide_con.txt")],
         "bag baseline, trained, rate halved":
-            ["-c", _BAG, str(DATA), "6", "2"],
+            ["-c", _BAG, str(DATA), "6", "2", OUT],
         "train six tiny_dep, trained, embedding file, unseen validation words":
-            cli + ["train", "--config", str(work / "d_trained.cfg"),
+            train + ["--config", str(work / "d_trained.cfg"),
                    "--train", str(work / "six_dep.conll"),
                    "--labels", str(work / "six_dep.lbl"),
                    "--val", str(work / "unseen_dep.conll"),
                    "--val-labels", str(work / "unseen_dep.lbl"),
                    "--embeddings", str(DATA / "tiny_embeddings.txt")],
+        "gradcheck --variant both":
+            cli + ["gradcheck", "--variant", "both"],
     }
 
 
 def _run(checkout: Path, args: List[str], out: Path) -> Optional[str]:
-    """Write `out` with `checkout`'s package; None, or the error."""
-    if args[0] == "-c":
-        argv = [sys.executable] + args + [str(out)]
-    else:
-        argv = [sys.executable] + args + ["--out", str(out)]
+    """Write `out` with `checkout`'s package, as the file OUT stands for
+    or else as the standard output; None, or the error."""
+    argv = [sys.executable] + [str(out) if a == OUT else a for a in args]
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     done = subprocess.run(argv, env=env, cwd=out.parent, capture_output=True,
                           text=True)
     if done.returncode != 0:
         return f"exit {done.returncode}: {done.stderr.strip()[-300:]}"
+    if OUT not in args:
+        out.write_text(done.stdout)
     return None
 
 
@@ -316,6 +327,15 @@ def largest_difference(a: Path, b: Path) -> str:
     return f"largest |d|/max|x| {worst:.3g} in {where}"
 
 
+def first_difference(a: Path, b: Path) -> str:
+    """The first line where two printed outputs differ."""
+    ours, theirs = a.read_text().splitlines(), b.read_text().splitlines()
+    for number, (x, y) in enumerate(zip(ours, theirs), start=1):
+        if x != y:
+            return f"line {number}: {x!r} against {y!r}"
+    return f"one output ends at line {min(len(ours), len(theirs))}"
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -336,7 +356,7 @@ def compare(other: Path) -> bool:
             errors = []
             for tag, checkout in (("this", HERE), ("other", other),
                                   ("repeat", HERE)):
-                files[tag] = work / f"{number}_{tag}.ckpt"
+                files[tag] = work / f"{number}_{tag}.out"
                 error = _run(checkout, args, files[tag])
                 if error:
                     errors.append(f"{tag} checkout failed: {error}")
@@ -346,6 +366,7 @@ def compare(other: Path) -> bool:
                 print("  " + "\n  ".join(errors))
                 continue
             digest = {tag: _sha256(path) for tag, path in files.items()}
+            explain = largest_difference if OUT in args else first_difference
             print(f"  this   {digest['this']}")
             print(f"  other  {digest['other']}")
             for label, tag in (("other checkout", "other"),
@@ -355,7 +376,7 @@ def compare(other: Path) -> bool:
                 else:
                     same = False
                     print(f"  {label}: differ, "
-                          f"{largest_difference(files['this'], files[tag])}")
+                          f"{explain(files['this'], files[tag])}")
     print(f"lines of src/treeconv/*.py: this {package_lines(HERE)}, "
           f"other {package_lines(other)}")
     return same
