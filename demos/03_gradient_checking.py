@@ -27,11 +27,10 @@ for variant, pooling, tree in [("d", "global", dep), ("d", "kslot", dep),
         if variant == "d":
             inventory = build_dep_inventory([dep])
             params = init_model(config, table, inventory, rng)
-            clf = SentenceClassifier(config, params, table, inventory=inventory)
+            clf = SentenceClassifier(config, params, inventory=inventory)
         else:
             params = init_model(config, table, None, rng)
-            clf = SentenceClassifier(config, params, table,
-                                     rae=init_composition(4, rng))
+            clf = SentenceClassifier(config, params, rae=init_composition(4, rng))
         report = gradient_check(clf, tree, gold=1)
         print(f"variant {variant}, pooling {pooling}, l2 {lam:g}: "
               f"max relative error {report.max_relative_error:.2e} "

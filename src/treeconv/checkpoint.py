@@ -77,8 +77,8 @@ def load_checkpoint(path) -> SentenceClassifier:
     names, in order, and its shapes; any mismatch is a FormatError
     naming the file and the array.  A model that trains its embeddings
     stores them once, as its whole table; loaded, its embedding
-    parameter holds every row, and its `base_table` and `table` are
-    that parameter's array."""
+    parameter holds every row, so `init_model` makes its `base_table`,
+    and so its `table`, that parameter's array."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise FormatError(f"{path} is not a treeconv checkpoint")
@@ -187,9 +187,6 @@ def _model_for_header(header, path) -> SentenceClassifier:
     rng = np.random.default_rng(0)
     table = EmbeddingTable(np.zeros((len(vocab), config.n_e)))
     params = init_model(config, table, inventory, rng)
-    if params.embeddings is not None:  # the payload fills one table
-        table = EmbeddingTable(params.embeddings.data)
     rae = init_composition(config.n_e, rng) if header["has_rae"] else None
-    return SentenceClassifier(config, params, table, inventory=inventory,
-                              rae=rae, vocab=vocab,
-                              label_names=header["label_names"])
+    return SentenceClassifier(config, params, inventory=inventory, rae=rae,
+                              vocab=vocab, label_names=header["label_names"])

@@ -73,7 +73,7 @@ def forward(tape: Tape, x: Tensor, params: HeadParams,
 
     Row b of the (B, slot_count * n_c) matrix `x` is sample b's pooled
     slots flattened slot by slot.  `hidden_mask` is a (B, n_h)
-    inverted-dropout mask for training mode; pass None when evaluating.
+    inverted-dropout mask when training; pass None when evaluating.
     """
     if x.data.ndim != 2 or params.W_h.data.shape[1] != x.data.shape[1]:
         raise ShapeError(
@@ -142,13 +142,8 @@ def transfer_5_to_2(probabilities: np.ndarray) -> PredictionOutput:
                             note=note)
 
 
-def check_mode(mode: str) -> None:
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
-
-
 def dropout_mask(shape, rate: float, rng) -> np.ndarray:
-    """Training-mode inverted-dropout mask: 0 with probability `rate`,
+    """Inverted-dropout mask for training: 0 with probability `rate`,
     else 1/(1-rate), so no rescaling is ever needed at prediction time
     (evaluation draws no mask)."""
     if not 0.0 <= rate < 1.0:

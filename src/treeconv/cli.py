@@ -339,6 +339,8 @@ def cmd_visualize(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     _at_least("--seed", args.seed, 0)
+    if not 0.0 < args.tol < np.inf:  # no error meets 0 or less, all meet inf
+        raise ConfigError(f"--tol must be finite and > 0, got {args.tol}")
     variants = [VARIANT_C, VARIANT_D] if args.variant == "both" else [args.variant]
     worst = 0.0
     for variant in variants:
@@ -355,12 +357,11 @@ def cmd_gradcheck(args) -> int:
                 if variant == VARIANT_D:
                     inventory = build_dep_inventory([dep])
                     params = init_model(config, table, inventory, rng)
-                    clf = SentenceClassifier(config, params, table,
-                                             inventory=inventory)
+                    clf = SentenceClassifier(config, params, inventory=inventory)
                     tree = dep
                 else:
                     params = init_model(config, table, None, rng)
-                    clf = SentenceClassifier(config, params, table,
+                    clf = SentenceClassifier(config, params,
                                              rae=init_composition(4, rng))
                     tree = con
                 report = trainer.gradient_check(clf, tree, gold=1,
@@ -399,7 +400,7 @@ def _save_rae(rae, vocab, table, path) -> None:
     config = TrainConfig(variant=VARIANT_C, n_e=rae.n_e, n_c=1, n_h=1,
                          classes=2, pooling=GLOBAL).validate()
     params = init_model(config, table, None, np.random.default_rng(0))
-    ckpt.save_checkpoint(SentenceClassifier(config, params, table, rae=rae,
+    ckpt.save_checkpoint(SentenceClassifier(config, params, rae=rae,
                                             vocab=vocab), path)
 
 

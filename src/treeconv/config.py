@@ -43,8 +43,9 @@ class TrainConfig:
         if self.variant not in (VARIANT_C, VARIANT_D):
             raise ConfigError(f"variant must be 'c' or 'd', got {self.variant!r}")
         for name in ("n_e", "n_c", "n_h", "classes", "batch_size", "max_epochs"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         for name in ("dropout_hidden", "dropout_embed"):
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
@@ -52,7 +53,8 @@ class TrainConfig:
         if self.l2 < 0.0:
             raise ConfigError(f"l2 must be >= 0, got {self.l2}")
         if self.learning_rate <= 0.0:
-            raise ConfigError("learning_rate must be positive")
+            raise ConfigError(
+                f"learning_rate must be positive, got {self.learning_rate}")
         pooling = self.resolved_pooling()
         if pooling not in (GLOBAL, THREE_SLOT, K_SLOT):
             raise ConfigError(f"unknown pooling strategy {pooling!r}")

@@ -15,7 +15,8 @@ rows, which are the frozen RAE annotation composed from that order
 
 A model is one :class:`SentenceClassifier`, whether it trains or not:
 `trainer.train` and `checkpoint.load_checkpoint` return it, and it holds
-everything a checkpoint stores."""
+everything a checkpoint stores.  It has one forward pass; given an rng,
+that pass draws dropout masks (training), else it draws none."""
 
 from __future__ import annotations
 
@@ -44,14 +45,17 @@ from .tensor_core import Tape, Tensor, by_name, parameter
 class ModelParams:
     """All trainable weights in a fixed order: window, head and, when
     they train, embeddings, under the names their init functions gave
-    them (the checkpoint layout).
+    them (the checkpoint layout), and the table the model reads.
 
     `embeddings` holds the rows `rows` of the vocabulary, in order, or
-    every row when `rows` is None.
+    every row when `rows` is None; `base_table` is then that parameter's
+    own array.  A word whose row the parameter does not hold reads
+    `base_table`.
     """
 
     conv: tree_conv.WindowParams
     head: HeadParams
+    base_table: EmbeddingTable
     embeddings: Optional[Tensor] = None
     rows: Optional[np.ndarray] = None
 
@@ -92,7 +96,8 @@ def init_model(config: TrainConfig, table: EmbeddingTable,
 
     Trained embeddings start as the rows of `table` that `trees` read,
     gathered (SGD cannot move any other row), or as a copy of the whole
-    table when `trees` is None; `table` is never written.
+    table when `trees` is None; `table` is never written.  The model
+    reads `table` (its `base_table`), or the copy when it holds every row.
     """
     if config.variant == VARIANT_D:
         if inventory is None:
@@ -104,10 +109,13 @@ def init_model(config: TrainConfig, table: EmbeddingTable,
     head = classifier_head.init_head(
         config.n_h, slot_count(config) * config.n_c, config.classes, rng)
     if not (config.variant == VARIANT_D and config.train_embeddings):
-        return ModelParams(conv, head)
-    rows = None if trees is None else np.unique(read_rows(trees, table))
-    vectors = table.vectors.copy() if rows is None else table.vectors[rows]
-    return ModelParams(conv, head, parameter(vectors, "embeddings"), rows)
+        return ModelParams(conv, head, table)
+    if trees is None:
+        embeddings = parameter(table.vectors.copy(), "embeddings")
+        return ModelParams(conv, head, EmbeddingTable(embeddings.data), embeddings)
+    rows = np.unique(read_rows(trees, table))
+    return ModelParams(conv, head, table,
+                       parameter(table.vectors[rows], "embeddings"), rows)
 
 
 def read_rows(trees: Sequence[ParseTree], table: EmbeddingTable) -> np.ndarray:
@@ -132,17 +140,16 @@ class SentenceClassifier:
     Constituency node vectors come frozen from the recursive-autoencoder
     annotation; no gradient ever flows into them or its parameters.
     Dependency node vectors are embedding rows, trainable when the model
-    owns an embedding parameter.  `base_table` is the table the model was
-    built with; training never writes it.  A model that trains its
-    embeddings holds the trained rows in its embedding parameter and
-    their vocabulary indices in `params.rows` (None: every row, as in a
-    loaded checkpoint); a word whose row the parameter does not hold
-    reads `base_table`.  `vocab` and `label_names` are stored with the
+    owns an embedding parameter.  The table it reads is the one
+    `init_model` was given, `params.base_table`; training never writes
+    it.  A model that trains its embeddings holds the trained rows in its
+    embedding parameter and their vocabulary indices in `params.rows`
+    (None: every row, as in a loaded checkpoint, and `base_table` is the
+    parameter's array).  `vocab` and `label_names` are stored with the
     model, and no forward pass reads them.
     """
 
     def __init__(self, config: TrainConfig, params: ModelParams,
-                 base_table: EmbeddingTable,
                  inventory: Optional[DepTypeInventory] = None,
                  rae: Optional[CompositionParams] = None,
                  vocab: Optional[Vocabulary] = None,
@@ -150,7 +157,6 @@ class SentenceClassifier:
         config.validate()
         self.config = config
         self.params = params
-        self.base_table = base_table
         self.inventory = inventory
         self.rae = rae
         self.vocab = vocab
@@ -162,18 +168,15 @@ class SentenceClassifier:
 
     @cached_property
     def table(self) -> EmbeddingTable:
-        """The whole table the model reads: `base_table`, or with trained
-        embeddings the parameter's array when it holds every row (a
-        loaded checkpoint), else a copy of `base_table` with the trained
-        rows in place, built on first read.  No forward pass reads it;
+        """The whole table the model reads: `base_table`, or a copy of it
+        with the trained rows in place when the embedding parameter holds
+        only some rows, built on first read.  No forward pass reads it;
         `save_checkpoint` does."""
-        embeddings, rows = self.params.embeddings, self.params.rows
-        if embeddings is None:
-            return self.base_table
+        base, rows = self.params.base_table, self.params.rows
         if rows is None:
-            return EmbeddingTable(embeddings.data)
-        vectors = self.base_table.vectors.copy()
-        vectors[rows] = embeddings.data
+            return base
+        vectors = base.vectors.copy()
+        vectors[rows] = self.params.embeddings.data
         return EmbeddingTable(vectors)
 
     def classifier(self) -> "SentenceClassifier":
@@ -189,9 +192,9 @@ class SentenceClassifier:
         length plus its vocabulary index (see `node_vectors`)."""
         index = tree_conv.index_trees(trees, self.inventory)
         if self.config.variant == VARIANT_C:
-            index.rows = annotate_forest(index, self.rae, self.base_table)
+            index.rows = annotate_forest(index, self.rae, self.params.base_table)
             return index
-        index.rows = read_rows(trees, self.base_table)
+        index.rows = read_rows(trees, self.params.base_table)
         if self.params.rows is not None:
             index.rows = self._stacked_rows[index.rows]
         return index
@@ -201,7 +204,7 @@ class SentenceClassifier:
         """Each vocabulary index's row in the embedding parameter stacked
         over `base_table`, where the parameter holds only some rows."""
         trained = self.params.rows
-        at = np.arange(len(trained), len(trained) + len(self.base_table))
+        at = np.arange(len(trained), len(trained) + len(self.params.base_table))
         at[trained] = np.arange(len(trained))
         return at
 
@@ -231,28 +234,26 @@ class SentenceClassifier:
                                for span in forest.spans])
         if self.config.variant == VARIANT_C:
             return Tensor(rows)
+        base = self.params.base_table.vectors
         if self.params.embeddings is None:  # `index` checked the rows
-            return Tensor(self.base_table.vectors[rows])
-        return tape.take_rows([self.params.embeddings,
-                               Tensor(self.base_table.vectors)], rows)
+            return Tensor(base[rows])
+        return tape.take_rows([self.params.embeddings, Tensor(base)], rows)
 
     def _dropout(self, tape: Tape, forest: tree_conv.Forest, vectors: Tensor,
-                 mode: str, rng) -> Tuple[Tensor, Optional[np.ndarray]]:
-        """Training-mode inverted dropout: the node vectors times their
-        mask, and the (spans, n_h) hidden-unit mask (None when off).
+                 rng) -> Tuple[Tensor, Optional[np.ndarray]]:
+        """Inverted dropout when training, that is given an `rng`: the
+        node vectors times their mask, and the (spans, n_h) hidden-unit
+        mask (None when off).  Without an rng, or at rates 0, it draws
+        nothing.
 
         The masks are drawn span by span, the node rows and then the
         hidden row, so a sample's masks do not depend on the batch it is
         in.  `tape.mul` applies the node mask; it records nothing when
-        the vectors are frozen, and never writes them.  A mode other than
-        "train" or "eval" raises ConfigError.
+        the vectors are frozen, and never writes them.
         """
-        classifier_head.check_mode(mode)
         embed_rate, hidden_rate = self.config.dropout_embed, self.config.dropout_hidden
-        if mode != "train" or not (embed_rate or hidden_rate):
+        if rng is None or not (embed_rate or hidden_rate):
             return vectors, None
-        if rng is None:
-            raise ContractError("training with dropout needs an rng")
         embed, hidden = [], []
         for span in forest.spans:
             if embed_rate:
@@ -265,20 +266,21 @@ class SentenceClassifier:
         return vectors, np.array(hidden) if hidden else None
 
     def forward_features(self, tape: Tape, trees: Sequence[ParseTree]) -> Tensor:
-        """The convolution's feature map of `trees` in evaluation mode,
+        """The convolution's feature map of `trees` without dropout,
         stacked tree after tree (see :class:`tree_conv.Forest`)."""
         forest = tree_conv.forest(self.spans(trees))
         return tree_conv.convolve(tape, forest, self.node_vectors(tape, forest),
                                   self.params.conv)
 
-    def logits(self, tape: Tape, samples, mode: str = "eval", rng=None) -> Tensor:
+    def logits(self, tape: Tape, samples, rng=None) -> Tensor:
         """The (samples, classes) logit matrix of spans, or of parse trees
         (indexed here): node vectors, convolution, pooling and head, each
-        one array op for the batch."""
+        one array op for the batch, with dropout masks drawn from `rng`
+        when one is given."""
         spans = self.spans(samples) if isinstance(samples[0], ParseTree) else samples
         forest = tree_conv.forest(spans)
         vectors, hidden_mask = self._dropout(
-            tape, forest, self.node_vectors(tape, forest), mode, rng)
+            tape, forest, self.node_vectors(tape, forest), rng)
         features = tree_conv.convolve(tape, forest, vectors, self.params.conv)
         per_span = slot_count(self.config)
         slot_of = np.concatenate([span.slots for span in spans])
@@ -292,11 +294,10 @@ class SentenceClassifier:
             hidden_mask=hidden_mask)
 
     def loss(self, tape: Tape, samples, gold: Sequence[int],
-             mode: str = "train", rng=None) -> LossValue:
+             rng=None) -> LossValue:
         """Summed cross entropy of `samples` (spans or parse trees)
-        against their `gold` classes."""
-        return classifier_head.loss(
-            tape, self.logits(tape, samples, mode=mode, rng=rng), gold)
+        against their `gold` classes, with dropout when given an `rng`."""
+        return classifier_head.loss(tape, self.logits(tape, samples, rng), gold)
 
     def predict_batch(self, samples) -> List[PredictionOutput]:
         """Predictions for `samples` (parse trees, indexed here, or

@@ -183,8 +183,7 @@ def reconstruction_loss(trees: Sequence[ParseTree], params: CompositionParams,
 
 
 def pretrain(trees: Sequence[ParseTree], table: EmbeddingTable,
-             config: PretrainConfig = PretrainConfig(),
-             n_e: Optional[int] = None) -> CompositionParams:
+             config: PretrainConfig = PretrainConfig()) -> CompositionParams:
     """Minibatch SGD on the children-reconstruction objective.
 
     Holds out a fraction of the corpus and returns the parameters from
@@ -198,7 +197,7 @@ def pretrain(trees: Sequence[ParseTree], table: EmbeddingTable,
         raise ContractError("pretraining expects constituency trees")
 
     rng = np.random.default_rng(config.seed)
-    params = init_composition(n_e if n_e is not None else table.dim, rng)
+    params = init_composition(table.dim, rng)
 
     holdout = train = trees
     if len(trees) >= 2:

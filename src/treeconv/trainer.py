@@ -183,14 +183,15 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
     best-validation parameters, one :class:`SentenceClassifier` that
     `evaluate` reads and `save_checkpoint` writes, and the report.
 
-    `table` is never written; it is the model's `base_table`.  With
-    train_embeddings on, the embedding parameter holds only the rows the
-    training and validation trees read, gathered from `table`: SGD
-    cannot move any other row.  The returned model reads the trained
-    rows for those words and `table` for every other word; its `table`
-    is `table` with the trained rows in place.  So a non-finite row that
-    no tree reads does not stop the run, as with frozen embeddings, but
-    `save_checkpoint` refuses to write it.  Constituency node vectors
+    `table` is never written; `init_model` makes it the model's
+    `params.base_table`.  With train_embeddings on, the embedding
+    parameter holds only the rows the training and validation trees
+    read, gathered from `table`: SGD cannot move any other row.  The
+    returned model reads the trained rows for those words and `table`
+    for every other word; its `table` is `table` with the trained rows
+    in place.  So a non-finite row that no tree reads does not stop the
+    run, as with frozen embeddings, but `save_checkpoint` refuses to
+    write it.  Constituency node vectors
     are always frozen (they belong to the pretrained composition), so
     train_embeddings only applies to the dependency variant.  `fit` runs
     the epochs, so a run that blows up stops with DivergenceError.  The
@@ -219,14 +220,14 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
     rng = np.random.default_rng(config.seed)
     trees = _read_trees(train_trees, roots, val_trees)
     params = init_model(config, table, inventory, rng, trees)
-    model = SentenceClassifier(config, params, table, inventory=inventory,
-                               rae=rae, vocab=vocab, label_names=label_names)
+    model = SentenceClassifier(config, params, inventory=inventory, rae=rae,
+                               vocab=vocab, label_names=label_names)
     samples, val_spans = _sample_spans(model, trees, train_trees, roots,
                                        val_trees)
     report = fit(
         samples,
         lambda tape, batch: model.loss(
-            tape, batch, [span.label for span in batch], mode="train", rng=rng),
+            tape, batch, [span.label for span in batch], rng=rng),
         params.named(), params.weight_matrices(),
         lambda: evaluate(model, val_trees, spans=val_spans).accuracy,
         config, rng, log=log)
@@ -345,10 +346,11 @@ def relative_error(a: float, b: float) -> float:
 
 SAMPLED_CHECK_THRESHOLD = 10_000
 SAMPLE_FRACTION = 0.01
+SAMPLE_SEED = 0  # of the sampled scalars' draw
+EPSILON = 1e-5  # the central-difference step
 
 
 def gradient_check(classifier: SentenceClassifier, tree: ParseTree, gold: int,
-                   epsilon: float = 1e-5, rng=None,
                    corrupt: bool = False) -> GradCheckReport:
     """Central differences against analytic gradients, dropout off.
 
@@ -356,7 +358,8 @@ def gradient_check(classifier: SentenceClassifier, tree: ParseTree, gold: int,
     whose gradient 2 * lam * W is what `sgd_epoch` adds in the update.
 
     Every scalar parameter is checked unless the model exceeds 10^4
-    scalars, in which case a random 1% sample per parameter is used.
+    scalars, in which case a random 1% sample per parameter, drawn from
+    seed SAMPLE_SEED, is used.
     `corrupt` deliberately damages one analytic gradient (a negative
     control for the CLI exit-code contract).
     """
@@ -367,11 +370,11 @@ def gradient_check(classifier: SentenceClassifier, tree: ParseTree, gold: int,
     spans = classifier.spans([tree])
 
     def loss_value() -> float:
-        value = classifier.loss(Tape(record=False), spans, [gold], mode="eval")
+        value = classifier.loss(Tape(record=False), spans, [gold])
         return value.cross_entropy + l2_penalty(weights, lam)[0]
 
     tape = Tape()
-    value = classifier.loss(tape, spans, [gold], mode="eval")
+    value = classifier.loss(tape, spans, [gold])
     grads = tape.backward(value.node)
     decay = l2_penalty(weights, lam)[1]
     analytic = {name: grad_of(grads, p) + decay.get(p, 0.0) for name, p in named}
@@ -381,8 +384,7 @@ def gradient_check(classifier: SentenceClassifier, tree: ParseTree, gold: int,
 
     total_scalars = sum(p.data.size for _, p in named)
     sample = total_scalars > SAMPLED_CHECK_THRESHOLD
-    if sample and rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(SAMPLE_SEED)
 
     report = GradCheckReport(group_errors={}, checked=0)
     for name, p in named:
@@ -394,12 +396,12 @@ def gradient_check(classifier: SentenceClassifier, tree: ParseTree, gold: int,
         worst = 0.0
         for index in indices:
             original = p.data.flat[index]
-            p.data.flat[index] = original + epsilon
+            p.data.flat[index] = original + EPSILON
             hi = loss_value()
-            p.data.flat[index] = original - epsilon
+            p.data.flat[index] = original - EPSILON
             lo = loss_value()
             p.data.flat[index] = original
-            fd = (hi - lo) / (2.0 * epsilon)
+            fd = (hi - lo) / (2.0 * EPSILON)
             worst = max(worst, relative_error(analytic[name].flat[index], fd))
             report.checked += 1
         report.group_errors[name] = worst

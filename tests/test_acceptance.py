@@ -76,11 +76,9 @@ def build_classifier(variant, pooling, lam, seed=0):
     if variant == "d":
         inventory = build_dep_inventory([dep])
         params = init_model(config, table, inventory, rng)
-        return SentenceClassifier(config, params, table,
-                                  inventory=inventory), dep
+        return SentenceClassifier(config, params, inventory=inventory), dep
     params = init_model(config, table, None, rng)
-    return SentenceClassifier(config, params, table,
-                              rae=init_composition(4, rng)), con
+    return SentenceClassifier(config, params, rae=init_composition(4, rng)), con
 
 
 def test_criterion_1_gradient_fidelity():
@@ -99,11 +97,11 @@ def test_criterion_1_gradient_fidelity():
                 # the l2 penalty that the update applies as 2*lam*W
                 def loss_value():
                     tape = Tape()
-                    value = clf.loss(tape, [tree], [1], mode="eval")
+                    value = clf.loss(tape, [tree], [1])
                     return value.cross_entropy + l2_penalty(weights, lam)[0]
 
                 tape = Tape()
-                value = clf.loss(tape, [tree], [1], mode="eval")
+                value = clf.loss(tape, [tree], [1])
                 grads = tape.backward(value.node)
                 decay = l2_penalty(weights, lam)[1]
                 pairs = [(p.data, grad_of(grads, p) + decay.get(p, 0.0))
@@ -309,7 +307,7 @@ def test_criterion_9_visualization_conservation(structural):
         config = TrainConfig(variant="d", n_e=6, n_c=8, n_h=4, classes=2,
                              pooling="global", seed=0).validate()
         params = init_model(config, table, inv, clf_rng)
-        clf = SentenceClassifier(config, params, table, inventory=inv)
+        clf = SentenceClassifier(config, params, inventory=inv)
         for tree in sample_trees:
             tape = Tape()
             features = clf.forward_features(tape, [tree])

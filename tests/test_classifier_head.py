@@ -18,6 +18,7 @@ from treeconv.synthetic import fixture_pair
 from treeconv.tensor_core import (
     Tape,
     Tensor,
+    grad_of,
     l2_penalty,
     parameter,
     softmax_probs,
@@ -163,24 +164,26 @@ class TestDropout:
         rng = np.random.default_rng(4)
         assert np.array_equal(dropout_mask(5, 0.0, rng), np.ones(5))
 
-    def test_eval_mode_is_identity(self):
-        # evaluation draws no mask: the logits are the undropped model's,
-        # and the rng is not read
+    def test_without_an_rng_is_identity(self):
+        # a call without an rng draws no mask: the logits, the loss and
+        # its gradients are the undropped model's
         _, dep, _, table = fixture_pair(n_e=4, seed=5)
         inventory = build_dep_inventory([dep])
-        configs = [TrainConfig(variant="d", n_e=4, n_c=4, n_h=4, classes=3,
-                               dropout_embed=rate, dropout_hidden=rate)
-                   for rate in (0.5, 0.0)]
-        params = init_model(configs[0], table, inventory,
-                            np.random.default_rng(5))
-        rng = np.random.default_rng(5)
-        state = rng.bit_generator.state
-        got, want = (SentenceClassifier(config, params, table,
-                                        inventory=inventory).logits(
-                         Tape(), [dep], mode="eval", rng=rng).data
-                     for config in configs)
-        assert got.tobytes() == want.tobytes()
-        assert rng.bit_generator.state == state
+        params = init_model(TrainConfig(variant="d", n_e=4, n_c=4, n_h=4,
+                                        classes=3),
+                            table, inventory, np.random.default_rng(5))
+        results = []
+        for rate in (0.5, 0.0):
+            config = TrainConfig(variant="d", n_e=4, n_c=4, n_h=4, classes=3,
+                                 dropout_embed=rate, dropout_hidden=rate)
+            clf = SentenceClassifier(config, params, inventory=inventory)
+            tape = Tape()
+            value = clf.loss(tape, [dep], [1])
+            grads = tape.backward(value.node)
+            results.append([clf.logits(Tape(), [dep]).data, value.per_row]
+                           + [grad_of(grads, p) for _, p in params.named()])
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes()
 
     def test_rate_one_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -489,9 +490,8 @@ def _layout_case(case, tmp_path):
         config = TrainConfig(variant="d", n_e=4, n_c=3, n_h=3, classes=3,
                              train_embeddings=case == "d trained")
     params = init_model(config, table, inventory, rng)
-    save_checkpoint(SentenceClassifier(config, params, table,
-                                       inventory=inventory, rae=rae,
-                                       vocab=vocab),
+    save_checkpoint(SentenceClassifier(config, params, inventory=inventory,
+                                       rae=rae, vocab=vocab),
                     path)
     return params.named() + (rae.named() if rae else []), path
 
@@ -604,17 +604,21 @@ class TestTrecPipeline:
 
 
 # an out-of-range number on the command line or in a config file: the
-# argv, the seed of {cfg} (TOY_D_CONFIG) and the message that must name
-# the number; {ckpt} is a trained checkpoint, {out} the output path
+# argv, a line that replaces TOY_D_CONFIG's line of the same key in
+# {cfg}, and the message that must name the number; {ckpt} is a trained
+# checkpoint, {out} the output path
+TRAIN_ARGV = "train --config {cfg} --train {dep} --labels {lbl} --out {out}"
 OUT_OF_RANGE = {
-    "train --seed -1": (
-        "train --config {cfg} --train {dep} --labels {lbl} --seed -1 --out {out}",
-        7, "seed must be >= 0, got -1"),
-    "train seed = -1 in config": (
-        "train --config {cfg} --train {dep} --labels {lbl} --out {out}",
-        -1, "seed must be >= 0, got -1"),
+    "train --seed -1": (TRAIN_ARGV + " --seed -1", "seed = 7",
+                        "seed must be >= 0, got -1"),
+    **{f"train {line} in config": (TRAIN_ARGV, line, message)
+       for line, message in [
+           ("seed = -1", "seed must be >= 0, got -1"),
+           ("batch_size = 0", "batch_size must be >= 1, got 0"),
+           ("learning_rate = 0", "learning_rate must be positive, got 0.0")]},
     **{f"pretrain-rae {flags}": (
-        f"pretrain-rae --train {{con}} {flags} --out {{out}}", 7, message)
+        f"pretrain-rae --train {{con}} {flags} --out {{out}}", "seed = 7",
+        message)
        for flags, message in [
            ("--seed -1", "seed must be >= 0, got -1"),
            ("--batch 0", "batch_size must be >= 1, got 0"),
@@ -624,11 +628,15 @@ OUT_OF_RANGE = {
            ("--epochs -1", "max_epochs must be >= 1, got -1"),
            ("--n-e 0", "--n-e must be >= 1, got 0"),
            ("--n-e -2", "--n-e must be >= 1, got -2")]},
-    "gradcheck --seed -1": ("gradcheck --seed -1", 7,
+    "gradcheck --seed -1": ("gradcheck --seed -1", "seed = 7",
                             "--seed must be >= 0, got -1"),
+    **{f"gradcheck --tol {tol}": (
+        f"gradcheck --tol {tol}", "seed = 7",
+        f"--tol must be finite and > 0, got {float(tol)}")
+       for tol in ("-1", "0", "nan", "inf")},
     "eval --buckets 0": (
         "eval --checkpoint {ckpt} --input {dep} --labels {lbl} --buckets 0",
-        7, "--buckets must be >= 1, got 0"),
+        "seed = 7", "--buckets must be >= 1, got 0"),
 }
 
 
@@ -636,9 +644,11 @@ class TestFailureExitCodes:
     @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
     def test_out_of_range_number_exits_2_naming_it(self, case, tmp_path,
                                                    d_checkpoint, capsys):
-        command, seed, message = OUT_OF_RANGE[case]
+        command, line, message = OUT_OF_RANGE[case]
         config = tmp_path / "toy_d.cfg"
-        config.write_text(TOY_D_CONFIG.replace("seed = 7", f"seed = {seed}"))
+        key = line.split(" = ")[0]
+        config.write_text(re.sub(rf"^{key} = .*$", line, TOY_D_CONFIG,
+                                 flags=re.MULTILINE))
         out = tmp_path / "out"
         out.mkdir()
         argv = command.format(cfg=config, dep=DATA / "tiny_dep.conll",
@@ -661,12 +671,13 @@ class TestFailureExitCodes:
             "[pooling]\npooling = kslot\nk = 2\n"
         )
         out = tmp_path / "qc.ckpt"
-        code = main([
-            "train", "--config", str(config),
-            "--train", str(DATA / "trec_mini.conll"),
-            "--labels", str(DATA / "trec_mini.lbl"),
-            "--out", str(out),
-        ])
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main([
+                "train", "--config", str(config),
+                "--train", str(DATA / "trec_mini.conll"),
+                "--labels", str(DATA / "trec_mini.lbl"),
+                "--out", str(out),
+            ])
         assert code == 2
         err = capsys.readouterr().err
         assert "diverged in epoch 1, batch" in err

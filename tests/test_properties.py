@@ -232,7 +232,7 @@ def test_trees_not_in_preorder_are_rejected():
         train([tree], [val], vocab, table, config, rae=rae)
     clf = SentenceClassifier(config, init_model(config, table, None,
                                                 np.random.default_rng(0)),
-                             table, rae=rae)
+                             rae=rae)
     clf.predict(val)
     with pytest.raises(ContractError, match="node 2 "):
         clf.predict(tree)
@@ -255,7 +255,7 @@ def bound_forest(rng, lines, n_e):
 
 def c_classifier(config, table, nprng):
     return SentenceClassifier(config, init_model(config, table, None, nprng),
-                              table, rae=init_composition(config.n_e, nprng))
+                              rae=init_composition(config.n_e, nprng))
 
 
 def training_spans(classifier, trees, val_trees):
@@ -346,7 +346,7 @@ def test_spans_forward_as_their_subtree_copies(rng, pooling, size):
         value = clf.loss(tape, batch, [span.label % 5 for span in batch],
                          rng=np.random.default_rng(seed))
         grads = tape.backward(value.node)
-        logits = clf.logits(Tape(record=False), batch, mode="train",
+        logits = clf.logits(Tape(record=False), batch,
                             rng=np.random.default_rng(seed))
         return [logits.data, value.per_row] + [grad_of(grads, p)
                                                for _, p in clf.params.named()]
@@ -834,7 +834,7 @@ def test_batch_gradient_is_the_sum_of_one_sample_gradients(rng, setup, size):
     inventory = build_dep_inventory(trees) if variant == "d" else None
     params = init_model(config, table, inventory, nprng)
     clf = SentenceClassifier(
-        config, params, table, inventory=inventory,
+        config, params, inventory=inventory,
         rae=init_composition(3, nprng) if variant == "c" else None)
     seed = rng.randrange(2 ** 32)
 

@@ -65,11 +65,11 @@ def fixture_classifier(variant, pooling=None, lam=0.0, k=2, seed=0,
     if variant == "d":
         inventory = build_dep_inventory([dep])
         params = init_model(config, table, inventory, rng)
-        clf = SentenceClassifier(config, params, table, inventory=inventory)
+        clf = SentenceClassifier(config, params, inventory=inventory)
         return clf, dep
     params = init_model(config, table, None, rng)
     rae = init_composition(4, rng)
-    clf = SentenceClassifier(config, params, table, rae=rae)
+    clf = SentenceClassifier(config, params, rae=rae)
     return clf, con
 
 
@@ -92,7 +92,7 @@ class TestGradientCheck:
     def test_frozen_composition_gets_exact_zero_gradient(self):
         clf, tree = fixture_classifier("c", pooling="3slot")
         tape = Tape()
-        value = clf.loss(tape, [tree], [1], mode="eval")
+        value = clf.loss(tape, [tree], [1])
         grads = tape.backward(value.node)
         for _, p in clf.rae.named():
             assert np.array_equal(grad_of(grads, p), np.zeros_like(p.data))
@@ -102,8 +102,7 @@ class TestGradientCheck:
         monkeypatch.setattr(trainer_mod, "SAMPLED_CHECK_THRESHOLD", 10)
         clf, tree = fixture_classifier("d", pooling="global")
         total = sum(p.data.size for _, p in clf.params.named())
-        report = gradient_check(clf, tree, gold=1,
-                                rng=np.random.default_rng(0))
+        report = gradient_check(clf, tree, gold=1)
         assert report.checked < total
         assert report.checked >= len(clf.params.named())  # >= 1 per group
         assert report.max_relative_error < 1e-4
@@ -123,7 +122,7 @@ class TestGradientCheck:
 
         def step(clf):
             def batch_loss(tape, batch):
-                value = clf.loss(tape, batch, [1] * len(batch), mode="eval")
+                value = clf.loss(tape, batch, [1] * len(batch))
                 return value.node, value.per_row, len(batch)
             return sgd_epoch([tree], batch_loss, clf.params.named(), lr, 1,
                              np.random.default_rng(0),
@@ -156,24 +155,6 @@ class TestNodeVectors:
             clf.predict(tree)
 
 
-class TestDropoutMode:
-    @pytest.mark.parametrize("dropout", [0.0, 0.3])
-    def test_unknown_mode_rejected(self, dropout):
-        corpus = make_overfit_corpus(n_sentences=8, classes=2, n_e=8, seed=6)
-        config = small_config("d", n_e=8, dropout_embed=dropout,
-                              dropout_hidden=dropout)
-        rng = np.random.default_rng(3)
-        inventory = build_dep_inventory(corpus.dep_trees)
-        clf = SentenceClassifier(config,
-                                 init_model(config, corpus.table, inventory, rng),
-                                 corpus.table, inventory=inventory)
-        trees = corpus.dep_trees
-        with pytest.raises(ConfigError, match="dropout mode must be 'train' "
-                                              "or 'eval', got 'Train'"):
-            clf.loss(Tape(), trees, [t.sentence_label for t in trees],
-                     mode="Train", rng=rng)
-
-
 class TestRowGradientStep:
     """One sgd_epoch step on a d-model whose embedding table is trained."""
 
@@ -186,15 +167,14 @@ class TestRowGradientStep:
         rng = np.random.default_rng(3)
         inventory = build_dep_inventory(corpus.dep_trees)
         params = init_model(config, corpus.table, inventory, rng)
-        clf = SentenceClassifier(config, params, corpus.table,
-                                 inventory=inventory)
+        clf = SentenceClassifier(config, params, inventory=inventory)
         named = params.named()
         before = _arrays(params)
         grads_seen = []  # the batch's dense gradients, before the update
 
         def batch_loss(tape, trees):
             value = clf.loss(tape, trees, [t.sentence_label for t in trees],
-                             mode="train", rng=rng)
+                             rng=rng)
             grads = tape.backward(value.node)
             grads_seen.append({name: grad_of(grads, p) for name, p in named})
             return value.node, value.per_row, len(trees)
@@ -424,7 +404,7 @@ class TestTrainLoop:
         for held in (model, loaded):
             clf = held.classifier()
             tape = Tape(record=record)
-            value = clf.loss(tape, trees, gold, mode="eval")
+            value = clf.loss(tape, trees, gold)
             grads = tape.backward(value.node) if record else {}
             results.append((value.per_row, clf.params, grads))
         (ours, params, grads), (whole, loaded_params, loaded_grads) = results
@@ -554,7 +534,7 @@ class TestTrainLoop:
         for name, want in snapshots[best - 1].items():
             assert np.array_equal(got[name], want), name
         if trainer == "train":
-            assert_trained_over(model, model.base_table,
+            assert_trained_over(model, model.params.base_table,
                                 snapshots[best - 1]["embeddings"])
 
     @pytest.mark.parametrize("trainer", ["train", "train_bag_baseline"])
@@ -599,7 +579,8 @@ class TestDivergence:
         lr = float("inf")
         corpus = make_overfit_corpus(n_sentences=8, classes=2, n_e=8, seed=1)
         config = small_config("d", n_e=8, learning_rate=lr, max_epochs=2)
-        with pytest.raises(DivergenceError) as caught:
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as caught:
             if trainer == "train":
                 train(corpus.dep_trees, corpus.dep_trees, corpus.vocab,
                       corpus.table, config)
@@ -859,7 +840,7 @@ def test_c_batches_agree_with_single_predictions():
     config = small_config("c", n_e=24, n_c=16, n_h=8, classes=5,
                           pooling="3slot")
     classifier = SentenceClassifier(
-        config, init_model(config, table, None, rng), table,
+        config, init_model(config, table, None, rng),
         rae=init_composition(24, rng))
 
     groups = list(node_groups(trees))
