@@ -142,11 +142,10 @@ def transfer_5_to_2(probabilities: np.ndarray) -> PredictionOutput:
                             note=note)
 
 
-def dropout_mask(shape, rate: float, rng) -> np.ndarray:
-    """Inverted-dropout mask for training: 0 with probability `rate`,
-    else 1/(1-rate), so no rescaling is ever needed at prediction time
-    (evaluation draws no mask)."""
+def dropout_mask(draws: np.ndarray, rate: float) -> np.ndarray:
+    """Inverted-dropout mask for training from uniform [0, 1) `draws`:
+    0 with probability `rate`, else 1/(1-rate), so no rescaling is ever
+    needed at prediction time (evaluation draws no mask)."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = rng.random(shape) >= rate
-    return keep.astype(np.float64) / (1.0 - rate)
+    return (draws >= rate) * (1.0 / (1.0 - rate))

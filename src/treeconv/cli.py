@@ -27,8 +27,6 @@ from .config import (
     make_train_config,
 )
 from .corpus_io import (
-    CONSTITUENCY,
-    DEPENDENCY,
     attach_labels,
     bind_vocabulary,
     build_dep_inventory,

@@ -4,6 +4,7 @@ the sectioned key-value config-file reader used by the CLI."""
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import MISSING, dataclass, fields
 from typing import Dict, Optional
 
@@ -50,11 +51,11 @@ class TrainConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {rate}")
-        if self.l2 < 0.0:
-            raise ConfigError(f"l2 must be >= 0, got {self.l2}")
-        if self.learning_rate <= 0.0:
-            raise ConfigError(
-                f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.l2) and self.l2 >= 0.0):
+            raise ConfigError(f"l2 must be finite and >= 0, got {self.l2}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ConfigError(f"learning_rate must be finite and positive, "
+                              f"got {self.learning_rate}")
         pooling = self.resolved_pooling()
         if pooling not in (GLOBAL, THREE_SLOT, K_SLOT):
             raise ConfigError(f"unknown pooling strategy {pooling!r}")

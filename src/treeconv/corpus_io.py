@@ -29,6 +29,11 @@ DEPENDENCY = "dependency"
 UNK_TOKEN = "<unk>"
 # Fixed seed for the synthetic UNK row so corpora load reproducibly.
 _UNK_SEED = 90210
+# values per np.loadtxt call in load_embeddings: ~109 rows of 300, so a
+# block's text and parsed array add under 1 MiB to the loader's peak
+# memory, even with 17-digit values
+PARSE_BLOCK_VALUES = 2**15
+
 
 @dataclass
 class TreeNode:
@@ -452,13 +457,55 @@ class EmbeddingTable:
         return self.vectors[index]
 
 
+def _parse_rows(rows: np.ndarray, texts: List[str],
+                row_lines: List[int]) -> None:
+    """Parse `texts`, the value text of the last len(texts) rows read
+    (on lines `row_lines[-len(texts):]`), into those rows of `rows`, and
+    empty `texts`.
+
+    One `np.loadtxt` call reads the block.  If it fails, or reads the
+    wrong width, the rows are read one at a time, so the first bad line
+    raises FormatError with its number.
+    """
+    if not texts:
+        return
+    start = len(row_lines) - len(texts)
+    out = rows[start:len(row_lines)]
+    try:
+        values = np.loadtxt(texts, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        values = None
+    if values is not None and values.shape == out.shape:
+        out[:] = values
+    else:
+        for i, (text, lineno) in enumerate(zip(texts, row_lines[start:])):
+            _check_arity(text, out.shape[1], lineno)
+            try:
+                out[i] = np.loadtxt([text], dtype=np.float64, comments=None)
+            except ValueError:
+                raise FormatError("embedding value is not a number", line=lineno)
+    texts.clear()
+
+
+def _check_arity(text: str, dim: int, lineno: int) -> None:
+    found = len(text.split())
+    if found != dim:
+        raise FormatError(f"embedding row has {found} values, expected {dim}",
+                          line=lineno)
+
+
 def load_embeddings(source) -> Tuple[Vocabulary, EmbeddingTable]:
     """Read word2vec text format; appends a fixed-seed UNK row.
 
     The header line is "count dim"; each following line is a token and
-    dim space-separated values.  A row with the wrong arity, or with a
-    value that is not a finite number, raises FormatError with its line
-    number.
+    dim whitespace-separated values.  `np.loadtxt` parses the values a
+    block of rows at a time, as `float()` reads them ("1e-3", "nan" and
+    "inf" included) except that digit underscores ("1_0") and non-ASCII
+    digits are not numbers.  A faulty row raises FormatError with its
+    line number: the first faulty line wins, and within a line a wrong
+    arity is named first, then a duplicate token, then a row past the
+    header's count, then a value that is not a number.  Values that are
+    not finite are checked last, over the whole table.
     """
     lines = iter(_as_lines(source))
     try:
@@ -478,30 +525,30 @@ def load_embeddings(source) -> Tuple[Vocabulary, EmbeddingTable]:
     index: Dict[str, int] = {}
     rows = np.empty((count + 1, dim), dtype=np.float64)
     row_lines: List[int] = []
+    # the value text of the last rows read, not yet parsed: one loadtxt
+    # call per block of rows, not one float() per value
+    block: List[str] = []
+    block_rows = max(1, PARSE_BLOCK_VALUES // dim)
     lineno = 1
-    loaded = 0
     for raw in lines:
         lineno += 1
-        if not raw.strip():
+        parts = raw.split(None, 1)
+        if not parts:
             continue
-        fields = raw.split()
-        if len(fields) != dim + 1:
-            raise FormatError(
-                f"embedding row has {len(fields) - 1} values, expected {dim}",
-                line=lineno,
-            )
-        token = fields[0]
-        if token in index:
-            raise FormatError(f"duplicate token {token!r}", line=lineno)
-        if loaded >= count:
+        token, text = parts[0], parts[1] if len(parts) > 1 else ""
+        if not text or token in index or len(row_lines) >= count:
+            _parse_rows(rows, block, row_lines)  # earlier lines' faults first
+            _check_arity(text, dim, lineno)
+            if token in index:
+                raise FormatError(f"duplicate token {token!r}", line=lineno)
             raise FormatError("more rows than the header promised", line=lineno)
-        try:
-            rows[loaded] = [float(x) for x in fields[1:]]
-        except ValueError:
-            raise FormatError("embedding value is not a number", line=lineno)
-        index[token] = loaded
+        index[token] = len(row_lines)
         row_lines.append(lineno)
-        loaded += 1
+        block.append(text)
+        if len(block) == block_rows:
+            _parse_rows(rows, block, row_lines)
+    _parse_rows(rows, block, row_lines)
+    loaded = len(row_lines)
     if loaded != count:
         raise FormatError(f"header promised {count} rows, found {loaded}",
                           line=lineno)

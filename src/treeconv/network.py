@@ -246,24 +246,26 @@ class SentenceClassifier:
         mask (None when off).  Without an rng, or at rates 0, it draws
         nothing.
 
-        The masks are drawn span by span, the node rows and then the
-        hidden row, so a sample's masks do not depend on the batch it is
-        in.  `tape.mul` applies the node mask; it records nothing when
-        the vectors are frozen, and never writes them.
+        One `rng.random` call draws the batch's masks, laid out span by
+        span, the node rows and then the hidden row, so a sample's masks
+        do not depend on the batch it is in.  `tape.mul` applies the
+        node mask; it records nothing when the vectors are frozen, and
+        never writes them.
         """
         embed_rate, hidden_rate = self.config.dropout_embed, self.config.dropout_hidden
         if rng is None or not (embed_rate or hidden_rate):
             return vectors, None
-        embed, hidden = [], []
-        for span in forest.spans:
-            if embed_rate:
-                embed.append(dropout_mask((len(span), self.config.n_e),
-                                          embed_rate, rng))
-            if hidden_rate:
-                hidden.append(dropout_mask(self.config.n_h, hidden_rate, rng))
-        if embed:
-            vectors = tape.mul(vectors, Tensor(np.concatenate(embed)))
-        return vectors, np.array(hidden) if hidden else None
+        n_e, n_h = self.config.n_e, self.config.n_h
+        sizes = [size for span in forest.spans
+                 for size in (len(span) * n_e if embed_rate else 0,
+                              n_h if hidden_rate else 0)]
+        draws = np.split(rng.random(sum(sizes)), np.cumsum(sizes)[:-1])
+        if embed_rate:
+            mask = dropout_mask(np.concatenate(draws[0::2]), embed_rate)
+            vectors = tape.mul(vectors, Tensor(mask.reshape(-1, n_e)))
+        if not hidden_rate:
+            return vectors, None
+        return vectors, dropout_mask(np.stack(draws[1::2]), hidden_rate)
 
     def forward_features(self, tape: Tape, trees: Sequence[ParseTree]) -> Tensor:
         """The convolution's feature map of `trees` without dropout,

@@ -15,6 +15,7 @@ them as constants and no gradient ever reaches them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -55,9 +56,9 @@ class PretrainConfig:
     seed: int = 0
 
     def validate(self) -> "PretrainConfig":
-        if self.learning_rate <= 0.0:
-            raise ConfigError(
-                f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ConfigError(f"learning_rate must be finite and positive, "
+                              f"got {self.learning_rate}")
         for name in ("batch_size", "max_epochs", "patience"):
             value = getattr(self, name)
             if value is not None and value < 1:

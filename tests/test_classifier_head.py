@@ -162,7 +162,7 @@ class TestTransfer:
 class TestDropout:
     def test_rate_zero_all_ones(self):
         rng = np.random.default_rng(4)
-        assert np.array_equal(dropout_mask(5, 0.0, rng), np.ones(5))
+        assert np.array_equal(dropout_mask(rng.random(5), 0.0), np.ones(5))
 
     def test_without_an_rng_is_identity(self):
         # a call without an rng draws no mask: the logits, the loss and
@@ -187,17 +187,17 @@ class TestDropout:
 
     def test_rate_one_rejected(self):
         with pytest.raises(ConfigError):
-            dropout_mask(3, 1.0, np.random.default_rng(6))
+            dropout_mask(np.random.default_rng(6).random(3), 1.0)
 
     def test_monte_carlo_drop_fraction(self):
         rng = np.random.default_rng(7)
-        mask = dropout_mask(10**6, 0.5, rng)
+        mask = dropout_mask(rng.random(10**6), 0.5)
         dropped = np.mean(mask == 0.0)
         assert abs(dropped - 0.5) < 0.005
 
     def test_inverted_dropout_expectation(self):
         rng = np.random.default_rng(8)
         activation = 3.7
-        mask = dropout_mask(10**6, 0.4, rng)
+        mask = dropout_mask(rng.random(10**6), 0.4)
         masked_mean = float(np.mean(mask * activation))
         assert abs(masked_mean - activation) / activation < 0.01

@@ -233,6 +233,28 @@ class TestTrain:
         assert "bad.vec" in err and "not finite" in err
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("value", ["1_0", "\uff11"])
+    def test_underscored_or_non_ascii_digits_exit_3_naming_line(
+            self, tmp_path, toy_d_config, value, capsys):
+        # float() reads digit underscores and non-ASCII digits; the
+        # embedding reader does not
+        vectors = tmp_path / "odd.vec"
+        vectors.write_text("2 8\ncritics" + " 0.1" * 8 + "\n"
+                           "liked" + " 0.2" * 7 + f" {value}\n",
+                           encoding="utf-8")
+        code = main([
+            "train", "--config", toy_d_config,
+            "--train", str(DATA / "tiny_dep.conll"),
+            "--labels", str(DATA / "tiny_dep.lbl"),
+            "--embeddings", str(vectors),
+            "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "odd.vec" in err
+        assert "embedding value is not a number (at line 3)" in err
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[model]\nvariant = q\n")
@@ -615,7 +637,15 @@ OUT_OF_RANGE = {
        for line, message in [
            ("seed = -1", "seed must be >= 0, got -1"),
            ("batch_size = 0", "batch_size must be >= 1, got 0"),
-           ("learning_rate = 0", "learning_rate must be positive, got 0.0")]},
+           ("learning_rate = 0",
+            "learning_rate must be finite and positive, got 0.0"),
+           ("learning_rate = nan",
+            "learning_rate must be finite and positive, got nan"),
+           ("learning_rate = inf",
+            "learning_rate must be finite and positive, got inf"),
+           ("l2 = -1", "l2 must be finite and >= 0, got -1.0"),
+           ("l2 = nan", "l2 must be finite and >= 0, got nan"),
+           ("l2 = inf", "l2 must be finite and >= 0, got inf")]},
     **{f"pretrain-rae {flags}": (
         f"pretrain-rae --train {{con}} {flags} --out {{out}}", "seed = 7",
         message)
@@ -623,8 +653,10 @@ OUT_OF_RANGE = {
            ("--seed -1", "seed must be >= 0, got -1"),
            ("--batch 0", "batch_size must be >= 1, got 0"),
            ("--batch -3", "batch_size must be >= 1, got -3"),
-           ("--lr 0", "learning_rate must be positive, got 0.0"),
-           ("--lr -1", "learning_rate must be positive, got -1.0"),
+           ("--lr 0", "learning_rate must be finite and positive, got 0.0"),
+           ("--lr -1", "learning_rate must be finite and positive, got -1.0"),
+           ("--lr nan", "learning_rate must be finite and positive, got nan"),
+           ("--lr inf", "learning_rate must be finite and positive, got inf"),
            ("--epochs -1", "max_epochs must be >= 1, got -1"),
            ("--n-e 0", "--n-e must be >= 1, got 0"),
            ("--n-e -2", "--n-e must be >= 1, got -2")]},

@@ -1,7 +1,10 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeconv.corpus_io import (
     CONSTITUENCY,
@@ -275,6 +278,102 @@ class TestEmbeddings:
     def test_non_finite_value_names_line(self, text, line):
         with pytest.raises(FormatError, match=f"not finite.*line {line}"):
             load_embeddings(io.StringIO(text))
+
+    @pytest.mark.parametrize("text,message,line", [
+        ("", "empty embedding file", 1),
+        ("3\n", "embedding header must be 'count dim'", 1),
+        ("2 3 4\n", "embedding header must be 'count dim'", 1),
+        ("two 3\n", "embedding header must be 'count dim'", 1),
+        ("2 3.0\n", "embedding header must be 'count dim'", 1),
+        ("0 3\n", "embedding header counts must be positive", 1),
+        ("2 -1\n", "embedding header counts must be positive", 1),
+        ("2 3\na 1 2 3\nb 1 x 3\n", "embedding value is not a number", 3),
+        # float() reads these, the loader does not
+        ("2 3\na 1 2 3\nb 1 1_0 3\n", "embedding value is not a number", 3),
+        ("2 3\na 1 2 3\nb 1 \uff11 3\n", "embedding value is not a number", 3),
+        ("2 3\na 1 2 3\nb 1 2 3 4\n", "embedding row has 4 values, expected 3", 3),
+        ("2 3\na 1 2 3\nb\n", "embedding row has 0 values, expected 3", 3),
+        ("2 3\na 1 2 3\na 4 5 6\n", "duplicate token 'a'", 3),
+        ("1 3\na 1 2 3\nb 4 5 6\n", "more rows than the header promised", 3),
+        ("3 3\na 1 2 3\nb 4 5 6\n", "header promised 3 rows, found 2", 3),
+        ("3 3\na 1 2 3\n\nb 4 5 6\n\n", "header promised 3 rows, found 2", 5),
+        # a blank line still counts toward line numbers
+        ("2 3\na 1 2 3\n\n  \nb 1 2\n", "embedding row has 2 values, expected 3", 5),
+        # two faulty lines: the earlier one is named
+        ("4 3\na 1 2 3\nb 1 x 3\nc 1 2 3\na 1 2 3\n",
+         "embedding value is not a number", 3),
+        ("4 3\na 1 2 3\na 1 2 3\nc 1 2 3\nd 1 x 3\n", "duplicate token 'a'", 3),
+        ("2 3\na 1 2 3\nb 1 x 3\nc 1 2 3\n", "embedding value is not a number", 3),
+        ("3 3\na 1 2 3\nb 1 x 3\nc 1 2\n", "embedding value is not a number", 3),
+        ("2 3\na nan 2 3\nb 1 x 3\n", "embedding value is not a number", 3),
+        ("3 3\na nan 2 3\nb 1 2 3\n", "header promised 3 rows, found 2", 3),
+        # two faults on one line: arity, then duplicate, then more rows
+        # than promised, then not a number
+        ("2 3\na 1 2 3\na 1 2\n", "embedding row has 2 values, expected 3", 3),
+        ("1 3\na 1 2 3\nb 1 2\n", "embedding row has 2 values, expected 3", 3),
+        ("2 3\na 1 2 3\na 1 x 3\n", "duplicate token 'a'", 3),
+        ("1 3\na 1 2 3\na 4 5 6\n", "duplicate token 'a'", 3),
+        ("1 3\na 1 2 3\nb 1 x 3\n", "more rows than the header promised", 3),
+        ("2 3\na 1 x\nb 1 2\n", "embedding row has 2 values, expected 3", 2),
+    ])
+    def test_fault_names_its_line(self, text, message, line):
+        with pytest.raises(FormatError) as info:
+            load_embeddings(io.StringIO(text))
+        assert str(info.value) == f"{message} (at line {line})"
+        assert info.value.line == line
+
+    @pytest.mark.parametrize("row,message", [
+        ("w700" + " 0.25" * 299 + " x", "embedding value is not a number"),
+        ("w700" + " 0.25" * 299 + " nan", "embedding value is not finite"),
+        ("w700" + " 0.25" * 299, "embedding row has 299 values, expected 300"),
+        ("w700" + " 0.25" * 301, "embedding row has 301 values, expected 300"),
+        ("w3" + " 0.25" * 300, "duplicate token 'w3'"),
+    ])
+    def test_fault_past_the_first_rows_names_its_line(self, row, message):
+        # 1000 rows of 300 values: more than one parse block
+        rows = [f"w{i}" + " 0.25" * 300 for i in range(1000)]
+        rows[700] = row
+        text = "1000 300\n" + "\n".join(rows) + "\n"
+        with pytest.raises(FormatError) as info:
+            load_embeddings(io.StringIO(text))
+        assert str(info.value) == f"{message} (at line 702)"
+
+    def test_tabs_runs_of_spaces_and_crlf_load_the_plain_table(self):
+        plain = "3 3\nhello 1 2 3\nworld -4.5 5e-3 6\nagain 0 -0 7.25\n"
+        messy = ("3 3\r\nhello\t1  2\t\t3\r\n  world   -4.5\t 5e-3 6  \r\n"
+                 "\r\nagain\t0\x0b-0\x0c7.25\xa0\r\n")
+        vocab, table = load_embeddings(io.StringIO(plain))
+        vocab2, table2 = load_embeddings(io.StringIO(messy))
+        assert vocab2.index == vocab.index
+        assert table2.vectors.tobytes() == table.vectors.tobytes()
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=40),
+           st.sampled_from([repr, "%.6f".__mod__, "%.17g".__mod__,
+                            "%e".__mod__]))
+    def test_values_load_as_float_of_their_text(self, values, fmt):
+        texts = [fmt(v) for v in values]
+        row = "tok " + " ".join(texts)
+        _, table = load_embeddings(io.StringIO(f"1 {len(texts)}\n{row}\n"))
+        want = np.array([float(t) for t in texts])
+        assert table.vectors[0].tobytes() == want.tobytes()
+
+    def test_peak_memory_is_the_table_plus_2_mib(self, tmp_path):
+        rng = np.random.default_rng(3)
+        count, dim = 4000, 300
+        path = tmp_path / "vectors.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"{count} {dim}\n")
+            for i, row in enumerate(rng.uniform(-1, 1, (count, dim))):
+                fh.write(f"w{i} " + " ".join(map(repr, row.tolist())) + "\n")
+        tracemalloc.start()
+        try:
+            _, table = load_embeddings(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= table.vectors.nbytes + 2 * 2**20
 
     def test_lowercase_fallback(self):
         vocab, _ = load_embeddings(io.StringIO("2 1\nword 0.5\nCase 0.25\n"))

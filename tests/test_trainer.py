@@ -574,10 +574,12 @@ class TestDivergence:
             self, trainer, first_param):
         from treeconv.rae_pretrain import PretrainConfig, pretrain
 
-        # an infinite rate makes the first update non-finite in every
-        # trainer (reconstruction's tanh keeps pretraining finite at 1e300)
-        lr = float("inf")
+        # a rate near the float maximum, on word vectors 1000 times their
+        # usual size, makes the first update overflow in every trainer
+        # (an infinite rate is rejected before training starts)
+        lr = 1e308
         corpus = make_overfit_corpus(n_sentences=8, classes=2, n_e=8, seed=1)
+        corpus.table.vectors[:] *= 1e3
         config = small_config("d", n_e=8, learning_rate=lr, max_epochs=2)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(DivergenceError) as caught:
