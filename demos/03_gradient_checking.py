@@ -26,7 +26,7 @@ for variant, pooling, tree in [("d", "global", dep), ("d", "kslot", dep),
         rng = np.random.default_rng(17)
         if variant == "d":
             inventory = build_dep_inventory([dep])
-            params = init_model(config, table, inventory, rng)
+            params = init_model(config, table, inventory, rng, [dep])
             clf = SentenceClassifier(config, params, inventory=inventory)
         else:
             params = init_model(config, table, None, rng)

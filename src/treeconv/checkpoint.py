@@ -6,8 +6,8 @@ then one contiguous little-endian float64 payload per array in header
 order.  Loading needs no external configuration: it builds the model the
 stored config describes through `network.init_model`, so the init
 functions are the only owner of the parameter layout, and checks every
-stored array's name and shape against it.  Identical models save to
-identical bytes.
+stored array's name, shape and finiteness against it.  Identical models
+save to identical bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .corpus_io import DepTypeInventory, EmbeddingTable, Vocabulary
 from .errors import ConfigError, FormatError
 from .network import SentenceClassifier, init_model
 from .rae_pretrain import init_composition
-from .tensor_core import assert_finite
+from .tensor_core import all_finite, assert_finite
 
 MAGIC = b"treeconv-checkpoint\n"
 FORMAT_VERSION = 1
@@ -56,7 +56,8 @@ def save_checkpoint(model: SentenceClassifier, path) -> None:
             "dedicated": list(model.inventory.dedicated),
         },
         "has_rae": model.rae is not None,
-        "train_embeddings_stored": model.params.embeddings is not None,
+        "train_embeddings_stored": model.config.train_embeddings
+                                   and model.config.variant == VARIANT_D,
         "arrays": [{"name": name, "shape": list(arr.shape)}
                    for name, arr in entries],
     }
@@ -74,11 +75,10 @@ def load_checkpoint(path) -> SentenceClassifier:
     """Build the model the stored config describes, one
     :class:`SentenceClassifier` as `trainer.train` returns, then fill its
     arrays from the payload.  The stored arrays must carry that model's
-    names, in order, and its shapes; any mismatch is a FormatError
-    naming the file and the array.  A model that trains its embeddings
-    stores them once, as its whole table; loaded, its embedding
-    parameter holds every row, so `init_model` makes its `base_table`,
-    and so its `table`, that parameter's array."""
+    names, in order, and its shapes, and hold finite values; anything
+    else is a FormatError naming the file and the array.  A model that
+    trained its embeddings stores them once, as its whole table; loaded,
+    it reads that table frozen, with no embedding parameter."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise FormatError(f"{path} is not a treeconv checkpoint")
@@ -124,6 +124,8 @@ def load_checkpoint(path) -> SentenceClassifier:
             if len(raw) != target.nbytes:
                 raise FormatError(f"{path}: truncated payload at {name}")
             target[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+            if not all_finite(target):
+                raise FormatError(f"{path}: array {name} holds non-finite values")
         if fh.read(1) != b"":
             raise FormatError(f"{path}: trailing bytes after payload")
     return model
@@ -175,12 +177,7 @@ def _model_for_header(header, path) -> SentenceClassifier:
     )
     inventory = None
     if header["inventory"] is not None:
-        dedicated = tuple(header["inventory"]["dedicated"])
-        inventory = DepTypeInventory(
-            slot_ids={rel: i for i, rel in enumerate(dedicated)},
-            shared_slot=len(dedicated),
-            dedicated=dedicated,
-        )
+        inventory = DepTypeInventory(tuple(header["inventory"]["dedicated"]))
     elif config.variant == VARIANT_D:
         raise FormatError(f"{path}: dependency checkpoint lacks inventory")
 

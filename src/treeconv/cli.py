@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from dataclasses import replace
@@ -139,7 +140,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except OSError as e:
-        print(f"error: cannot read {e.filename}: {e.strerror}", file=sys.stderr)
+        print(f"error: cannot open {e.filename}: {e.strerror}", file=sys.stderr)
         return EXIT_DATA
     except Exception as e:
         traceback.print_exc()
@@ -148,6 +149,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(args) -> int:
+    out = getattr(args, "out", None)  # what train and pretrain-rae write
+    if out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise DataError(f"cannot write {out}: its directory does not exist")
     if args.command == "train":
         return cmd_train(args)
     if args.command == "eval":
@@ -354,7 +358,7 @@ def cmd_gradcheck(args) -> int:
                 rng = np.random.default_rng(args.seed + 17)
                 if variant == VARIANT_D:
                     inventory = build_dep_inventory([dep])
-                    params = init_model(config, table, inventory, rng)
+                    params = init_model(config, table, inventory, rng, [dep])
                     clf = SentenceClassifier(config, params, inventory=inventory)
                     tree = dep
                 else:

@@ -33,6 +33,8 @@ _UNK_SEED = 90210
 # block's text and parsed array add under 1 MiB to the loader's peak
 # memory, even with 17-digit values
 PARSE_BLOCK_VALUES = 2**15
+# relations with a dedicated weight slot in a dependency inventory
+MAX_DEDICATED = 15
 
 
 @dataclass
@@ -593,11 +595,15 @@ def bind_vocabulary(tree: ParseTree, vocab: Vocabulary) -> None:
 
 @dataclass
 class DepTypeInventory:
-    """Relation-to-weight-slot map: dedicated slots plus one SHARED slot."""
+    """Relation-to-weight-slot map: the `dedicated` slots, then SHARED."""
 
-    slot_ids: Dict[str, int]
-    shared_slot: int
     dedicated: Tuple[str, ...]
+    slot_ids: Dict[str, int] = field(init=False)
+    shared_slot: int = field(init=False)
+
+    def __post_init__(self):
+        self.slot_ids = {rel: i for i, rel in enumerate(self.dedicated)}
+        self.shared_slot = len(self.dedicated)
 
     @property
     def n_slots(self) -> int:
@@ -609,14 +615,11 @@ class DepTypeInventory:
         return self.slot_ids.get(relation, self.shared_slot)
 
 
-def build_dep_inventory(trees: Sequence[ParseTree],
-                        max_dedicated: int = 15) -> DepTypeInventory:
-    """Dedicated slots for the most frequent relations, SHARED for the rest.
-
-    Frequency ties break lexicographically (smaller relation name wins).
-    Corpora with fewer distinct relations than `max_dedicated` dedicate
-    them all; SHARED always exists.
-    """
+def build_dep_inventory(trees: Sequence[ParseTree]) -> DepTypeInventory:
+    """Dedicated slots for the MAX_DEDICATED most frequent relations,
+    SHARED for the rest.  Frequency ties break lexicographically (smaller
+    relation name wins).  Corpora with fewer distinct relations dedicate
+    them all; SHARED always exists."""
     counts: Counter = Counter()
     for tree in trees:
         if tree.kind != DEPENDENCY:
@@ -625,10 +628,7 @@ def build_dep_inventory(trees: Sequence[ParseTree],
             if v != tree.root:
                 counts[node.dep_relation] += 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    dedicated = tuple(rel for rel, _ in ranked[:max_dedicated])
-    slot_ids = {rel: i for i, rel in enumerate(dedicated)}
-    return DepTypeInventory(slot_ids=slot_ids, shared_slot=len(dedicated),
-                            dedicated=dedicated)
+    return DepTypeInventory(tuple(rel for rel, _ in ranked[:MAX_DEDICATED]))
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,14 @@ tree or a constituency sub-sentence.  Trees are indexed once where the
 work starts (`trainer.train`, or a prediction call), in one walk per
 constituency tree: window edges, the composition order and the node
 rows, which are the frozen RAE annotation composed from that order
-(see :func:`rae_pretrain.annotate_forest`) or embedding indices.
+(see :func:`rae_pretrain.annotate_forest`) or embedding rows.
 
 A model is one :class:`SentenceClassifier`, whether it trains or not:
 `trainer.train` and `checkpoint.load_checkpoint` return it, and it holds
 everything a checkpoint stores.  It has one forward pass; given an rng,
-that pass draws dropout masks (training), else it draws none."""
+that pass draws dropout masks (training), else it draws none.
+:class:`ModelParams` owns the embedding layout, for the tree model and
+the bag baseline alike."""
 
 from __future__ import annotations
 
@@ -43,29 +45,73 @@ from .tensor_core import Tape, Tensor, by_name, parameter
 
 @dataclass
 class ModelParams:
-    """All trainable weights in a fixed order: window, head and, when
-    they train, embeddings, under the names their init functions gave
-    them (the checkpoint layout), and the table the model reads.
+    """All trainable weights in a fixed order: window (none in the bag
+    baseline), head and, when they train, embeddings, under the names
+    their init functions gave them (the checkpoint layout).
 
-    `embeddings` holds the rows `rows` of the vocabulary, in order, or
-    every row when `rows` is None; `base_table` is then that parameter's
-    own array.  A word whose row the parameter does not hold reads
-    `base_table`.
+    The one owner of the embedding layout: `embeddings`, when they
+    train, holds the rows `rows` of `base_table` (the caller's table,
+    never written) that `gather`'s trees read; any other word reads
+    `base_table`.  Words read rows of the two stacked (see `lookup`).
     """
 
-    conv: tree_conv.WindowParams
+    conv: Optional[tree_conv.WindowParams]
     head: HeadParams
     base_table: EmbeddingTable
     embeddings: Optional[Tensor] = None
     rows: Optional[np.ndarray] = None
 
+    @classmethod
+    def gather(cls, conv: Optional[tree_conv.WindowParams], head: HeadParams,
+               table: EmbeddingTable, trees: Optional[Sequence[ParseTree]] = None,
+               ) -> "ModelParams":
+        """Parameters that train the rows of `table` that `trees` read (SGD
+        cannot move any other), or, when `trees` is None, read it frozen."""
+        if trees is None:
+            return cls(conv, head, table)
+        rows = np.unique(word_rows(trees, table))
+        return cls(conv, head, table,
+                   parameter(table.vectors[rows], "embeddings"), rows)
+
     def named(self) -> List[Tuple[str, Tensor]]:
-        return self.conv.named() + self.head.named() + by_name(self.embeddings)
+        window = [] if self.conv is None else self.conv.named()
+        return window + self.head.named() + by_name(self.embeddings)
 
     def weight_matrices(self) -> List[Tensor]:
         """Matrices under the l2 penalty: biases and embeddings excluded."""
         return [t for _, t in self.named()
                 if t.data.ndim == 2 and t is not self.embeddings]
+
+    def lookup(self, trees: Sequence[ParseTree]) -> np.ndarray:
+        """The row each word of `trees` reads (see `word_rows`) of the
+        embedding parameter stacked over `base_table`: its row of the
+        parameter, or past it, its vocabulary index."""
+        rows = word_rows(trees, self.base_table)
+        return rows if self.rows is None else self._stacked_rows[rows]
+
+    @cached_property
+    def _stacked_rows(self) -> np.ndarray:
+        """Each vocabulary index's row of the two matrices `lookup` stacks."""
+        at = np.arange(len(self.rows), len(self.rows) + len(self.base_table))
+        at[self.rows] = np.arange(len(self.rows))
+        return at
+
+    def vectors(self, tape: Tape, rows: np.ndarray) -> Tensor:
+        """The word vectors of `lookup` rows: a plain gather from a frozen
+        table, else one `take_rows` of the two matrices stacked."""
+        base = self.base_table.vectors
+        if self.embeddings is None:  # `lookup` checked the rows
+            return Tensor(base[rows])
+        return tape.take_rows([self.embeddings, Tensor(base)], rows)
+
+    def merged_table(self) -> EmbeddingTable:
+        """The whole table the model reads: `base_table`, or a copy of it
+        with the trained rows in place."""
+        if self.rows is None:
+            return self.base_table
+        vectors = self.base_table.vectors.copy()
+        vectors[self.rows] = self.embeddings.data
+        return EmbeddingTable(vectors)
 
 
 def slot_count(config: TrainConfig) -> int:
@@ -94,10 +140,10 @@ def init_model(config: TrainConfig, table: EmbeddingTable,
                trees: Optional[Sequence[ParseTree]] = None) -> ModelParams:
     """Fresh parameters: uniform +-sqrt(6/(fan_in+fan_out)), zero biases.
 
-    Trained embeddings start as the rows of `table` that `trees` read,
-    gathered (SGD cannot move any other row), or as a copy of the whole
-    table when `trees` is None; `table` is never written.  The model
-    reads `table` (its `base_table`), or the copy when it holds every row.
+    With train_embeddings, a d-model trains the rows of `table` that
+    `trees` read (`ModelParams.gather`); without `trees` it reads
+    `table` frozen, as a loaded checkpoint does.  `table` is never
+    written.
     """
     if config.variant == VARIANT_D:
         if inventory is None:
@@ -108,26 +154,22 @@ def init_model(config: TrainConfig, table: EmbeddingTable,
         conv = tree_conv.init_c_window(config.n_c, config.n_e, rng)
     head = classifier_head.init_head(
         config.n_h, slot_count(config) * config.n_c, config.classes, rng)
-    if not (config.variant == VARIANT_D and config.train_embeddings):
-        return ModelParams(conv, head, table)
-    if trees is None:
-        embeddings = parameter(table.vectors.copy(), "embeddings")
-        return ModelParams(conv, head, EmbeddingTable(embeddings.data), embeddings)
-    rows = np.unique(read_rows(trees, table))
-    return ModelParams(conv, head, table,
-                       parameter(table.vectors[rows], "embeddings"), rows)
+    trained = config.variant == VARIANT_D and config.train_embeddings
+    return ModelParams.gather(conv, head, table, trees if trained else None)
 
 
-def read_rows(trees: Sequence[ParseTree], table: EmbeddingTable) -> np.ndarray:
-    """The embedding index of every node of `trees`, in order, each
-    checked to be a row of `table`."""
-    rows = [node.embedding_index for tree in trees for node in tree.nodes]
+def word_rows(trees: Sequence[ParseTree], table: EmbeddingTable) -> np.ndarray:
+    """The embedding index of every word-bearing node of `trees` (each
+    node of a dependency tree, the leaves of a constituency tree), in
+    order, each checked to be a row of `table`."""
+    rows = [node.embedding_index for tree in trees for node in tree.nodes
+            if node.word is not None]
     if None in rows:
         word = next(node.word for tree in trees for node in tree.nodes
-                    if node.embedding_index is None)
+                    if node.word is not None and node.embedding_index is None)
         raise ContractError(f"node {word!r} has no embedding index; "
                             f"bind_vocabulary first")
-    if min(rows) < 0 or max(rows) >= len(table):
+    if rows and (min(rows) < 0 or max(rows) >= len(table)):
         raise ContractError("embedding index out of range for the table")
     return np.array(rows, dtype=np.intp)
 
@@ -139,14 +181,9 @@ class SentenceClassifier:
 
     Constituency node vectors come frozen from the recursive-autoencoder
     annotation; no gradient ever flows into them or its parameters.
-    Dependency node vectors are embedding rows, trainable when the model
-    owns an embedding parameter.  The table it reads is the one
-    `init_model` was given, `params.base_table`; training never writes
-    it.  A model that trains its embeddings holds the trained rows in its
-    embedding parameter and their vocabulary indices in `params.rows`
-    (None: every row, as in a loaded checkpoint, and `base_table` is the
-    parameter's array).  `vocab` and `label_names` are stored with the
-    model, and no forward pass reads them.
+    Dependency node vectors are embedding rows, read through `params`.
+    `vocab` and `label_names` are stored with the model, and no forward
+    pass reads them.
     """
 
     def __init__(self, config: TrainConfig, params: ModelParams,
@@ -168,16 +205,9 @@ class SentenceClassifier:
 
     @cached_property
     def table(self) -> EmbeddingTable:
-        """The whole table the model reads: `base_table`, or a copy of it
-        with the trained rows in place when the embedding parameter holds
-        only some rows, built on first read.  No forward pass reads it;
-        `save_checkpoint` does."""
-        base, rows = self.params.base_table, self.params.rows
-        if rows is None:
-            return base
-        vectors = base.vectors.copy()
-        vectors[rows] = self.params.embeddings.data
-        return EmbeddingTable(vectors)
+        """`ModelParams.merged_table`, built on first read.  No forward
+        pass reads it; `save_checkpoint` does."""
+        return self.params.merged_table()
 
     def classifier(self) -> "SentenceClassifier":
         """The model itself: a trained model is its own classifier."""
@@ -186,27 +216,13 @@ class SentenceClassifier:
     def index(self, trees: Sequence[ParseTree]) -> tree_conv.TreeIndex:
         """The window index of `trees` with the rows their node vectors
         read: the frozen RAE annotation, composed `node_groups` trees at
-        a time, or embedding indices.  Where the embedding parameter
-        holds only some rows of the vocabulary, a word's index is its
-        row of the parameter, and for any other word the parameter's
-        length plus its vocabulary index (see `node_vectors`)."""
+        a time, or the rows `ModelParams.lookup` gives their words."""
         index = tree_conv.index_trees(trees, self.inventory)
         if self.config.variant == VARIANT_C:
             index.rows = annotate_forest(index, self.rae, self.params.base_table)
-            return index
-        index.rows = read_rows(trees, self.params.base_table)
-        if self.params.rows is not None:
-            index.rows = self._stacked_rows[index.rows]
+        else:
+            index.rows = self.params.lookup(trees)
         return index
-
-    @cached_property
-    def _stacked_rows(self) -> np.ndarray:
-        """Each vocabulary index's row in the embedding parameter stacked
-        over `base_table`, where the parameter holds only some rows."""
-        trained = self.params.rows
-        at = np.arange(len(trained), len(trained) + len(self.params.base_table))
-        at[trained] = np.arange(len(trained))
-        return at
 
     def span(self, index: tree_conv.TreeIndex, t: int,
              v: Optional[int] = None) -> tree_conv.Span:
@@ -226,18 +242,13 @@ class SentenceClassifier:
 
     def node_vectors(self, tape: Tape, forest: tree_conv.Forest) -> Tensor:
         """The (n_nodes, n_e) matrix of node vectors, row v for forest
-        row v: constituency annotations, or rows of the embedding table
-        (a parameter when it trains, else a constant).  Trained
-        embeddings are read as if stacked over `base_table`, so that a row
-        past the parameter's reads a word it does not hold."""
+        row v: constituency annotations, or embedding rows
+        (`ModelParams.vectors`)."""
         rows = np.concatenate([span.index.rows[span.start:span.stop]
                                for span in forest.spans])
         if self.config.variant == VARIANT_C:
             return Tensor(rows)
-        base = self.params.base_table.vectors
-        if self.params.embeddings is None:  # `index` checked the rows
-            return Tensor(base[rows])
-        return tape.take_rows([self.params.embeddings, Tensor(base)], rows)
+        return self.params.vectors(tape, rows)
 
     def _dropout(self, tape: Tape, forest: tree_conv.Forest, vectors: Tensor,
                  rng) -> Tuple[Tensor, Optional[np.ndarray]]:

@@ -17,7 +17,7 @@ sentences is one record over the stacked n x d matrix of all their
 nodes: `take_rows` (embedding lookup; rows of several matrices read as
 if stacked), `edge_matmul` (X @ W.T plus a bias row: an affine layer,
 and with edge products summed into destination rows the tree
-convolution), `sum_rows`, `segment_max`
+convolution), `sum_rows` (a segment sum of rows), `segment_max`
 (per-slot column maximum with winning rows, the pooling), `reshape`
 and the row-wise `cross_entropy`; elementwise `add`, `sub`,
 `mul`, `scale`, `relu`, `tanh` and `sumsq` complete the set.  A tape
@@ -329,7 +329,8 @@ class Tape:
             self._push(out, backward)
         return out
 
-    def scale(self, x: Tensor, c: float) -> Tensor:
+    def scale(self, x: Tensor, c: Union[float, np.ndarray]) -> Tensor:
+        """x times a number, or times a column (one factor per row)."""
         out = Tensor(x.data * c, requires_grad=self._tracks(x))
         if out.requires_grad:
             def backward(g, accum, x=x, c=c):
@@ -474,14 +475,20 @@ class Tape:
             self._push(out, backward)
         return out
 
-    def sum_rows(self, X: Tensor) -> Tensor:
-        """Sum of the rows of a matrix, as a vector."""
-        if X.data.ndim != 2:
-            raise ShapeError(f"sum_rows: {X._label()} is not a matrix")
-        out = Tensor(X.data.sum(axis=0), requires_grad=self._tracks(X))
+    def sum_rows(self, X: Tensor, into: Sequence[int], count: int) -> Tensor:
+        """The (count, width) matrix whose row r sums, in order, the rows
+        i of the matrix X with into[i] == r (zero where no i names r)."""
+        into = np.asarray(into, dtype=np.intp)
+        if X.data.ndim != 2 or into.shape != X.data.shape[:1]:
+            raise ShapeError(f"sum_rows: {X._label()} needs one target per row")
+        if into.size and not (0 <= into.min() and into.max() < count):
+            raise ContractError("sum_rows: target row out of range")
+        data = np.zeros((count, X.data.shape[1]))
+        _scatter_add(data, into, X.data)
+        out = Tensor(data, requires_grad=self._tracks(X))
         if out.requires_grad:
-            def backward(g, accum, X=X):
-                accum(X, np.broadcast_to(g, X.data.shape))
+            def backward(g, accum, X=X, into=into):
+                accum(X, g[into])
             self._push(out, backward)
         return out
 

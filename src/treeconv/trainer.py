@@ -38,15 +38,9 @@ from .corpus_io import (
 from .errors import ConfigError, ContractError
 from .network import SentenceClassifier, init_model
 from .rae_pretrain import CompositionParams
-from .tensor_core import (Tape, Tensor, grad_of, iter_batches, l2_penalty,
-                          node_groups, sgd_epoch)
+from .tensor_core import (Tape, Tensor, grad_of, l2_penalty, node_groups,
+                          sgd_epoch)
 from .tree_conv import Span
-
-# re-exported for convenience: the config type lives in config.py
-__all__ = [
-    "TrainConfig", "TrainReport", "fit", "train", "evaluate", "gradient_check",
-    "GradCheckReport", "EvalReport", "default_length_buckets", "iter_batches",
-]
 
 PLATEAU_EPOCHS = 2
 BUCKET_GROUPS = 7  # length groups of the default evaluation buckets
@@ -183,15 +177,11 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
     best-validation parameters, one :class:`SentenceClassifier` that
     `evaluate` reads and `save_checkpoint` writes, and the report.
 
-    `table` is never written; `init_model` makes it the model's
-    `params.base_table`.  With train_embeddings on, the embedding
-    parameter holds only the rows the training and validation trees
-    read, gathered from `table`: SGD cannot move any other row.  The
-    returned model reads the trained rows for those words and `table`
-    for every other word; its `table` is `table` with the trained rows
-    in place.  So a non-finite row that no tree reads does not stop the
-    run, as with frozen embeddings, but `save_checkpoint` refuses to
-    write it.  Constituency node vectors
+    `table` is never written.  With train_embeddings on, the model trains
+    the rows its training and validation trees read and reads `table`
+    for every other word (`network.ModelParams`), so a non-finite row
+    that no tree reads does not stop the run, as with frozen embeddings,
+    but `save_checkpoint` refuses to write it.  Constituency node vectors
     are always frozen (they belong to the pretrained composition), so
     train_embeddings only applies to the dependency variant.  `fit` runs
     the epochs, so a run that blows up stops with DivergenceError.  The

@@ -75,7 +75,7 @@ def build_classifier(variant, pooling, lam, seed=0):
     rng = np.random.default_rng(seed + 17)
     if variant == "d":
         inventory = build_dep_inventory([dep])
-        params = init_model(config, table, inventory, rng)
+        params = init_model(config, table, inventory, rng, [dep])
         return SentenceClassifier(config, params, inventory=inventory), dep
     params = init_model(config, table, None, rng)
     return SentenceClassifier(config, params, rae=init_composition(4, rng)), con

@@ -390,7 +390,7 @@ class TestCheckpointRoundTrip:
             p1, p2 = c1.predict(t), c2.predict(t)
             assert np.array_equal(p1.probabilities, p2.probabilities)
 
-    def test_loaded_trained_table_is_the_embedding_parameter(self, tmp_path):
+    def test_loaded_trained_checkpoint_reads_its_table_frozen(self, tmp_path):
         corpus = make_overfit_corpus(n_sentences=6, classes=2, n_e=8, seed=4)
         config = TrainConfig(variant="d", n_e=8, n_c=6, n_h=4, classes=2,
                              max_epochs=1, train_embeddings=True).validate()
@@ -399,8 +399,10 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
-        assert np.shares_memory(loaded.params.embeddings.data,
-                                loaded.table.vectors)
+        assert model.params.embeddings is not None
+        assert loaded.params.embeddings is None
+        assert "embeddings" not in dict(loaded.params.named())
+        assert loaded.table is loaded.params.base_table
         assert loaded.table.vectors.tobytes() == model.table.vectors.tobytes()
         for tree in corpus.dep_trees:
             want = model.classifier().predict(tree).probabilities
@@ -436,6 +438,67 @@ class TestCheckpointRoundTrip:
         err = capsys.readouterr().err
         assert code == 3, err
         assert str(bad) in err and fragment in err, err
+
+
+def _poisoned(raw, name, value):
+    """A checkpoint's bytes with the first entry of array `name` set to
+    `value` in the payload."""
+    length_line = raw[len(MAGIC):].split(b"\n", 1)[0]
+    start = len(MAGIC) + len(length_line) + 1
+    end = start + int(length_line)
+    at = end + 1
+    for spec in json.loads(raw[start:end])["arrays"]:
+        if spec["name"] == name:
+            return raw[:at] + np.float64(value).astype("<f8").tobytes() + raw[at + 8:]
+        at += 8 * int(np.prod(spec["shape"]))
+    raise AssertionError(f"no array {name}")
+
+
+@pytest.mark.parametrize("name", ["conv.W_p", "table"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_array_fails_by_name(name, value, d_checkpoint, tmp_path,
+                                        capsys):
+    from treeconv.errors import FormatError
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_poisoned(d_checkpoint.read_bytes(), name, value))
+    with pytest.raises(FormatError, match=f"array {name} holds non-finite"):
+        load_checkpoint(bad)
+    code = main(["eval", "--checkpoint", str(bad),
+                 "--input", str(DATA / "tiny_dep.conll"),
+                 "--labels", str(DATA / "tiny_dep.lbl")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert str(bad) in err and f"array {name} holds non-finite" in err, err
+
+
+@pytest.mark.parametrize("command", ["train", "pretrain-rae"])
+def test_missing_out_directory_exits_3_before_reading_a_corpus(
+        command, toy_d_config, tmp_path, monkeypatch, capsys):
+    import treeconv.cli as cli_mod
+
+    def read(*args, **kwargs):
+        raise AssertionError("read a corpus")
+    for reader in ("read_dependency_file", "read_constituency_file"):
+        monkeypatch.setattr(cli_mod, reader, read)
+    out = tmp_path / "no_such_dir" / "m.ckpt"
+    args = {"train": ["--config", toy_d_config,
+                      "--train", str(DATA / "tiny_dep.conll"),
+                      "--labels", str(DATA / "tiny_dep.lbl")],
+            "pretrain-rae": ["--train", str(DATA / "tiny_con.txt"),
+                             "--n-e", "4", "--epochs", "1"]}[command]
+    code = main([command, "--out", str(out)] + args)
+    captured = capsys.readouterr()
+    assert code == 3, captured.err
+    assert "epoch" not in captured.out
+    assert f"cannot write {out}" in captured.err, captured.err
+
+
+def test_a_file_that_cannot_be_opened_exits_3_naming_it(tmp_path, capsys):
+    missing = tmp_path / "no_such.ckpt"
+    code = main(["eval", "--checkpoint", str(missing),
+                 "--input", str(DATA / "tiny_dep.conll")])
+    assert code == 3
+    assert f"error: cannot open {missing}" in capsys.readouterr().err
 
 
 def _without_rae(raw):
@@ -507,11 +570,10 @@ def _layout_case(case, tmp_path):
         config = TrainConfig(variant="c", n_e=4, n_c=3, n_h=3, classes=3)
         rae = init_composition(4, rng)
     else:
-        inventory = DepTypeInventory(slot_ids={"nsubj": 0, "dobj": 1},
-                                     shared_slot=2, dedicated=("nsubj", "dobj"))
+        inventory = DepTypeInventory(("nsubj", "dobj"))
         config = TrainConfig(variant="d", n_e=4, n_c=3, n_h=3, classes=3,
                              train_embeddings=case == "d trained")
-    params = init_model(config, table, inventory, rng)
+    params = init_model(config, table, inventory, rng, [dep])
     save_checkpoint(SentenceClassifier(config, params, inventory=inventory,
                                        rae=rae, vocab=vocab),
                     path)

@@ -432,9 +432,16 @@ class TestDepInventory:
         # 14 clear winners, then "mmm" and "zzz" tied on count
         rels = [f"top{k:02d}" for k in range(14)] * 3 + ["mmm", "zzz"]
         trees = [_dep_tree_with_relations(rels)]
-        inv = build_dep_inventory(trees, max_dedicated=15)
+        inv = build_dep_inventory(trees)
         assert "mmm" in inv.dedicated
         assert inv.slot_of("zzz") == inv.shared_slot
+
+    def test_slots_follow_the_dedicated_tuple(self):
+        inv = DepTypeInventory(("nsubj", "dobj"))
+        assert inv.slot_ids == {"nsubj": 0, "dobj": 1}
+        assert inv.shared_slot == 2 and inv.n_slots == 3
+        assert inv.slot_of("dobj") == 1 and inv.slot_of("amod") == 2
+        assert inv.slot_of(None) == 2
 
     def test_constituency_corpus_rejected(self):
         tree = parse_constituency("(1 (0 a) (1 b))")

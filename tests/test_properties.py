@@ -624,7 +624,8 @@ def check_segment_max(X, slot_of, count, coeffs):
     assert [None if w is None else w.tolist() for w in winners] == want_winners
 
     weighted = tape.reshape(tape.mul(pooled, Tensor(coeffs)), (-1, 1))
-    grads = tape.backward(tape.sum_rows(weighted))
+    grads = tape.backward(
+        tape.sum_rows(weighted, np.zeros(len(weighted.data), dtype=int), 1))
     expected = np.zeros_like(X)
     for slot, won in enumerate(want_winners):
         if won is not None:
@@ -832,7 +833,7 @@ def test_batch_gradient_is_the_sum_of_one_sample_gradients(rng, setup, size):
                          train_embeddings=(variant == "d")).validate()
     nprng = np.random.default_rng(rng.randrange(2 ** 32))
     inventory = build_dep_inventory(trees) if variant == "d" else None
-    params = init_model(config, table, inventory, nprng)
+    params = init_model(config, table, inventory, nprng, trees)
     clf = SentenceClassifier(
         config, params, inventory=inventory,
         rae=init_composition(3, nprng) if variant == "c" else None)

@@ -417,11 +417,32 @@ class TestOpGradients:
         X = rng.normal(size=(3, 4))
 
         def build(tape, ps):
-            total = tape.tanh(tape.sum_rows(ps[0]))
+            total = tape.tanh(tape.sum_rows(ps[0], [0, 0, 0], 1))
             flat = tape.tanh(tape.reshape(ps[0], -1))
             return tape.sumsq(concat(tape, [total, flat]))
 
         self._check(build, [X])
+
+    def test_sum_rows_into_repeated_and_empty_rows_then_scale_by_column(self):
+        """Rows 0 and 2 of X sum into row 1, rows 1 and 3 into row 3; rows
+        0 and 2 of the sum are named by no entry and come out zero.  Each
+        row of the sum is then scaled by its own factor."""
+        rng = np.random.default_rng(25)
+        X = rng.normal(size=(4, 3))
+        into = [1, 3, 1, 3]
+        column = np.array([[0.5], [-2.0], [3.0], [0.25]])
+        coeffs = rng.normal(size=(4, 3))
+
+        def build(tape, ps):
+            sums = tape.tanh(tape.scale(tape.sum_rows(ps[0], into, 4), column))
+            return tape.sumsq(tape.mul(sums, Tensor(coeffs)))
+
+        self._check(build, [X])
+        sums = Tape().sum_rows(matrix(X), into, 4).data
+        assert sums.tobytes() == np.array(
+            [np.zeros(3), X[0] + X[2], np.zeros(3), X[1] + X[3]]).tobytes()
+        with pytest.raises(ContractError, match="out of range"):
+            Tape().sum_rows(matrix(X), [0, 1, 4, 0], 4)
 
     def test_segment_max_with_empty_slot_routes_to_winners(self):
         rng = np.random.default_rng(24)

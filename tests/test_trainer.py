@@ -13,16 +13,15 @@ from treeconv.checkpoint import load_checkpoint, save_checkpoint
 from treeconv.config import TrainConfig
 from treeconv.corpus_io import EmbeddingTable, Vocabulary, build_dep_inventory
 from treeconv.errors import ConfigError, ContractError, DivergenceError
-from treeconv.network import SentenceClassifier, init_model
+from treeconv.network import ModelParams, SentenceClassifier, init_model
 from treeconv.rae_pretrain import init_composition
 from treeconv.synthetic import fixture_pair, make_overfit_corpus
-from treeconv.tensor_core import Tape, grad_of, parameter, sgd_epoch
+from treeconv.tensor_core import Tape, grad_of, iter_batches, parameter, sgd_epoch
 from treeconv.trainer import (
     default_length_buckets,
     evaluate,
     format_eval_report,
     gradient_check,
-    iter_batches,
     train,
 )
 
@@ -64,7 +63,7 @@ def fixture_classifier(variant, pooling=None, lam=0.0, k=2, seed=0,
     rng = np.random.default_rng(seed + 17)
     if variant == "d":
         inventory = build_dep_inventory([dep])
-        params = init_model(config, table, inventory, rng)
+        params = init_model(config, table, inventory, rng, [dep])
         clf = SentenceClassifier(config, params, inventory=inventory)
         return clf, dep
     params = init_model(config, table, None, rng)
@@ -166,7 +165,8 @@ class TestRowGradientStep:
                               dropout_hidden=0.2)
         rng = np.random.default_rng(3)
         inventory = build_dep_inventory(corpus.dep_trees)
-        params = init_model(config, corpus.table, inventory, rng)
+        params = init_model(config, corpus.table, inventory, rng,
+                            corpus.dep_trees)
         clf = SentenceClassifier(config, params, inventory=inventory)
         named = params.named()
         before = _arrays(params)
@@ -200,8 +200,7 @@ class TestRowGradientStep:
 
     def test_rows_no_lookup_touched_are_bitwise_unchanged(self):
         params, before, _, trees, _ = self._step()
-        touched = {n.embedding_index for t in trees for n in t.nodes
-                   if n.word is not None}
+        touched = set(params.lookup(trees).tolist())  # rows of the parameter
         table = params.embeddings.data
         untouched = [r for r in range(table.shape[0]) if r not in touched]
         assert untouched and touched
@@ -386,10 +385,12 @@ class TestTrainLoop:
     def test_words_the_run_did_not_train_read_the_callers_rows(
             self, tmp_path, record):
         """On trees with words no training or validation tree holds, the
-        model forwards as its whole trained table does (its checkpoint,
-        loaded): the same losses and, on a recording tape, the same
-        gradients, the embeddings' at the rows it trained (it holds no
-        other row, so the rows of the other words get none)."""
+        model forwards as its whole trained table does: the same losses as
+        its checkpoint, loaded (which reads that table frozen), and as a
+        model that trains every row those trees read from that table, and
+        on a recording tape the latter's gradients, the embeddings' at the
+        rows it trained (it holds no other row, so the rows of the other
+        words get none)."""
         train_trees, val_trees, vocab, vectors, _, unread = self._unused_words()
         config = small_config("d", n_e=8, max_epochs=2, train_embeddings=True)
         model, _ = train(train_trees, val_trees, vocab,
@@ -400,20 +401,28 @@ class TestTrainLoop:
         for tree, row in zip(trees, unread):
             tree.nodes[0].embedding_index = row
         gold = [tree.sentence_label for tree in trees]
+        assert loaded.params.embeddings is None
+        every_row = SentenceClassifier(
+            loaded.config, ModelParams.gather(loaded.params.conv,
+                                              loaded.params.head,
+                                              loaded.table, trees),
+            inventory=loaded.inventory)
         results = []
-        for held in (model, loaded):
-            clf = held.classifier()
+        for clf in (model, loaded, every_row):
             tape = Tape(record=record)
             value = clf.loss(tape, trees, gold)
             grads = tape.backward(value.node) if record else {}
             results.append((value.per_row, clf.params, grads))
-        (ours, params, grads), (whole, loaded_params, loaded_grads) = results
-        assert ours.tobytes() == whole.tobytes()
+        (ours, params, grads), (frozen, _, _), (whole, whole_params,
+                                                 whole_grads) = results
+        assert ours.tobytes() == frozen.tobytes() == whole.tobytes()
         if record:
-            for (name, p), (_, q) in zip(params.named(), loaded_params.named()):
-                want = grad_of(loaded_grads, q)
+            for (name, p), (_, q) in zip(params.named(), whole_params.named()):
+                want = grad_of(whole_grads, q)
                 if p is params.embeddings:
-                    want = want[params.rows]
+                    dense = np.zeros_like(vectors)
+                    dense[whole_params.rows] = want
+                    want = dense[params.rows]
                 assert grad_of(grads, p).tobytes() == want.tobytes(), name
 
     def test_training_from_a_trained_table_leaves_its_model_untouched(self):
@@ -565,6 +574,71 @@ class TestTrainLoop:
                   corpus.table, config)
 
 
+class TestBagBaseline:
+    """The bag baseline on the embedding owner the tree model uses."""
+
+    def test_tape_records_do_not_grow_with_the_batch(self):
+        corpus = make_overfit_corpus(n_sentences=20, classes=2, n_e=8, seed=3)
+        config = small_config("d", n_e=8, max_epochs=1, train_embeddings=True)
+        model, _ = train_bag_baseline(corpus.dep_trees, corpus.dep_trees,
+                                      corpus.table, config)
+        records = []
+        for size in (2, 20):
+            tape = Tape()
+            model.logits(tape, corpus.dep_trees[:size])
+            records.append(len(tape))
+        assert records[0] == records[1] > 0, records
+
+    def test_trains_the_rows_its_trees_read_and_reads_the_rest(self):
+        train_trees, val_trees, vocab, vectors, _, unread = \
+            TestTrainLoop._unused_words()
+        before = vectors.tobytes()
+        config = small_config("d", n_e=8, max_epochs=2, train_embeddings=True)
+        model, _ = train_bag_baseline(train_trees, val_trees,
+                                      EmbeddingTable(vectors), config)
+        params = model.params
+        read = np.unique([node.embedding_index
+                          for tree in train_trees + val_trees
+                          for node in tree.nodes])
+        assert np.array_equal(params.rows, read)
+        assert params.embeddings.data.shape == (len(read), 8)
+        assert vectors.tobytes() == before
+        assert not np.array_equal(params.embeddings.data, vectors[read])
+        tree = copy.deepcopy(train_trees[0])
+        tree.nodes[0].embedding_index = unread[0]
+        got = params.vectors(Tape(), params.lookup([tree])).data
+        assert got[0].tobytes() == vectors[unread[0]].tobytes()
+        trained = {row: i for i, row in enumerate(read)}
+        for node, row in zip(tree.nodes[1:], got[1:]):
+            want = params.embeddings.data[trained[node.embedding_index]]
+            assert row.tobytes() == want.tobytes()
+
+    def test_reads_the_words_of_either_tree_kind(self):
+        # each constituency tree holds its dependency twin's words
+        corpus = make_overfit_corpus(n_sentences=8, classes=2, n_e=8, seed=5)
+        config = small_config("d", n_e=8, max_epochs=2, train_embeddings=True)
+        model, _ = train_bag_baseline(corpus.con_trees, corpus.con_trees,
+                                      corpus.table, config)
+        con = model.logits(Tape(), corpus.con_trees).data
+        dep = model.logits(Tape(), corpus.dep_trees).data
+        assert np.allclose(con, dep, rtol=1e-12, atol=0.0)
+
+    def test_trained_rows_peak_below_half_the_table(self):
+        corpus = make_overfit_corpus(n_sentences=6, classes=2, n_e=8, seed=4)
+        filler = np.random.default_rng(0).random(
+            (100_000 - len(corpus.table), 8))
+        table = EmbeddingTable(np.vstack([corpus.table.vectors, filler]))
+        config = small_config("d", n_e=8, max_epochs=2, train_embeddings=True)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            train_bag_baseline(corpus.dep_trees, corpus.dep_trees, table, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * table.vectors.nbytes, peak
+
+
 class TestDivergence:
     @pytest.mark.parametrize("trainer,first_param", [
         ("train", "conv.W_p"), ("pretrain", "rae.W_comp"),
@@ -620,8 +694,8 @@ class TestDivergence:
         E = parameter(table, "embeddings")
 
         def batch_loss(tape, rows):
-            node = tape.sum_rows(tape.take_rows(E, rows))
-            return node, node.data.tolist(), 1
+            node = tape.sum_rows(tape.take_rows(E, rows), [0] * len(rows), 1)
+            return node, node.data[0].tolist(), 1
 
         with np.errstate(over="ignore"):
             sgd_epoch(list(range(len(table))), batch_loss, [("embeddings", E)],

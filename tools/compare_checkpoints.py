@@ -10,9 +10,10 @@ to check that one seed gives one checkpoint.  The runs are CLI `train`
 on tiny_dep (trained embeddings, dropout, an earlier epoch restored), on
 trec_mini (frozen embeddings, dropout) and on tiny_con (pretraining in
 the run, with and without dropout), `pretrain-rae` on tiny_con, the
-bag-of-embeddings baseline (trained embeddings), whose parameters a
-short program writes in the checkpoint layout, and CLI `train` (with
-dropout, under 3-slot and under global pooling) on a corpus this
+bag-of-embeddings baseline (trained embeddings), whose head arrays and
+class probabilities on every tiny_dep tree a short program writes in the
+checkpoint layout (the same record whatever shape a checkout gives its
+embedding parameter), and CLI `train` (with dropout, under 3-slot and under global pooling) on a corpus this
 script writes, whose unary chains and untagged (X) interior
 constituents tiny_con lacks: nodes with no right child, and trees only
 partly tagged.  A ninth run is CLI `train` (one epoch) on 64 random
@@ -183,9 +184,10 @@ def _wide_corpus() -> str:
 
 
 # trains the baseline under a seed, validated on the first n_val trees,
-# and writes its parameters as MAGIC, the header
-# length, a JSON header with the arrays' names and shapes, a newline and
-# the little-endian float64 payload
+# and writes its head arrays and the class probabilities it gives every
+# tiny_dep tree as MAGIC, the header length, a JSON header with the
+# arrays' names and shapes, a newline and the little-endian float64
+# payload
 _BAG = """
 import json, sys
 import numpy as np
@@ -205,13 +207,15 @@ config = TrainConfig(variant="d", n_e=8, n_c=1, n_h=6, classes=2,
                      max_epochs=6, train_embeddings=True, seed=seed)
 model, _ = train_bag_baseline(trees, trees[:n_val],
                               random_embeddings(vocab, 8, seed), config)
-named = model.named()
-blob = json.dumps({"arrays": [{"name": n, "shape": list(p.data.shape)}
-                              for n, p in named]}).encode()
+arrays = [(n, p.data) for n, p in model.named() if n.startswith("head.")]
+arrays.append(("probabilities", np.array(
+    [pred.probabilities for pred in model.predict_batch(trees)])))
+blob = json.dumps({"arrays": [{"name": n, "shape": list(a.shape)}
+                              for n, a in arrays]}).encode()
 with open(out, "wb") as fh:
     fh.write(b"treeconv-checkpoint\\n" + b"%d\\n" % len(blob) + blob + b"\\n")
-    for _, p in named:
-        fh.write(p.data.astype("<f8").tobytes())
+    for _, a in arrays:
+        fh.write(a.astype("<f8").tobytes())
 """
 
 
