@@ -8,16 +8,18 @@ and emits one feature vector per node.
 
 import numpy as np
 
+from treeconv.config import TrainConfig
 from treeconv.corpus_io import (
     bind_vocabulary,
     build_dep_inventory,
     parse_constituency,
     parse_dependency,
 )
-from treeconv.rae_pretrain import annotate, init_composition
+from treeconv.network import init_model
+from treeconv.rae_pretrain import annotate
 from treeconv.synthetic import toy_vocab_table
 from treeconv.tensor_core import Tape, Tensor
-from treeconv.tree_conv import convolve, init_c_window, init_d_window
+from treeconv.tree_conv import convolve, init_d_window
 
 rng = np.random.default_rng(0)
 n_e, n_c = 6, 4
@@ -55,11 +57,12 @@ bind_vocabulary(con, vocab)
 print("leaves:", con.words(), "| nodes:", len(con.nodes))
 
 # non-leaf constituents have no word vectors of their own, so a
-# recursive autoencoder composes them bottom-up (frozen afterward)
-rae = init_composition(n_e, rng)
-node_vectors = annotate(con, rae, table)
-c_params = init_c_window(n_c, n_e, rng)
-features = convolve(Tape(), con, Tensor(node_vectors), c_params)
+# recursive autoencoder composes them bottom-up (frozen afterward); a
+# fresh c-model draws its window, its head and that composition
+model = init_model(TrainConfig(variant="c", n_e=n_e, n_c=n_c, n_h=2,
+                               classes=2), table, rng)
+node_vectors = annotate(con, model.rae, table)
+features = convolve(Tape(), con, Tensor(node_vectors), model.params.conv)
 for v, node in enumerate(con.nodes):
     what = node.word or f"constituent(depth {node.depth_layer})"
     print(f"  window at {what}: {np.round(features.data[v], 3)}")

@@ -4,8 +4,9 @@ Layout: an ASCII magic line, the byte length of a JSON header, the
 header itself (names, shapes, config, vocabulary, relation inventory),
 then one contiguous little-endian float64 payload per array in header
 order.  Loading needs no external configuration: it builds the model the
-stored config describes through `network.init_model`, so the init
-functions are the only owner of the parameter layout, and checks every
+stored config describes through `network.init_model`, as every model is
+built, so the init functions are the only owner of the parameter layout
+(a c-model holds composition params, a d-model none), and checks every
 stored array's name, shape and finiteness against it.  Identical models
 save to identical bytes.
 """
@@ -21,7 +22,6 @@ from .config import VARIANT_C, VARIANT_D, config_from_dict, config_to_dict
 from .corpus_io import DepTypeInventory, EmbeddingTable, Vocabulary
 from .errors import ConfigError, FormatError
 from .network import SentenceClassifier, init_model
-from .rae_pretrain import init_composition
 from .tensor_core import all_finite, assert_finite
 
 MAGIC = b"treeconv-checkpoint\n"
@@ -167,9 +167,11 @@ def _model_for_header(header, path) -> SentenceClassifier:
         raise FormatError(f"{path}: stored config is invalid: {e}")
     if header["variant"] != config.variant:
         raise FormatError(f"{path}: variant tag disagrees with config")
-    if config.variant == VARIANT_C and not header["has_rae"]:
-        raise FormatError(f"{path}: constituency checkpoint lacks "
-                          f"composition params")
+    if header["has_rae"] != (config.variant == VARIANT_C):
+        has = "has" if config.variant == VARIANT_C else "has no"
+        raise FormatError(f"{path}: header has_rae is "
+                          f"{json.dumps(header['has_rae'])}, but a "
+                          f"{config.variant}-model {has} composition params")
 
     vocab = Vocabulary(
         index={tok: i for i, tok in enumerate(header["vocabulary"]["tokens"])},
@@ -181,9 +183,7 @@ def _model_for_header(header, path) -> SentenceClassifier:
     elif config.variant == VARIANT_D:
         raise FormatError(f"{path}: dependency checkpoint lacks inventory")
 
-    rng = np.random.default_rng(0)
     table = EmbeddingTable(np.zeros((len(vocab), config.n_e)))
-    params = init_model(config, table, inventory, rng)
-    rae = init_composition(config.n_e, rng) if header["has_rae"] else None
-    return SentenceClassifier(config, params, inventory=inventory, rae=rae,
-                              vocab=vocab, label_names=header["label_names"])
+    return init_model(config, table, np.random.default_rng(0),
+                      inventory=inventory, vocab=vocab,
+                      label_names=header["label_names"])

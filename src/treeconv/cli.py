@@ -30,7 +30,6 @@ from .config import (
 from .corpus_io import (
     attach_labels,
     bind_vocabulary,
-    build_dep_inventory,
     load_embeddings,
     random_embeddings,
     read_constituency_file,
@@ -39,10 +38,10 @@ from .corpus_io import (
     vocabulary_from_corpus,
 )
 from .errors import ConfigError, ContractError, DataError, ShapeError
-from .network import SentenceClassifier, assign_slots, init_model
+from .network import assign_slots, init_model
 from .pooling import DEFAULT_ALPHA, GLOBAL, K_SLOT, THREE_SLOT, pool
-from .rae_pretrain import PretrainConfig, init_composition, pretrain
-from .synthetic import fixture_pair
+from .rae_pretrain import PretrainConfig, pretrain
+from .synthetic import fixture_model
 from .tensor_core import Tape
 
 EXIT_OK = 0
@@ -107,8 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="both")
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corrupt", action="store_true",
-                   help="negative-control hook: damage one gradient")
 
     p = sub.add_parser("pretrain-rae",
                        help="pretrain the constituency composition")
@@ -234,6 +231,11 @@ def cmd_train(args) -> int:
     overrides = {"seed": args.seed, "variant": args.variant,
                  "pooling": args.pooling, "k": args.k, "alpha": args.alpha}
     config = make_train_config(load_config_file(args.config), overrides)
+    if args.rae is not None and config.variant != VARIANT_C:
+        raise ConfigError("--rae is for variant c; this run is variant d")
+    if args.val_labels is not None and args.val is None:
+        raise ConfigError("--val-labels needs --val: a split held out of "
+                          "--train takes its labels from --labels")
 
     train_trees = _read_corpus_checked(args.train_path, config.variant)
     label_names = _label_trees(train_trees, args.labels, args.train_path)
@@ -346,30 +348,12 @@ def cmd_gradcheck(args) -> int:
     variants = [VARIANT_C, VARIANT_D] if args.variant == "both" else [args.variant]
     worst = 0.0
     for variant in variants:
-        con, dep, vocab, table = fixture_pair(n_e=4, seed=args.seed)
-        poolings = ["global", "3slot" if variant == VARIANT_C else "kslot"]
-        for pooling_choice in poolings:
+        poolings = [GLOBAL, THREE_SLOT if variant == VARIANT_C else K_SLOT]
+        for pooling in poolings:
             for lam in (0.0, 1e-5):
-                config = TrainConfig(
-                    variant=variant, n_e=4, n_c=4, n_h=4, classes=3,
-                    l2=lam, pooling=pooling_choice, k=2, seed=args.seed,
-                    train_embeddings=(variant == VARIANT_D),
-                ).validate()
-                rng = np.random.default_rng(args.seed + 17)
-                if variant == VARIANT_D:
-                    inventory = build_dep_inventory([dep])
-                    params = init_model(config, table, inventory, rng, [dep])
-                    clf = SentenceClassifier(config, params, inventory=inventory)
-                    tree = dep
-                else:
-                    params = init_model(config, table, None, rng)
-                    clf = SentenceClassifier(config, params,
-                                             rae=init_composition(4, rng))
-                    tree = con
-                report = trainer.gradient_check(clf, tree, gold=1,
-                                                corrupt=args.corrupt)
-                print(f"variant {variant} pooling {pooling_choice} "
-                      f"l2 {lam:g}:")
+                model, tree = fixture_model(variant, pooling, lam, args.seed)
+                report = trainer.gradient_check(model, tree, gold=1)
+                print(f"variant {variant} pooling {pooling} l2 {lam:g}:")
                 print("  " + report.format().replace("\n", "\n  "))
                 worst = max(worst, report.max_relative_error)
     print(f"worst relative error {worst:.3e} (tolerance {args.tol:g})")
@@ -400,10 +384,9 @@ def _save_rae(rae, vocab, table, path) -> None:
     both full checkpoints and standalone pretraining output.
     """
     config = TrainConfig(variant=VARIANT_C, n_e=rae.n_e, n_c=1, n_h=1,
-                         classes=2, pooling=GLOBAL).validate()
-    params = init_model(config, table, None, np.random.default_rng(0))
-    ckpt.save_checkpoint(SentenceClassifier(config, params, rae=rae,
-                                            vocab=vocab), path)
+                         classes=2, pooling=GLOBAL)
+    ckpt.save_checkpoint(init_model(config, table, np.random.default_rng(0),
+                                    rae=rae, vocab=vocab), path)
 
 
 if __name__ == "__main__":

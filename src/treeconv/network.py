@@ -13,10 +13,10 @@ constituency tree: window edges, the composition order and the node
 rows, which are the frozen RAE annotation composed from that order
 (see :func:`rae_pretrain.annotate_forest`) or embedding rows.
 
-A model is one :class:`SentenceClassifier`, whether it trains or not:
-`trainer.train` and `checkpoint.load_checkpoint` return it, and it holds
-everything a checkpoint stores.  It has one forward pass; given an rng,
-that pass draws dropout masks (training), else it draws none.
+A model is one :class:`SentenceClassifier`, trained or not, and
+:func:`init_model` is the one way to make one; it holds everything a
+checkpoint stores.  It has one forward pass; given an rng, that pass
+draws dropout masks (training), else it draws none.
 :class:`ModelParams` owns the embedding layout, for the tree model and
 the bag baseline alike."""
 
@@ -39,7 +39,7 @@ from .corpus_io import (
 )
 from .errors import ContractError
 from .pooling import GLOBAL, THREE_SLOT, SlotAssignment
-from .rae_pretrain import CompositionParams, annotate_forest
+from .rae_pretrain import CompositionParams, annotate_forest, init_composition
 from .tensor_core import Tape, Tensor, by_name, parameter
 
 
@@ -135,19 +135,28 @@ def assign_slots(tree: ParseTree, config: TrainConfig,
     return pooling.assign_k_slot(tree, config.k)
 
 
-def init_model(config: TrainConfig, table: EmbeddingTable,
-               inventory: Optional[DepTypeInventory], rng,
-               trees: Optional[Sequence[ParseTree]] = None) -> ModelParams:
-    """Fresh parameters: uniform +-sqrt(6/(fan_in+fan_out)), zero biases.
+def init_model(config: TrainConfig, table: EmbeddingTable, rng, *,
+               inventory: Optional[DepTypeInventory] = None,
+               rae: Optional[CompositionParams] = None,
+               trees: Optional[Sequence[ParseTree]] = None,
+               vocab: Optional[Vocabulary] = None,
+               label_names: Optional[List[str]] = None) -> "SentenceClassifier":
+    """A fresh model: window and head uniform +-sqrt(6/(fan_in+fan_out))
+    with zero biases, then, for a c-model given no `rae`, a fresh
+    composition, all drawn from `rng` in that order.  A d-model needs a
+    relation `inventory` and takes no `rae`.
 
     With train_embeddings, a d-model trains the rows of `table` that
     `trees` read (`ModelParams.gather`); without `trees` it reads
     `table` frozen, as a loaded checkpoint does.  `table` is never
     written.
     """
+    config.validate()
     if config.variant == VARIANT_D:
         if inventory is None:
             raise ContractError("dependency model needs a relation inventory")
+        if rae is not None:
+            raise ContractError("dependency model takes no composition params")
         conv = tree_conv.init_d_window(config.n_c, config.n_e,
                                        inventory.n_slots, rng)
     else:
@@ -155,7 +164,10 @@ def init_model(config: TrainConfig, table: EmbeddingTable,
     head = classifier_head.init_head(
         config.n_h, slot_count(config) * config.n_c, config.classes, rng)
     trained = config.variant == VARIANT_D and config.train_embeddings
-    return ModelParams.gather(conv, head, table, trees if trained else None)
+    params = ModelParams.gather(conv, head, table, trees if trained else None)
+    if config.variant == VARIANT_C and rae is None:
+        rae = init_composition(config.n_e, rng)
+    return SentenceClassifier(config, params, inventory, rae, vocab, label_names)
 
 
 def word_rows(trees: Sequence[ParseTree], table: EmbeddingTable) -> np.ndarray:
@@ -174,34 +186,25 @@ def word_rows(trees: Sequence[ParseTree], table: EmbeddingTable) -> np.ndarray:
     return np.array(rows, dtype=np.intp)
 
 
+@dataclass(eq=False)
 class SentenceClassifier:
     """One TBCNN of either variant, trained or training: its forward pass,
     a minibatch of spans at a time, and everything a checkpoint stores,
-    so it is self-describing and reloadable.
+    so it is self-describing and reloadable.  `init_model` makes it.
 
     Constituency node vectors come frozen from the recursive-autoencoder
-    annotation; no gradient ever flows into them or its parameters.
+    annotation `rae`; no gradient ever flows into them or its parameters.
     Dependency node vectors are embedding rows, read through `params`.
     `vocab` and `label_names` are stored with the model, and no forward
     pass reads them.
     """
 
-    def __init__(self, config: TrainConfig, params: ModelParams,
-                 inventory: Optional[DepTypeInventory] = None,
-                 rae: Optional[CompositionParams] = None,
-                 vocab: Optional[Vocabulary] = None,
-                 label_names: Optional[List[str]] = None):
-        config.validate()
-        self.config = config
-        self.params = params
-        self.inventory = inventory
-        self.rae = rae
-        self.vocab = vocab
-        self.label_names = label_names
-        if config.variant == VARIANT_C and rae is None:
-            raise ContractError("constituency classifier needs composition params")
-        if config.variant == VARIANT_D and inventory is None:
-            raise ContractError("dependency classifier needs a relation inventory")
+    config: TrainConfig
+    params: ModelParams
+    inventory: Optional[DepTypeInventory] = None
+    rae: Optional[CompositionParams] = None
+    vocab: Optional[Vocabulary] = None
+    label_names: Optional[List[str]] = None
 
     @cached_property
     def table(self) -> EmbeddingTable:

@@ -17,6 +17,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .config import VARIANT_D, TrainConfig
 from .corpus_io import (
     DEPENDENCY,
     EmbeddingTable,
@@ -24,9 +25,11 @@ from .corpus_io import (
     TreeNode,
     Vocabulary,
     bind_vocabulary,
+    build_dep_inventory,
     parse_constituency,
     parse_dependency,
 )
+from .network import SentenceClassifier, init_model
 
 DEFAULT_RELATIONS = ("nsubj", "dobj", "amod", "advmod", "det", "prep")
 
@@ -218,3 +221,19 @@ def fixture_pair(n_e: int = 4, seed: int = 0):
     bind_vocabulary(dep, vocab)
     bind_vocabulary(con, vocab)
     return con, dep, vocab, table
+
+
+def fixture_model(variant: str, pooling: str, lam: float,
+                  seed: int = 0) -> Tuple[SentenceClassifier, ParseTree]:
+    """The gradient-check model and its `fixture_pair` tree (n_e 4): 3
+    classes, n_c = n_h = 4, k 2, l2 `lam`, drawn from rng seed + 17; a
+    d-model trains its tree's embedding rows."""
+    con, dep, _, table = fixture_pair(n_e=4, seed=seed)
+    config = TrainConfig(variant=variant, n_e=4, n_c=4, n_h=4, classes=3,
+                         l2=lam, pooling=pooling, k=2, seed=seed,
+                         train_embeddings=(variant == VARIANT_D))
+    rng = np.random.default_rng(seed + 17)
+    if variant == VARIANT_D:
+        return init_model(config, table, rng, trees=[dep],
+                          inventory=build_dep_inventory([dep])), dep
+    return init_model(config, table, rng), con

@@ -209,16 +209,15 @@ def train(train_trees: Sequence[ParseTree], val_trees: Sequence[ParseTree],
     started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     trees = _read_trees(train_trees, roots, val_trees)
-    params = init_model(config, table, inventory, rng, trees)
-    model = SentenceClassifier(config, params, inventory=inventory, rae=rae,
-                               vocab=vocab, label_names=label_names)
+    model = init_model(config, table, rng, inventory=inventory, rae=rae,
+                       trees=trees, vocab=vocab, label_names=label_names)
     samples, val_spans = _sample_spans(model, trees, train_trees, roots,
                                        val_trees)
     report = fit(
         samples,
         lambda tape, batch: model.loss(
             tape, batch, [span.label for span in batch], rng=rng),
-        params.named(), params.weight_matrices(),
+        model.params.named(), model.params.weight_matrices(),
         lambda: evaluate(model, val_trees, spans=val_spans).accuracy,
         config, rng, log=log)
     report.wall_time = time.perf_counter() - started
@@ -340,8 +339,8 @@ SAMPLE_SEED = 0  # of the sampled scalars' draw
 EPSILON = 1e-5  # the central-difference step
 
 
-def gradient_check(classifier: SentenceClassifier, tree: ParseTree, gold: int,
-                   corrupt: bool = False) -> GradCheckReport:
+def gradient_check(classifier: SentenceClassifier, tree: ParseTree,
+                   gold: int) -> GradCheckReport:
     """Central differences against analytic gradients, dropout off.
 
     The objective is the trained one: cross entropy plus the l2 penalty,
@@ -350,8 +349,6 @@ def gradient_check(classifier: SentenceClassifier, tree: ParseTree, gold: int,
     Every scalar parameter is checked unless the model exceeds 10^4
     scalars, in which case a random 1% sample per parameter, drawn from
     seed SAMPLE_SEED, is used.
-    `corrupt` deliberately damages one analytic gradient (a negative
-    control for the CLI exit-code contract).
     """
     named = classifier.params.named()
     weights = classifier.params.weight_matrices()
@@ -368,9 +365,6 @@ def gradient_check(classifier: SentenceClassifier, tree: ParseTree, gold: int,
     grads = tape.backward(value.node)
     decay = l2_penalty(weights, lam)[1]
     analytic = {name: grad_of(grads, p) + decay.get(p, 0.0) for name, p in named}
-    if corrupt:
-        first = named[0][0]
-        analytic[first] = analytic[first] + 0.5
 
     total_scalars = sum(p.data.size for _, p in named)
     sample = total_scalars > SAMPLED_CHECK_THRESHOLD

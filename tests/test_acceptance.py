@@ -19,16 +19,16 @@ from treeconv.corpus_io import (
     read_label_file,
     vocabulary_from_corpus,
 )
-from treeconv.network import SentenceClassifier, init_model
+from treeconv.network import init_model
 from treeconv.pooling import assign_global, pool
 from treeconv.protocols import (
     format_comparison_table,
     pooling_comparison,
     run_structural_experiment,
 )
-from treeconv.rae_pretrain import PretrainConfig, init_composition, pretrain
+from treeconv.rae_pretrain import PretrainConfig, pretrain
 from treeconv.synthetic import (
-    fixture_pair,
+    fixture_model,
     make_overfit_corpus,
     make_structural_corpus,
     random_constituency_tree,
@@ -67,20 +67,6 @@ def structural():
     return task, run_structural_experiment(task, config)
 
 
-def build_classifier(variant, pooling, lam, seed=0):
-    con, dep, vocab, table = fixture_pair(n_e=4, seed=seed)
-    config = TrainConfig(variant=variant, n_e=4, n_c=4, n_h=4, classes=3,
-                         l2=lam, pooling=pooling, k=2, seed=seed,
-                         train_embeddings=(variant == "d")).validate()
-    rng = np.random.default_rng(seed + 17)
-    if variant == "d":
-        inventory = build_dep_inventory([dep])
-        params = init_model(config, table, inventory, rng, [dep])
-        return SentenceClassifier(config, params, inventory=inventory), dep
-    params = init_model(config, table, None, rng)
-    return SentenceClassifier(config, params, rae=init_composition(4, rng)), con
-
-
 def test_criterion_1_gradient_fidelity():
     """Both variants, all three pooling strategies, l2 in {0, 1e-5}:
     every parameter gradient matches central differences < 1e-4."""
@@ -90,7 +76,7 @@ def test_criterion_1_gradient_fidelity():
                   ("d", "global"), ("d", "kslot")]
         for variant, pooling in combos:
             for lam in (0.0, 1e-5):
-                clf, tree = build_classifier(variant, pooling, lam)
+                clf, tree = fixture_model(variant, pooling, lam)
                 weights = clf.params.weight_matrices()
 
                 # the training objective: cross entropy on the tape plus
@@ -306,8 +292,7 @@ def test_criterion_9_visualization_conservation(structural):
         inv = build_dep_inventory(sample_trees)
         config = TrainConfig(variant="d", n_e=6, n_c=8, n_h=4, classes=2,
                              pooling="global", seed=0).validate()
-        params = init_model(config, table, inv, clf_rng)
-        clf = SentenceClassifier(config, params, inventory=inv)
+        clf = init_model(config, table, clf_rng, inventory=inv)
         for tree in sample_trees:
             tape = Tape()
             features = clf.forward_features(tape, [tree])

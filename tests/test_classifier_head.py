@@ -13,7 +13,7 @@ from treeconv.classifier_head import (
 from treeconv.config import TrainConfig
 from treeconv.corpus_io import build_dep_inventory
 from treeconv.errors import ConfigError, ShapeError
-from treeconv.network import SentenceClassifier, init_model
+from treeconv.network import init_model
 from treeconv.synthetic import fixture_pair
 from treeconv.tensor_core import (
     Tape,
@@ -169,19 +169,19 @@ class TestDropout:
         # its gradients are the undropped model's
         _, dep, _, table = fixture_pair(n_e=4, seed=5)
         inventory = build_dep_inventory([dep])
-        params = init_model(TrainConfig(variant="d", n_e=4, n_c=4, n_h=4,
-                                        classes=3),
-                            table, inventory, np.random.default_rng(5))
         results = []
         for rate in (0.5, 0.0):
             config = TrainConfig(variant="d", n_e=4, n_c=4, n_h=4, classes=3,
                                  dropout_embed=rate, dropout_hidden=rate)
-            clf = SentenceClassifier(config, params, inventory=inventory)
+            # one seed, so both models hold the same parameters
+            clf = init_model(config, table, np.random.default_rng(5),
+                             inventory=inventory)
             tape = Tape()
             value = clf.loss(tape, [dep], [1])
             grads = tape.backward(value.node)
             results.append([clf.logits(Tape(), [dep]).data, value.per_row]
-                           + [grad_of(grads, p) for _, p in params.named()])
+                           + [p.data for _, p in clf.params.named()]
+                           + [grad_of(grads, p) for _, p in clf.params.named()])
         for got, want in zip(*results):
             assert got.tobytes() == want.tobytes()
 

@@ -18,9 +18,9 @@ from treeconv.corpus_io import (
     read_dependency_file,
     serialize_dependency,
 )
-from treeconv.network import SentenceClassifier, init_model
-from treeconv.rae_pretrain import init_composition
-from treeconv.synthetic import fixture_pair, make_overfit_corpus
+from treeconv.network import init_model
+from treeconv.synthetic import fixture_model, fixture_pair, make_overfit_corpus
+from treeconv.trainer import gradient_check
 
 DATA = Path(__file__).parent / "data"
 
@@ -254,6 +254,22 @@ class TestTrain:
         assert "odd.vec" in err
         assert "embedding value is not a number (at line 3)" in err
         assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("flag", ["--rae", "--val-labels"])
+    def test_a_flag_the_run_would_not_read_exits_2(self, tmp_path,
+                                                   toy_d_config, flag, capsys):
+        """`--rae` on a d-run, and `--val-labels` without `--val`, exit 2
+        naming the flag before any corpus is read: the one named here
+        does not exist."""
+        code = main([
+            "train", "--config", toy_d_config,
+            "--train", str(tmp_path / "no_such_file.conll"),
+            flag, str(tmp_path / "no_such_file"),
+            "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "no_such_file.conll" not in err
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -533,6 +549,22 @@ def test_c_checkpoint_without_rae_exits_3_naming_file(command, tmp_path,
     assert str(bad) in err and "composition params" in err, err
 
 
+@pytest.mark.parametrize("command", ["eval", "visualize"])
+def test_d_checkpoint_with_has_rae_exits_3_naming_file(command, tmp_path,
+                                                       capsys):
+    """The loader takes the composition from the variant: a d-header
+    whose `has_rae` is true is refused, not given an unused one."""
+    _, path = _layout_case("d frozen", tmp_path)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_edit_header(lambda h: h.update(has_rae=True))(
+        path.read_bytes()))
+    code = main([command, "--checkpoint", str(bad),
+                 "--input", str(DATA / "tiny_dep.conll")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert str(bad) in err and "has_rae" in err, err
+
+
 def _stored_names(path):
     """The array names in a checkpoint's header, in payload order."""
     raw = path.read_bytes()
@@ -565,19 +597,17 @@ def _layout_case(case, tmp_path):
                      "--n-e", "4", "--epochs", "1", "--out", str(path)]) == 0
         model = load_checkpoint(path)
         return model.params.named() + model.rae.named(), path
-    inventory = rae = None
+    inventory = None
     if case == "c":
         config = TrainConfig(variant="c", n_e=4, n_c=3, n_h=3, classes=3)
-        rae = init_composition(4, rng)
     else:
         inventory = DepTypeInventory(("nsubj", "dobj"))
         config = TrainConfig(variant="d", n_e=4, n_c=3, n_h=3, classes=3,
                              train_embeddings=case == "d trained")
-    params = init_model(config, table, inventory, rng, [dep])
-    save_checkpoint(SentenceClassifier(config, params, inventory=inventory,
-                                       rae=rae, vocab=vocab),
-                    path)
-    return params.named() + (rae.named() if rae else []), path
+    model = init_model(config, table, rng, inventory=inventory, trees=[dep],
+                       vocab=vocab)
+    save_checkpoint(model, path)
+    return model.params.named() + (model.rae.named() if model.rae else []), path
 
 
 class TestParameterNames:
@@ -645,10 +675,24 @@ class TestGradcheck:
         assert "gradient check PASS" in out
         assert "variant c" in out and "variant d" in out
 
-    def test_corrupted_gradient_fails(self, capsys):
-        code = main(["gradcheck", "--variant", "d", "--corrupt"])
-        assert code == 1
-        assert "FAIL" in capsys.readouterr().out
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_prints_the_fixture_models_reports(self, seed, capsys):
+        """Each of the 8 configurations' blocks is the report of
+        `gradient_check` on `synthetic.fixture_model`, so the command and
+        the tests check one model."""
+        assert main(["gradcheck", "--seed", str(seed)]) == 0
+        expected = ""
+        for variant, pooling in [("c", "global"), ("c", "3slot"),
+                                 ("d", "global"), ("d", "kslot")]:
+            for lam in (0.0, 1e-5):
+                report = gradient_check(
+                    *fixture_model(variant, pooling, lam, seed), gold=1)
+                expected += (f"variant {variant} pooling {pooling} l2 {lam:g}:"
+                             "\n  " + report.format().replace("\n", "\n  ")
+                             + "\n")
+        out = capsys.readouterr().out
+        assert out.startswith(expected)
+        assert out[len(expected):].startswith("worst relative error")
 
     def test_tol_flag_tightens_gate(self, capsys):
         code = main(["gradcheck", "--variant", "d", "--tol", "1e-12"])

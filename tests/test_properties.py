@@ -40,7 +40,7 @@ from treeconv.corpus_io import (
     validate_tree,
     vocabulary_from_corpus,
 )
-from treeconv.network import SentenceClassifier, init_model
+from treeconv.network import init_model
 from treeconv.rae_pretrain import (
     PretrainConfig,
     _recon_loss,
@@ -230,9 +230,7 @@ def test_trees_not_in_preorder_are_rejected():
                          max_epochs=1).validate()
     with pytest.raises(ContractError, match="node 2 "):
         train([tree], [val], vocab, table, config, rae=rae)
-    clf = SentenceClassifier(config, init_model(config, table, None,
-                                                np.random.default_rng(0)),
-                             rae=rae)
+    clf = init_model(config, table, np.random.default_rng(0), rae=rae)
     clf.predict(val)
     with pytest.raises(ContractError, match="node 2 "):
         clf.predict(tree)
@@ -251,11 +249,6 @@ def bound_forest(rng, lines, n_e):
     for tree in trees:
         bind_vocabulary(tree, vocab)
     return trees, random_embeddings(vocab, n_e, seed=rng.randrange(2 ** 32))
-
-
-def c_classifier(config, table, nprng):
-    return SentenceClassifier(config, init_model(config, table, None, nprng),
-                              rae=init_composition(config.n_e, nprng))
 
 
 def training_spans(classifier, trees, val_trees):
@@ -280,8 +273,8 @@ def test_cached_rows_are_each_samples_annotation(rng, size):
         if tree.sentence_label is None:  # an untagged root trains whole
             tree.sentence_label = 1
     config = TrainConfig(variant="c", n_e=3, n_c=2, n_h=2, classes=5)
-    clf = c_classifier(config, table,
-                       np.random.default_rng(rng.randrange(2 ** 32)))
+    clf = init_model(config, table,
+                     np.random.default_rng(rng.randrange(2 ** 32)))
     params = clf.rae
 
     val_trees = trees[:2]
@@ -326,8 +319,8 @@ def test_spans_forward_as_their_subtree_copies(rng, pooling, size):
     config = TrainConfig(variant="c", n_e=3, n_c=4, n_h=5, classes=5,
                          pooling=pooling, dropout_embed=0.3,
                          dropout_hidden=0.2).validate()
-    clf = c_classifier(config, table,
-                       np.random.default_rng(rng.randrange(2 ** 32)))
+    clf = init_model(config, table,
+                     np.random.default_rng(rng.randrange(2 ** 32)))
     samples, _ = training_spans(clf, trees, trees[:1])
     roots = [(tree, v) for tree in trees for v in _sample_roots(tree, config)]
     picked = [rng.randrange(len(samples)) for _ in range(rng.randint(1, 12))]
@@ -833,10 +826,8 @@ def test_batch_gradient_is_the_sum_of_one_sample_gradients(rng, setup, size):
                          train_embeddings=(variant == "d")).validate()
     nprng = np.random.default_rng(rng.randrange(2 ** 32))
     inventory = build_dep_inventory(trees) if variant == "d" else None
-    params = init_model(config, table, inventory, nprng, trees)
-    clf = SentenceClassifier(
-        config, params, inventory=inventory,
-        rae=init_composition(3, nprng) if variant == "c" else None)
+    clf = init_model(config, table, nprng, inventory=inventory, trees=trees)
+    params = clf.params
     seed = rng.randrange(2 ** 32)
 
     tape = Tape()

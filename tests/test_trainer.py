@@ -13,9 +13,9 @@ from treeconv.checkpoint import load_checkpoint, save_checkpoint
 from treeconv.config import TrainConfig
 from treeconv.corpus_io import EmbeddingTable, Vocabulary, build_dep_inventory
 from treeconv.errors import ConfigError, ContractError, DivergenceError
-from treeconv.network import ModelParams, SentenceClassifier, init_model
+from treeconv.network import init_model
 from treeconv.rae_pretrain import init_composition
-from treeconv.synthetic import fixture_pair, make_overfit_corpus
+from treeconv.synthetic import fixture_model, make_overfit_corpus
 from treeconv.tensor_core import Tape, grad_of, iter_batches, parameter, sgd_epoch
 from treeconv.trainer import (
     default_length_buckets,
@@ -54,22 +54,13 @@ def assert_trained_over(model, table, trained):
             == table.vectors[others].tobytes())
 
 
-def fixture_classifier(variant, pooling=None, lam=0.0, k=2, seed=0,
-                       train_embeddings=False, classes=3):
-    con, dep, vocab, table = fixture_pair(n_e=4, seed=seed)
-    config = TrainConfig(variant=variant, n_e=4, n_c=4, n_h=4, classes=classes,
-                         l2=lam, pooling=pooling, k=k, seed=seed,
-                         train_embeddings=train_embeddings).validate()
-    rng = np.random.default_rng(seed + 17)
-    if variant == "d":
-        inventory = build_dep_inventory([dep])
-        params = init_model(config, table, inventory, rng, [dep])
-        clf = SentenceClassifier(config, params, inventory=inventory)
-        return clf, dep
-    params = init_model(config, table, None, rng)
-    rae = init_composition(4, rng)
-    clf = SentenceClassifier(config, params, rae=rae)
-    return clf, con
+def frozen_d_model():
+    """The gradient-check d-model's layout reading its table frozen: built
+    without trees, so it has no embedding parameter."""
+    model, tree = fixture_model("d", "global", 0.0)
+    return init_model(model.config, model.params.base_table,
+                      np.random.default_rng(17),
+                      inventory=model.inventory), tree
 
 
 class TestGradientCheck:
@@ -78,18 +69,33 @@ class TestGradientCheck:
     ])
     @pytest.mark.parametrize("lam", [0.0, 1e-5])
     def test_fixture_sentence_passes(self, variant, pooling, lam):
-        clf, tree = fixture_classifier(variant, pooling=pooling, lam=lam,
-                                       train_embeddings=(variant == "d"))
+        clf, tree = fixture_model(variant, pooling, lam)
         report = gradient_check(clf, tree, gold=1)
         assert report.max_relative_error < 1e-4, report.format()
 
-    def test_corrupted_gradient_fails(self):
-        clf, tree = fixture_classifier("d", pooling="global")
-        report = gradient_check(clf, tree, gold=1, corrupt=True)
-        assert report.max_relative_error > 1e-4
+    @pytest.mark.parametrize("variant,pooling", [("d", "global"),
+                                                 ("c", "3slot")])
+    def test_a_damaged_gradient_fails(self, monkeypatch, variant, pooling):
+        """The checker's negative control: one scalar of one parameter's
+        analytic gradient off by 0.5 fails that parameter, and only it."""
+        import treeconv.trainer as trainer_mod
+        clf, tree = fixture_model(variant, pooling, 0.0)
+        name, damaged = clf.params.named()[0]
+
+        def grad_of_damaged(grads, p):
+            g = grad_of(grads, p)
+            if p is damaged:
+                g = g.copy()
+                g.flat[0] += 0.5
+            return g
+        monkeypatch.setattr(trainer_mod, "grad_of", grad_of_damaged)
+        report = gradient_check(clf, tree, gold=1)
+        assert report.group_errors[name] > 1e-4
+        assert max(err for other, err in report.group_errors.items()
+                   if other != name) < 1e-4
 
     def test_frozen_composition_gets_exact_zero_gradient(self):
-        clf, tree = fixture_classifier("c", pooling="3slot")
+        clf, tree = fixture_model("c", "3slot", 0.0)
         tape = Tape()
         value = clf.loss(tape, [tree], [1])
         grads = tape.backward(value.node)
@@ -99,7 +105,7 @@ class TestGradientCheck:
     def test_large_models_check_a_random_sample(self, monkeypatch):
         import treeconv.trainer as trainer_mod
         monkeypatch.setattr(trainer_mod, "SAMPLED_CHECK_THRESHOLD", 10)
-        clf, tree = fixture_classifier("d", pooling="global")
+        clf, tree = frozen_d_model()
         total = sum(p.data.size for _, p in clf.params.named())
         report = gradient_check(clf, tree, gold=1)
         assert report.checked < total
@@ -110,10 +116,8 @@ class TestGradientCheck:
         """One sgd_epoch step with lam differs from the lam=0 step from the
         same parameters by lr*2*lam*W on the weight matrices, 0 elsewhere."""
         lam, lr = 1e-3, 0.5
-        clf0, tree = fixture_classifier("d", pooling="global", lam=0.0,
-                                        train_embeddings=True)
-        clf1, _ = fixture_classifier("d", pooling="global", lam=lam,
-                                     train_embeddings=True)
+        clf0, tree = fixture_model("d", "global", 0.0)
+        clf1, _ = fixture_model("d", "global", lam)
         # identical parameters by construction (same seeds); dropout is off
         for (_, p0), (_, p1) in zip(clf0.params.named(), clf1.params.named()):
             assert np.array_equal(p0.data, p1.data)
@@ -147,7 +151,7 @@ class TestGradientCheck:
 
 class TestNodeVectors:
     def test_frozen_table_rejects_an_out_of_range_embedding_index(self):
-        clf, tree = fixture_classifier("d", pooling="global")
+        clf, tree = frozen_d_model()
         assert clf.params.embeddings is None
         tree.nodes[0].embedding_index = len(clf.table.vectors)
         with pytest.raises(ContractError, match="out of range"):
@@ -165,9 +169,9 @@ class TestRowGradientStep:
                               dropout_hidden=0.2)
         rng = np.random.default_rng(3)
         inventory = build_dep_inventory(corpus.dep_trees)
-        params = init_model(config, corpus.table, inventory, rng,
-                            corpus.dep_trees)
-        clf = SentenceClassifier(config, params, inventory=inventory)
+        clf = init_model(config, corpus.table, rng, inventory=inventory,
+                         trees=corpus.dep_trees)
+        params = clf.params
         named = params.named()
         before = _arrays(params)
         grads_seen = []  # the batch's dense gradients, before the update
@@ -222,6 +226,19 @@ class TestTrainLoop:
                                   config, **kwargs)
             acc = evaluate(model.classifier(), trees).accuracy
             assert acc == 1.0, f"{variant} only reached {acc}"
+
+    def test_composition_params_go_with_the_variant(self):
+        """A c-run needs pretrained composition params and a d-run takes
+        none, so no checkpoint's `has_rae` disagrees with its variant."""
+        corpus = make_overfit_corpus(n_sentences=4, classes=2, n_e=4, seed=1)
+        rae = init_composition(4, np.random.default_rng(5))
+        for variant, trees, kwargs, error in (
+                ("c", corpus.con_trees, {}, ConfigError),
+                ("d", corpus.dep_trees, {"rae": rae}, ContractError)):
+            config = small_config(variant, n_e=4, max_epochs=1)
+            with pytest.raises(error, match="composition"):
+                train(trees, trees, corpus.vocab, corpus.table, config,
+                      **kwargs)
 
     def test_seed_determinism(self):
         corpus = make_overfit_corpus(n_sentences=10, classes=2, n_e=8, seed=2)
@@ -402,11 +419,11 @@ class TestTrainLoop:
             tree.nodes[0].embedding_index = row
         gold = [tree.sentence_label for tree in trees]
         assert loaded.params.embeddings is None
-        every_row = SentenceClassifier(
-            loaded.config, ModelParams.gather(loaded.params.conv,
-                                              loaded.params.head,
-                                              loaded.table, trees),
-            inventory=loaded.inventory)
+        every_row = init_model(loaded.config, loaded.table,
+                               np.random.default_rng(0),
+                               inventory=loaded.inventory, trees=trees)
+        every_row.params.conv = loaded.params.conv
+        every_row.params.head = loaded.params.head
         results = []
         for clf in (model, loaded, every_row):
             tape = Tape(record=record)
@@ -915,9 +932,7 @@ def test_c_batches_agree_with_single_predictions():
         tree.sentence_label = int(rng.integers(5))
     config = small_config("c", n_e=24, n_c=16, n_h=8, classes=5,
                           pooling="3slot")
-    classifier = SentenceClassifier(
-        config, init_model(config, table, None, rng),
-        rae=init_composition(24, rng))
+    classifier = init_model(config, table, rng)
 
     groups = list(node_groups(trees))
     assert len(groups) > 2
