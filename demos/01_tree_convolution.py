@@ -16,10 +16,9 @@ from treeconv.corpus_io import (
     parse_dependency,
 )
 from treeconv.network import init_model
-from treeconv.rae_pretrain import annotate
 from treeconv.synthetic import toy_vocab_table
 from treeconv.tensor_core import Tape, Tensor
-from treeconv.tree_conv import convolve, init_d_window
+from treeconv.tree_conv import Span, convolve, forest, index_trees, init_d_window
 
 rng = np.random.default_rng(0)
 n_e, n_c = 6, 4
@@ -42,9 +41,12 @@ inventory = build_dep_inventory([dep])
 print("relation slots:", {r: inventory.slot_of(r) for r in ("nsubj", "dobj", "???")})
 
 d_params = init_d_window(n_c, n_e, inventory.n_slots, rng)
-# one row per node: the convolution runs over the whole tree as arrays
+# one row per node: the convolution runs over the whole tree as arrays,
+# the forest of its one span (a minibatch is a forest of many)
 vectors = Tensor(table.vectors[[node.embedding_index for node in dep.nodes]])
-features = convolve(Tape(), dep, vectors, d_params, inventory)
+index = index_trees([dep], inventory)
+features = convolve(Tape(), forest([Span(index, 0, len(dep))]), vectors,
+                    d_params)
 for v, node in enumerate(dep.nodes):
     kids = [dep.nodes[c].word for c in node.children]
     print(f"  window at {node.word!r} (children {kids}): "
@@ -58,11 +60,11 @@ print("leaves:", con.words(), "| nodes:", len(con.nodes))
 
 # non-leaf constituents have no word vectors of their own, so a
 # recursive autoencoder composes them bottom-up (frozen afterward); a
-# fresh c-model draws its window, its head and that composition
+# fresh c-model draws its window, its head and that composition, and
+# its forward_features annotates the tree and convolves it
 model = init_model(TrainConfig(variant="c", n_e=n_e, n_c=n_c, n_h=2,
                                classes=2), table, rng)
-node_vectors = annotate(con, model.rae, table)
-features = convolve(Tape(), con, Tensor(node_vectors), model.params.conv)
+features = model.forward_features(Tape(), [con])
 for v, node in enumerate(con.nodes):
     what = node.word or f"constituent(depth {node.depth_layer})"
     print(f"  window at {what}: {np.round(features.data[v], 3)}")

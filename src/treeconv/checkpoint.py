@@ -1,14 +1,17 @@
 """Self-describing model checkpoints.
 
 Layout: an ASCII magic line, the byte length of a JSON header, the
-header itself (names, shapes, config, vocabulary, relation inventory),
+header itself (keys `format_version`, `config`, `label_names`,
+`vocabulary`, `inventory` and `arrays`, the arrays' names and shapes),
 then one contiguous little-endian float64 payload per array in header
 order.  Loading needs no external configuration: it builds the model the
 stored config describes through `network.init_model`, as every model is
 built, so the init functions are the only owner of the parameter layout
 (a c-model holds composition params, a d-model none), and checks every
-stored array's name, shape and finiteness against it.  Identical models
-save to identical bytes.
+stored array's name, shape and finiteness against it.  Header keys it
+does not read are ignored, so files that also carry the `variant`,
+`has_rae` and `train_embeddings_stored` keys of earlier writers load
+as before.  Identical models save to identical bytes.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .config import VARIANT_C, VARIANT_D, config_from_dict, config_to_dict
+from .config import VARIANT_D, config_from_dict, config_to_dict
 from .corpus_io import DepTypeInventory, EmbeddingTable, Vocabulary
 from .errors import ConfigError, FormatError
 from .network import SentenceClassifier, init_model
@@ -26,8 +29,7 @@ from .tensor_core import all_finite, assert_finite
 
 MAGIC = b"treeconv-checkpoint\n"
 FORMAT_VERSION = 1
-_HEADER_KEYS = ("variant", "config", "label_names", "vocabulary", "inventory",
-                "has_rae", "arrays")
+_HEADER_KEYS = ("config", "label_names", "vocabulary", "inventory", "arrays")
 
 
 def _array_entries(model: SentenceClassifier) -> List[Tuple[str, np.ndarray]]:
@@ -45,7 +47,6 @@ def save_checkpoint(model: SentenceClassifier, path) -> None:
         assert_finite(arr, f"checkpoint array {name}")
     header = {
         "format_version": FORMAT_VERSION,
-        "variant": model.config.variant,
         "config": config_to_dict(model.config),
         "label_names": model.label_names,
         "vocabulary": {
@@ -55,9 +56,6 @@ def save_checkpoint(model: SentenceClassifier, path) -> None:
         "inventory": None if model.inventory is None else {
             "dedicated": list(model.inventory.dedicated),
         },
-        "has_rae": model.rae is not None,
-        "train_embeddings_stored": model.config.train_embeddings
-                                   and model.config.variant == VARIANT_D,
         "arrays": [{"name": name, "shape": list(arr.shape)}
                    for name, arr in entries],
     }
@@ -144,7 +142,6 @@ _HEADER_VALUES = {
     "inventory": lambda v: v is None or (isinstance(v, dict)
                                          and _strings(v.get("dedicated"))),
     "label_names": lambda v: v is None or _strings(v),
-    "has_rae": lambda v: type(v) is bool,
     "arrays": lambda v: isinstance(v, list) and all(
         isinstance(a, dict) and isinstance(a.get("name"), str)
         and isinstance(a.get("shape"), list)
@@ -165,13 +162,6 @@ def _model_for_header(header, path) -> SentenceClassifier:
         config = config_from_dict(header["config"])
     except ConfigError as e:
         raise FormatError(f"{path}: stored config is invalid: {e}")
-    if header["variant"] != config.variant:
-        raise FormatError(f"{path}: variant tag disagrees with config")
-    if header["has_rae"] != (config.variant == VARIANT_C):
-        has = "has" if config.variant == VARIANT_C else "has no"
-        raise FormatError(f"{path}: header has_rae is "
-                          f"{json.dumps(header['has_rae'])}, but a "
-                          f"{config.variant}-model {has} composition params")
 
     vocab = Vocabulary(
         index={tok: i for i, tok in enumerate(header["vocabulary"]["tokens"])},

@@ -23,11 +23,6 @@ from .tensor_core import (
 
 log = logging.getLogger(__name__)
 
-SENTIMENT_CLASS_ORDER = (
-    "strongly_negative", "negative", "neutral", "positive", "strongly_positive"
-)
-
-
 @dataclass
 class HeadParams:
     W_h: Tensor  # (n_h, slot_count * n_c)
@@ -102,10 +97,9 @@ def loss(tape: Tape, logits: Tensor, gold: Sequence[int]) -> LossValue:
     finite; a gold probability that underflowed to zero is flagged per
     row (the trainers count the flags, see :func:`warn_underflow`).
     """
-    total, per_row = tape.cross_entropy(logits, gold)
-    gold_probs = softmax_probs(logits.data)[np.arange(len(per_row)), gold]
+    total, per_row, clamped = tape.cross_entropy(logits, gold)
     return LossValue(cross_entropy=total.item(), per_row=per_row,
-                     clamped=gold_probs == 0.0, node=total)
+                     clamped=clamped, node=total)
 
 
 def warn_underflow(epoch: int, clamped: int, total: int) -> None:

@@ -296,15 +296,14 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     _at_least("--buckets", args.buckets, 1)
     model = ckpt.load_checkpoint(args.checkpoint)
+    if args.binary and model.config.classes != 5:
+        raise ConfigError("--binary needs a 5-class sentiment checkpoint")
     trees = _read_corpus_checked(args.input, model.config.variant)
     # --binary gold labels are binary, not the checkpoint's classes
     _label_trees(trees, args.labels, args.input,
                  None if args.binary else model.label_names)
     for tree in trees:
         bind_vocabulary(tree, model.vocab)
-
-    if args.binary and model.config.classes != 5:
-        raise ConfigError("--binary needs a 5-class sentiment checkpoint")
 
     boundaries = trainer.default_length_buckets(granularity=args.buckets)
     report = trainer.evaluate(model, trees, buckets=boundaries,
@@ -320,12 +319,12 @@ def cmd_eval(args) -> int:
 
 def cmd_visualize(args) -> int:
     model = ckpt.load_checkpoint(args.checkpoint)
+    slots = replace(model.config, pooling=args.pooling, k=args.k,
+                    alpha=args.alpha).validate()
     trees = _read_corpus_checked(args.input, model.config.variant)
     for tree in trees:
         bind_vocabulary(tree, model.vocab)
 
-    slots = replace(model.config, pooling=args.pooling, k=args.k,
-                    alpha=args.alpha).validate()
     written = 0
     for i, tree in enumerate(trees):
         tape = Tape()

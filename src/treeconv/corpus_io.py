@@ -26,7 +26,6 @@ from .errors import (ContractError, DataError, FormatError, ParseError,
 CONSTITUENCY = "constituency"
 DEPENDENCY = "dependency"
 
-UNK_TOKEN = "<unk>"
 # Fixed seed for the synthetic UNK row so corpora load reproducibly.
 _UNK_SEED = 90210
 # values per np.loadtxt call in load_embeddings: ~109 rows of 300, so a

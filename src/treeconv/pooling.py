@@ -52,10 +52,6 @@ class PoolProvenance:
 
     winners: List[Optional[np.ndarray]]
 
-    @property
-    def slot_count(self) -> int:
-        return len(self.winners)
-
     def credited(self) -> Iterator[Tuple[int, int, int]]:
         """Yield (slot, dimension, winning node) for every credited dim."""
         for slot, arr in enumerate(self.winners):

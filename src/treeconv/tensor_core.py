@@ -1,16 +1,18 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
-Every network in this package builds its forward pass by recording
-primitive operations on a :class:`Tape` and then calling
-:meth:`Tape.backward` once on the scalar loss.  Gradients come back as a
-map keyed by the leaf tensors that were created with
-``requires_grad=True``; leaves the loss never touched are simply absent
-from the map (and read as exactly zero through :func:`grad_of`).  A map
-value is a dense ndarray, or a :class:`RowGradient` for a matrix reached
-only through row lookups (an embedding table), which holds one row per
-row the lookups touched; :func:`grad_of` reads either as a dense array.
-During the pass each lookup hands every matrix it read one block of
-rows, repeats included, and every sum runs in replay order.
+A value is a :class:`Tensor` of any rank, and a trainable leaf the
+named Tensor that :func:`parameter` makes.  Every network in this
+package builds its forward pass by recording primitive operations on a
+:class:`Tape` and then calling :meth:`Tape.backward` once on the scalar
+loss.  Gradients come back as a map keyed by the leaf tensors that were
+created with ``requires_grad=True``; leaves the loss never touched are
+simply absent from the map (and read as exactly zero through
+:func:`grad_of`).  A map value is a dense ndarray, or a
+:class:`RowGradient` for a matrix reached only through row lookups (an
+embedding table), which holds one row per row the lookups touched;
+:func:`grad_of` reads either as a dense array.  During the pass each
+lookup hands every matrix it read one block of rows, repeats included,
+and every sum runs in replay order.
 
 The tape records whole-array operations, so one layer of a minibatch of
 sentences is one record over the stacked n x d matrix of all their
@@ -19,10 +21,10 @@ if stacked), `edge_matmul` (X @ W.T plus a bias row: an affine layer,
 and with edge products summed into destination rows the tree
 convolution), `sum_rows` (a segment sum of rows), `segment_max`
 (per-slot column maximum with winning rows, the pooling), `reshape`
-and the row-wise `cross_entropy`; elementwise `add`, `sub`,
-`mul`, `scale`, `relu`, `tanh` and `sumsq` complete the set.  A tape
-made with ``record=False`` evaluates the same operations and records
-nothing, which is how prediction runs.
+and the row-wise `cross_entropy` (with each row's gold-class underflow
+flag); elementwise `add`, `sub`, `mul`, `scale`, `relu`, `tanh` and
+`sumsq` complete the set.  A tape made with ``record=False`` evaluates
+the same operations and records nothing, which is how prediction runs.
 
 All data is float64 and all operations are plain numpy, so identical
 inputs produce bit-identical outputs.
@@ -71,22 +73,6 @@ class Tensor:
     def __repr__(self) -> str:
         grad = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(name={self.name!r}, shape={self.data.shape}{grad})"
-
-
-def vector(data, requires_grad: bool = False, name: Optional[str] = None) -> Tensor:
-    """Wrap 1-D data as a Tensor, validating its rank."""
-    t = Tensor(data, requires_grad=requires_grad, name=name)
-    if t.data.ndim != 1:
-        raise ShapeError(f"{t._label()} is not 1-D (shape {t.data.shape})")
-    return t
-
-
-def matrix(data, requires_grad: bool = False, name: Optional[str] = None) -> Tensor:
-    """Wrap 2-D row-major data as a Tensor, validating its rank."""
-    t = Tensor(data, requires_grad=requires_grad, name=name)
-    if t.data.ndim != 2:
-        raise ShapeError(f"{t._label()} is not 2-D (shape {t.data.shape})")
-    return t
 
 
 def parameter(data, name: str) -> Tensor:
@@ -422,7 +408,7 @@ class Tape:
             self._push(out, backward)
         return out
 
-    def edge_matmul(self, X: Tensor, W: Tensor, bias: Optional[Tensor] = None,
+    def edge_matmul(self, X: Tensor, W: Tensor, bias: Tensor,
                     edges: Sequence[Tuple[Tensor, np.ndarray, np.ndarray]] = ()
                     ) -> Tensor:
         """X @ W.T, plus the vector `bias` on every row, plus
@@ -445,21 +431,18 @@ class Tape:
                     f"edge_matmul: {M._label()} {M.data.shape} does not map "
                     f"{X._label()} {X.data.shape} to width {width}"
                 )
-        if bias is not None and bias.data.shape != (width,):
+        if bias.data.shape != (width,):
             raise ShapeError(f"edge_matmul: bias {bias._label()} "
                              f"{bias.data.shape} does not fit width {width}")
         data = _row_blocks(X.data, W.data.T)
         for W_e, src, dst in edges:
             _scatter_add(data, dst, _row_blocks(X.data[src], W_e.data.T))
-        if bias is not None:
-            data += bias.data
-        out = Tensor(data, requires_grad=self.record and (
-            X.requires_grad or W.requires_grad
-            or any(W_e.requires_grad for W_e, _, _ in edges)
-            or (bias is not None and bias.requires_grad)))
+        data += bias.data
+        out = Tensor(data, requires_grad=self._tracks(
+            X, W, bias, *[W_e for W_e, _, _ in edges]))
         if out.requires_grad:
             def backward(g, accum, X=X, W=W, bias=bias, edges=tuple(edges)):
-                if bias is not None and bias.requires_grad:
+                if bias.requires_grad:
                     accum(bias, g.sum(axis=0))
                 if W.requires_grad:
                     accum(W, _summed_blocks(g, X.data))
@@ -561,13 +544,14 @@ class Tape:
             self._push(out, backward)
         return out
 
-    def cross_entropy(self, logits: Tensor,
-                      gold: Sequence[int]) -> Tuple[Tensor, np.ndarray]:
+    def cross_entropy(self, logits: Tensor, gold: Sequence[int]
+                      ) -> Tuple[Tensor, np.ndarray, np.ndarray]:
         """-log softmax(row)[gold] of every row of a (rows, classes)
         logit matrix, computed in stabilized log space.
 
-        Returns the summed loss as a scalar tensor and the per-row
-        values.
+        Returns the summed loss as a scalar tensor, the per-row values,
+        and per row whether the gold class's softmax probability (the
+        quotient `softmax_probs` computes) underflowed to 0.
         """
         if logits.data.ndim != 2:
             raise ShapeError(f"cross_entropy: {logits._label()} is not a matrix")
@@ -586,15 +570,16 @@ class Tape:
         m = z.max(axis=1, keepdims=True)
         e = np.exp(z - m)
         total = e.sum(axis=1, keepdims=True)
+        probs = e / total
         values = (np.log(total) + m)[:, 0] - z[rows, gold]
         out = Tensor(values.sum(), requires_grad=self._tracks(logits))
         if out.requires_grad:
-            def backward(g, accum, logits=logits, probs=e / total):
+            def backward(g, accum, logits=logits, probs=probs):
                 d = probs.copy()
                 d[rows, gold] -= 1.0
                 accum(logits, float(g) * d)
             self._push(out, backward)
-        return out, values
+        return out, values, probs[rows, gold] == 0.0
 
     # ------------------------------------------------------------------
     # reverse pass

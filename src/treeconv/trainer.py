@@ -1,5 +1,6 @@
 """Minibatch SGD training with validation-based model selection, plus the
-finite-difference gradient checker and length-bucketed evaluation.
+finite-difference gradient checker (every scalar of a small model) and
+length-bucketed evaluation.
 
 Each epoch is one :func:`~treeconv.tensor_core.sgd_epoch` pass.  A
 minibatch is one forward pass over its samples and one backward pass,
@@ -333,9 +334,6 @@ def relative_error(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-8)
 
 
-SAMPLED_CHECK_THRESHOLD = 10_000
-SAMPLE_FRACTION = 0.01
-SAMPLE_SEED = 0  # of the sampled scalars' draw
 EPSILON = 1e-5  # the central-difference step
 
 
@@ -345,10 +343,8 @@ def gradient_check(classifier: SentenceClassifier, tree: ParseTree,
 
     The objective is the trained one: cross entropy plus the l2 penalty,
     whose gradient 2 * lam * W is what `sgd_epoch` adds in the update.
-
-    Every scalar parameter is checked unless the model exceeds 10^4
-    scalars, in which case a random 1% sample per parameter, drawn from
-    seed SAMPLE_SEED, is used.
+    Every scalar of every parameter is checked, so the model should be
+    small (`synthetic.fixture_model` has about 200 scalars).
     """
     named = classifier.params.named()
     weights = classifier.params.weight_matrices()
@@ -366,19 +362,10 @@ def gradient_check(classifier: SentenceClassifier, tree: ParseTree,
     decay = l2_penalty(weights, lam)[1]
     analytic = {name: grad_of(grads, p) + decay.get(p, 0.0) for name, p in named}
 
-    total_scalars = sum(p.data.size for _, p in named)
-    sample = total_scalars > SAMPLED_CHECK_THRESHOLD
-    rng = np.random.default_rng(SAMPLE_SEED)
-
     report = GradCheckReport(group_errors={}, checked=0)
     for name, p in named:
-        if sample:
-            count = max(1, int(round(SAMPLE_FRACTION * p.data.size)))
-            indices = rng.choice(p.data.size, size=count, replace=False)
-        else:
-            indices = range(p.data.size)
         worst = 0.0
-        for index in indices:
+        for index in range(p.data.size):
             original = p.data.flat[index]
             p.data.flat[index] = original + EPSILON
             hi = loss_value()

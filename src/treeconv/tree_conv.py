@@ -11,11 +11,11 @@ use this one window; the trees' kind picks the key rule:
   relations share one matrix).
 
 The window count equals the node count, so convolving a sentence is
-linear in its size.  A minibatch is convolved as one forest (see
-:class:`Forest`): one array op per window term per batch, i.e. one
-product of the stacked n x n_e node matrix with each weight matrix,
-gathered by child and summed into parent rows with the bias, then one
-ReLU.
+linear in its size.  :func:`convolve` takes one forest (see
+:class:`Forest`), a minibatch or a single tree's one span: one array
+op per window term per batch, i.e. one product of the stacked n x n_e
+node matrix with each weight matrix, gathered by child and summed into
+parent rows with the bias, then one ReLU.
 
 A forest stacks its samples' slices of an edge index built once for
 their trees (:class:`TreeIndex`); a sample is a :class:`Span` of rows,
@@ -28,7 +28,7 @@ orders its nodes for the RAE composition (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -228,36 +228,32 @@ def forest(spans: Sequence[Span]) -> Forest:
                   index.n_keys, index.kind)
 
 
-def convolve(tape: Tape, trees: Union[Forest, ParseTree], node_vectors: Tensor,
-             params: WindowParams,
-             inventory: Optional[DepTypeInventory] = None) -> Tensor:
-    """Evaluate the depth-2 window at every node of a forest (a single
-    tree is the forest of one, indexed here with `inventory`).
+def convolve(tape: Tape, forest: Forest, node_vectors: Tensor,
+             params: WindowParams) -> Tensor:
+    """Evaluate the depth-2 window at every node of a forest (see
+    :func:`forest`; one tree is the forest of its one whole-tree span).
 
     `node_vectors` is the (n_nodes, n_e) matrix of node vectors, row v
-    for node v: frozen recursive-autoencoder vectors for constituency
-    trees, embedding rows for dependency trees.  Returns the
-    (n_nodes, n_c) feature map, row v the window rooted at node v.
+    for forest row v: frozen recursive-autoencoder vectors for
+    constituency trees, embedding rows for dependency trees.  Returns
+    the (n_nodes, n_c) feature map, row v the window rooted at row v.
     """
-    if isinstance(trees, ParseTree):
-        index = index_trees([trees], inventory)
-        trees = forest([Span(index, 0, len(index))])
-    n = len(trees.nodes)
+    n = len(forest.nodes)
     if node_vectors.data.ndim != 2 or node_vectors.data.shape[0] != n:
         raise ContractError(
             f"node_vectors covers {node_vectors.data.shape[0]} nodes, "
             f"forest has {n}"
         )
-    if params.kind != trees.kind:
+    if params.kind != forest.kind:
         raise ContractError(
             f"window's child matrices are keyed for {params.kind} trees, "
-            f"the forest holds {trees.kind} trees"
+            f"the forest holds {forest.kind} trees"
         )
-    if len(params.W_child) != trees.n_keys:
+    if len(params.W_child) != forest.n_keys:
         raise ContractError(
             f"window has {len(params.W_child)} child matrices, the forest's "
-            f"trees have {trees.n_keys} child keys"
+            f"trees have {forest.n_keys} child keys"
         )
     # W_p reads every node; each child matrix reads child rows into parents
-    edges = [(params.W_child[key], src, dst) for key, src, dst in trees.edges]
+    edges = [(params.W_child[key], src, dst) for key, src, dst in forest.edges]
     return tape.relu(tape.edge_matmul(node_vectors, params.W_p, params.b, edges))

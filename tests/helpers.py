@@ -50,6 +50,16 @@ def naive_matvec(W, x):
     return out
 
 
+def convolve_tree(tape, tree, node_vectors, params, inventory=None):
+    """`tree_conv.convolve` on one tree: the forest of its one whole-tree
+    span, a dependency tree's children keyed by `inventory`."""
+    from treeconv.tree_conv import Span, convolve, forest, index_trees
+
+    index = index_trees([tree], inventory)
+    return convolve(tape, forest([Span(index, 0, len(tree))]), node_vectors,
+                    params)
+
+
 def compose_node(c1, c2, params):
     """tanh(W.[c1;c2] + b) for one node's two child vectors: the per-node
     RAE composition that the batch annotator runs a tree height at a

@@ -38,7 +38,7 @@ from treeconv.tensor_core import Tape, Tensor, grad_of, l2_penalty
 from treeconv.trainer import evaluate, train
 from treeconv.viz import fractions
 
-from helpers import max_grad_error
+from helpers import convolve_tree, max_grad_error
 
 DATA = Path(__file__).parent / "data"
 
@@ -102,7 +102,7 @@ def test_criterion_2_convolution_oracle():
     """convolve matches an independent naive per-node loop on 100 random
     trees of up to 20 nodes."""
     from test_tree_conv import naive_convolve
-    from treeconv.tree_conv import convolve, init_c_window, init_d_window
+    from treeconv.tree_conv import init_c_window, init_d_window
 
     with criterion(2, "convolution oracle equivalence"):
         rng = np.random.default_rng(2024)
@@ -121,7 +121,7 @@ def test_criterion_2_convolution_oracle():
                 params = init_c_window(n_c, n_e, rng)
             assert len(tree.nodes) <= 20
             vecs = [rng.normal(size=n_e) for _ in tree.nodes]
-            got = convolve(Tape(), tree, Tensor(np.stack(vecs)),
+            got = convolve_tree(Tape(), tree, Tensor(np.stack(vecs)),
                            params, inv).data
             want = naive_convolve(tree, vecs, params, inv)
             assert np.max(np.abs(got - want)) < CONV_TOL

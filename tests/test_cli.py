@@ -124,20 +124,38 @@ def _break_separator(raw):
 
 
 def _edit_header(edit):
-    """A file edit that rewrites the JSON header through `edit(header)`."""
+    """A file edit that rewrites the JSON header through `edit(header)`,
+    in the compact JSON `save_checkpoint` writes."""
     def rewrite(raw):
         length_line = raw[len(MAGIC):].split(b"\n", 1)[0]
         start = len(MAGIC) + len(length_line) + 1
         end = start + int(length_line)
         header = json.loads(raw[start:end])
         edit(header)
-        blob = json.dumps(header).encode("utf-8")
+        blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
         return MAGIC + f"{len(blob)}\n".encode("ascii") + blob + raw[end:]
     return rewrite
 
 
-HEADER_KEYS = ("has_rae", "label_names", "vocabulary", "config", "arrays",
-               "inventory", "variant")
+# the header keys `save_checkpoint` writes, in order
+HEADER = ["format_version", "config", "label_names", "vocabulary", "inventory",
+          "arrays"]
+HEADER_KEYS = HEADER[1:]  # a missing format_version fails the version check
+
+
+def _with_earlier_keys(header):
+    """Put back the keys `variant`, `has_rae` and `train_embeddings_stored`
+    that earlier writers derived from the stored config, in their order."""
+    config = header["config"]
+    earlier = {"variant": config["variant"],
+               "has_rae": config["variant"] == "c",
+               "train_embeddings_stored": config["train_embeddings"]
+                                          and config["variant"] == "d"}
+    keys = ["format_version", "variant", "config", "label_names", "vocabulary",
+            "inventory", "has_rae", "train_embeddings_stored", "arrays"]
+    merged = {**header, **earlier}
+    header.clear()
+    header.update((key, merged[key]) for key in keys)
 
 
 # (how, edit, fragment the error must contain): "arrays" edits the
@@ -191,7 +209,6 @@ MALFORMED = {
                                 lambda h: h["inventory"].update(dedicated=7)),
            "label_names_number": ("label_names",
                                   lambda h: h.update(label_names=3)),
-           "has_rae_number": ("has_rae", lambda h: h.update(has_rae=1)),
        }.items()},
 }
 
@@ -487,15 +504,20 @@ def test_non_finite_array_fails_by_name(name, value, d_checkpoint, tmp_path,
     assert str(bad) in err and f"array {name} holds non-finite" in err, err
 
 
-@pytest.mark.parametrize("command", ["train", "pretrain-rae"])
-def test_missing_out_directory_exits_3_before_reading_a_corpus(
-        command, toy_d_config, tmp_path, monkeypatch, capsys):
+def _forbid_corpus_reads(monkeypatch):
+    """Make the CLI's corpus readers fail the test if called."""
     import treeconv.cli as cli_mod
 
     def read(*args, **kwargs):
         raise AssertionError("read a corpus")
     for reader in ("read_dependency_file", "read_constituency_file"):
         monkeypatch.setattr(cli_mod, reader, read)
+
+
+@pytest.mark.parametrize("command", ["train", "pretrain-rae"])
+def test_missing_out_directory_exits_3_before_reading_a_corpus(
+        command, toy_d_config, tmp_path, monkeypatch, capsys):
+    _forbid_corpus_reads(monkeypatch)
     out = tmp_path / "no_such_dir" / "m.ckpt"
     args = {"train": ["--config", toy_d_config,
                       "--train", str(DATA / "tiny_dep.conll"),
@@ -518,8 +540,8 @@ def test_a_file_that_cannot_be_opened_exits_3_naming_it(tmp_path, capsys):
 
 
 def _without_rae(raw):
-    """A c-checkpoint's bytes with `has_rae` false in the header and the
-    rae.* arrays cut from header and payload."""
+    """A c-checkpoint's bytes with the rae.* arrays cut from header and
+    payload."""
     length_line = raw[len(MAGIC):].split(b"\n", 1)[0]
     start = len(MAGIC) + len(length_line) + 1
     end = start + int(length_line)
@@ -530,7 +552,7 @@ def _without_rae(raw):
         if not spec["name"].startswith("rae."):
             kept.append((spec, payload[at:at + size]))
         at += size
-    header.update(has_rae=False, arrays=[spec for spec, _ in kept])
+    header.update(arrays=[spec for spec, _ in kept])
     blob = json.dumps(header).encode("utf-8")
     return (MAGIC + f"{len(blob)}\n".encode("ascii") + blob + b"\n"
             + b"".join(data for _, data in kept))
@@ -546,32 +568,20 @@ def test_c_checkpoint_without_rae_exits_3_naming_file(command, tmp_path,
                  "--input", str(DATA / "tiny_con.txt")])
     err = capsys.readouterr().err
     assert code == 3, err
-    assert str(bad) in err and "composition params" in err, err
+    assert str(bad) in err and "missing ['rae.W_comp'" in err, err
 
 
-@pytest.mark.parametrize("command", ["eval", "visualize"])
-def test_d_checkpoint_with_has_rae_exits_3_naming_file(command, tmp_path,
-                                                       capsys):
-    """The loader takes the composition from the variant: a d-header
-    whose `has_rae` is true is refused, not given an unused one."""
-    _, path = _layout_case("d frozen", tmp_path)
-    bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(_edit_header(lambda h: h.update(has_rae=True))(
-        path.read_bytes()))
-    code = main([command, "--checkpoint", str(bad),
-                 "--input", str(DATA / "tiny_dep.conll")])
-    err = capsys.readouterr().err
-    assert code == 3, err
-    assert str(bad) in err and "has_rae" in err, err
+def _header(path):
+    """A checkpoint's JSON header."""
+    raw = path.read_bytes()
+    length_line = raw[len(MAGIC):].split(b"\n", 1)[0]
+    start = len(MAGIC) + len(length_line) + 1
+    return json.loads(raw[start:start + int(length_line)])
 
 
 def _stored_names(path):
     """The array names in a checkpoint's header, in payload order."""
-    raw = path.read_bytes()
-    length_line = raw[len(MAGIC):].split(b"\n", 1)[0]
-    start = len(MAGIC) + len(length_line) + 1
-    header = json.loads(raw[start:start + int(length_line)])
-    return [spec["name"] for spec in header["arrays"]]
+    return [spec["name"] for spec in _header(path)["arrays"]]
 
 
 D_CONV = ["conv.W_p", "conv.W_rel0", "conv.W_rel1", "conv.W_rel2", "conv.b"]
@@ -629,6 +639,50 @@ class TestParameterNames:
         assert all(name == t.name for name, t in named)
         if path is not None:
             assert _stored_names(path) == want_stored
+
+
+@pytest.mark.parametrize("case", ["d trained", "d frozen", "c"])
+def test_header_holds_only_what_the_loader_reads(case, tmp_path):
+    _, path = _layout_case(case, tmp_path)
+    assert list(_header(path)) == HEADER
+
+
+@pytest.mark.parametrize("case", ["d trained", "d frozen", "c"])
+def test_checkpoint_with_earlier_header_keys_predicts_the_same(case, tmp_path):
+    """A file as earlier writers wrote it, with `variant`, `has_rae` and
+    `train_embeddings_stored` in its header, loads and gives the same
+    probabilities to the byte: the loader ignores keys it does not read."""
+    _, path = _layout_case(case, tmp_path)
+    earlier = tmp_path / "earlier.ckpt"
+    earlier.write_bytes(_edit_header(_with_earlier_keys)(path.read_bytes()))
+    assert len(_header(earlier)) == len(HEADER) + 3
+    con, dep, _, _ = fixture_pair(n_e=4, seed=0)
+    trees = [con] if case == "c" else [dep]
+    want = load_checkpoint(path).predict_batch(trees)
+    got = load_checkpoint(earlier).predict_batch(trees)
+    assert ([p.probabilities.tobytes() for p in got]
+            == [p.probabilities.tobytes() for p in want])
+
+
+@pytest.mark.parametrize("case,args,fragment", [
+    ("d frozen", ["eval", "--binary"], "--binary needs a 5-class"),
+    ("d frozen", ["visualize", "--pooling", "3slot"], "3-slot pooling needs"),
+    ("c", ["visualize", "--pooling", "kslot"], "k-slot pooling needs"),
+    ("d frozen", ["visualize", "--pooling", "kslot", "--k", "0"],
+     "k must be >= 1"),
+    ("c", ["visualize", "--alpha", "0"], "alpha must be in"),
+])
+def test_a_flag_the_checkpoint_rejects_exits_2_before_reading_a_corpus(
+        case, args, fragment, tmp_path, monkeypatch, capsys):
+    """The checkpoint decides these flags, so they are checked before
+    `--input`, which here does not exist, is read."""
+    _, path = _layout_case(case, tmp_path)
+    _forbid_corpus_reads(monkeypatch)
+    code = main(args + ["--checkpoint", str(path),
+                        "--input", str(tmp_path / "no_such.conll")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert fragment in err and "no_such.conll" not in err, err
 
 
 class TestVisualize:

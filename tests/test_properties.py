@@ -65,10 +65,9 @@ from treeconv.tensor_core import (
 )
 from treeconv.errors import ContractError, StructureError
 from treeconv.trainer import _read_trees, _sample_roots, _sample_spans, train
-from treeconv.tree_conv import (convolve, index_trees, init_c_window,
-                                init_d_window)
+from treeconv.tree_conv import index_trees, init_c_window, init_d_window
 
-from helpers import compose_node
+from helpers import compose_node, convolve_tree
 from test_tree_conv import naive_convolve
 
 TAGS = ["0", "1", "2", "3", "4", "S", "NP", "VP", "X", "-1", "+2", "PP$",
@@ -860,14 +859,14 @@ def test_convolve_matches_naive_loop(rng, n_leaves, n_words):
     con = parse_constituency(random_bracketed(rng, n_leaves)[0])
     params = init_c_window(n_c, n_e, nprng)
     vectors = [nprng.normal(size=n_e) for _ in con.nodes]
-    got = convolve(Tape(), con, Tensor(np.stack(vectors)), params).data
+    got = convolve_tree(Tape(), con, Tensor(np.stack(vectors)), params).data
     assert np.max(np.abs(got - naive_convolve(con, vectors, params))) < 1e-12
 
     dep = random_dependency_tree(nprng, [f"w{i}" for i in range(n_words)])
     inventory = build_dep_inventory([dep])
     params = init_d_window(n_c, n_e, inventory.n_slots, nprng)
     vectors = [nprng.normal(size=n_e) for _ in dep.nodes]
-    got = convolve(Tape(), dep, Tensor(np.stack(vectors)), params,
+    got = convolve_tree(Tape(), dep, Tensor(np.stack(vectors)), params,
                    inventory).data
     want = naive_convolve(dep, vectors, params, inventory)
     assert np.max(np.abs(got - want)) < 1e-12

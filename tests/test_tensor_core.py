@@ -9,11 +9,9 @@ from treeconv.tensor_core import (
     Tape,
     Tensor,
     grad_of,
-    matrix,
     parameter,
     _scatter_add,
     softmax_probs,
-    vector,
 )
 
 from helpers import max_grad_error, naive_matvec
@@ -25,15 +23,17 @@ def take_row(tape, M, index):
 
 
 def matvec(tape, W, x):
-    """W.x as a vector, through a one-row `edge_matmul`."""
+    """W.x as a vector, through a one-row `edge_matmul` with a zero
+    bias."""
     row = tape.reshape(x, (1, -1))
     row.name = x.name
-    return tape.reshape(tape.edge_matmul(row, W), -1)
+    zero = Tensor(np.zeros(len(W.data)))
+    return tape.reshape(tape.edge_matmul(row, W, zero), -1)
 
 
 def add_bias(tape, X, b):
     """X + b on every row, through an identity `edge_matmul`."""
-    return tape.edge_matmul(X, matrix(np.eye(X.data.shape[1])), b)
+    return tape.edge_matmul(X, Tensor(np.eye(X.data.shape[1])), b)
 
 
 def concat(tape, parts):
@@ -47,43 +47,43 @@ def concat(tape, parts):
 class TestMatvec:
     def test_identity(self):
         tape = Tape()
-        W = matrix(np.eye(3))
-        x = vector([1.0, 2.0, 3.0])
+        W = Tensor(np.eye(3))
+        x = Tensor([1.0, 2.0, 3.0])
         assert np.array_equal(matvec(tape, W, x).data, [1.0, 2.0, 3.0])
 
     def test_zero_matrix_annihilates(self):
         tape = Tape()
-        W = matrix(np.zeros((2, 3)))
-        x = vector([4.0, -5.0, 6.0])
+        W = Tensor(np.zeros((2, 3)))
+        x = Tensor([4.0, -5.0, 6.0])
         assert np.array_equal(matvec(tape, W, x).data, [0.0, 0.0])
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(7)
         W = rng.normal(size=(4, 5))
         x = rng.normal(size=5)
-        got = matvec(Tape(), matrix(W), vector(x)).data
+        got = matvec(Tape(), Tensor(W), Tensor(x)).data
         assert np.max(np.abs(got - naive_matvec(W, x))) < 1e-12
 
     def test_shape_error_names_both_operands(self):
-        W = matrix(np.zeros((2, 3)), name="weights")
-        x = vector(np.zeros(4), name="input")
+        W = Tensor(np.zeros((2, 3)), name="weights")
+        x = Tensor(np.zeros(4), name="input")
         with pytest.raises(ShapeError, match="weights.*input"):
             matvec(Tape(), W, x)
 
 
 class TestRelu:
     def test_sign_cases(self):
-        out = Tape().relu(vector([-1.0, 0.0, 2.0]))
+        out = Tape().relu(Tensor([-1.0, 0.0, 2.0]))
         assert np.array_equal(out.data, [0.0, 0.0, 2.0])
 
     def test_all_negative_goes_to_zero(self):
-        out = Tape().relu(vector([-3.0, -0.5, -1e-9]))
+        out = Tape().relu(Tensor([-3.0, -0.5, -1e-9]))
         assert np.array_equal(out.data, [0.0, 0.0, 0.0])
 
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=32)
-        got = Tape().relu(vector(x)).data
+        got = Tape().relu(Tensor(x)).data
         want = np.array([max(0.0, v) for v in x])
         assert np.array_equal(got, want)
 
@@ -112,7 +112,7 @@ class TestBackward:
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ContractError):
-            Tape().backward(vector([1.0, 2.0]))
+            Tape().backward(Tensor([1.0, 2.0]))
 
     def test_fanout_accumulates(self):
         tape = Tape()
@@ -287,7 +287,7 @@ class TestOpGradients:
 
         def build(tape, ps):
             logit_p, W_ = ps
-            ce, _ = tape.cross_entropy(tape.reshape(logit_p, (1, -1)), [2])
+            ce, _, _ = tape.cross_entropy(tape.reshape(logit_p, (1, -1)), [2])
             l2 = tape.sumsq(W_)
             return tape.add(ce, tape.scale(l2, 1e-2))
 
@@ -362,17 +362,17 @@ class TestOpGradients:
         assert isinstance(grads[E_], RowGradient)
         assert sorted(grads[E_].indices.tolist()) == [1, 4, 5]
 
-    # (rows of X, output width, edges per term, bias): a term's
-    # destinations lie in the first half of the rows, so some repeat.
-    # The last case has more than GEMM_ROWS rows, a term without edges,
-    # and a term whose scatters exceed FLAT_SCATTER entries both forward
-    # (edges x width 4) and backward (edges x 3 columns of X)
-    @pytest.mark.parametrize("rows,width,counts,bias", [
-        (4, 2, [3], False),
-        (4, 2, [], True),
-        (GEMM_ROWS + 22, 4, [FLAT_SCATTER // 3 + 10, 0, 40], True),
+    # (rows of X, output width, edges per term): a term's destinations
+    # lie in the first half of the rows, so some repeat.  The last case
+    # has more than GEMM_ROWS rows, a term without edges, and a term
+    # whose scatters exceed FLAT_SCATTER entries both forward (edges x
+    # width 4) and backward (edges x 3 columns of X)
+    @pytest.mark.parametrize("rows,width,counts", [
+        (4, 2, [3]),
+        (4, 2, []),
+        (GEMM_ROWS + 22, 4, [FLAT_SCATTER // 3 + 10, 0, 40]),
     ], ids=["small", "no_edges", "blocked_and_flat"])
-    def test_edge_matmul_repeated_destination(self, rows, width, counts, bias):
+    def test_edge_matmul_repeated_destination(self, rows, width, counts):
         rng = np.random.default_rng(21)
         X = rng.normal(size=(rows, 3))
         W = rng.normal(size=(width, 3))
@@ -385,7 +385,7 @@ class TestOpGradients:
 
         def affine(tape, X_, W_, b_, W_es):
             edges = [(W_e, src, dst) for W_e, (src, dst) in zip(W_es, links)]
-            return tape.edge_matmul(X_, W_, b_ if bias else None, edges)
+            return tape.edge_matmul(X_, W_, b_, edges)
 
         def build(tape, ps):
             out = affine(tape, ps[0], ps[1], ps[2], ps[3:])
@@ -394,9 +394,9 @@ class TestOpGradients:
         # the loss is quadratic in each entry, so a central difference is
         # exact but for rounding, which a wide step keeps small
         self._check(build, [X, W, b] + W_edges, eps=1e-2)
-        out = affine(Tape(), matrix(X), matrix(W), vector(b),
-                     [matrix(W_e) for W_e in W_edges])
-        want = np.array([naive_matvec(W, x) + (b if bias else 0.0) for x in X])
+        out = affine(Tape(), Tensor(X), Tensor(W), Tensor(b),
+                     [Tensor(W_e) for W_e in W_edges])
+        want = np.array([naive_matvec(W, x) + b for x in X])
         for W_e, (src, dst) in zip(W_edges, links):
             for s, d in zip(src, dst):
                 want[d] += naive_matvec(W_e, X[s])
@@ -438,11 +438,11 @@ class TestOpGradients:
             return tape.sumsq(tape.mul(sums, Tensor(coeffs)))
 
         self._check(build, [X])
-        sums = Tape().sum_rows(matrix(X), into, 4).data
+        sums = Tape().sum_rows(Tensor(X), into, 4).data
         assert sums.tobytes() == np.array(
             [np.zeros(3), X[0] + X[2], np.zeros(3), X[1] + X[3]]).tobytes()
         with pytest.raises(ContractError, match="out of range"):
-            Tape().sum_rows(matrix(X), [0, 1, 4, 0], 4)
+            Tape().sum_rows(Tensor(X), [0, 1, 4, 0], 4)
 
     def test_segment_max_with_empty_slot_routes_to_winners(self):
         rng = np.random.default_rng(24)
@@ -473,7 +473,7 @@ class TestOpGradients:
         assert np.all(g[won] != 0)
 
     def test_segment_max_tie_goes_to_lowest_row(self):
-        X = matrix([[1.0, 5.0], [2.0, 5.0], [2.0, 0.0]])
+        X = Tensor([[1.0, 5.0], [2.0, 5.0], [2.0, 0.0]])
         pooled, (arg,) = Tape().segment_max(X, [0, 0, 0], 1)
         assert np.array_equal(arg, [1, 0])
         assert np.array_equal(pooled.data, [[2.0, 5.0]])
@@ -487,14 +487,14 @@ class TestTapeProperties:
 
         def run():
             tape = Tape()
-            return tape.relu(matvec(tape, matrix(W), vector(x))).data
+            return tape.relu(matvec(tape, Tensor(W), Tensor(x))).data
 
         assert np.array_equal(run(), run())
 
     def test_dimwise_max_tie_break_is_lowest_index(self):
-        a = vector([1.0, 5.0])
-        b = vector([1.0, 5.0])
-        _, (arg,) = Tape().segment_max(matrix(np.stack([a.data, b.data])),
+        a = Tensor([1.0, 5.0])
+        b = Tensor([1.0, 5.0])
+        _, (arg,) = Tape().segment_max(Tensor(np.stack([a.data, b.data])),
                                        [0, 0], 1)
         assert np.array_equal(arg, [0, 0])
 
@@ -504,7 +504,16 @@ class TestTapeProperties:
         assert probs[0] == pytest.approx(1.0)
         assert abs(probs.sum() - 1.0) < 1e-9
 
+    def test_cross_entropy_flags_rows_whose_gold_probability_underflows(self):
+        logits = np.array([[0.0, 800.0, 0.0], [0.3, -0.2, 1.4],
+                           [-800.0, 0.0, 0.0]])
+        gold = [0, 1, 0]
+        _, values, clamped = Tape().cross_entropy(Tensor(logits), gold)
+        want = softmax_probs(logits)[np.arange(3), gold] == 0.0
+        assert clamped.tolist() == want.tolist() == [True, False, True]
+        assert np.isfinite(values).all()
+
     def test_cross_entropy_matches_log_softmax(self):
         logits = np.array([0.3, -0.2, 1.4])
-        ce = Tape().cross_entropy(matrix(logits[None]), [1])[0].item()
+        ce = Tape().cross_entropy(Tensor(logits[None]), [1])[0].item()
         assert ce == pytest.approx(-np.log(softmax_probs(logits)[1]), abs=1e-12)

@@ -102,15 +102,12 @@ class TestGradientCheck:
         for _, p in clf.rae.named():
             assert np.array_equal(grad_of(grads, p), np.zeros_like(p.data))
 
-    def test_large_models_check_a_random_sample(self, monkeypatch):
-        import treeconv.trainer as trainer_mod
-        monkeypatch.setattr(trainer_mod, "SAMPLED_CHECK_THRESHOLD", 10)
-        clf, tree = frozen_d_model()
-        total = sum(p.data.size for _, p in clf.params.named())
+    def test_every_scalar_is_checked(self):
+        clf, tree = fixture_model("d", "kslot", 0.0)
         report = gradient_check(clf, tree, gold=1)
-        assert report.checked < total
-        assert report.checked >= len(clf.params.named())  # >= 1 per group
-        assert report.max_relative_error < 1e-4
+        named = clf.params.named()
+        assert report.checked == sum(p.data.size for _, p in named)
+        assert sorted(report.group_errors) == sorted(name for name, _ in named)
 
     def test_l2_gradient_is_2_lambda_w(self):
         """One sgd_epoch step with lam differs from the lam=0 step from the
@@ -229,7 +226,8 @@ class TestTrainLoop:
 
     def test_composition_params_go_with_the_variant(self):
         """A c-run needs pretrained composition params and a d-run takes
-        none, so no checkpoint's `has_rae` disagrees with its variant."""
+        none, so a checkpoint's variant alone says whether it stores
+        them."""
         corpus = make_overfit_corpus(n_sentences=4, classes=2, n_e=4, seed=1)
         rae = init_composition(4, np.random.default_rng(5))
         for variant, trees, kwargs, error in (

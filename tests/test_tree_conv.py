@@ -21,14 +21,13 @@ from treeconv.tensor_core import Tape, Tensor
 from treeconv.tree_conv import (
     Span,
     WindowParams,
-    convolve,
     forest,
     index_trees,
     init_c_window,
     init_d_window,
 )
 
-from helpers import naive_matvec
+from helpers import convolve_tree, naive_matvec
 
 I_LOVED_IT_CONLL = (
     "1\tI\t_\t_\t_\t_\t2\tnsubj\n"
@@ -50,24 +49,24 @@ def zero_c_params(n_c, n_e):
 
 def window_c(tape, p, cl, cr, params):
     """The window at a parent with children (cl, cr), None for absent,
-    read off `convolve` on a one-window tree."""
+    read off `convolve_tree` on a one-window tree."""
     kids = [c for c in (cl, cr) if c is not None]
     assert cl is not None or cr is None, "a lone child is the left child"
     nodes = [TreeNode(children=list(range(1, len(kids) + 1)))]
     nodes += [TreeNode() for _ in kids]
     tree = ParseTree(kind=CONSTITUENCY, nodes=nodes, root=0)
     x = Tensor(np.stack([t.data for t in [p] + kids]))
-    return Tensor(convolve(tape, tree, x, params).data[0])
+    return Tensor(convolve_tree(tape, tree, x, params).data[0])
 
 
 def window_d(tape, p, children, params, inventory):
     """The window at a parent with (vector, relation) children, read
-    off `convolve` on a one-window tree."""
+    off `convolve_tree` on a one-window tree."""
     nodes = [TreeNode(children=list(range(1, len(children) + 1)))]
     nodes += [TreeNode(dep_relation=rel) for _, rel in children]
     tree = ParseTree(kind=DEPENDENCY, nodes=nodes, root=0)
     x = Tensor(np.stack([p.data] + [vec.data for vec, _ in children]))
-    return Tensor(convolve(tape, tree, x, params, inventory).data[0])
+    return Tensor(convolve_tree(tape, tree, x, params, inventory).data[0])
 
 
 # --- independent naive implementations (plain numpy loops) -----------------
@@ -181,7 +180,7 @@ class TestConvolve:
         inv = build_dep_inventory([tree])
         params = init_d_window(3, 2, inv.n_slots, rng)
         vec = rng.normal(size=2)
-        fm = convolve(Tape(), tree, Tensor(vec[None]), params, inv)
+        fm = convolve_tree(Tape(), tree, Tensor(vec[None]), params, inv)
         assert len(fm.data) == 1
         assert np.array_equal(fm.data[0],
                               naive_window_d(vec, [], params, inv))
@@ -192,7 +191,7 @@ class TestConvolve:
         inv = build_dep_inventory([tree])
         params = init_d_window(4, 3, inv.n_slots, rng)
         vectors = [rng.normal(size=3) for _ in tree.nodes]
-        fm = convolve(Tape(), tree, Tensor(np.stack(vectors)), params, inv)
+        fm = convolve_tree(Tape(), tree, Tensor(np.stack(vectors)), params, inv)
         assert len(fm.data) == len(tree.nodes)
         want = naive_convolve(tree, vectors, params, inv)
         assert np.max(np.abs(fm.data - want)) < 1e-12
@@ -208,7 +207,7 @@ class TestConvolve:
         inv = build_dep_inventory([dep])
         d_params = init_d_window(n_c, n_e, inv.n_slots, rng)
         vecs = [rng.normal(size=n_e) for _ in dep.nodes]
-        fm = convolve(Tape(), dep, Tensor(np.stack(vecs)), d_params, inv)
+        fm = convolve_tree(Tape(), dep, Tensor(np.stack(vecs)), d_params, inv)
         assert np.max(np.abs(fm.data
                              - naive_convolve(dep, vecs, d_params, inv))) < 1e-12
 
@@ -216,7 +215,7 @@ class TestConvolve:
         validate_tree(con)
         c_params = init_c_window(n_c, n_e, rng)
         cvecs = [rng.normal(size=n_e) for _ in con.nodes]
-        fm = convolve(Tape(), con, Tensor(np.stack(cvecs)), c_params)
+        fm = convolve_tree(Tape(), con, Tensor(np.stack(cvecs)), c_params)
         assert np.max(np.abs(fm.data
                              - naive_convolve(con, cvecs, c_params))) < 1e-12
 
@@ -226,13 +225,13 @@ class TestConvolve:
         inv = build_dep_inventory([tree])
         params = init_d_window(4, 3, inv.n_slots, rng)
         vectors = [rng.normal(size=3) for _ in tree.nodes]
-        base = convolve(Tape(), tree, Tensor(np.stack(vectors)),
+        base = convolve_tree(Tape(), tree, Tensor(np.stack(vectors)),
                         params, inv).data
         # "I" (node 0) is a leaf: changing it must not move features of
         # "it" (node 2), whose window holds only itself
         vectors2 = [v.copy() for v in vectors]
         vectors2[0] = rng.normal(size=3)
-        moved = convolve(Tape(), tree, Tensor(np.stack(vectors2)),
+        moved = convolve_tree(Tape(), tree, Tensor(np.stack(vectors2)),
                          params, inv).data
         assert np.array_equal(base[2], moved[2])
         assert not np.array_equal(base[1], moved[1])  # parent window moved
@@ -243,7 +242,7 @@ class TestConvolve:
         inv = build_dep_inventory([tree])
         params = init_d_window(4, 3, inv.n_slots, rng)
         vectors = [rng.normal(size=3) for _ in tree.nodes]
-        base = convolve(Tape(), tree, Tensor(np.stack(vectors)),
+        base = convolve_tree(Tape(), tree, Tensor(np.stack(vectors)),
                         params, inv).data
 
         perm = [2, 0, 1]  # new index of old node i
@@ -259,7 +258,7 @@ class TestConvolve:
         pvecs = [None] * len(vectors)
         for old, v in enumerate(vectors):
             pvecs[perm[old]] = v
-        out = convolve(Tape(), permuted, Tensor(np.stack(pvecs)),
+        out = convolve_tree(Tape(), permuted, Tensor(np.stack(pvecs)),
                        params, inv).data
         # child sums re-associate under permutation, so allow float slack
         for old in range(len(vectors)):
@@ -270,7 +269,7 @@ class TestConvolve:
         inv = build_dep_inventory([tree])
         params = init_d_window(2, 2, inv.n_slots, np.random.default_rng(9))
         with pytest.raises(ContractError):
-            convolve(Tape(), tree, Tensor(np.zeros((1, 2))), params, inv)
+            convolve_tree(Tape(), tree, Tensor(np.zeros((1, 2))), params, inv)
 
 
 class TestWindowChecks:
@@ -279,7 +278,7 @@ class TestWindowChecks:
         inv = build_dep_inventory([tree])
         params = init_c_window(2, 2, np.random.default_rng(10))
         with pytest.raises(ContractError, match="child"):
-            convolve(Tape(), tree, Tensor(np.zeros((3, 2))), params, inv)
+            convolve_tree(Tape(), tree, Tensor(np.zeros((3, 2))), params, inv)
 
     def test_c_window_with_as_many_matrices_as_slots_rejected(self):
         # one dedicated relation makes n_slots 2, the c-window's count
@@ -289,13 +288,13 @@ class TestWindowChecks:
         assert inv.n_slots == 2
         params = init_c_window(2, 2, np.random.default_rng(10))
         with pytest.raises(ContractError, match="keyed for constituency"):
-            convolve(Tape(), tree, Tensor(np.zeros((2, 2))), params, inv)
+            convolve_tree(Tape(), tree, Tensor(np.zeros((2, 2))), params, inv)
 
     def test_d_window_on_constituency_forest_rejected(self):
         tree = random_constituency_tree(np.random.default_rng(12), ["a", "b"])
         params = init_d_window(2, 2, 2, np.random.default_rng(10))
         with pytest.raises(ContractError, match="keyed for dependency"):
-            convolve(Tape(), tree, Tensor(np.zeros((len(tree), 2))), params)
+            convolve_tree(Tape(), tree, Tensor(np.zeros((len(tree), 2))), params)
 
     def test_d_window_one_matrix_short_rejected(self):
         inv = build_dep_inventory([parse_dependency(I_LOVED_IT_CONLL)])
@@ -304,7 +303,7 @@ class TestWindowChecks:
                                 "2\tnow\t_\t_\t_\t_\t1\txcomp\n")
         params = init_d_window(2, 2, inv.n_slots - 1, np.random.default_rng(11))
         with pytest.raises(ContractError, match="child"):
-            convolve(Tape(), tree, Tensor(np.zeros((2, 2))), params, inv)
+            convolve_tree(Tape(), tree, Tensor(np.zeros((2, 2))), params, inv)
 
     @pytest.mark.parametrize("children,missed", [([[1, 1], []], 1),
                                                  ([[1], [], []], 2)])

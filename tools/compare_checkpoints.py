@@ -38,9 +38,11 @@ output (every parameter's worst relative error, for both variants, four
 configurations each) is compared in place of a checkpoint.
 
 For every run it prints the sha256 of both checkouts' files and
-"identical" or "differ"; a difference also gives, for a checkpoint, the
-largest |a - b| / max|a| over the stored arrays and the array it is in,
-and for printed output the first line that differs.  A last line gives
+"identical" or "differ"; a difference also gives, for a checkpoint whose
+stored arrays are all byte-equal, "arrays identical" and the header keys
+whose values differ, for any other checkpoint the largest
+|a - b| / max|a| over the stored arrays and the array it is in, and for
+printed output the first line that differs.  A last line gives
 the line count of src/treeconv/*.py in both checkouts, as `wc -l`
 counts them.  Exits 0 when every run is identical in both comparisons,
 1 otherwise.
@@ -301,8 +303,9 @@ def _run(checkout: Path, args: List[str], out: Path) -> Optional[str]:
     return None
 
 
-def read_arrays(path: Path) -> List[Tuple[str, np.ndarray]]:
-    """The stored (name, array) pairs of a file in the checkpoint layout."""
+def read_checkpoint(path: Path) -> Tuple[dict, List[Tuple[str, np.ndarray]]]:
+    """The JSON header and the stored (name, array) pairs of a file in
+    the checkpoint layout."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise ValueError(f"{path} is not in the checkpoint layout")
@@ -314,14 +317,22 @@ def read_arrays(path: Path) -> List[Tuple[str, np.ndarray]]:
             raw = fh.read(8 * int(np.prod(shape)))
             out.append((spec["name"],
                         np.frombuffer(raw, dtype="<f8").reshape(shape)))
-    return out
+    return header, out
 
 
 def largest_difference(a: Path, b: Path) -> str:
-    """The largest |a - b| / max|a| over the stored arrays, and where."""
-    ours, theirs = read_arrays(a), read_arrays(b)
+    """How two files in the checkpoint layout differ: when every stored
+    array is byte-equal, the header keys whose values differ; otherwise
+    the largest |a - b| / max|a| over the stored arrays, and where."""
+    (ours_header, ours), (theirs_header, theirs) = (read_checkpoint(a),
+                                                     read_checkpoint(b))
     if [(n, x.shape) for n, x in ours] != [(n, x.shape) for n, x in theirs]:
         return "the stored arrays' names or shapes differ"
+    if all(x.tobytes() == y.tobytes() for (_, x), (_, y) in zip(ours, theirs)):
+        keys = sorted(key for key in ours_header.keys() | theirs_header.keys()
+                      if key not in ours_header or key not in theirs_header
+                      or ours_header[key] != theirs_header[key])
+        return f"arrays identical; header keys differ: {keys}"
     worst, where = 0.0, None
     for (name, x), (_, y) in zip(ours, theirs):
         scale = float(np.max(np.abs(x), initial=0.0)) or 1.0
