@@ -438,8 +438,8 @@ class Tape:
         for W_e, src, dst in edges:
             _scatter_add(data, dst, _row_blocks(X.data[src], W_e.data.T))
         data += bias.data
-        out = Tensor(data, requires_grad=self._tracks(
-            X, W, bias, *[W_e for W_e, _, _ in edges]))
+        out = Tensor(data, requires_grad=self.record and self._tracks(
+            X, W, bias, *(W_e for W_e, _, _ in edges)))
         if out.requires_grad:
             def backward(g, accum, X=X, W=W, bias=bias, edges=tuple(edges)):
                 if bias.requires_grad:

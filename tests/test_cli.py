@@ -649,13 +649,16 @@ def test_header_holds_only_what_the_loader_reads(case, tmp_path):
 
 @pytest.mark.parametrize("case", ["d trained", "d frozen", "c"])
 def test_checkpoint_with_earlier_header_keys_predicts_the_same(case, tmp_path):
-    """A file as earlier writers wrote it, with `variant`, `has_rae` and
+    """A file an earlier writer wrote, with `variant`, `has_rae` and
     `train_embeddings_stored` in its header, loads and gives the same
-    probabilities to the byte: the loader ignores keys it does not read."""
+    probabilities to the byte: the loader ignores keys it does not read.
+    tests/data/earlier_*.ckpt hold `_layout_case(case)` as the writer
+    before those keys were dropped saved it."""
     _, path = _layout_case(case, tmp_path)
-    earlier = tmp_path / "earlier.ckpt"
-    earlier.write_bytes(_edit_header(_with_earlier_keys)(path.read_bytes()))
+    earlier = DATA / f"earlier_{case.replace(' ', '_')}.ckpt"
     assert len(_header(earlier)) == len(HEADER) + 3
+    assert (_edit_header(_with_earlier_keys)(path.read_bytes())
+            == earlier.read_bytes())
     con, dep, _, _ = fixture_pair(n_e=4, seed=0)
     trees = [con] if case == "c" else [dep]
     want = load_checkpoint(path).predict_batch(trees)

@@ -60,6 +60,11 @@ def test_largest_difference_tells_header_only_from_array_changes(tmp_path):
     assert (compare.largest_difference(ours, theirs)
             == "arrays identical; header keys differ: "
                "['config', 'has_rae', 'variant']")
+    reordered = tmp_path / "reordered"
+    _write(reordered, {"config": {"n_c": 2}, "format_version": 1}, arrays)
+    assert (compare.largest_difference(ours, reordered)
+            == "arrays identical; header values equal, "
+               "header bytes differ in layout only")
     b = np.ones(4)
     b[2] = 1.5
     _write(changed, header, [arrays[0], ("b", b)])

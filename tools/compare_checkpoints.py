@@ -322,8 +322,10 @@ def read_checkpoint(path: Path) -> Tuple[dict, List[Tuple[str, np.ndarray]]]:
 
 def largest_difference(a: Path, b: Path) -> str:
     """How two files in the checkpoint layout differ: when every stored
-    array is byte-equal, the header keys whose values differ; otherwise
-    the largest |a - b| / max|a| over the stored arrays, and where."""
+    array is byte-equal, the header keys whose values differ (or, when
+    none does, that only the header's key order or spacing differs);
+    otherwise the largest |a - b| / max|a| over the stored arrays, and
+    where."""
     (ours_header, ours), (theirs_header, theirs) = (read_checkpoint(a),
                                                      read_checkpoint(b))
     if [(n, x.shape) for n, x in ours] != [(n, x.shape) for n, x in theirs]:
@@ -332,6 +334,9 @@ def largest_difference(a: Path, b: Path) -> str:
         keys = sorted(key for key in ours_header.keys() | theirs_header.keys()
                       if key not in ours_header or key not in theirs_header
                       or ours_header[key] != theirs_header[key])
+        if not keys:
+            return ("arrays identical; header values equal, "
+                    "header bytes differ in layout only")
         return f"arrays identical; header keys differ: {keys}"
     worst, where = 0.0, None
     for (name, x), (_, y) in zip(ours, theirs):
