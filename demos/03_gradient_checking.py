@@ -18,4 +18,4 @@ for variant, pooling in [("d", "global"), ("d", "kslot"),
               f"over {report.checked} scalars")
 
 print("\nthe same check is exposed as `treeconv gradcheck` (exit 0 iff "
-      "every error is below --tol, default 1e-4)")
+      "every error is below 1e-4)")

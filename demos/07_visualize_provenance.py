@@ -25,7 +25,7 @@ result = run_structural_experiment(task, config)
 clf = result.tree_model
 
 for i, tree in enumerate(task.test[:2]):
-    tape = Tape()
+    tape = Tape(record=False)
     features = clf.forward_features(tape, [tree])
     _, provenance = pool(tape, features, assign_global(tree))
     fracs = fractions(provenance, tree)

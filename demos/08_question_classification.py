@@ -73,5 +73,4 @@ with tempfile.TemporaryDirectory() as tmp:
     run([sys.executable, "-m", "treeconv", "eval",
          "--checkpoint", str(ckpt),
          "--input", str(DATA / "trec_mini.conll"),
-         "--labels", str(DATA / "trec_mini.lbl"),
-         "--buckets", "5"])
+         "--labels", str(DATA / "trec_mini.lbl")])

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
@@ -35,11 +34,12 @@ from .corpus_io import (
     read_constituency_file,
     read_dependency_file,
     read_label_file,
+    tagged_constituents,
     vocabulary_from_corpus,
 )
 from .errors import ConfigError, ContractError, DataError, ShapeError
-from .network import assign_slots, init_model
-from .pooling import DEFAULT_ALPHA, GLOBAL, K_SLOT, THREE_SLOT, pool
+from .network import init_model
+from .pooling import GLOBAL, K_SLOT, THREE_SLOT, assign_global, pool
 from .rae_pretrain import PretrainConfig, pretrain
 from .synthetic import fixture_model
 from .tensor_core import Tape
@@ -50,6 +50,8 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
+GRADCHECK_TOLERANCE = 1e-4  # the gate on the worst relative error
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -57,13 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tree-based convolution for sentence classification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def pooling_flags(p, pooling=None, k=None, alpha=None):
-        p.add_argument("--pooling", choices=[GLOBAL, THREE_SLOT, K_SLOT],
-                       default=pooling)
-        p.add_argument("--k", type=int, default=k, help="k-slot slot count")
-        p.add_argument("--alpha", type=float, default=alpha,
-                       help="3-slot depth threshold fraction")
 
     p = sub.add_parser("train", help="train a model and write a checkpoint")
     p.add_argument("--config", required=True, help="sectioned key-value file")
@@ -79,33 +74,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rae", default=None,
                    help="pretrained composition checkpoint (variant c)")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the run seed")
-    p.add_argument("--variant", choices=[VARIANT_C, VARIANT_D], default=None)
-    pooling_flags(p)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--labels", default=None)
-    p.add_argument("--buckets", type=int, default=5,
-                   help="length-bucket granularity (7 groups)")
     p.add_argument("--binary", action="store_true",
                    help="5-to-2 transfer for binary gold labels")
 
     p = sub.add_parser("visualize",
-                       help="emit DOT/JSON pooling-provenance traces")
+                       help="emit DOT/JSON global-pooling provenance traces")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out-prefix", default="viz")
-    pooling_flags(p, pooling=GLOBAL, k=2, alpha=DEFAULT_ALPHA)
 
-    p = sub.add_parser("gradcheck",
-                       help="finite-difference check of the gradients")
-    p.add_argument("--variant", choices=[VARIANT_C, VARIANT_D, "both"],
-                   default="both")
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
+    sub.add_parser("gradcheck", help="finite-difference check of the gradients")
 
     p = sub.add_parser("pretrain-rae",
                        help="pretrain the constituency composition")
@@ -146,8 +129,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(args) -> int:
-    out = getattr(args, "out", None)  # what train and pretrain-rae write
-    if out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+    # the file train and pretrain-rae write, or the prefix of visualize's
+    out = getattr(args, "out", None) or getattr(args, "out_prefix", None)
+    if out is not None and not os.path.isdir(os.path.dirname(out) or os.curdir):
         raise DataError(f"cannot write {out}: its directory does not exist")
     if args.command == "train":
         return cmd_train(args)
@@ -160,12 +144,6 @@ def _dispatch(args) -> int:
     if args.command == "pretrain-rae":
         return cmd_pretrain_rae(args)
     raise ConfigError(f"unknown command {args.command!r}")
-
-
-def _at_least(flag, value, least) -> None:
-    """Reject a command-line number below `least`, naming its flag."""
-    if value < least:
-        raise ConfigError(f"{flag} must be >= {least}, got {value}")
 
 
 def _with_path(path, fn):
@@ -198,19 +176,31 @@ def _read_corpus_checked(path, variant):
         )
 
 
-def _label_trees(trees, labels_path, what, names=None):
+def _label_trees(trees, labels_path, what, classes, names=None, tags=False):
     """Attach labels from a file, mapped through the class `names` when
-    given, or fall back to the trees' own tags."""
+    given, or fall back to the trees' own tags.  Every class the run
+    reads, each sentence's and, with `tags`, each tagged constituent's,
+    must be one of `classes`; a DataError names where one came from."""
+    from_file = set()
     if labels_path is not None:
         pairs = _with_path(labels_path, lambda: read_label_file(labels_path))
         names = _with_path(labels_path,
                            lambda: attach_labels(trees, pairs, names))
+        from_file = {sid for _, sid in pairs}
     missing = [i for i, t in enumerate(trees) if t.sentence_label is None]
     if missing:
         raise DataError(
             f"{what}: sentences {missing[:5]} carry no label; pass --labels "
             "or use tagged trees"
         )
+    for i, tree in enumerate(trees):
+        read = [(labels_path if i in from_file else what, tree.sentence_label)]
+        if tags:
+            read += [(what, tree.nodes[v].label) for v in tagged_constituents(tree)]
+        for source, label in read:
+            if not 0 <= label < classes:
+                raise DataError(f"{source}: sentence {i} has gold class "
+                                f"{label}, outside the {classes} classes")
     return names
 
 
@@ -228,9 +218,7 @@ def _bound_embeddings(path, trees, n_e, seed):
 
 
 def cmd_train(args) -> int:
-    overrides = {"seed": args.seed, "variant": args.variant,
-                 "pooling": args.pooling, "k": args.k, "alpha": args.alpha}
-    config = make_train_config(load_config_file(args.config), overrides)
+    config = make_train_config(load_config_file(args.config))
     if args.rae is not None and config.variant != VARIANT_C:
         raise ConfigError("--rae is for variant c; this run is variant d")
     if args.val_labels is not None and args.val is None:
@@ -238,12 +226,14 @@ def cmd_train(args) -> int:
                           "--train takes its labels from --labels")
 
     train_trees = _read_corpus_checked(args.train_path, config.variant)
-    label_names = _label_trees(train_trees, args.labels, args.train_path)
+    label_names = _label_trees(
+        train_trees, args.labels, args.train_path, config.classes,
+        tags=config.variant == VARIANT_C and config.use_subsentences)
 
     if args.val is not None:
         val_trees = _read_corpus_checked(args.val, config.variant)
         label_names = _label_trees(val_trees, args.val_labels, args.val,
-                                   label_names)
+                                   config.classes, label_names)
     else:
         rng = np.random.default_rng(config.seed)
         order = rng.permutation(len(train_trees))
@@ -294,20 +284,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _at_least("--buckets", args.buckets, 1)
     model = ckpt.load_checkpoint(args.checkpoint)
     if args.binary and model.config.classes != 5:
         raise ConfigError("--binary needs a 5-class sentiment checkpoint")
     trees = _read_corpus_checked(args.input, model.config.variant)
     # --binary gold labels are binary, not the checkpoint's classes
     _label_trees(trees, args.labels, args.input,
+                 2 if args.binary else model.config.classes,
                  None if args.binary else model.label_names)
     for tree in trees:
         bind_vocabulary(tree, model.vocab)
 
-    boundaries = trainer.default_length_buckets(granularity=args.buckets)
-    report = trainer.evaluate(model, trees, buckets=boundaries,
-                              transfer_binary=args.binary)
+    report = trainer.evaluate(model, trees, transfer_binary=args.binary)
     if args.binary:
         print("5-to-2 transfer evaluation (neutral mass discarded)")
     print(trainer.format_eval_report(report))
@@ -319,17 +307,15 @@ def cmd_eval(args) -> int:
 
 def cmd_visualize(args) -> int:
     model = ckpt.load_checkpoint(args.checkpoint)
-    slots = replace(model.config, pooling=args.pooling, k=args.k,
-                    alpha=args.alpha).validate()
     trees = _read_corpus_checked(args.input, model.config.variant)
     for tree in trees:
         bind_vocabulary(tree, model.vocab)
 
     written = 0
     for i, tree in enumerate(trees):
-        tape = Tape()
+        tape = Tape(record=False)
         features = model.forward_features(tape, [tree])
-        _, provenance = pool(tape, features, assign_slots(tree, slots))
+        _, provenance = pool(tape, features, assign_global(tree))
         fracs = viz.fractions(provenance, tree)
         with open(f"{args.out_prefix}_{i}.dot", "w", encoding="utf-8") as fh:
             fh.write(viz.emit_dot(tree, fracs))
@@ -341,22 +327,19 @@ def cmd_visualize(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    _at_least("--seed", args.seed, 0)
-    if not 0.0 < args.tol < np.inf:  # no error meets 0 or less, all meet inf
-        raise ConfigError(f"--tol must be finite and > 0, got {args.tol}")
-    variants = [VARIANT_C, VARIANT_D] if args.variant == "both" else [args.variant]
     worst = 0.0
-    for variant in variants:
+    for variant in (VARIANT_C, VARIANT_D):
         poolings = [GLOBAL, THREE_SLOT if variant == VARIANT_C else K_SLOT]
         for pooling in poolings:
             for lam in (0.0, 1e-5):
-                model, tree = fixture_model(variant, pooling, lam, args.seed)
+                model, tree = fixture_model(variant, pooling, lam)
                 report = trainer.gradient_check(model, tree, gold=1)
                 print(f"variant {variant} pooling {pooling} l2 {lam:g}:")
                 print("  " + report.format().replace("\n", "\n  "))
                 worst = max(worst, report.max_relative_error)
-    print(f"worst relative error {worst:.3e} (tolerance {args.tol:g})")
-    if worst < args.tol:
+    print(f"worst relative error {worst:.3e} "
+          f"(tolerance {GRADCHECK_TOLERANCE:g})")
+    if worst < GRADCHECK_TOLERANCE:
         print("gradient check PASS")
         return EXIT_OK
     print("gradient check FAIL")
@@ -364,7 +347,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_pretrain_rae(args) -> int:
-    _at_least("--n-e", args.n_e, 1)
+    if args.n_e < 1:
+        raise ConfigError(f"--n-e must be >= 1, got {args.n_e}")
     config = PretrainConfig(learning_rate=args.lr, batch_size=args.batch,
                             max_epochs=args.epochs, seed=args.seed).validate()
     trees = _with_path(args.train_path,

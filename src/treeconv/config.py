@@ -146,19 +146,12 @@ def load_config_file(path) -> Dict[str, object]:
     return values
 
 
-def make_train_config(file_values: Dict[str, object],
-                      overrides: Optional[Dict[str, object]] = None) -> TrainConfig:
-    """Combine config-file values with CLI overrides (overrides win)."""
-    merged = dict(file_values)
-    if overrides:
-        merged.update({k: v for k, v in overrides.items() if v is not None})
-    missing = [name for name in _REQUIRED if name not in merged]
+def make_train_config(file_values: Dict[str, object]) -> TrainConfig:
+    """The validated config of `load_config_file`'s values."""
+    missing = [name for name in _REQUIRED if name not in file_values]
     if missing:
         raise ConfigError(f"config is missing required fields: {missing}")
-    unknown = set(merged) - set(_TYPES)
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    return TrainConfig(**merged).validate()
+    return TrainConfig(**file_values).validate()
 
 
 def config_to_dict(config: TrainConfig) -> Dict[str, object]:

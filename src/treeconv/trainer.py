@@ -44,7 +44,7 @@ from .tensor_core import (Tape, Tensor, grad_of, l2_penalty, node_groups,
 from .tree_conv import Span
 
 PLATEAU_EPOCHS = 2
-BUCKET_GROUPS = 7  # length groups of the default evaluation buckets
+BUCKET_GROUPS = 7  # length groups of the evaluation buckets
 # a batch whose mean cross entropy exceeds this many times ln(classes)
 # has blown up (see `train`)
 BLOWUP_RATIO = 1e18
@@ -253,10 +253,10 @@ class EvalReport:
         return self.correct / self.total if self.total else 0.0
 
 
-def default_length_buckets(granularity: int = 5) -> List[int]:
-    """Boundaries for BUCKET_GROUPS length groups of width `granularity`;
-    the tails merge into the first and last group."""
-    return [granularity * (i + 1) for i in range(BUCKET_GROUPS - 1)]
+def default_length_buckets() -> List[int]:
+    """Boundaries for BUCKET_GROUPS length groups of five words; the
+    tails merge into the first and last group."""
+    return [5 * (i + 1) for i in range(BUCKET_GROUPS - 1)]
 
 
 def _bucket_labels(boundaries: Sequence[int]) -> List[str]:
@@ -265,19 +265,18 @@ def _bucket_labels(boundaries: Sequence[int]) -> List[str]:
 
 
 def evaluate(classifier, trees: Sequence[ParseTree],
-             buckets: Optional[Sequence[int]] = None,
              transfer_binary: bool = False,
              spans: Optional[Sequence[Span]] = None) -> EvalReport:
-    """Root-label accuracy, overall and per sentence-length bucket.
+    """Root-label accuracy, overall and per sentence-length bucket
+    (`default_length_buckets`).
 
-    Only whole sentences participate; `buckets` holds upper boundaries
-    (defaults to 7 groups at granularity 5).  With transfer_binary, a
+    Only whole sentences participate.  With transfer_binary, a
     5-class sentiment model is reinterpreted for binary gold labels.
     The classifier's `predict_batch` sees each `node_groups` group of
     `trees`, or of `spans`, the trees' whole-tree spans, when the
     caller has indexed them already (`train`'s validation trees).
     """
-    boundaries = list(buckets) if buckets is not None else default_length_buckets()
+    boundaries = default_length_buckets()
     labels = _bucket_labels(boundaries)
     stats = [BucketAccuracy(label=lab, correct=0, total=0) for lab in labels]
     if not trees:

@@ -65,16 +65,16 @@ class TestValidation:
 
 
 class TestConfigFile:
-    def test_values_load_and_flags_override(self, tmp_path):
+    def test_values_load(self, tmp_path):
         path = tmp_path / "a.cfg"
         path.write_text(
             "[model]\nvariant = d\nn_e = 8\nn_c = 8\nn_h = 4\nclasses = 2\n"
             "[training]\nseed = 5\nlearning_rate = 0.25\n"
             "[pooling]\npooling = kslot\nk = 3\n"
         )
-        cfg = make_train_config(load_config_file(path), {"seed": 9, "k": None})
-        assert cfg.seed == 9          # CLI override wins
-        assert cfg.k == 3             # None override is ignored
+        cfg = make_train_config(load_config_file(path))
+        assert cfg.seed == 5
+        assert cfg.k == 3
         assert cfg.learning_rate == 0.25
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -91,11 +91,11 @@ class TestConfigFile:
 
     def test_missing_required_fields(self):
         with pytest.raises(ConfigError, match="missing"):
-            make_train_config({"variant": "d"}, {})
+            make_train_config({"variant": "d"})
 
     def test_shipped_configs_parse(self):
         from pathlib import Path
         configs = Path(__file__).parent.parent / "configs"
         for name in ("sentiment_d.cfg", "sentiment_c.cfg", "qc_d.cfg"):
-            cfg = make_train_config(load_config_file(configs / name), {})
+            cfg = make_train_config(load_config_file(configs / name))
             assert cfg.n_e == 300

@@ -13,15 +13,16 @@ the run, with and without dropout), `pretrain-rae` on tiny_con, the
 bag-of-embeddings baseline (trained embeddings), whose head arrays and
 class probabilities on every tiny_dep tree a short program writes in the
 checkpoint layout (the same record whatever shape a checkout gives its
-embedding parameter), and CLI `train` (with dropout, under 3-slot and under global pooling) on a corpus this
-script writes, whose unary chains and untagged (X) interior
-constituents tiny_con lacks: nodes with no right child, and trees only
-partly tagged.  A ninth run is CLI `train` (one epoch) on 64 random
-bracketings this script writes, validated on the same file: its
-training and validation trees index about 3000 rows, more than
-EVAL_NODES (1024), so the frozen annotation runs in three node groups,
-and a change in how the groups share their matrix products changes the
-checkpoint.  A tenth run trains the baseline again, validated on two
+embedding parameter), and CLI `train` (with dropout, under 3-slot
+pooling and, from a copy of that config with `pooling = global`, under
+global pooling) on a corpus this script writes, whose unary chains and
+untagged (X) interior constituents tiny_con lacks: nodes with no right
+child, and trees only partly tagged.  A ninth run is CLI `train` (one
+epoch) on 64 random bracketings this script writes, validated on the
+same file: its training and validation trees index about 3000 rows,
+more than EVAL_NODES (1024), so the frozen annotation runs in three
+node groups, and a change in how the groups share their matrix products
+changes the checkpoint.  A tenth run trains the baseline again, validated on two
 trees: their accuracy stalls at 0.5 for five epochs, so the rate halves
 twice before epoch 6 reaches 1.0 and is kept, and a change to the
 baseline's rate halving or epoch selection changes the checkpoint.  An
@@ -33,7 +34,7 @@ that training lacks and two words outside it (the UNK row).  Its epoch
 4 of 6 is kept, so the embedding rows the run trains are snapshotted
 and restored, and a change to which rows a run trains, or to how the
 saved table joins them with the rows it does not read, changes the
-checkpoint.  A twelfth run is `gradcheck --variant both`, whose printed
+checkpoint.  A twelfth run is `gradcheck`, whose printed
 output (every parameter's worst relative error, for both variants, four
 configurations each) is compared in place of a checkpoint.
 
@@ -230,6 +231,8 @@ def _runs(work: Path) -> Dict[str, List[str]]:
     """Run name -> arguments after `python`."""
     configs = {"d_trained.cfg": _D_TRAINED, "d_frozen.cfg": _D_FROZEN,
                "c_dropout.cfg": _C.format(dropout=0.2, epochs=5),
+               "c_global.cfg": _C.format(dropout=0.2, epochs=5).replace(
+                   "pooling = 3slot", "pooling = global"),
                "c_plain.cfg": _C.format(dropout=0.0, epochs=5),
                "c_wide.cfg": _C.format(dropout=0.2, epochs=1)}
     for name, text in configs.items():
@@ -268,9 +271,8 @@ def _runs(work: Path) -> Dict[str, List[str]]:
             train + ["--config", str(work / "c_dropout.cfg"),
                    "--train", str(work / "chains_con.txt")],
         "train chains_con, dropout, global pooling":
-            train + ["--config", str(work / "c_dropout.cfg"),
-                   "--train", str(work / "chains_con.txt"),
-                   "--pooling", "global"],
+            train + ["--config", str(work / "c_global.cfg"),
+                   "--train", str(work / "chains_con.txt")],
         "train wide_con, more than one annotation group":
             train + ["--config", str(work / "c_wide.cfg"),
                    "--train", str(work / "wide_con.txt"),
@@ -284,8 +286,8 @@ def _runs(work: Path) -> Dict[str, List[str]]:
                    "--val", str(work / "unseen_dep.conll"),
                    "--val-labels", str(work / "unseen_dep.lbl"),
                    "--embeddings", str(DATA / "tiny_embeddings.txt")],
-        "gradcheck --variant both":
-            cli + ["gradcheck", "--variant", "both"],
+        "gradcheck":
+            cli + ["gradcheck"],
     }
 
 
