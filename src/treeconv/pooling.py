@@ -11,21 +11,23 @@ fixed number of slots:
 
 The global and 3-slot rules also give a constituency sub-sentence's.
 
-Pooling takes the per-dimension maximum within each slot and records
-which node won every dimension (the provenance used for visualization
-and for routing gradients).
+Pooling takes the per-dimension maximum within each slot.  Which node
+won every dimension (the provenance used for visualization) is found
+when first read; the tape finds it on its own when it records, to route
+the gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .corpus_io import CONSTITUENCY, DEPENDENCY, ParseTree, TreeNode
 from .errors import ContractError
-from .tensor_core import Tape, Tensor
+from .tensor_core import Tape, Tensor, segment_winners
 
 GLOBAL = "global"
 THREE_SLOT = "3slot"
@@ -48,9 +50,18 @@ class SlotAssignment:
 
 @dataclass
 class PoolProvenance:
-    """Winning node index per slot and dimension (None for empty slots)."""
+    """Which node won each slot and dimension of one pooling of
+    `features` (see :func:`pool`)."""
 
-    winners: List[Optional[np.ndarray]]
+    features: Tensor
+    assignment: SlotAssignment
+
+    @cached_property
+    def winners(self) -> List[Optional[np.ndarray]]:
+        """Winning node index per slot and dimension (None for empty
+        slots), found on first read."""
+        return segment_winners(self.features, self.assignment.slot_of,
+                               self.assignment.slot_count)
 
     def credited(self) -> Iterator[Tuple[int, int, int]]:
         """Yield (slot, dimension, winning node) for every credited dim."""
@@ -129,13 +140,13 @@ def pool(tape: Tape, features: Tensor,
     the result is the (slot_count, n_c) pooled matrix, row s for slot s,
     recorded as one `segment_max` on the tape.  Ties go to the lowest
     node index.  Empty slots pool to zero rows and record no
-    provenance.  Gradient flows only to winning entries.
+    provenance.  Gradient flows only to winning entries.  The
+    provenance is computed only if its `winners` are read.
     """
     if len(assignment.slot_of) != features.data.shape[0]:
         raise ContractError(
             f"assignment covers {len(assignment.slot_of)} nodes, "
             f"feature map has {features.data.shape[0]}"
         )
-    pooled, winners = tape.segment_max(features, assignment.slot_of,
-                                       assignment.slot_count)
-    return pooled, PoolProvenance(winners=winners)
+    pooled = tape.segment_max(features, assignment.slot_of, assignment.slot_count)
+    return pooled, PoolProvenance(features, assignment)

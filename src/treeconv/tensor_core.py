@@ -12,7 +12,11 @@ simply absent from the map (and read as exactly zero through
 embedding table), which holds one row per row the lookups touched;
 :func:`grad_of` reads either as a dense array.  During the pass each
 lookup hands every matrix it read one block of rows, repeats included,
-and every sum runs in replay order.
+and every sum runs in replay order.  An array that a backward function
+hands on belongs to the gradient map alone, which sums later terms into
+it in place, so no op hands one array to two inputs (`add` copies for
+its second), and `edge_matmul` writes all its weights' gradients into
+one block, each a view of it.
 
 The tape records whole-array operations, so one layer of a minibatch of
 sentences is one record over the stacked n x d matrix of all their
@@ -20,11 +24,12 @@ nodes: `take_rows` (embedding lookup; rows of several matrices read as
 if stacked), `edge_matmul` (X @ W.T plus a bias row: an affine layer,
 and with edge products summed into destination rows the tree
 convolution), `sum_rows` (a segment sum of rows), `segment_max`
-(per-slot column maximum with winning rows, the pooling), `reshape`
-and the row-wise `cross_entropy` (with each row's gold-class underflow
-flag); elementwise `add`, `sub`, `mul`, `scale`, `relu`, `tanh` and
-`sumsq` complete the set.  A tape made with ``record=False`` evaluates
-the same operations and records nothing, which is how prediction runs.
+(per-slot column maximum, the pooling; :func:`segment_winners` names
+the winning rows), `reshape` and the row-wise `cross_entropy` (with
+each row's gold-class underflow flag); elementwise `add`, `sub`, `mul`,
+`scale`, `relu`, `tanh` and `sumsq` complete the set.  A tape made with
+``record=False`` evaluates the same operations and records nothing,
+which is how prediction runs.
 
 All data is float64 and all operations are plain numpy, so identical
 inputs produce bit-identical outputs.
@@ -87,8 +92,9 @@ def by_name(*tensors: Optional[Tensor]) -> List[Tuple[str, Tensor]]:
 
 
 def uniform_init(rng, shape) -> np.ndarray:
-    """Uniform +-sqrt(6/(fan_in+fan_out)) draws for a weight matrix."""
-    bound = np.sqrt(6.0 / (shape[0] + shape[1]))
+    """Uniform +-sqrt(6/(fan_in+fan_out)) draws for a weight matrix, or
+    for a stack of them: the last two axes are (fan_out, fan_in)."""
+    bound = np.sqrt(6.0 / (shape[-2] + shape[-1]))
     # the draws of rng.uniform(-bound, bound), scaled in place: 1.3x
     # faster on a 300 x 300 matrix
     draws = rng.random(shape)
@@ -161,7 +167,9 @@ def _add_grad(cur, g):
     running gradient `cur` (None, a dense array, or the blocks so far in a
     list, joined once when read) and return it.  Terms add in call order:
     a block joins the list or adds into a dense sum, and a dense term
-    turns the list dense.  A first dense term is stored as `g + 0.0`."""
+    turns the list dense.  A first dense term is stored as it is: the
+    array belongs to the gradient map from then on (see `Tape.backward`),
+    and later terms add into it in place."""
     if isinstance(g, RowGradient):
         if cur is None:
             return [g]
@@ -171,7 +179,7 @@ def _add_grad(cur, g):
             _scatter_add(cur, g.indices, g.rows)
         return cur
     if cur is None:
-        return g + 0.0
+        return g
     if isinstance(cur, list):
         cur = RowGradient.joined(cur).dense()
     cur += g
@@ -196,9 +204,9 @@ def _row_blocks(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _summed_blocks(G: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """G.T @ X, summed over blocks of GEMM_ROWS rows."""
-    out = G[:GEMM_ROWS].T @ X[:GEMM_ROWS]
+def _summed_blocks(G: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """G.T @ X, summed over blocks of GEMM_ROWS rows, written into `out`."""
+    np.matmul(G[:GEMM_ROWS].T, X[:GEMM_ROWS], out=out)
     for i in range(GEMM_ROWS, len(G), GEMM_ROWS):
         out += G[i:i + GEMM_ROWS].T @ X[i:i + GEMM_ROWS]
     return out
@@ -241,6 +249,64 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
 WIDE_SLOT = 2000
 
 
+def _segment_max(X: Tensor, slot_of: Sequence[int], count: int, winners: bool
+                 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """The (count, columns) per-slot column maxima of the matrix X, row v
+    in slot `slot_of[v]`; the non-empty slots; and, when `winners` is
+    set, each of their columns' winning row (present slots x columns).
+
+    The rows are ordered by slot (a stable sort, skipped when `slot_of`
+    is already non-decreasing), so each slot is one run of rows.
+    Narrow runs, of at most WIDE_SLOT entries per slot on average, all
+    reduce together: one `reduceat` gives the column maxima and a second,
+    only for `winners`, the lowest row not below them.  Wider runs take
+    one `argmax` each, which keeps them in cache and costs less; it
+    gives the winners too.
+    """
+    if X.data.ndim != 2:
+        raise ShapeError(f"segment_max: {X._label()} is not a matrix")
+    slots = np.asarray(slot_of, dtype=np.intp)
+    if slots.shape != X.data.shape[:1]:
+        raise ShapeError("segment_max: slot_of does not cover the rows")
+    n, columns = X.data.shape
+    data = np.zeros((count, columns))
+    if not n:
+        return data, slots, np.zeros((0, columns), dtype=np.intp)
+    order, ordered, by_slot = None, slots, X.data
+    if (slots[1:] < slots[:-1]).any():
+        order = slots.argsort(kind="stable")
+        ordered, by_slot = slots[order], X.data[order]
+    change = ordered[1:] != ordered[:-1]
+    starts = np.zeros(change.sum() + 1, dtype=np.intp)
+    starts[1:] = change.nonzero()[0] + 1
+    present = ordered[starts]
+    if X.data.size <= WIDE_SLOT * count:
+        data[present] = np.maximum.reduceat(by_slot, starts, axis=0)
+        if not winners:
+            return data, present, None
+        # a run's first row not below its peak
+        first = np.minimum.reduceat(
+            np.where(by_slot < data[ordered], n, np.arange(n)[:, None]),
+            starts, axis=0)
+    else:
+        ends = starts[1:].tolist() + [n]
+        first = np.array([a + by_slot[a:b].argmax(axis=0)
+                          for a, b in zip(starts.tolist(), ends)])
+        data[present] = by_slot[first, np.arange(columns)]
+    return data, present, first if order is None else order[first]
+
+
+def segment_winners(X: Tensor, slot_of: Sequence[int],
+                    count: int) -> List[Optional[np.ndarray]]:
+    """Per slot of :meth:`Tape.segment_max`, the winning row of every
+    column (ties resolve to the lowest row); None for an empty slot."""
+    _, present, won = _segment_max(X, slot_of, count, winners=True)
+    winners: List[Optional[np.ndarray]] = [None] * count
+    for slot, rows in zip(present.tolist(), won):
+        winners[slot] = rows
+    return winners
+
+
 class Tape:
     """Ordered record of primitive operations for one forward pass.
 
@@ -279,8 +345,8 @@ class Tape:
             def backward(g, accum, a=a, b=b):
                 if a.requires_grad:
                     accum(a, g)
-                if b.requires_grad:
-                    accum(b, g)
+                if b.requires_grad:  # g went to `a` already: b gets a copy
+                    accum(b, g.copy() if a.requires_grad else g)
             self._push(out, backward)
         return out
 
@@ -444,13 +510,15 @@ class Tape:
             def backward(g, accum, X=X, W=W, bias=bias, edges=tuple(edges)):
                 if bias.requires_grad:
                     accum(bias, g.sum(axis=0))
+                # the weights' gradients, one matrix of one block each
+                block = iter(np.empty((1 + len(edges),) + shape))
                 if W.requires_grad:
-                    accum(W, _summed_blocks(g, X.data))
+                    accum(W, _summed_blocks(g, X.data, next(block)))
                 dX = _row_blocks(g, W.data) if X.requires_grad else None
                 for W_e, src, dst in edges:
                     g_dst = g[dst]
                     if W_e.requires_grad:
-                        accum(W_e, _summed_blocks(g_dst, X.data[src]))
+                        accum(W_e, _summed_blocks(g_dst, X.data[src], next(block)))
                     if dX is not None:
                         _scatter_add(dX, src, _row_blocks(g_dst, W_e.data))
                 if dX is not None:
@@ -476,64 +544,22 @@ class Tape:
         return out
 
     def segment_max(self, X: Tensor, slot_of: Sequence[int],
-                    count: int) -> Tuple[Tensor, List[Optional[np.ndarray]]]:
-        """Per-column maximum over the rows of each slot.
-
-        Row `v` of `X` belongs to slot `slot_of[v]`.  Returns the
-        (count, columns) pooled matrix and, per slot, the winning row of
-        every column (ties resolve to the lowest row).  An empty slot
-        pools to zeros and has winners None.  Gradient flows only to the
-        winning entries.
-
-        The rows are ordered by slot (a stable sort, skipped when
-        `slot_of` is already non-decreasing), so each slot is one run of
-        rows.  Narrow runs, of at most WIDE_SLOT entries per slot on
-        average, all reduce together: one `reduceat` gives the column
-        maxima and a second the lowest row not below them.  Wider runs
-        take one `argmax` each, which keeps them in cache and costs less.
-        """
-        if X.data.ndim != 2:
-            raise ShapeError(f"segment_max: {X._label()} is not a matrix")
-        slots = np.asarray(slot_of, dtype=np.intp)
-        if slots.shape != X.data.shape[:1]:
-            raise ShapeError("segment_max: slot_of does not cover the rows")
-        n, columns = X.data.shape
-        cols = np.arange(columns)
-        data = np.zeros((count, columns))
-        winners: List[Optional[np.ndarray]] = [None] * count
-        present = slots[:0]  # the non-empty slots, and their winning rows
-        won = np.zeros((0, columns), dtype=np.intp)
-        if n:
-            order, ordered, by_slot = None, slots, X.data
-            if (slots[1:] < slots[:-1]).any():
-                order = slots.argsort(kind="stable")
-                ordered, by_slot = slots[order], X.data[order]
-            change = ordered[1:] != ordered[:-1]
-            starts = np.zeros(change.sum() + 1, dtype=np.intp)
-            starts[1:] = change.nonzero()[0] + 1
-            present = ordered[starts]
-            if X.data.size <= WIDE_SLOT * count:
-                data[present] = np.maximum.reduceat(by_slot, starts, axis=0)
-                # a run's first row not below its peak
-                first = np.minimum.reduceat(
-                    np.where(by_slot < data[ordered], n, np.arange(n)[:, None]),
-                    starts, axis=0)
-            else:
-                ends = starts[1:].tolist() + [n]
-                first = np.array([a + by_slot[a:b].argmax(axis=0)
-                                  for a, b in zip(starts.tolist(), ends)])
-                data[present] = by_slot[first, cols]
-            won = first if order is None else order[first]  # (slots, columns)
-            for slot, rows in zip(present.tolist(), won):
-                winners[slot] = rows
-        out = Tensor(data, requires_grad=self._tracks(X))
+                    count: int) -> Tensor:
+        """Per-column maximum over the rows of each slot: the (count,
+        columns) pooled matrix, row s the maxima of the rows v of `X`
+        with slot_of[v] == s.  An empty slot pools to zeros.  Gradient
+        flows only to the winning entries (see :func:`segment_winners`),
+        which are found only when the op is recorded."""
+        track = self._tracks(X)
+        data, present, won = _segment_max(X, slot_of, count, winners=track)
+        out = Tensor(data, requires_grad=track)
         if out.requires_grad:
             def backward(g, accum, X=X, present=present, won=won):
                 dX = np.zeros_like(X.data)
-                dX[won, cols] = g[present]
+                dX[won, np.arange(dX.shape[1])] = g[present]
                 accum(X, dX)
             self._push(out, backward)
-        return out, winners
+        return out
 
     def sumsq(self, x: Tensor) -> Tensor:
         """Sum of squared entries, as a scalar."""
@@ -593,6 +619,13 @@ class Tape:
         gets a :class:`RowGradient`, one row per touched index summed in
         replay order; any other leaf gets a dense ndarray.  Leaves the
         loss does not depend on are absent.  Read through :func:`grad_of`.
+
+        Each array a backward function passes to `accum` becomes the
+        map's own: it is stored as it is and later terms add into it in
+        place.  So every op hands each input a fresh array, a view of
+        the gradient it popped, or a view of a block of its own, never
+        one array to two inputs; and the caller may scale the map's
+        arrays in place (`sgd_epoch` does).
         """
         if not isinstance(loss, Tensor) or loss.data.size != 1:
             raise ContractError("backward: loss must be a scalar tensor")

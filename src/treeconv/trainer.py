@@ -61,10 +61,18 @@ class TrainReport:
 def _sample_roots(tree: ParseTree, config: TrainConfig) -> List[Optional[int]]:
     """The roots of `tree`'s samples in training order, None for the
     whole tree: with sub-sentences, every tagged constituent, then the
-    whole tree if it has a sentence label and no root tag."""
+    whole tree if it has a sentence label and no root tag.
+
+    A tagged root is the whole tree too (None, in its own place), so the
+    sentence trains toward its `sentence_label`, the class validation
+    and `eval` score it by.  A label file sets that class and replaces
+    the root's tag; the other tagged constituents keep their corpus
+    tags.  Without a label file the sentence label is the root's tag,
+    and the whole-tree sample has the root sample's rows and slots."""
     if config.variant != VARIANT_C or not config.use_subsentences:
         return [None]
-    roots: List[Optional[int]] = list(tagged_constituents(tree))
+    roots: List[Optional[int]] = [None if v == tree.root else v
+                                  for v in tagged_constituents(tree)]
     if tree.nodes[tree.root].label is None and tree.sentence_label is not None:
         roots.append(None)
     return roots

@@ -55,10 +55,13 @@ class WindowParams:
 
 def _init_window(n_c: int, n_e: int, child_names: Sequence[str], kind: str,
                  rng) -> WindowParams:
+    """W_p, then each child matrix, drawn in that order into one
+    (1 + keys, n_c, n_e) array: every matrix is a view of it, so the
+    window's weights are one allocation."""
+    W_p, *W_child = uniform_init(rng, (1 + len(child_names), n_c, n_e))
     return WindowParams(
-        W_p=parameter(uniform_init(rng, (n_c, n_e)), "conv.W_p"),
-        W_child=[parameter(uniform_init(rng, (n_c, n_e)), name)
-                 for name in child_names],
+        W_p=parameter(W_p, "conv.W_p"),
+        W_child=[parameter(W, name) for W, name in zip(W_child, child_names)],
         b=parameter(np.zeros(n_c), "conv.b"),
         kind=kind,
     )

@@ -1065,6 +1065,60 @@ class TestLabelFiles:
                      "--labels", str(val_labels)]) == 0
         assert "overall accuracy 0.5000 (1/2)" in capsys.readouterr().out
 
+    def test_c_train_and_eval_agree_on_inverted_labels(self, tmp_path,
+                                                        toy_c_config,
+                                                        monkeypatch):
+        """A label file that inverts every root tag of tiny_con: `train`
+        trains each whole sentence toward the class `eval` scores it by,
+        the file's."""
+        from treeconv.network import SentenceClassifier
+
+        lines = (DATA / "tiny_con.txt").read_text().splitlines()
+        labels = tmp_path / "inverted.lbl"
+        labels.write_text("".join(f"{1 - int(line[1])}\t{i}\n"
+                                  for i, line in enumerate(lines)))
+        config = tmp_path / "one_epoch.cfg"
+        config.write_text(Path(toy_c_config).read_text().replace(
+            "max_epochs = 25", "max_epochs = 1"))
+
+        def words(tree):
+            return " ".join(node.word for node in tree.nodes if node.word)
+
+        trained = {}
+        real_loss = SentenceClassifier.loss
+
+        def loss_spy(self, tape, samples, gold, rng=None):
+            for span, cls in zip(samples, gold):
+                offsets = span.index.offsets
+                if span.start in offsets:
+                    t = offsets.index(span.start)
+                    if span.stop == offsets[t + 1]:  # a whole tree
+                        trained.setdefault(words(span.index.trees[t]),
+                                           set()).add(int(cls))
+            return real_loss(self, tape, samples, gold, rng)
+
+        monkeypatch.setattr(SentenceClassifier, "loss", loss_spy)
+        out = tmp_path / "inverted.ckpt"
+        corpus = str(DATA / "tiny_con.txt")
+        assert main(["train", "--config", str(config), "--train", corpus,
+                     "--labels", str(labels), "--val", corpus,
+                     "--val-labels", str(labels), "--out", str(out)]) == 0
+
+        scored = {}
+        real_evaluate = trainer.evaluate
+
+        def evaluate_spy(model, trees, **kwargs):
+            scored.update((words(tree), {tree.sentence_label}) for tree in trees)
+            return real_evaluate(model, trees, **kwargs)
+
+        monkeypatch.setattr(trainer, "evaluate", evaluate_spy)
+        assert main(["eval", "--checkpoint", str(out), "--input", corpus,
+                     "--labels", str(labels)]) == 0
+        assert len(scored) == len(lines)
+        assert trained == scored
+        assert scored == {words(parse_constituency(line)): {1 - int(line[1])}
+                          for line in lines}
+
     def test_label_outside_training_names_exits_3(self, tmp_path, capsys):
         train_args, _, val_labels = _abc_files(tmp_path)
         val_labels.write_text("A\t0\nD\t1\n")

@@ -57,6 +57,7 @@ from treeconv.tensor_core import (
     WIDE_SLOT,
     RowGradient,
     _scatter_add,
+    segment_winners,
     Tape,
     Tensor,
     grad_of,
@@ -603,16 +604,20 @@ def naive_segment_max(X, slot_of, count):
 
 
 def check_segment_max(X, slot_of, count, coeffs):
-    """`segment_max` against the row loop: pooled values, winners, and
-    the gradient of sum(coeffs * pooled), which each slot's coefficients
-    reach at its winning entries and nowhere else."""
+    """`segment_max` against the row loop: pooled values, recorded and
+    not, `segment_winners`, and the gradient of sum(coeffs * pooled),
+    which each slot's coefficients reach at its winning entries and
+    nowhere else."""
     cols = X.shape[1]
     want, want_winners = naive_segment_max(X, slot_of, count)
 
     X_ = parameter(X, "X")
+    assert np.array_equal(Tape(record=False).segment_max(X_, slot_of, count).data,
+                          want)
     tape = Tape()
-    pooled, winners = tape.segment_max(X_, slot_of, count)
+    pooled = tape.segment_max(X_, slot_of, count)
     assert np.array_equal(pooled.data, want)
+    winners = segment_winners(X_, slot_of, count)
     assert [None if w is None else w.tolist() for w in winners] == want_winners
 
     weighted = tape.reshape(tape.mul(pooled, Tensor(coeffs)), (-1, 1))

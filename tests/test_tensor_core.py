@@ -11,6 +11,8 @@ from treeconv.tensor_core import (
     grad_of,
     parameter,
     _scatter_add,
+    segment_winners,
+    sgd_epoch,
     softmax_probs,
 )
 
@@ -225,6 +227,93 @@ class TestGradientMap:
         assert np.count_nonzero(np.abs(dense).sum(axis=1)) == 3
 
 
+def _ownership_graph(name, rng):
+    """(build, parameter arrays) of a loss through one op whose inputs'
+    gradients later take a second term in place.
+
+    `add` of one parameter twice or of two, `sub` and `reshape` (a
+    `scale` of it) each hand terms to their inputs before `side`, which
+    is recorded first and so replayed last.  `edge_matmul` runs over
+    2 * GEMM_ROWS + 10 rows with W_p and two edge matrices, views of one
+    (3, 2, 3) block, one with more than GEMM_ROWS edges; W_p is read by
+    a second product too."""
+    if name == "edge_matmul":
+        rows = 2 * GEMM_ROWS + 10
+        X, X2 = (Tensor(rng.normal(size=(rows, 3))) for _ in range(2))
+        links = [(rng.integers(0, rows, n), rng.integers(0, rows, n))
+                 for n in (GEMM_ROWS + 50, 20)]
+        coeffs = Tensor(rng.normal(size=(rows, 2)))
+
+        def build(tape, ps):
+            W, W_1, W_2, b = ps
+            edges = [(W_e, src, dst) for W_e, (src, dst) in zip((W_1, W_2), links)]
+            out = tape.add(tape.edge_matmul(X, W, b, edges),
+                           tape.edge_matmul(X2, W, b))
+            return tape.sumsq(tape.mul(out, coeffs))
+
+        return build, list(rng.normal(size=(3, 2, 3))) + [rng.normal(size=2)]
+    coeffs = Tensor(rng.normal(size=6))
+
+    def build(tape, ps):
+        a, m = ps
+        flat = tape.reshape(m, -1)
+        side = tape.mul(a, tape.tanh(flat))
+        first = {"add_twice": lambda: tape.add(a, a),
+                 "add_two": lambda: tape.add(a, flat),
+                 "sub": lambda: tape.sub(flat, a),
+                 "reshape": lambda: tape.scale(flat, 2.0)}[name]()
+        return tape.sumsq(tape.mul(tape.add(tape.tanh(first), side), coeffs))
+
+    return build, [rng.normal(size=6), rng.normal(size=(2, 3))]
+
+
+class TestGradientOwnership:
+    """Each array a backward pass hands on belongs to the gradient map
+    alone: no two entries share memory, each is the finite-difference
+    gradient, and an SGD step on views of one block moves each parameter
+    by its own gradient only."""
+
+    GRAPHS = ["add_twice", "add_two", "sub", "reshape", "edge_matmul"]
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_entries_are_disjoint_and_exact(self, name):
+        build, arrays = _ownership_graph(name, np.random.default_rng(31))
+        params = [parameter(a, f"p{i}") for i, a in enumerate(arrays)]
+        tape = Tape()
+        grads = tape.backward(build(tape, params))
+        assert set(grads) == set(params)
+        values = list(grads.values())
+        for i, g in enumerate(values):
+            assert isinstance(g, np.ndarray)
+            for h in values[i + 1:]:
+                assert not np.shares_memory(g, h)
+
+        def loss():
+            return build(Tape(record=False), params).item()
+
+        pairs = [(p.data, grad_of(grads, p)) for p in params]
+        assert max_grad_error(loss, pairs, eps=1e-6) < 1e-6
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_sgd_step_moves_each_parameter_by_its_own_gradient(self, name):
+        build, arrays = _ownership_graph(name, np.random.default_rng(32))
+        params = [parameter(a, f"p{i}") for i, a in enumerate(arrays)]
+        tape = Tape()
+        grads = tape.backward(build(tape, params))
+        want = {p: grad_of(grads, p).copy() for p in params}
+        before = {p: p.data.copy() for p in params}
+        lr = 0.1
+
+        def batch_loss(tape, batch):
+            node = build(tape, params)
+            return node, [node.item()], 1
+
+        sgd_epoch([0], batch_loss, [(p.name, p) for p in params], lr, 1,
+                  np.random.default_rng(0))
+        for p in params:
+            assert p.data.tobytes() == (before[p] - want[p] * lr).tobytes()
+
+
 class TestOpGradients:
     """Finite-difference checks for each primitive, composed a level up."""
 
@@ -274,8 +363,7 @@ class TestOpGradients:
 
         def build(tape, ps):
             stacked = tape.reshape(concat(tape, ps), (len(ps), -1))
-            pooled = tape.reshape(tape.segment_max(stacked, [0] * len(ps), 1)[0],
-                                  -1)
+            pooled = tape.reshape(tape.segment_max(stacked, [0] * len(ps), 1), -1)
             return tape.sumsq(tape.mul(pooled, Tensor(coeffs)))
 
         self._check(build, xs)
@@ -451,13 +539,14 @@ class TestOpGradients:
         slot_of = [0, 2, 0, 2, 2]  # slot 1 is empty
 
         def build(tape, ps):
-            pooled, _ = tape.segment_max(ps[0], slot_of, 3)
+            pooled = tape.segment_max(ps[0], slot_of, 3)
             return tape.sumsq(tape.mul(pooled, Tensor(coeffs)))
 
         self._check(build, [X])
         X_ = parameter(X, "X")
         tape = Tape()
-        pooled, winners = tape.segment_max(X_, slot_of, 3)
+        pooled = tape.segment_max(X_, slot_of, 3)
+        winners = segment_winners(X_, slot_of, 3)
         assert np.array_equal(pooled.data[1], np.zeros(3))
         assert winners[1] is None
         for slot, members in ((0, [0, 2]), (2, [1, 3, 4])):
@@ -474,7 +563,8 @@ class TestOpGradients:
 
     def test_segment_max_tie_goes_to_lowest_row(self):
         X = Tensor([[1.0, 5.0], [2.0, 5.0], [2.0, 0.0]])
-        pooled, (arg,) = Tape().segment_max(X, [0, 0, 0], 1)
+        pooled = Tape().segment_max(X, [0, 0, 0], 1)
+        (arg,) = segment_winners(X, [0, 0, 0], 1)
         assert np.array_equal(arg, [1, 0])
         assert np.array_equal(pooled.data, [[2.0, 5.0]])
 
@@ -494,8 +584,7 @@ class TestTapeProperties:
     def test_dimwise_max_tie_break_is_lowest_index(self):
         a = Tensor([1.0, 5.0])
         b = Tensor([1.0, 5.0])
-        _, (arg,) = Tape().segment_max(Tensor(np.stack([a.data, b.data])),
-                                       [0, 0], 1)
+        (arg,) = segment_winners(Tensor(np.stack([a.data, b.data])), [0, 0], 1)
         assert np.array_equal(arg, [0, 0])
 
     def test_stabilized_softmax_handles_huge_logits(self):

@@ -758,8 +758,36 @@ class TestSubsentenceExpansion:
         tree = parse_constituency("(3 (2 I) (3 (3 loved) (2 it)))")
         config = small_config("c")
         roots = _sample_roots(tree, config)
-        assert len(roots) == 5  # every tagged node, root included
-        assert sorted(tree.nodes[v].label for v in roots) == [2, 2, 3, 3, 3]
+        assert len(roots) == 5  # every tagged node, the root as None
+        assert roots[0] is None  # the tagged root trains as the whole tree
+        assert sorted(tree.nodes[v].label for v in roots[1:]) == [2, 2, 3, 3]
+        assert tree.sentence_label == 3
+
+    def test_root_samples_train_toward_the_label_files_class(self):
+        """A label file's class, not the root's corpus tag, is the gold
+        of the sentence's one whole-tree sample, for a tagged and for an
+        untagged root; sub-sentences keep their tags."""
+        from treeconv.corpus_io import attach_labels
+        from treeconv.trainer import _read_trees, _sample_roots, _sample_spans
+
+        (trees,), _, table = bound_con_corpus(
+            ["(1 (0 a) (1 b))", "(X (0 a) (1 b))"])
+        attach_labels(trees, [("0", 0), ("1", 1)])  # tree 0's root tag is 1
+        config = small_config("c", n_e=4)
+        model = init_model(config, table, np.random.default_rng(0))
+        roots = [_sample_roots(tree, config) for tree in trees]
+        assert roots == [[None, 1, 2], [1, 2, None]]
+        samples, _ = _sample_spans(model, _read_trees(trees, roots, trees[:1]),
+                                   trees, roots, trees[:1])
+        pairs = [(tree, v) for tree, nodes in zip(trees, roots) for v in nodes]
+        whole = [(tree, span) for (tree, v), span in zip(pairs, samples)
+                 if v is None]
+        assert [tree for tree, _ in whole] == trees
+        for tree, span in whole:
+            assert len(span) == len(tree)
+        assert [span.label for _, span in whole] == [0, 1]
+        assert [span.label for (_, v), span in zip(pairs, samples)
+                if v is not None] == [0, 1, 0, 1]
 
     def test_expansion_can_be_disabled(self):
         from treeconv.corpus_io import parse_constituency

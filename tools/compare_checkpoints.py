@@ -36,7 +36,13 @@ and restored, and a change to which rows a run trains, or to how the
 saved table joins them with the rows it does not read, changes the
 checkpoint.  A twelfth run is `gradcheck`, whose printed
 output (every parameter's worst relative error, for both variants, four
-configurations each) is compared in place of a checkpoint.
+configurations each) is compared in place of a checkpoint.  A
+thirteenth run is CLI `train` of a d-model, three epochs in batches of
+16, on 48 dependency trees this script writes, nine links in ten of one
+relation: every batch holds more than GEMM_ROWS (128) child rows of
+that relation, so its weight gradient sums GEMM_ROWS-row products into
+its slice of the batch's gradient block, and a change in how a batch's
+weight gradients are summed or stored changes the checkpoint.
 
 For every run it prints the sha256 of both checkouts' files and
 "identical" or "differ"; a difference also gives, for a checkpoint whose
@@ -186,6 +192,25 @@ def _wide_corpus() -> str:
     return "".join(out)
 
 
+def _wide_dep_corpus() -> str:
+    """48 random 14-word dependency trees in CoNLL, each word's head an
+    earlier word (the first word is the root), nine links in ten
+    labelled `dep` and the rest `amod` or `det`: a batch of 16 trees
+    holds about 190 `dep` child rows, more than GEMM_ROWS (128)."""
+    rng = random.Random(11)
+    vocab = ["good", "bad", "film", "plot", "cast", "fun", "dull", "great"]
+    blocks = []
+    for _ in range(48):
+        rows = []
+        for i in range(1, 15):
+            head = rng.randrange(1, i) if i > 1 else 0
+            rel = ("root" if i == 1 else "dep" if rng.random() < 0.9
+                   else rng.choice(["amod", "det"]))
+            rows.append(f"{i}\t{rng.choice(vocab)}\t_\t_\t_\t_\t{head}\t{rel}\n")
+        blocks.append("".join(rows))
+    return "\n".join(blocks)
+
+
 # trains the baseline under a seed, validated on the first n_val trees,
 # and writes its head arrays and the class probabilities it gives every
 # tiny_dep tree as MAGIC, the header length, a JSON header with the
@@ -234,7 +259,11 @@ def _runs(work: Path) -> Dict[str, List[str]]:
                "c_global.cfg": _C.format(dropout=0.2, epochs=5).replace(
                    "pooling = 3slot", "pooling = global"),
                "c_plain.cfg": _C.format(dropout=0.0, epochs=5),
-               "c_wide.cfg": _C.format(dropout=0.2, epochs=1)}
+               "c_wide.cfg": _C.format(dropout=0.2, epochs=1),
+               "d_batches.cfg": _D_TRAINED.replace("batch_size = 4",
+                                                   "batch_size = 16")
+                                           .replace("max_epochs = 6",
+                                                    "max_epochs = 3")}
     for name, text in configs.items():
         (work / name).write_text(text)
     (work / "chains_con.txt").write_text(_CHAINS)
@@ -244,6 +273,8 @@ def _runs(work: Path) -> Dict[str, List[str]]:
     (work / "six_dep.lbl").write_text(_labels(6))
     (work / "unseen_dep.conll").write_text("\n".join(map(_svo, _UNSEEN_VAL)))
     (work / "unseen_dep.lbl").write_text(_labels(len(_UNSEEN_VAL)))
+    (work / "wide_dep.conll").write_text(_wide_dep_corpus())
+    (work / "wide_dep.lbl").write_text(_labels(48))
     cli = ["-m", "treeconv"]
     train = cli + ["train", "--out", OUT]
     dep = ["--train", str(DATA / "tiny_dep.conll"),
@@ -288,6 +319,10 @@ def _runs(work: Path) -> Dict[str, List[str]]:
                    "--embeddings", str(DATA / "tiny_embeddings.txt")],
         "gradcheck":
             cli + ["gradcheck"],
+        "train wide_dep, several batches, a relation over GEMM_ROWS rows":
+            train + ["--config", str(work / "d_batches.cfg"),
+                   "--train", str(work / "wide_dep.conll"),
+                   "--labels", str(work / "wide_dep.lbl")],
     }
 
 
