@@ -180,7 +180,9 @@ def _label_trees(trees, labels_path, what, classes, names=None, tags=False):
     """Attach labels from a file, mapped through the class `names` when
     given, or fall back to the trees' own tags.  Every class the run
     reads, each sentence's and, with `tags`, each tagged constituent's,
-    must be one of `classes`; a DataError names where one came from."""
+    must be one of `classes`; a DataError names where one came from.  A
+    label file's class replaces its sentence's root tag (see
+    `trainer._sample_roots`), so that tag is not read or checked."""
     from_file = set()
     if labels_path is not None:
         pairs = _with_path(labels_path, lambda: read_label_file(labels_path))
@@ -196,7 +198,8 @@ def _label_trees(trees, labels_path, what, classes, names=None, tags=False):
     for i, tree in enumerate(trees):
         read = [(labels_path if i in from_file else what, tree.sentence_label)]
         if tags:
-            read += [(what, tree.nodes[v].label) for v in tagged_constituents(tree)]
+            read += [(what, tree.nodes[v].label) for v in tagged_constituents(tree)
+                     if not (v == tree.root and i in from_file)]
         for source, label in read:
             if not 0 <= label < classes:
                 raise DataError(f"{source}: sentence {i} has gold class "

@@ -115,18 +115,35 @@ def _scatter_add(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     """out[rows] += values, where `rows` is an index array, `values` holds
     one row per index and a repeated row sums its values in order.
 
-    Every row scatter on the tape runs here.  Above FLAT_SCATTER entries
-    a C-contiguous `out` takes one 1-D `np.add.at` over its flat entries
-    (row r, column j at r * width + j), which numpy runs several times
-    faster than the 2-D call; both add entry by entry in index order, so
-    the sums are the same bytes.
+    Every row scatter on the tape runs here.  Above FLAT_SCATTER entries,
+    rows that strictly increase, all from the start or all from the end
+    (so that no -1 aliases a row n - 1), are distinct and take one fancy
+    `+=`: 2-3x faster than `np.add.at` at width 300 for up to 200 rows
+    (9.0 against 18.4 us for 20 rows, 50.5 against 147.9 us for 200,
+    the check included).  Within one child key `tree_conv.forest` lists
+    destination rows in increasing order, so the convolution's forward
+    child sums take this path for a c-window's left and right children
+    and for a relation no parent repeats.  Other rows take one 1-D
+    `np.add.at` over the flat entries of a C-contiguous `out` (row r,
+    column j at r * width + j), which numpy runs several times faster
+    than the 2-D call, its index built for GEMM_ROWS rows at a time so
+    that it never grows as large as `values`.  Every form adds each
+    entry once, in index order, so the sums are the same bytes.
     """
-    if values.size <= FLAT_SCATTER or out.ndim < 2 or not out.flags.c_contiguous:
+    if values.size <= FLAT_SCATTER:
+        np.add.at(out, rows, values)
+        return
+    rows = np.asarray(rows, dtype=np.intp)
+    if (rows[0] >= 0 or rows[-1] < 0) and (rows[1:] > rows[:-1]).all():
+        out[rows] += values
+    elif out.ndim < 2 or not out.flags.c_contiguous:
         np.add.at(out, rows, values)
     else:
         width = out[0].size
-        at = np.asarray(rows, dtype=np.intp)[:, None] * width + np.arange(width)
-        np.add.at(out.reshape(-1), at.reshape(-1), values.reshape(-1))
+        flat, columns = out.reshape(-1), np.arange(width)
+        for i in range(0, len(rows), GEMM_ROWS):
+            at = rows[i:i + GEMM_ROWS, None] * width + columns
+            np.add.at(flat, at.reshape(-1), values[i:i + GEMM_ROWS].reshape(-1))
 
 
 @dataclass(eq=False)
@@ -244,9 +261,19 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-# entries per slot above which `segment_max` reduces slot by slot (the
-# two forms cost the same near 2000 on a 40-tree batch)
+# entries per slot above which `segment_max` with winners reduces slot by
+# slot (the two forms cost the same near 2000 on a 40-tree batch)
 WIDE_SLOT = 2000
+
+# columns from which `segment_max` without winners reduces slot by slot.
+# `reduceat` over axis 0 pays about 15 ns per slot and column, so its
+# cost follows the width; one `np.maximum.reduce` per slot pays about
+# 1.2 us.  Runs of 2-40 rows in 2-100 slots (timeit, numpy 2.4, 2-core
+# Xeon): at 300 columns the loop took 0.18-0.34x the `reduceat` time,
+# at 100 columns 0.54-0.88x, at 60 columns 0.72-1.38x and at 30 columns
+# 1.06-2.72x.  Slots of one row each favour `reduceat` up to about 300
+# columns (1.0-2.5x at 100 columns, 0.72-0.92x at 300).
+WIDE_ROW = 100
 
 
 def _segment_max(X: Tensor, slot_of: Sequence[int], count: int, winners: bool
@@ -257,11 +284,14 @@ def _segment_max(X: Tensor, slot_of: Sequence[int], count: int, winners: bool
 
     The rows are ordered by slot (a stable sort, skipped when `slot_of`
     is already non-decreasing), so each slot is one run of rows.
-    Narrow runs, of at most WIDE_SLOT entries per slot on average, all
-    reduce together: one `reduceat` gives the column maxima and a second,
-    only for `winners`, the lowest row not below them.  Wider runs take
-    one `argmax` each, which keeps them in cache and costs less; it
-    gives the winners too.
+    Without winners, a matrix of at least WIDE_ROW columns reduces each
+    run with one `np.maximum.reduce` into its slot's row, and a narrower
+    one all runs with one `reduceat`.  With winners, narrow runs, of at
+    most WIDE_SLOT entries per slot on average, reduce together: one
+    `reduceat` gives the column maxima and a second the lowest row not
+    below them.  Wider runs take one `argmax` each, which keeps them in
+    cache and costs less.  A maximum is exact, so every form gives the
+    same bytes.
     """
     if X.data.ndim != 2:
         raise ShapeError(f"segment_max: {X._label()} is not a matrix")
@@ -280,6 +310,11 @@ def _segment_max(X: Tensor, slot_of: Sequence[int], count: int, winners: bool
     starts = np.zeros(change.sum() + 1, dtype=np.intp)
     starts[1:] = change.nonzero()[0] + 1
     present = ordered[starts]
+    if not winners and columns >= WIDE_ROW:
+        ends = starts[1:].tolist() + [n]
+        for slot, a, b in zip(present.tolist(), starts.tolist(), ends):
+            np.maximum.reduce(by_slot[a:b], axis=0, out=data[slot])
+        return data, present, None
     if X.data.size <= WIDE_SLOT * count:
         data[present] = np.maximum.reduceat(by_slot, starts, axis=0)
         if not winners:

@@ -1180,6 +1180,36 @@ class TestGoldClassOutOfRange:
                 "2 classes") in captured.err
         assert not out.exists()
 
+    def _tag_files(self, tmp_path, second):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text(f"(4 (0 critics) (1 liked))\n{second}\n")
+        labels = tmp_path / "c.lbl"
+        labels.write_text("POS\t0\nNEG\t1\n")
+        return corpus, labels
+
+    def test_c_train_skips_a_root_tag_the_label_file_replaces(
+            self, tmp_path, toy_c_config, capsys):
+        corpus, labels = self._tag_files(tmp_path, "(0 (0 critics) (0 hated))")
+        out = tmp_path / "c.ckpt"
+        code = main(["train", "--config", toy_c_config, "--train", str(corpus),
+                     "--labels", str(labels), "--val", str(corpus),
+                     "--val-labels", str(labels), "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert out.exists()
+
+    def test_c_train_of_a_constituent_tag_under_a_label_file(
+            self, tmp_path, toy_c_config, monkeypatch, capsys):
+        _forbid_embeddings(monkeypatch)
+        corpus, labels = self._tag_files(tmp_path, "(0 (0 critics) (5 hated))")
+        out = tmp_path / "c.ckpt"
+        code = main(["train", "--config", toy_c_config, "--train", str(corpus),
+                     "--labels", str(labels), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert (f"{corpus}: sentence 1 has gold class 5, outside the "
+                "2 classes") in err
+        assert not out.exists()
+
     def test_d_train_of_a_label_file_with_more_classes(
             self, tmp_path, toy_d_config, monkeypatch, capsys):
         _forbid_embeddings(monkeypatch)

@@ -54,6 +54,8 @@ from treeconv.synthetic import random_dependency_tree
 from treeconv.tensor_core import (
     EVAL_NODES,
     FLAT_SCATTER,
+    GEMM_ROWS,
+    WIDE_ROW,
     WIDE_SLOT,
     RowGradient,
     _scatter_add,
@@ -651,13 +653,17 @@ def test_segment_max_matches_per_slot_loop(rng, rows, cols, count):
 
 @PROPERTY
 @given(RANDOMS, st.integers(1, 12), st.integers(1, 4), st.booleans(),
-       st.booleans())
+       st.sampled_from(["narrow", "wide rows", "wide slots"]))
 def test_segment_max_matches_per_slot_loop_on_batches(rng, trees, per_tree,
-                                                      in_order, wide):
+                                                      in_order, width):
     """Slot maps shaped like a minibatch's: tree b's rows use slots
     b * per_tree ... b * per_tree + per_tree - 1, in row order (k-slot
     and global pooling) or shuffled within the tree (3-slot), some slots
-    empty.  Narrow and wide maps reach both reduction forms."""
+    empty.  The widths reach every reduction form: without winners,
+    `reduceat` below WIDE_ROW columns (the QC regime's n_c = 30 or
+    fewer) and a loop over slots from there (the sentiment regime's 300
+    or more); with winners, `reduceat` up to WIDE_SLOT entries a slot
+    and `argmax` above."""
     slot_of = []
     for b in range(trees):
         own = [b * per_tree + rng.randrange(per_tree)
@@ -665,34 +671,51 @@ def test_segment_max_matches_per_slot_loop_on_batches(rng, trees, per_tree,
         slot_of += sorted(own) if in_order else own
     count = trees * per_tree
     rows = len(slot_of)
-    # columns that put the map on either side of WIDE_SLOT entries a slot
-    cols = (WIDE_SLOT * count // rows + 1 if wide
-            else rng.randint(1, max(1, WIDE_SLOT * count // rows)))
+    most = WIDE_SLOT * count // rows  # columns within WIDE_SLOT entries a slot
+    cols = {"narrow": rng.randint(1, 30), "wide rows": rng.randint(300, most),
+            "wide slots": most + 1 + rng.randrange(50)}[width]
     X = small_integers(rng, rows, cols)
-    assert (X.size > WIDE_SLOT * count) == wide
+    assert (cols >= WIDE_ROW) == (width != "narrow")
+    assert (X.size > WIDE_SLOT * count) == (width == "wide slots")
     check_segment_max(X, slot_of, count, random_coeffs(rng, count, cols))
 
 
 @PROPERTY
-@given(RANDOMS, st.booleans(), st.sampled_from(["uniform", "zipf"]),
+@given(RANDOMS, st.booleans(),
+       st.sampled_from(["uniform", "zipf", "increasing", "sorted", "aliased"]),
        st.booleans())
 def test_scatter_add_is_np_add_at_bytewise(rng, flat, spread, one_d):
     """`_scatter_add` against the 2-D `np.add.at`, byte for byte: random
-    widths, rows repeated at random or Zipf-heavy (a few rows take most
-    of the additions), blocks on either side of FLAT_SCATTER entries,
-    and a 1-D `out`.  Values span 16 decades, so adding a row's values
-    in another order would change the sum's last bits."""
+    widths; rows repeated at random or Zipf-heavy (a few rows take most
+    of the additions), strictly increasing, sorted with a repeat, or
+    strictly increasing across both signs with negative rows aliasing
+    later positive ones (-1 and n_out - 1 are one row); blocks on either
+    side of FLAT_SCATTER entries, and a 1-D `out`.  Values span 16
+    decades, so adding a row's values in another order would change the
+    sum's last bits."""
     nprng = np.random.default_rng(rng.randrange(2 ** 32))
-    n_out = rng.randint(1, 60)
     width = 1 if one_d else rng.randint(1, 400)
-    # rows that put the block on either side of FLAT_SCATTER entries
-    n = (FLAT_SCATTER // width + 1 + rng.randrange(40) if flat
+    # rows that put the block on either side of FLAT_SCATTER entries; a
+    # large block spans several GEMM_ROWS-row blocks of the flat index
+    n = (FLAT_SCATTER // width + 1 + rng.randrange(2 * GEMM_ROWS) if flat
          else rng.randint(1, FLAT_SCATTER // width))
+    n_out = rng.randint(1, 60)
     if spread == "zipf":
         rows = np.minimum(nprng.zipf(1.5, n) - 1, n_out - 1)
+    elif spread == "increasing":
+        n_out = n + rng.randrange(60)
+        rows = np.sort(nprng.choice(n_out, n, replace=False))
+    elif spread == "sorted":
+        rows = np.sort(nprng.integers(0, n_out, n))
+        if n > 1:
+            rows[-1] = rows[-2]  # a repeat, in order
+    elif spread == "aliased":
+        n_out = n + rng.randrange(60)
+        kept = np.sort(nprng.choice(n_out, n - n // 2, replace=False))
+        rows = np.concatenate([kept[:n // 2] - n_out, kept])
     else:
         rows = nprng.integers(0, n_out, n)
-    if rng.random() < 0.25:
+    if spread != "aliased" and rng.random() < 0.25:
         rows = rows - n_out  # the same rows, counted from the end
     shape = (n_out,) if one_d else (n_out, width)
     values = (nprng.normal(size=(n,) + shape[1:])

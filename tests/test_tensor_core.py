@@ -206,6 +206,24 @@ class TestScatterAdd:
             assert out.tobytes() == want.tobytes()
             assert out.any()
 
+    @pytest.mark.parametrize("rows", [
+        np.arange(2 * GEMM_ROWS + 7) % 4,  # repeats: the flat index, in blocks
+        np.array([-1, 3]),  # increasing, but one row twice
+        np.arange(-3, 0),  # distinct, counted from the end
+    ], ids=["repeats over GEMM_ROWS rows", "-1 and its row", "negative"])
+    def test_a_large_block_adds_like_np_add_at(self, rows):
+        """Above FLAT_SCATTER entries every row form sums like the 2-D
+        `np.add.at`, byte for byte."""
+        rng = np.random.default_rng(5)
+        width = FLAT_SCATTER // len(rows) + 1
+        values = rng.normal(size=(len(rows), width)) * 10.0 ** rng.integers(
+            -8, 8, size=(len(rows), width))
+        out = rng.normal(size=(4, width))
+        want = out.copy()
+        np.add.at(want, rows, values)
+        _scatter_add(out, rows, values)
+        assert out.tobytes() == want.tobytes()
+
 
 class TestGradientMap:
     def test_every_value_has_nbytes_and_lookups_stay_sparse(self):

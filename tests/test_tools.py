@@ -19,7 +19,7 @@ def test_compare_checkpoints_finds_this_checkout_identical():
     assert done.returncode == 0, done.stdout + done.stderr
     verdicts = [line.strip() for line in done.stdout.splitlines()
                 if line.strip().startswith(("other checkout:", "second run:"))]
-    assert len(verdicts) == 26, done.stdout
+    assert len(verdicts) == 28, done.stdout
     assert all(v.endswith(": identical") for v in verdicts), done.stdout
     counts = [line for line in done.stdout.splitlines()
               if line.startswith("lines of src/treeconv/*.py: ")]

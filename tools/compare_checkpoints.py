@@ -42,7 +42,17 @@ thirteenth run is CLI `train` of a d-model, three epochs in batches of
 relation: every batch holds more than GEMM_ROWS (128) child rows of
 that relation, so its weight gradient sums GEMM_ROWS-row products into
 its slice of the batch's gradient block, and a change in how a batch's
-weight gradients are summed or stored changes the checkpoint.
+weight gradients are summed or stored changes the checkpoint.  A
+fourteenth run is a short program that builds seeded, untrained d- and
+c-models at the sentiment regime's n_c = 300 for the wide_dep and
+wide_con corpora of the runs above, and writes in the checkpoint layout
+the class probabilities each gives every tree of its corpus, through
+`predict` one tree at a time and `predict_batch` for all of them.  At
+300 columns prediction pools each slot with one `np.maximum.reduce`,
+the convolution adds distinct child rows with one fancy add, and a
+relation with repeated parents over GEMM_ROWS rows takes the flat
+`np.add.at` in blocks, none of which the trained runs' tiny models
+reach; a change in these kernels' results changes the file.
 
 For every run it prints the sha256 of both checkouts' files and
 "identical" or "differ"; a difference also gives, for a checkpoint whose
@@ -211,13 +221,25 @@ def _wide_dep_corpus() -> str:
     return "\n".join(blocks)
 
 
+# writes (name, array) pairs as MAGIC, the header length, a JSON header
+# with the arrays' names and shapes, a newline and the little-endian
+# float64 payload
+_WRITE = """
+import json
+def write(out, arrays):
+    blob = json.dumps({"arrays": [{"name": n, "shape": list(a.shape)}
+                                  for n, a in arrays]}).encode()
+    with open(out, "wb") as fh:
+        fh.write(b"treeconv-checkpoint\\n" + b"%d\\n" % len(blob) + blob + b"\\n")
+        for _, a in arrays:
+            fh.write(a.astype("<f8").tobytes())
+"""
+
 # trains the baseline under a seed, validated on the first n_val trees,
 # and writes its head arrays and the class probabilities it gives every
-# tiny_dep tree as MAGIC, the header length, a JSON header with the
-# arrays' names and shapes, a newline and the little-endian float64
-# payload
-_BAG = """
-import json, sys
+# tiny_dep tree
+_BAG = _WRITE + """
+import sys
 import numpy as np
 from treeconv.baseline import train_bag_baseline
 from treeconv.config import TrainConfig
@@ -238,12 +260,37 @@ model, _ = train_bag_baseline(trees, trees[:n_val],
 arrays = [(n, p.data) for n, p in model.named() if n.startswith("head.")]
 arrays.append(("probabilities", np.array(
     [pred.probabilities for pred in model.predict_batch(trees)])))
-blob = json.dumps({"arrays": [{"name": n, "shape": list(a.shape)}
-                              for n, a in arrays]}).encode()
-with open(out, "wb") as fh:
-    fh.write(b"treeconv-checkpoint\\n" + b"%d\\n" % len(blob) + blob + b"\\n")
-    for _, a in arrays:
-        fh.write(a.astype("<f8").tobytes())
+write(out, arrays)
+"""
+
+# builds a seeded sentiment-regime (n_c = 300) d-model for a CoNLL file
+# and c-model for a bracketed file, untrained, and writes the class
+# probabilities each gives every tree of its file, one `predict` call
+# per tree and one `predict_batch` call for all
+_PREDICT = _WRITE + """
+import sys
+import numpy as np
+from treeconv.config import sentiment_regime
+from treeconv.corpus_io import (bind_vocabulary, build_dep_inventory,
+    random_embeddings, read_constituency_file, read_dependency_file,
+    vocabulary_from_corpus)
+from treeconv.network import init_model
+dep, con, out = sys.argv[1:4]
+arrays = []
+for variant, trees in (("d", read_dependency_file(dep)),
+                       ("c", read_constituency_file(con))):
+    vocab = vocabulary_from_corpus(trees)
+    for tree in trees:
+        bind_vocabulary(tree, vocab)
+    inventory = build_dep_inventory(trees) if variant == "d" else None
+    model = init_model(sentiment_regime(variant, n_e=20),
+                       random_embeddings(vocab, 20, 4),
+                       np.random.default_rng(4), inventory=inventory)
+    arrays.append((variant + " predict", np.array(
+        [model.predict(tree).probabilities for tree in trees])))
+    arrays.append((variant + " predict_batch", np.array(
+        [pred.probabilities for pred in model.predict_batch(trees)])))
+write(out, arrays)
 """
 
 
@@ -323,6 +370,9 @@ def _runs(work: Path) -> Dict[str, List[str]]:
             train + ["--config", str(work / "d_batches.cfg"),
                    "--train", str(work / "wide_dep.conll"),
                    "--labels", str(work / "wide_dep.lbl")],
+        "predict wide_dep and wide_con at n_c = 300":
+            ["-c", _PREDICT, str(work / "wide_dep.conll"),
+             str(work / "wide_con.txt"), OUT],
     }
 
 
